@@ -244,6 +244,8 @@ def cmd_module_alg(args):
 
 
 def cmd_env_dim(args):
+    if args.saturate is not None and args.saturate < args.degree:
+        raise UsageError("saturation bound must be >= truncation degree")
     A = load_algebra(args.algebra)
     gens = ideal_gens_by_label(A, args.ideal)
     table = dimension_table(A, gens, args.degree, args.saturate)
@@ -326,6 +328,17 @@ def cmd_roundtrip(args):
 
 # -- driver ---------------------------------------------------------------------
 
+def _degree(text: str) -> int:
+    """argparse type for degree bounds: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poissonenv",
@@ -363,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("module-alg", help="verify the module-algebra law")
     p.add_argument("algebra")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_degree, default=2)
     p.set_defaults(handler=cmd_module_alg)
 
     p = sub.add_parser("env-dim", help="truncated quotient dimensions")
     p.add_argument("algebra")
     p.add_argument("--ideal", default="J", choices=["J", "I", "OH", "J+I"])
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--saturate", type=int, default=None)
+    p.add_argument("--degree", type=_degree, default=2)
+    p.add_argument("--saturate", type=_degree, default=None)
     p.set_defaults(handler=cmd_env_dim)
 
     p = sub.add_parser("simple", help="decide Poisson-simplicity")
@@ -390,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="module/action roundtrip checks")
     p.add_argument("algebra")
     p.add_argument("module")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_degree, default=2)
     p.set_defaults(handler=cmd_roundtrip)
 
     return parser
@@ -413,7 +426,6 @@ def run_command(argv) -> Report:
         DegreeCapExceeded,
         ModuleShapeError,
         ActionError,
-        ValueError,
     ) as exc:
         findings = [{"kind": "error", "detail": str(exc)}]
         output = [f"error: {exc}"]

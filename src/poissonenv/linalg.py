@@ -1,9 +1,11 @@
 """Exact rational sparse vectors, echelon subspaces, and dense matrices.
 
 Everything is over Q via fractions.Fraction; no floating point anywhere.
-All values are treated as immutable after construction, so they can be
-shared freely between workers.  Subspaces are kept in reduced row echelon
-form, which makes subspace equality plain basis-list equality.
+SparseVector, Subspace and the tuple matrices are not changed once built
+(by convention: SparseVector.data is a plain dict), while Echelon and
+TrackedEchelon are mutable accumulators.  Nothing here is locked; the
+package runs in a single thread.  Subspaces are kept in reduced row
+echelon form, which makes subspace equality plain basis-list equality.
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ class SparseVector:
     def support(self) -> list[int]:
         return sorted(self.data)
 
-    def leading(self) -> tuple[int, Fraction]:
-        """Smallest-index nonzero entry; raises on the zero vector."""
-        i = min(self.data)
-        return i, self.data[i]
-
     def to_dense(self) -> list[Fraction]:
         return [self.data.get(i, ZERO) for i in range(self.n)]
 
@@ -88,19 +85,16 @@ class SparseVector:
     def __add__(self, other: "SparseVector") -> "SparseVector":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        data = dict(self.data)
-        for i, v in other.data.items():
-            s = data.get(i, ZERO) + v
-            if s:
-                data[i] = s
-            else:
-                data.pop(i, None)
         out = SparseVector(self.n)
-        out.data = data
+        out.data = add_terms(self.data, other.data)
         return out
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
-        return self + (-other)
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        out = SparseVector(self.n)
+        out.data = sub_terms(self.data, other.data)
+        return out
 
     def __neg__(self) -> "SparseVector":
         return SparseVector(self.n, {i: -v for i, v in self.data.items()})
@@ -158,64 +152,74 @@ def accumulate(out: dict, key, coeff: Fraction) -> None:
 
 
 # -- echelon machinery -------------------------------------------------------
+#
+# All row reduction goes through _axpy and _clear_pivots; Subspace.reduce,
+# Echelon and TrackedEchelon are thin users of them.
+
+def _axpy(out: dict, lam: Fraction, row: Mapping) -> None:
+    """out -= lam * row, in place, dropping entries that cancel."""
+    for c, v in row.items():
+        s = out.get(c, ZERO) - lam * v
+        if s:
+            out[c] = s
+        else:
+            out.pop(c, None)
+
+
+def _clear_pivots(data: Mapping, pivot_row: Mapping[int, Mapping]) -> dict:
+    """Copy of data with every pivot column cleared by its RREF row.
+
+    Eliminating one pivot never introduces entries at other pivot columns
+    (RREF), so a single pass over the initial support works."""
+    out = dict(data)
+    for p in [c for c in out if c in pivot_row]:
+        lam = out.get(p)
+        if lam:
+            _axpy(out, lam, pivot_row[p])
+    return out
+
 
 class Echelon:
     """Mutable reduced-row-echelon accumulator over raw index->Fraction dicts.
 
     Pivot entries are 1 and are the sole nonzero entries in their columns,
     so subspace equality is row-list equality once frozen into a Subspace.
+    Pivots are only taken at coordinates below n.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.rows: list[dict[int, Fraction]] = []
-        self.pivot_row: dict[int, int] = {}
+        self.pivot_row: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce_data(self, data: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out = dict(data)
-        # Eliminating one pivot never introduces entries at other pivot
-        # columns (RREF), so a single pass over the initial support works.
-        for p in [c for c in out if c in self.pivot_row]:
-            lam = out.get(p)
-            if not lam:
-                continue
-            row = self.rows[self.pivot_row[p]]
-            for c, v in row.items():
-                s = out.get(c, ZERO) - lam * v
-                if s:
-                    out[c] = s
-                else:
-                    out.pop(c, None)
-        return out
+        return _clear_pivots(data, self.pivot_row)
 
-    def add_data(self, data: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
-        """Insert a vector; returns the new normalized row, or None if in span."""
+    def _insert(self, data: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+        # Shared by add_data and TrackedEchelon.insert, which stay separate
+        # entry points so that per-layer tracing counts each insertion once.
         red = self.reduce_data(data)
-        if not red:
+        p = min(red, default=self.n)
+        if p >= self.n:
             return None
-        p = min(red)
         inv = ONE / red[p]
         row = {c: inv * v for c, v in red.items()}
         # clear the new pivot column from existing rows
         for other in self.rows:
             lam = other.get(p)
             if lam:
-                for c, v in row.items():
-                    s = other.get(c, ZERO) - lam * v
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
+                _axpy(other, lam, row)
         self.rows.append(row)
-        self.pivot_row[p] = len(self.rows) - 1
+        self.pivot_row[p] = row
         return row
 
-    def contains_data(self, data: Mapping[int, Fraction]) -> bool:
-        return not self.reduce_data(data)
+    def add_data(self, data: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+        """Insert a vector; returns the new normalized row, or None if in span."""
+        return self._insert(data)
 
     def add(self, v: SparseVector) -> SparseVector | None:
         if v.n != self.n:
@@ -230,22 +234,54 @@ class Echelon:
     def to_subspace(self) -> "Subspace":
         ordered = sorted(self.pivot_row.items())
         rows = []
-        for p, idx in ordered:
+        for _, row in ordered:
             vec = SparseVector(self.n)
-            vec.data = dict(self.rows[idx])
+            vec.data = dict(row)
             rows.append(vec)
         return Subspace(self.n, tuple(rows), tuple(p for p, _ in ordered))
+
+
+class TrackedEchelon(Echelon):
+    """Echelon that remembers how each row combines the inserted vectors.
+
+    Rows live in augmented coordinates: the t-th inserted vector carries a
+    tag 1 at coordinate n + t.  Every row is a combination of tagged
+    vectors, so its entries at n + t are the coefficients of that
+    combination.  Pivots are only taken below n, so a vector whose data part
+    reduces to zero adds no row (but still uses up its tag).  Reducing an
+    untagged target v leaves v - sum(lam_k * row_k); when its data part is
+    zero, v = sum_t c_t * (t-th vector) with c_t the negated entry at n + t.
+    """
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.count = 0  # tags inserted so far
+
+    def insert(self, data: Mapping[int, Fraction]) -> bool:
+        """Insert the next tagged vector; True if the rank grew."""
+        tagged = {**data, self.n + self.count: ONE}
+        self.count += 1
+        return self._insert(tagged) is not None
+
+    def express(self, v: SparseVector) -> dict[int, Fraction] | None:
+        """Coefficients over the inserted vectors, or None if not in span."""
+        red = self.reduce_data(v.data)
+        n = self.n
+        if any(c < n for c in red):
+            return None
+        return {c - n: -x for c, x in red.items()}
 
 
 class Subspace:
     """Immutable subspace of Q^n in reduced row echelon form."""
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_pivot_row")
 
     def __init__(self, ambient_dim: int, rows: tuple = (), pivots: tuple = ()):
         self.ambient_dim = ambient_dim
         self.rows = rows
         self.pivots = pivots
+        self._pivot_row = {p: r.data for p, r in zip(pivots, rows)}
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -262,20 +298,8 @@ class Subspace:
         """Remainder of v after eliminating all pivot coordinates."""
         if v.n != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        data = dict(v.data)
-        pivot_index = {p: k for k, p in enumerate(self.pivots)}
-        for p in [c for c in data if c in pivot_index]:
-            lam = data.get(p)
-            if not lam:
-                continue
-            for c, val in self.rows[pivot_index[p]].data.items():
-                s = data.get(c, ZERO) - lam * val
-                if s:
-                    data[c] = s
-                else:
-                    data.pop(c, None)
         out = SparseVector(self.ambient_dim)
-        out.data = data
+        out.data = _clear_pivots(v.data, self._pivot_row)
         return out
 
     def contains(self, v: SparseVector) -> bool:
@@ -340,91 +364,6 @@ def saturate_closure(
     return ech.to_subspace()
 
 
-class TrackedEchelon:
-    """Echelon that remembers how each row combines the inserted vectors."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[tuple[dict, dict]] = []  # (row data, tag data)
-        self.pivot_row: dict[int, int] = {}
-        self.count = 0  # tags are coordinates in the insertion index space
-
-    def insert(self, data: Mapping[int, Fraction]) -> None:
-        tag = {self.count: ONE}
-        self.count += 1
-        red, redtag = self._reduce(data, tag)
-        if not red:
-            return
-        p = min(red)
-        inv = ONE / red[p]
-        row = {c: inv * v for c, v in red.items()}
-        rowtag = {c: inv * v for c, v in redtag.items()}
-        for other, othertag in self.rows:
-            lam = other.get(p)
-            if lam:
-                for c, v in row.items():
-                    s = other.get(c, ZERO) - lam * v
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
-                for c, v in rowtag.items():
-                    s = othertag.get(c, ZERO) - lam * v
-                    if s:
-                        othertag[c] = s
-                    else:
-                        othertag.pop(c, None)
-        self.rows.append((row, rowtag))
-        self.pivot_row[p] = len(self.rows) - 1
-
-    def _reduce(self, data, tag):
-        out = dict(data)
-        outtag = dict(tag)
-        for p in [c for c in out if c in self.pivot_row]:
-            lam = out.get(p)
-            if not lam:
-                continue
-            row, rowtag = self.rows[self.pivot_row[p]]
-            for c, v in row.items():
-                s = out.get(c, ZERO) - lam * v
-                if s:
-                    out[c] = s
-                else:
-                    out.pop(c, None)
-            for c, v in rowtag.items():
-                s = outtag.get(c, ZERO) - lam * v
-                if s:
-                    outtag[c] = s
-                else:
-                    outtag.pop(c, None)
-        return out, outtag
-
-    def express(self, v: SparseVector) -> dict[int, Fraction] | None:
-        """Coefficients over the inserted vectors, or None if not in span."""
-        out = dict(v.data)
-        acc: dict[int, Fraction] = {}
-        for p in [c for c in out if c in self.pivot_row]:
-            lam = out.get(p)
-            if not lam:
-                continue
-            row, rowtag = self.rows[self.pivot_row[p]]
-            for c, val in row.items():
-                s = out.get(c, ZERO) - lam * val
-                if s:
-                    out[c] = s
-                else:
-                    out.pop(c, None)
-            for c, val in rowtag.items():
-                s = acc.get(c, ZERO) + lam * val
-                if s:
-                    acc[c] = s
-                else:
-                    acc.pop(c, None)
-        if out:
-            return None
-        return acc
-
-
 def express_in_span(
     vectors: Sequence[SparseVector], target: SparseVector
 ) -> list[Fraction] | None:
@@ -450,15 +389,14 @@ def solve_nullspace(rows: Iterable[SparseVector], dim: int) -> Subspace:
         if r.n != dim:
             raise ValueError("dimension mismatch")
         ech.add(r)
-    pivots = sorted(ech.pivot_row)
-    pivot_set = set(pivots)
+    pivots = sorted(ech.pivot_row.items())
     basis = []
     for free in range(dim):
-        if free in pivot_set:
+        if free in ech.pivot_row:
             continue
         data = {free: ONE}
-        for p in pivots:
-            c = ech.rows[ech.pivot_row[p]].get(free)
+        for p, row in pivots:
+            c = row.get(free)
             if c:
                 data[p] = -c
         v = SparseVector(dim)
@@ -475,10 +413,6 @@ def complement_conditions(s: Subspace) -> list[SparseVector]:
 # -- dense exact matrices (tuples of tuples of Fraction) ---------------------
 
 Matrix = tuple
-
-def mat_from_rows(rows) -> Matrix:
-    return tuple(tuple(rat(x) for x in row) for row in rows)
-
 
 def mat_identity(m: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(m)) for i in range(m))

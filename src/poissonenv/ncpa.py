@@ -24,10 +24,10 @@ from .linalg import (
     mat_apply,
     mat_flatten,
     mat_identity,
+    mat_lincomb,
     mat_mul,
     mat_shape,
     mat_unflatten,
-    mat_zero,
     minimal_polynomial,
     rat,
     saturate_closure,
@@ -450,17 +450,11 @@ def _trace_radical(basis: list[Matrix]) -> list[Matrix]:
         v.data = data
         rows.append(v)
     sol = solve_nullspace(rows, e)
-    out = []
-    for coeffs in sol.rows:
-        acc = None
-        for s, c in coeffs.items():
-            term = tuple(tuple(c * x for x in row) for row in basis[s])
-            acc = term if acc is None else tuple(
-                tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(acc, term)
-            )
-        if acc is not None:
-            out.append(acc)
-    return out
+    size = len(basis[0])
+    return [
+        mat_lincomb([(c, basis[s]) for s, c in coeffs.items()], size)
+        for coeffs in sol.rows
+    ]
 
 
 def _centralizer_basis(A: NCPA) -> list[Matrix]:
@@ -497,15 +491,13 @@ def _is_scalar_matrix(m: Matrix) -> bool:
 
 def _poly_eval_matrix(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
     n = len(m)
-    acc = mat_zero(n)
+    pairs = []
     power = mat_identity(n)
     for c in coeffs:
         if c:
-            acc = tuple(
-                tuple(x + c * y for x, y in zip(ra, rb)) for ra, rb in zip(acc, power)
-            )
+            pairs.append((c, power))
         power = mat_mul(power, m)
-    return acc
+    return mat_lincomb(pairs, n)
 
 
 def _rational_factors(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:

@@ -174,10 +174,9 @@ def _slice_echelon(A: NCPA, gens: IdealGens, d: int, D: int) -> Subspace:
 
     asc_index = {m: t for t, m in enumerate(low)}
     rows = []
-    for p, ridx in sorted(ech.pivot_row.items()):
+    for p, row in sorted(ech.pivot_row.items()):
         if p < cutoff:
             continue
-        row = ech.rows[ridx]
         data = {}
         for c, v in row.items():
             mono = monos[big - 1 - c]
@@ -223,25 +222,22 @@ class TruncatedQuotient:
         self.monomials = env_monomials(A, degree)
         self.index = {m: t for t, m in enumerate(self.monomials)}
         n_low = len(self.monomials)
+        n_ideal = self.ideal_slice.rank
 
-        ech = Echelon(n_low)
-        for row in self.ideal_slice.rows:
-            ech.add(row)
-        coset: list[QMonomial] = []
-        for t, mono in enumerate(self.monomials):
-            unit = SparseVector.unit(n_low, t)
-            if ech.add(unit) is not None:
-                coset.append(mono)
-        self.coset_basis = coset
-        if len(coset) + self.ideal_slice.rank != n_low:
-            raise RuntimeError("coset basis bookkeeping failed")
-
+        # Tags 0..n_ideal-1 are the slice rows; tag n_ideal + t is the
+        # monomial t, which is a coset representative iff it raised the rank.
         self._solver = TrackedEchelon(n_low)
-        self._n_ideal = self.ideal_slice.rank
         for row in self.ideal_slice.rows:
             self._solver.insert(row.data)
-        for mono in coset:
-            self._solver.insert({self.index[mono]: ONE})
+        coset: list[QMonomial] = []
+        self._coset_position: dict[int, int] = {}
+        for t, mono in enumerate(self.monomials):
+            if self._solver.insert({t: ONE}):
+                self._coset_position[n_ideal + t] = len(coset)
+                coset.append(mono)
+        self.coset_basis = coset
+        if len(coset) + n_ideal != n_low:
+            raise RuntimeError("coset basis bookkeeping failed")
 
     @property
     def dimension(self) -> int:
@@ -259,11 +255,8 @@ class TruncatedQuotient:
         if combo is None:
             raise RuntimeError("slice plus coset basis failed to span")
         out = SparseVector(len(self.coset_basis))
-        out.data = {
-            t - self._n_ideal: c
-            for t, c in combo.items()
-            if t >= self._n_ideal and c
-        }
+        position = self._coset_position
+        out.data = {position[t]: c for t, c in combo.items() if t in position}
         return out
 
     def reduce_to_element(self, x: QElement) -> QElement:

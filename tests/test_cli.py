@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from poissonenv.cli import main, run_command
 from poissonenv.fileformat import bundled_path
 
@@ -152,6 +154,48 @@ def test_env_dim_saturate_flag(capsys):
 
 def test_env_dim_bad_ideal():
     assert main(["env-dim", path("kxk.alg"), "--ideal", "Z"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["env-dim", "kxk.alg", "--degree", "-1"], "--degree: must be >= 0"),
+        (["env-dim", "kxk.alg", "--saturate", "-1"], "--saturate: must be >= 0"),
+        (["module-alg", "kxk.alg", "--degree", "-1"], "--degree: must be >= 0"),
+        (
+            ["roundtrip", "kxk.alg", "kxk-regular.mod", "--degree", "-2"],
+            "--degree: must be >= 0",
+        ),
+        (["env-dim", "kxk.alg", "--degree", "two"], "--degree: invalid integer"),
+    ],
+)
+def test_bad_degree_rejected(capsys, argv, message):
+    argv = [path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_env_dim_saturate_below_degree(capsys, as_json):
+    argv = ["env-dim", path("kxk.alg"), "--degree", "2", "--saturate", "1"]
+    code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 2
+    assert "saturation bound must be >= truncation degree" in out
+    if as_json:
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["findings"][0]["kind"] == "error"
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    import poissonenv.cli as cli
+
+    def broken(args):
+        raise ValueError("dimension mismatch")
+
+    monkeypatch.setattr(cli, "cmd_relations", broken)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        run_command(["relations", path("kxk.alg")])
 
 
 def test_simple_true(capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from poissonenv.linalg import (
     SparseVector,
@@ -202,3 +202,43 @@ def test_saturation_is_a_fixed_point(case):
     for row in s.rows:
         for op in ops:
             assert in_span(s, op(row))
+
+
+def _coefficients(k):
+    return st.lists(small_fractions, min_size=k, max_size=k)
+
+
+def _combine(coeffs, vecs, dim):
+    total = SparseVector(dim)
+    for c, v in zip(coeffs, vecs):
+        total = total + v.scale(c)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_lists(), st.data())
+def test_express_in_span_rebuilds_target(case, data):
+    dim, vecs = case
+    # append dependent vectors: a repeat and a combination of earlier ones
+    if vecs:
+        mix = data.draw(_coefficients(len(vecs)))
+        vecs = vecs + [vecs[0], _combine(mix, vecs, dim)]
+    coeffs = data.draw(_coefficients(len(vecs)))
+    target = _combine(coeffs, vecs, dim)
+    found = express_in_span(vecs, target)
+    assert found is not None
+    assert len(found) == len(vecs)
+    assert _combine(found, vecs, dim) == target
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_lists(), st.data())
+def test_express_in_span_rejects_outside_target(case, data):
+    dim, vecs = case
+    s = join_and_reduce(vecs, dim)
+    outside = [i for i in range(dim) if not in_span(s, SparseVector.unit(dim, i))]
+    assume(outside)
+    coeffs = data.draw(_coefficients(len(vecs)))
+    stray = SparseVector.unit(dim, data.draw(st.sampled_from(outside)))
+    target = _combine(coeffs, vecs, dim) + stray
+    assert express_in_span(vecs, target) is None
