@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Run a fixed list of CLI jobs and write their --json reports to one file.
+
+Each report is kept as the CLI printed it, minus its `elapsed` field, next
+to the job's arguments and exit code.  Two checkouts give byte-identical
+files exactly when every job answered the same, so an engine change that
+must not move any output is checked with
+
+    python3 scripts/compare_reports.py --repo OLD_CHECKOUT old.json
+    python3 scripts/compare_reports.py new.json
+    cmp old.json new.json
+
+`--repo` names the checkout whose `src/` is imported (default: the one
+holding this script).  Fixture paths are relative to that checkout, so the
+recorded commands do not depend on where it lives.  Jobs run in-process,
+one after another; each loads a fresh algebra, so no memo cache is shared
+between jobs.  The heaviest job (`env-dim` on m2std) takes seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+DATA = "src/poissonenv/data"
+FIXTURES = ("kxk", "trunc2-n2", "m2std")
+BAD = ("bad-antisym", "bad-jacobi", "bad-leibniz")
+MODULES = ("kxk-regular", "kxk-nonpoisson")
+# Highest --degree per fixture that keeps the whole list at tens of seconds.
+ENV_DIM_DEGREE = {"kxk": 3, "trunc2-n2": 2, "m2std": 1}
+
+
+def alg(name: str) -> str:
+    return f"{DATA}/{name}.alg"
+
+
+def jobs() -> list[list[str]]:
+    out = [["validate", alg(name)] for name in FIXTURES + BAD]
+    for cmd in ("simple", "derivations", "relations"):
+        out += [[cmd, alg(name)] for name in FIXTURES]
+    for name in FIXTURES:
+        for ideal in ("J", "J+I", "OH"):
+            out.append(
+                ["env-dim", alg(name), "--ideal", ideal, "--degree", str(ENV_DIM_DEGREE[name])]
+            )
+    for name, ideal, degree, saturate in (
+        ("kxk", "J", 2, 2),
+        ("kxk", "J", 1, 1),
+        ("kxk", "J", 0, 0),
+        ("kxk", "J+I", 1, 3),
+        ("kxk", "OH", 1, 2),
+        ("trunc2-n2", "J", 2, 2),
+        ("trunc2-n2", "J+I", 1, 3),
+        ("kxk", "J", 1, 9),  # above the default degree cap: exit 2
+    ):
+        out.append(
+            ["env-dim", alg(name), "--ideal", ideal, "--degree", str(degree),
+             "--saturate", str(saturate)]
+        )
+    for mod in MODULES:
+        path = f"{DATA}/{mod}.mod"
+        out.append(["module-alg", alg("kxk")])
+        out.append(["module-check", alg("kxk"), path, "--poisson"])
+        out.append(["roundtrip", alg("kxk"), path])
+    out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
+    out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
+    return out
+
+
+def run_jobs(repo: Path) -> list[dict]:
+    sys.path.insert(0, str(repo / "src"))
+    os.chdir(repo)
+    from poissonenv import cli
+
+    results = []
+    for argv in jobs():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["--json", *argv])
+        report = json.loads(buf.getvalue())
+        report.pop("elapsed", None)
+        results.append({"argv": argv, "exit": code, "report": report})
+        print(f"exit {code}: {' '.join(argv)}", file=sys.stderr)
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument(
+        "--repo",
+        default=str(Path(__file__).resolve().parent.parent),
+        help="checkout whose src/ is run (default: this one)",
+    )
+    args = parser.parse_args(argv)
+    out = Path(args.out).resolve()
+    results = run_jobs(Path(args.repo).resolve())
+    out.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,10 +42,6 @@ class SparseVector:
         self.data = clean
 
     @classmethod
-    def zero(cls, n: int) -> "SparseVector":
-        return cls(n)
-
-    @classmethod
     def unit(cls, n: int, i: int) -> "SparseVector":
         return cls(n, {i: ONE})
 
@@ -291,9 +287,6 @@ class Subspace:
     def rank(self) -> int:
         return len(self.rows)
 
-    def is_full(self) -> bool:
-        return self.rank == self.ambient_dim
-
     def reduce(self, v: SparseVector) -> SparseVector:
         """Remainder of v after eliminating all pivot coordinates."""
         if v.n != self.ambient_dim:
@@ -333,34 +326,33 @@ def in_span(s: Subspace, v: SparseVector) -> bool:
     return s.contains(v)
 
 
+def close_under(add: Callable, vectors: Iterable, operators: Sequence[Callable]) -> list:
+    """Feed vectors to add, which returns None for a vector already in the
+    span, then the operator images of every vector that was not, until no
+    image is new.  Those vectors span what was added, so by linearity the
+    span they add is invariant.  Terminates because the rank is bounded.
+    Returns those vectors, as given: images of reduced rows would be denser.
+    """
+    added = [v for v in vectors if add(v) is not None]
+    queue = list(added)
+    while queue:
+        v = queue.pop()
+        for op in operators:
+            w = op(v)
+            if add(w) is not None:
+                added.append(w)
+                queue.append(w)
+    return added
+
+
 def saturate_closure(
     seed: Iterable[SparseVector],
     operators: Sequence[Callable[[SparseVector], SparseVector]],
     ambient_dim: int,
 ) -> Subspace:
-    """Smallest subspace containing seed and invariant under the operators.
-
-    Terminates because the rank is bounded by the ambient dimension.  Each
-    vector ever added to the span gets all its operator images fed back in;
-    linearity makes that sufficient for invariance of the final span.
-    """
+    """Smallest subspace containing seed and invariant under the operators."""
     ech = Echelon(ambient_dim)
-    queue: list[SparseVector] = []
-    for v in seed:
-        if v.n != ambient_dim:
-            raise ValueError("dimension mismatch")
-        added = ech.add(v)
-        if added is not None:
-            queue.append(added)
-    while queue:
-        v = queue.pop()
-        for op in operators:
-            w = op(v)
-            if w.n != ambient_dim:
-                raise ValueError("operator changed dimension")
-            added = ech.add(w)
-            if added is not None:
-                queue.append(added)
+    close_under(ech.add, seed, operators)
     return ech.to_subspace()
 
 

@@ -20,6 +20,7 @@ from .linalg import (
     SparseVector,
     Subspace,
     ZERO,
+    accumulate,
     complement_conditions,
     mat_apply,
     mat_flatten,
@@ -130,8 +131,10 @@ class NCPA:
     """A presentation together with bilinear product/bracket evaluation.
 
     Construct through validate_ncpa / standard_ncpa so the axioms have
-    actually been checked.  Instances carry memo caches for the PBW and
-    smash-product layers; all cached values are immutable.
+    actually been checked.  Instances carry memo caches for the PBW,
+    smash-product and ideal-slice layers.  Cached values are immutable,
+    except the leveled ideal closures under "ideal_slice", which later
+    calls extend to wider windows.
     """
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -149,6 +152,8 @@ class NCPA:
             "straighten": {},
             "lie_word": {},
             "q_mono": {},
+            "q_factor": {},
+            "ideal_slice": {},
         }
 
     # -- basic evaluation ---------------------------------------------------
@@ -169,7 +174,6 @@ class NCPA:
         if x.n != self.n or y.n != self.n:
             raise ValueError("element has wrong dimension for this algebra")
         data: dict[int, Fraction] = {}
-        zero = SparseVector(self.n)
         for i, xi in x.data.items():
             for j, yj in y.data.items():
                 vec = table.get((i, j))
@@ -177,11 +181,7 @@ class NCPA:
                     continue
                 c = xi * yj
                 for k, v in vec.data.items():
-                    s = data.get(k, ZERO) + c * v
-                    if s:
-                        data[k] = s
-                    else:
-                        data.pop(k, None)
+                    accumulate(data, k, c * v)
         out = SparseVector(self.n)
         out.data = data
         return out
@@ -224,35 +224,24 @@ class NCPA:
 
     # -- multiplication operators as dense matrices --------------------------
 
-    def left_mult_matrix(self, i: int) -> Matrix:
-        key = ("Lmat", i)
+    def _matrix(self, key, column) -> Matrix:
+        """Matrix whose j-th column is column(j); cached under key."""
         cache = self.caches.setdefault("ops", {})
         if key not in cache:
-            cols = [self.mul_basis(i, j) for j in range(self.n)]
+            cols = [column(j) for j in range(self.n)]
             cache[key] = tuple(
                 tuple(col.get(r) for col in cols) for r in range(self.n)
             )
         return cache[key]
+
+    def left_mult_matrix(self, i: int) -> Matrix:
+        return self._matrix(("Lmat", i), lambda j: self.mul_basis(i, j))
 
     def right_mult_matrix(self, i: int) -> Matrix:
-        key = ("Rmat", i)
-        cache = self.caches.setdefault("ops", {})
-        if key not in cache:
-            cols = [self.mul_basis(j, i) for j in range(self.n)]
-            cache[key] = tuple(
-                tuple(col.get(r) for col in cols) for r in range(self.n)
-            )
-        return cache[key]
+        return self._matrix(("Rmat", i), lambda j: self.mul_basis(j, i))
 
     def ad_matrix(self, i: int) -> Matrix:
-        key = ("admat", i)
-        cache = self.caches.setdefault("ops", {})
-        if key not in cache:
-            cols = [self.bracket_basis(i, j) for j in range(self.n)]
-            cache[key] = tuple(
-                tuple(col.get(r) for col in cols) for r in range(self.n)
-            )
-        return cache[key]
+        return self._matrix(("admat", i), lambda j: self.bracket_basis(i, j))
 
     def __repr__(self) -> str:
         return f"NCPA({self.name!r}, dim={self.n})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from .limits import DegreeCapExceeded, degree_cap
-from .linalg import ONE, SparseVector, accumulate, add_terms, scale_terms
+from .linalg import ONE, SparseVector, accumulate
 from .ncpa import NCPA
 from .words import Word, counit, shuffle_coproduct
 
@@ -78,14 +78,6 @@ def _first_descent(word: Word) -> int | None:
         if word[t] > word[t + 1]:
             return t
     return None
-
-
-def u_scale(x: UElement, c) -> UElement:
-    return scale_terms(x, c)
-
-
-def u_add(x: UElement, y: UElement) -> UElement:
-    return add_terms(x, y)
 
 
 def u_mult(A: NCPA, x: UElement, y: UElement) -> UElement:
@@ -276,24 +268,3 @@ def module_algebra_failures(A: NCPA, degree_bound: int) -> list[dict]:
                         {"algebra": "A^e", "word": word, "pair": (pq, rs)}
                     )
     return failures
-
-
-def format_u_element(A: NCPA, x: UElement) -> str:
-    if not x:
-        return "0"
-    def key(w):
-        return (len(w), w)
-    parts = []
-    for w in sorted(x, key=key):
-        c = x[w]
-        body = ".".join(A.labels[i] for i in w) if w else "1"
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{c}*{body}")
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .limits import DegreeCapExceeded, degree_cap
 from .linalg import SparseVector, accumulate, add_terms, scale_terms, sub_terms
 from .ncpa import NCPA
-from .pbw import lie_word_act, straighten
+from .pbw import lie_word_on_basis, straighten
 from .words import ordered_partitions, subword
 
 QMonomial = tuple  # (i: int, j: int, word: Word)
@@ -96,6 +96,20 @@ def embed(A: NCPA, kind: str, a: SparseVector) -> QElement:
     raise ValueError(f"unknown embedding kind {kind!r}")
 
 
+def _factor(A: NCPA, outer: int, word, inner: int, left: bool) -> dict:
+    """v_outer . ad_word(v_inner) if left, else ad_word(v_inner) . v_outer,
+    as a plain coefficient dict; memoized per algebra."""
+    cache = A.caches["q_factor"]
+    key = (left, outer, word, inner)
+    if key not in cache:
+        out: dict = {}
+        for k, c in lie_word_on_basis(A, word, inner).data.items():
+            for p, v in (A.mul_basis(outer, k) if left else A.mul_basis(k, outer)).items():
+                accumulate(out, p, c * v)
+        cache[key] = out
+    return cache[key]
+
+
 def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
     """Product of two basis monomials, memoized per algebra."""
     cache = A.caches["q_mono"]
@@ -110,20 +124,18 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
         )
     out: QElement = {}
     for part1, rest in ordered_partitions(len(alpha), 2):
-        left = A.mul(A.basis(i1), lie_word_act(A, subword(alpha, part1), A.basis(i2)))
-        if left.is_zero():
+        left = _factor(A, i1, subword(alpha, part1), i2, True)
+        if not left:
             continue
         remainder = subword(alpha, rest)
         for part2, part3 in ordered_partitions(len(remainder), 2):
             # opposite product: v_{j1} o w = w . v_{j1}
-            right = A.mul(
-                lie_word_act(A, subword(remainder, part2), A.basis(j2)), A.basis(j1)
-            )
-            if right.is_zero():
+            right = _factor(A, j1, subword(remainder, part2), j2, False)
+            if not right:
                 continue
             tail = straighten(A, subword(remainder, part3) + beta)
-            for p, cp in left.data.items():
-                for q, dq in right.data.items():
+            for p, cp in left.items():
+                for q, dq in right.items():
                     c = cp * dq
                     for gamma, eg in tail.items():
                         accumulate(out, (p, q, gamma), c * eg)

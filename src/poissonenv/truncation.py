@@ -3,12 +3,23 @@ the quasi-Poisson enveloping algebra.
 
 Exact membership in an infinite-dimensional ideal is not decidable by
 truncation alone: products above the saturation window could cancel down
-into the truncated slice.  The slice computed here is the span of all
-products m1 * g * m2 with deg(m1) + 1 + deg(m2) bounded by the saturation
-degree, intersected with the low-degree coordinate block; a stability
-flag records whether widening the window from D-1 to D changed the slice.
+into the truncated slice.  Window D is the span T_{D-1} of all products
+m1 * g * m2 with deg(m1) + deg(m2) <= D - 1; the slice at degree d is its
+intersection with the degree-<=d coordinate block, and a stability flag
+records whether widening the window from D-1 to D changed the slice.
 Quotient dimensions reported this way are upper bounds that in practice
 stabilize at the true values for the worked examples.
+
+The windows come from one leveled closure, not from enumerating monomial
+pairs: T_0 is the span of the generators closed under multiplication by
+i(a) and k(a) on both sides, and T_B adds j(a) * v and v * j(a) for every
+v that T_{B-1} gained, then closes again.  This is sound because F_0 is
+generated by the i(a), k(a), F_1 = F_0 + F_0 j(A), and F_B = F_1^B along
+the PBW filtration (Bergman, The diamond lemma for ring theory, Adv. Math.
+29, 1978); so T_B is exactly the sum of F_a g F_b over a + b <= B.
+Rows are kept in descending term order, so those with pivots in the low
+block span the slice, and a pivot never moves once taken: the level that
+took it tells every narrower window's rank and stable flag.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from .linalg import (
     SparseVector,
     Subspace,
     TrackedEchelon,
+    close_under,
     join_and_reduce,
 )
 from .ncpa import NCPA
@@ -32,6 +44,7 @@ from .smash import (
     embed_left,
     embed_lie,
     embed_right,
+    q_identity,
     q_mult,
     q_sub,
     q_term_key,
@@ -135,56 +148,70 @@ def qelem_to_vector(x: QElement, index: dict, n_coords: int) -> SparseVector:
     return v
 
 
-def _slice_echelon(A: NCPA, gens: IdealGens, d: int, D: int) -> Subspace:
-    """Span of budgeted products, intersected with the degree <= d block.
+def _both_sides(A: NCPA, factors: list) -> list:
+    """Left and right multiplication by each factor."""
+    return [op for x in factors for op in (
+        lambda y, x=x: q_mult(A, x, y), lambda y, x=x: q_mult(A, y, x))]
 
-    Coordinates are taken in descending term order so that the echelon rows
-    with pivots in the low-degree block are exactly the intersection."""
-    monos = env_monomials(A, D)
-    big = len(monos)
-    # descending order: index 0 is the largest monomial
-    index_desc = {m: big - 1 - t for t, m in enumerate(monos)}
-    low = [m for m in monos if len(m[2]) <= d]
-    n_low = len(low)
-    cutoff = big - n_low  # descending indices >= cutoff form the low block
 
-    ech = Echelon(big)
-    seen: set = set()
-    by_degree: dict[int, list[QMonomial]] = {}
-    for m in monos:
-        by_degree.setdefault(len(m[2]), []).append(m)
+class _LeveledClosure:
+    """The spans T_0 <= T_1 <= ... of one generator set, grown on demand.
 
-    for g in gens.gens:
-        for deg2 in range(0, D):
-            for m2 in by_degree.get(deg2, []):
-                right = q_mult(A, g, {m2: ONE})
-                if not right:
-                    continue
-                for deg1 in range(0, D - deg2):
-                    for m1 in by_degree.get(deg1, []):
-                        prod = q_mult(A, {m1: ONE}, right)
-                        if not prod:
-                            continue
-                        vec = qelem_to_vector(prod, index_desc, big)
-                        key = tuple(sorted(vec.data.items()))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        ech.add(vec)
+    Coordinates are negated positions in the ascending term order, so a
+    row's pivot, its least coordinate, is its largest monomial, and a wider
+    window adds coordinates without renumbering; Echelon(0) takes pivots at
+    every negative coordinate.  Holds no reference to the algebra, whose
+    memo holds it: a cycle would outlive each call until collected.
+    """
 
-    asc_index = {m: t for t, m in enumerate(low)}
-    rows = []
-    for p, row in sorted(ech.pivot_row.items()):
-        if p < cutoff:
-            continue
-        data = {}
-        for c, v in row.items():
-            mono = monos[big - 1 - c]
-            data[asc_index[mono]] = v
-        v2 = SparseVector(n_low)
-        v2.data = data
-        rows.append(v2)
-    return join_and_reduce(rows, n_low)
+    def __init__(self, A: NCPA, gens: IdealGens):
+        one = q_identity(A)
+        side = [e(A, A.basis(a)) for e in (embed_left, embed_right) for a in range(A.n)]
+        self.ik = [x for x in side if x != one]  # i(1), k(1) act as the identity
+        self.j = [embed_lie(A, A.basis(a)) for a in range(A.n)]
+        self.frontier = list(gens.gens)  # seeds level 0; then the last level's gain
+        self.level = -1
+        self.ech = Echelon(0)
+        self.coord: dict[QMonomial, int] = {}
+        self.pivot_level: dict[int, int] = {}  # level that took each pivot
+
+    def extend_to(self, A: NCPA, D: int) -> None:
+        """Grow the span to T_{D-1}, window D."""
+        for t, mono in enumerate(env_monomials(A, D)):
+            self.coord.setdefault(mono, -1 - t)
+        ik_ops, j_ops = _both_sides(A, self.ik), _both_sides(A, self.j)
+
+        def add(x: QElement):
+            return self.ech.add_data(qelem_to_vector(x, self.coord, 0).data)
+
+        while self.level < D - 1:
+            self.level += 1
+            vectors = (self.frontier if self.level == 0
+                       else (op(y) for y in self.frontier for op in j_ops))
+            self.frontier = close_under(add, vectors, ik_ops)
+            for p in self.ech.pivot_row:
+                self.pivot_level.setdefault(p, self.level)
+
+    def slice(self, n_low: int) -> Subspace:
+        """The current span met with the first n_low monomials."""
+        rows = [SparseVector(n_low, {-1 - c: x for c, x in row.items()})
+                for p, row in self.ech.pivot_row.items() if p >= -n_low]
+        return join_and_reduce(rows, n_low)
+
+
+def _leveled_closure(A: NCPA, gens: IdealGens, D: int) -> _LeveledClosure:
+    """The generators' closure grown to window D, memoized per algebra so
+    that calls with non-decreasing windows share one leveled pass."""
+    memo = A.caches["ideal_slice"]
+    key = tuple(tuple(g.items()) for g in gens.gens)
+    # stored back only once extended, so an error leaves no torn entry
+    closure = memo.pop(key, None)
+    if closure is None or closure.level >= D:
+        # past window D, T_{D-1} is no longer at hand: start over
+        closure = _LeveledClosure(A, gens)
+    closure.extend_to(A, D)
+    memo[key] = closure
+    return closure
 
 
 def truncated_ideal_span(
@@ -198,9 +225,16 @@ def truncated_ideal_span(
         raise DegreeCapExceeded(
             f"saturation degree {D} exceeds cap {degree_cap()}"
         )
-    current = _slice_echelon(A, gens, d, D)
-    previous = _slice_echelon(A, gens, d, D - 1) if D >= 1 else current
-    return current, current == previous
+    n_low = len(env_monomials(A, d))
+    if D == 0:  # window 0 holds no products
+        return Subspace.zero(n_low), True
+    closure = _leveled_closure(A, gens, D)
+    # stable: no pivot in the block is new at window D; window D - 1 has no
+    # degree-D block, so d = D counts as unstable
+    stable = d < D and all(
+        B < D - 1 for p, B in closure.pivot_level.items() if p >= -n_low
+    )
+    return closure.slice(n_low), stable
 
 
 class TruncatedQuotient:
@@ -259,12 +293,6 @@ class TruncatedQuotient:
         out.data = {position[t]: c for t, c in combo.items() if t in position}
         return out
 
-    def reduce_to_element(self, x: QElement) -> QElement:
-        coords = self.reduce(x)
-        return {
-            self.coset_basis[t]: c for t, c in coords.data.items()
-        }
-
 
 def truncated_quotient(
     A: NCPA, gens: IdealGens, d: int, D: int | None = None
@@ -277,17 +305,20 @@ def truncated_quotient(
 def dimension_table(
     A: NCPA, gens: IdealGens, max_degree: int, saturation: int | None = None
 ) -> list[dict]:
-    """Quotient dimension and stability flag for each degree 0..max_degree."""
+    """Quotient dimension and stability flag for each degree 0..max_degree.
+
+    Windows never shrink as the degree grows, so one leveled pass serves
+    every degree."""
     out = []
     for d in range(max_degree + 1):
         D = (d + 2) if saturation is None else saturation
-        quotient = truncated_quotient(A, gens, d, D)
+        slice_, stable = truncated_ideal_span(A, gens, d, D)
         out.append(
             {
                 "degree": d,
                 "saturation": D,
-                "dimension": quotient.dimension,
-                "stable": quotient.stable,
+                "dimension": slice_.ambient_dim - slice_.rank,
+                "stable": stable,
             }
         )
     return out

@@ -8,6 +8,7 @@ algebra except for the alphabet size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -18,14 +19,16 @@ from .linalg import ONE, ZERO
 Word = tuple  # tuple[int, ...]
 
 
+@functools.cache
 def ordered_partitions(
     r: int, p: int, limit: int = WORD_DEGREE_LIMIT
-) -> list[tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All p^r ordered partitions of positions 0..r-1 into p blocks.
 
     Blocks may be empty and their order matters.  Enumeration order is the
     base-p counter over positions (block assignment of position 0 is the
     most significant digit), which keeps downstream term order stable.
+    Memoized; the result is a tuple, so callers cannot change the cache.
     """
     if p < 1:
         raise ValueError("number of blocks must be >= 1")
@@ -38,7 +41,7 @@ def ordered_partitions(
         for pos, block in enumerate(assignment):
             blocks[block].append(pos)
         out.append(tuple(tuple(b) for b in blocks))
-    return out
+    return tuple(out)
 
 
 def subword(word: Word, positions: Sequence[int]) -> Word:

@@ -193,3 +193,41 @@ def test_format_roundtrip_with_cli_parser(m2):
     x = q_add(embed_lie(m2, m2.basis(1)), q_scale(embed_left(m2, m2.basis(2)), Fraction(-3, 2)))
     text = format_q_element(m2, x)
     assert parse_q_element(m2, text) == x
+
+
+def _direct_q_mono_mult(A, m1, m2):
+    # The tripartition formula written out afresh: each letter of the left
+    # word brackets into the left slot, into the opposite slot, or passes to
+    # the word slot; nested brackets and products use A.bracket and A.mul.
+    from poissonenv.pbw import straighten
+
+    i1, j1, alpha = m1
+    i2, j2, beta = m2
+
+    def ad(word, v):
+        for letter in reversed(word):
+            v = A.bracket(A.basis(letter), v)
+        return v
+
+    out = {}
+    for blocks in itertools.product(range(3), repeat=len(alpha)):
+        parts = [tuple(a for a, b in zip(alpha, blocks) if b == k) for k in range(3)]
+        left = A.mul(A.basis(i1), ad(parts[0], A.basis(i2)))
+        right = A.mul(ad(parts[1], A.basis(j2)), A.basis(j1))
+        for p, cp in left.data.items():
+            for q, dq in right.data.items():
+                for gamma, eg in straighten(A, parts[2] + beta).items():
+                    key = (p, q, gamma)
+                    out[key] = out.get(key, 0) + cp * dq * eg
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("name", ["kxk_skew", "m2"])
+def test_q_mono_mult_matches_direct_formula(name, request):
+    # every pair of basis monomials whose product has degree <= 2
+    A = request.getfixturevalue(name)
+    monos = [(i, j, w) for w in u_monomials(A.n, 2) for i in range(A.n) for j in range(A.n)]
+    for m1 in monos:
+        for m2 in monos:
+            if len(m1[2]) + len(m2[2]) <= 2:
+                assert q_mono_mult(A, m1, m2) == _direct_q_mono_mult(A, m1, m2), (m1, m2)

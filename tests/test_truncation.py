@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from poissonenv.limits import DegreeCapExceeded
-from poissonenv.linalg import Echelon, SparseVector, in_span
+from poissonenv.linalg import Echelon, SparseVector, Subspace, in_span, join_and_reduce
 from poissonenv.smash import (
     embed_left,
     embed_lie,
@@ -266,6 +266,106 @@ def test_oh_quotient_smoke(kxk):
     assert 0 < q.dimension <= 16
 
 
+# -- reference: the slice as the span of every monomial-pair product ----------
+#
+# Window D spans m1 * g * m2 over basis monomials with deg m1 + deg m2 <= D-1.
+# Coordinates run in descending term order, so the echelon rows whose pivots
+# fall in the degree-<=d block span exactly the slice at degree d.
+
+def _pair_span_slices(A, gens, D):
+    """Slices of window D at every degree d <= D, by enumerating products."""
+    monos = env_monomials(A, D)
+    big = len(monos)
+    index = {m: big - 1 - t for t, m in enumerate(monos)}
+    ech = Echelon(big)
+    for g in gens.gens:
+        for m2 in monos:
+            right = q_mult(A, g, {m2: ONE})
+            for m1 in monos:
+                if right and len(m1[2]) + len(m2[2]) <= D - 1:
+                    prod = q_mult(A, {m1: ONE}, right)
+                    if prod:
+                        ech.add(SparseVector(big, {index[m]: c for m, c in prod.items()}))
+    slices = []
+    for d in range(D + 1):
+        n_low = len(env_monomials(A, d))
+        rows = [
+            SparseVector(n_low, {big - 1 - c: v for c, v in row.items()})
+            for p, row in ech.pivot_row.items()
+            if p >= big - n_low
+        ]
+        slices.append(join_and_reduce(rows, n_low))
+    return slices
+
+
+@pytest.mark.parametrize(
+    "name, label, first_only",
+    [
+        ("kxk", "J", False),
+        ("kxk", "J+I", False),
+        ("kxk", "OH", False),
+        ("ut2", "J+I", False),
+        ("trunc2", "J", False),
+        # one generator is not closed under brackets with the j(a), so here
+        # j(a) * v and v * j(a) span different things
+        ("ut2", "J", True),
+    ],
+)
+def test_leveled_slice_matches_pair_span(name, label, first_only, request):
+    A = request.getfixturevalue(name)
+    gens = ideal_gens_by_label(A, label)
+    if first_only:
+        gens = IdealGens(label, gens.gens[:1])
+    reference = [_pair_span_slices(A, gens, D) for D in range(4)]
+    for D in range(4):
+        for d in range(D + 1):
+            # window D - 1 has no degree-D block, so d = D >= 1 is unstable
+            stable = D == 0 or (d < D and reference[D][d] == reference[D - 1][d])
+            assert truncated_ideal_span(A, gens, d, D) == (reference[D][d], stable), (d, D)
+
+
+@pytest.mark.parametrize(
+    "name, degree, saturate, dims, stable",
+    [
+        ("kxk", 2, 2, [4, 6, 8], [True, True, False]),
+        ("kxk", 1, 1, [4, 6], [True, False]),
+        ("kxk", 0, 0, [4], [True]),  # window 0 is the empty slice
+        ("trunc2", 2, 2, [9, 15, 22], [True, True, False]),
+    ],
+)
+def test_explicit_saturation_tables(name, degree, saturate, dims, stable, request):
+    A = request.getfixturevalue(name)
+    table = dimension_table(A, ideal_j_gens(A), degree, saturate)
+    assert [row["dimension"] for row in table] == dims
+    assert [row["stable"] for row in table] == stable
+    assert all(row["saturation"] == saturate for row in table)
+
+
+def test_window_without_degree_block_is_unstable(kxk):
+    none = IdealGens("none", ())
+    # window 0 holds no products; window 1 has no degree-2 block
+    assert truncated_ideal_span(kxk, none, 0, 0) == (Subspace.zero(4), True)
+    assert truncated_ideal_span(kxk, none, 2, 2) == (Subspace.zero(24), False)
+
+
+def test_slice_independent_of_call_order():
+    # the leveled closure is memoized per algebra; a narrower window after
+    # a wider one starts a fresh pass and must give the same answer
+    from poissonenv.fileformat import load_bundled_algebra
+    from poissonenv.ncpa import validate_ncpa
+
+    def fresh():
+        A = validate_ncpa(load_bundled_algebra("kxk.alg"))
+        return A, ideal_j_gens(A)
+
+    A, gens = fresh()
+    calls = [(2, 4), (1, 3), (1, 2), (2, 3), (3, 4), (0, 1)]
+    got = [truncated_ideal_span(A, gens, d, D) for d, D in calls]
+    for (d, D), result in zip(calls, got):
+        B, gens_b = fresh()
+        assert truncated_ideal_span(B, gens_b, d, D) == result, (d, D)
+
+
 # -- independent oracle for the zero-bracket 2-truncated algebra ----------------
 #
 # With zero bracket the enveloping algebra is the commutative ring
@@ -341,9 +441,6 @@ def _trunc2_oracle_dims(max_degree):
                         ((beta_times(j, u), bump(e, i)), ONE),
                     ])
             # a_i g0 and b_j g0 multiples are covered by the g0 row above
-    ech = Echelon(n_coords)
-    for r in rows:
-        ech.add(r)
     dims = []
     for d in range(max_degree + 1):
         total = 9 * len([e for e in exps if sum(e) <= d])

@@ -21,7 +21,7 @@ def test_square_word_has_four_bipartitions():
 
 def test_zero_degree_single_partition():
     parts = ordered_partitions(0, 3)
-    assert parts == [((), (), ())]
+    assert parts == (((), (), ()),)
 
 
 def test_three_blocks_count():
