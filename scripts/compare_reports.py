@@ -12,7 +12,9 @@ must not move any output is checked with
 
 `--repo` names the checkout whose `src/` is imported (default: the one
 holding this script).  Fixture paths are relative to that checkout, so the
-recorded commands do not depend on where it lives.  Jobs run in-process,
+recorded commands do not depend on where it lives.  The tensor-square
+modules of SQUARES are written by that checkout into a temporary directory,
+which the recorded commands and reports name `<tmp>`.  Jobs run in-process,
 one after another; each loads a fresh algebra, so no memo cache is shared
 between jobs.  The heaviest job (`env-dim` on m2std) takes seconds.
 """
@@ -25,12 +27,15 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 DATA = "src/poissonenv/data"
 FIXTURES = ("kxk", "trunc2-n2", "m2std")
 BAD = ("bad-antisym", "bad-jacobi", "bad-leibniz")
 MODULES = ("kxk-regular", "kxk-nonpoisson")
+SQUARES = ("kxk", "trunc2-n2")
+TMP = "<tmp>"
 # Highest --degree per fixture that keeps the whole list at tens of seconds.
 ENV_DIM_DEGREE = {"kxk": 3, "trunc2-n2": 2, "m2std": 1}
 
@@ -66,10 +71,26 @@ def jobs() -> list[list[str]]:
         path = f"{DATA}/{mod}.mod"
         out.append(["module-alg", alg("kxk")])
         out.append(["module-check", alg("kxk"), path, "--poisson"])
+        out.append(["module-check", alg("kxk"), path])
         out.append(["roundtrip", alg("kxk"), path])
+        out.append(["roundtrip", alg("kxk"), path, "--degree", "3"])
+    for name in SQUARES:
+        path = f"{TMP}/{name}-square.mod"
+        out.append(["module-check", alg(name), path, "--poisson"])
+        out.append(["roundtrip", alg(name), path, "--degree", "2"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
     out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
     return out
+
+
+def write_squares(tmp: str) -> None:
+    from poissonenv.fileformat import load_bundled_algebra, serialize_module
+    from poissonenv.ncpa import validate_ncpa
+    from poissonenv.poisson_modules import tensor_square_module
+
+    for name in SQUARES:
+        M = tensor_square_module(validate_ncpa(load_bundled_algebra(f"{name}.alg")))
+        Path(tmp, f"{name}-square.mod").write_text(serialize_module(M), encoding="utf-8")
 
 
 def run_jobs(repo: Path) -> list[dict]:
@@ -78,14 +99,16 @@ def run_jobs(repo: Path) -> list[dict]:
     from poissonenv import cli
 
     results = []
-    for argv in jobs():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(["--json", *argv])
-        report = json.loads(buf.getvalue())
-        report.pop("elapsed", None)
-        results.append({"argv": argv, "exit": code, "report": report})
-        print(f"exit {code}: {' '.join(argv)}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_squares(tmp)
+        for argv in jobs():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["--json", *(arg.replace(TMP, tmp) for arg in argv)])
+            report = json.loads(buf.getvalue().replace(tmp, TMP))
+            report.pop("elapsed", None)
+            results.append({"argv": argv, "exit": code, "report": report})
+            print(f"exit {code}: {' '.join(argv)}", file=sys.stderr)
     return results
 
 

@@ -402,7 +402,7 @@ def complement_conditions(s: Subspace) -> list[SparseVector]:
     return list(solve_nullspace(s.rows, s.ambient_dim).rows)
 
 
-# -- dense exact matrices (tuples of tuples of Fraction) ---------------------
+# -- dense exact matrices (tuples of tuples of Fraction); kernels skip zeros --
 
 Matrix = tuple
 
@@ -424,11 +424,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = mat_shape(b)
     if ca != rb:
         raise ValueError("matrix shape mismatch")
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt)
-        for row in a
-    )
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * cb
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -439,21 +444,22 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = rat(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_is_zero(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
 
 def mat_lincomb(pairs: Iterable[tuple[Fraction, Matrix]], r: int, c: int | None = None) -> Matrix:
-    acc = None
+    c = r if c is None else c
+    acc = [[ZERO] * c for _ in range(r)]
     for coeff, m in pairs:
-        term = mat_scale(m, coeff)
-        acc = term if acc is None else mat_add(acc, term)
-    return acc if acc is not None else mat_zero(r, c)
+        if mat_shape(m) != (r, c):
+            raise ValueError("matrix shape mismatch")
+        coeff = rat(coeff)
+        for acc_row, row in zip(acc, m):
+            for j, x in enumerate(row):
+                if x:
+                    acc_row[j] += coeff * x
+    return tuple(tuple(row) for row in acc)
 
 
 def mat_apply(a: Matrix, v: SparseVector) -> SparseVector:

@@ -263,13 +263,15 @@ def validate_quasi_poisson(M: QuasiPoissonModule) -> QuasiPoissonModule:
 
 class EnvAction:
     """A representation of the quasi-Poisson enveloping algebra, given by
-    a matrix for each monomial (computed lazily and cached)."""
+    a matrix for each monomial; matrices (built lazily) and monomial-pair
+    multiplicativity verdicts are cached."""
 
     def __init__(self, algebra: NCPA, dim: int, matrix_fn: Callable[[QMonomial], Matrix]):
         self.algebra = algebra
         self.dim = dim
         self._fn = matrix_fn
         self._cache: dict[QMonomial, Matrix] = {}
+        self._verdicts: dict[tuple[QMonomial, QMonomial], bool] = {}
 
     def matrix(self, mono: QMonomial) -> Matrix:
         hit = self._cache.get(mono)
@@ -299,9 +301,12 @@ class EnvAction:
             for m2 in monos:
                 if len(m1[2]) + len(m2[2]) > degree_bound:
                     continue
-                composed = mat_mul(self.matrix(m1), self.matrix(m2))
-                direct = self.of_element(q_mono_mult(A, m1, m2))
-                if composed != direct:
+                ok = self._verdicts.get((m1, m2))
+                if ok is None:
+                    composed = mat_mul(self.matrix(m1), self.matrix(m2))
+                    direct = self.of_element(q_mono_mult(A, m1, m2))
+                    ok = self._verdicts[m1, m2] = composed == direct
+                if not ok:
                     out.append((m1, m2))
         return out
 
@@ -309,7 +314,11 @@ class EnvAction:
 def module_to_action(M: QuasiPoissonModule) -> EnvAction:
     """Monomial (i, j, word) acts by left(i) . lie(word) . right(j); the
     module must satisfy the quasi-Poisson axioms."""
-    validate_quasi_poisson(M)
+    return _action_of(validate_quasi_poisson(M))
+
+
+def _action_of(M: QuasiPoissonModule) -> EnvAction:
+    """module_to_action without re-checking the axioms."""
 
     def fn(mono: QMonomial) -> Matrix:
         # apply the Lie word first (innermost letter last), then the
@@ -366,7 +375,7 @@ def roundtrip_report(
     back = action_to_module(action)
     gf_equal = M.equal_actions(back)
 
-    action2 = module_to_action(back)
+    action2 = _action_of(back)  # action_to_module validated back
     monos = [
         (i, j, word)
         for word in u_monomials(A.n, degree_bound)

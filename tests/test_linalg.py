@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from poissonenv.linalg import (
+    ZERO,
     SparseVector,
     Subspace,
     complement_conditions,
@@ -12,8 +13,12 @@ from poissonenv.linalg import (
     join_and_reduce,
     mat_apply,
     mat_identity,
+    mat_lincomb,
     mat_mul,
+    mat_shape,
+    mat_zero,
     minimal_polynomial,
+    rat,
     saturate_closure,
     solve_nullspace,
 )
@@ -242,3 +247,86 @@ def test_express_in_span_rejects_outside_target(case, data):
     stray = SparseVector.unit(dim, data.draw(st.sampled_from(outside)))
     target = _combine(coeffs, vecs, dim) + stray
     assert express_in_span(vecs, target) is None
+
+
+# Dense reference kernels: every product and combination term, zero or not,
+# as mat_mul and mat_lincomb computed them before they skipped zero entries.
+def _dense_mat_mul(a, b):
+    ra, ca = mat_shape(a)
+    rb, cb = mat_shape(b)
+    if ca != rb:
+        raise ValueError("matrix shape mismatch")
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt)
+        for row in a
+    )
+
+
+def _dense_mat_lincomb(pairs, r, c=None):
+    acc = None
+    for coeff, m in pairs:
+        term = tuple(tuple(rat(coeff) * x for x in row) for row in m)
+        acc = term if acc is None else tuple(
+            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(acc, term)
+        )
+    return acc if acc is not None else mat_zero(r, c)
+
+
+def _is_fraction_matrix(m, r, c):
+    return (
+        type(m) is tuple
+        and mat_shape(m) == (r, c)
+        and all(type(row) is tuple for row in m)
+        and all(type(x) is Fraction for row in m for x in row)
+    )
+
+
+sparse_entries = st.one_of(st.just(ZERO), st.just(ZERO), small_fractions)
+dims = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def sparse_matrices(draw, r, c):
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        return mat_zero(r, c)
+    return tuple(tuple(draw(sparse_entries) for _ in range(c)) for _ in range(r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims, dims, dims, st.data())
+def test_mat_mul_matches_dense_reference(r, k, c, data):
+    a = data.draw(sparse_matrices(r, k))
+    b = data.draw(sparse_matrices(k, c))
+    got = mat_mul(a, b)
+    assert got == _dense_mat_mul(a, b)
+    assert _is_fraction_matrix(got, r, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims, dims, st.data())
+def test_mat_lincomb_matches_dense_reference(r, c, data):
+    coeffs = st.one_of(st.integers(min_value=-3, max_value=3), small_fractions)
+    count = data.draw(st.integers(min_value=0, max_value=4))
+    pairs = [
+        (data.draw(coeffs), data.draw(sparse_matrices(r, c))) for _ in range(count)
+    ]
+    got = mat_lincomb(iter(pairs), r, c)
+    assert got == _dense_mat_lincomb(pairs, r, c)
+    assert _is_fraction_matrix(got, r, c)
+    if r == c:
+        assert mat_lincomb(iter(pairs), r) == got
+
+
+def test_mat_lincomb_empty_is_zero_matrix():
+    assert mat_lincomb([], 2, 3) == mat_zero(2, 3)
+    assert mat_lincomb([], 3) == mat_zero(3)
+
+
+def test_matrix_kernels_reject_shape_mismatch():
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        mat_mul(mat_zero(2, 3), mat_zero(2, 3))
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        mat_mul(mat_identity(1), mat_zero(2, 1))
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        mat_lincomb([(1, mat_identity(2))], 2, 3)
