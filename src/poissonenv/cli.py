@@ -410,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> Report:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _run(build_parser().parse_args(argv), argv)
+
+
+def _run(args: argparse.Namespace, argv) -> Report:
     t0 = time.perf_counter()
     try:
         findings, output = args.handler(args)
@@ -441,13 +443,14 @@ def run_command(argv) -> Report:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = build_parser()
     try:
-        report = run_command(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 2 if code not in (0,) else 0
-    as_json = "--json" in argv
-    if as_json:
+    report = _run(args, argv)
+    if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         for line in report.output:

@@ -13,10 +13,24 @@ stabilize at the true values for the worked examples.
 The windows come from one leveled closure, not from enumerating monomial
 pairs: T_0 is the span of the generators closed under multiplication by
 i(a) and k(a) on both sides, and T_B adds j(a) * v and v * j(a) for every
-v that T_{B-1} gained, then closes again.  This is sound because F_0 is
-generated by the i(a), k(a), F_1 = F_0 + F_0 j(A), and F_B = F_1^B along
-the PBW filtration (Bergman, The diamond lemma for ring theory, Adv. Math.
-29, 1978); so T_B is exactly the sum of F_a g F_b over a + b <= B.
+v that T_{B-1} gained; only T_0 is closed under i and k.  This is sound
+because F_0 is generated by the i(a), k(a), F_1 = F_0 + F_0 j(A), and
+F_B = F_1^B along the PBW filtration (Bergman, The diamond lemma for ring
+theory, Adv. Math. 29, 1978); so T_B is exactly the sum of F_a g F_b over
+a + b <= B once every T_B is closed under i(b) and k(b) on both sides.
+T_0 is by construction.  If T_{B-1} is, take v in T_{B-1}; the generator
+relations j(a)i(b) = i(b)j(a) + i({a,b}) and j(a)k(b) = k(b)j(a) + k({a,b})
+give
+
+    i(b) * j(a)v = j(a) * i(b)v - i({a,b}) * v
+    j(a)v * i(b) = j(a) * v i(b)
+    i(b) * v j(a) = i(b)v * j(a)
+    v j(a) * i(b) = v i(b) * j(a) + v * i({a,b})
+
+and the same four with k in place of i.  Every term on the right is in
+T_{B-1} or is a j image of T_{B-1}, and T_B holds all of those: the j images
+of T_{B-2} lie in T_{B-1} already, so the vectors T_{B-1} gained suffice.
+So T_B is closed as well, and closing it again would gain no rank.
 Rows are kept in descending term order, so those with pivots in the low
 block span the slice, and a pivot never moves once taken: the level that
 took it tells every narrower window's rank and stable flag.
@@ -188,7 +202,9 @@ class _LeveledClosure:
             self.level += 1
             vectors = (self.frontier if self.level == 0
                        else (op(y) for y in self.frontier for op in j_ops))
-            self.frontier = close_under(add, vectors, ik_ops)
+            # above level 0 the generator relations carry T_{B-1}'s i/k
+            # closure to the j images (see the module docstring)
+            self.frontier = close_under(add, vectors, ik_ops if self.level == 0 else ())
             for p in self.ech.pivot_row:
                 self.pivot_level.setdefault(p, self.level)
 

@@ -60,6 +60,14 @@ def test_missing_file(capsys):
     assert "error" in out
 
 
+def test_json_positional_is_not_the_flag(capsys):
+    # after "--", "--json" is the algebra path, not the report format
+    code, out = run(capsys, "validate", "--", "--json")
+    assert code == 2
+    assert out.startswith("error: cannot read --json")
+    assert "status: error" in out
+
+
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 

@@ -14,12 +14,14 @@ from poissonenv.smash import (
 )
 from poissonenv.truncation import (
     IdealGens,
+    _LeveledClosure,
     dimension_table,
     env_monomials,
     ideal_gens_by_label,
     ideal_i_gens,
     ideal_j_gens,
     ideal_oh_gens,
+    qelem_to_vector,
     truncated_ideal_span,
     truncated_quotient,
 )
@@ -306,6 +308,12 @@ def _pair_span_slices(A, gens, D):
         ("kxk", "OH", False),
         ("ut2", "J+I", False),
         ("trunc2", "J", False),
+        ("trunc2", "J+I", False),
+        ("ut2", "J", False),
+        ("ut2", "OH", False),
+        # a basis whose structure constants are not integral
+        ("kxk_skew", "J", False),
+        ("kxk_skew", "J+I", False),
         # one generator is not closed under brackets with the j(a), so here
         # j(a) * v and v * j(a) span different things
         ("ut2", "J", True),
@@ -322,6 +330,27 @@ def test_leveled_slice_matches_pair_span(name, label, first_only, request):
             # window D - 1 has no degree-D block, so d = D >= 1 is unstable
             stable = D == 0 or (d < D and reference[D][d] == reference[D - 1][d])
             assert truncated_ideal_span(A, gens, d, D) == (reference[D][d], stable), (d, D)
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [("kxk", "J"), ("ut2", "J+I"), ("ut2", "OH"), ("trunc2", "J"), ("kxk_skew", "J")],
+)
+def test_leveled_closure_is_closed_under_i_and_k(name, label, request):
+    # only level 0 is closed under i(a), k(a); the generator relations must
+    # carry that closure to every later level
+    A = request.getfixturevalue(name)
+    closure = _LeveledClosure(A, ideal_gens_by_label(A, label))
+    ik = [e(A, A.basis(a)) for e in (embed_left, embed_right) for a in range(A.n)]
+    for D in range(1, 4):
+        closure.extend_to(A, D)
+        monomial = {c: m for m, c in closure.coord.items()}
+        for row in closure.ech.pivot_row.values():
+            v = {monomial[c]: x for c, x in row.items()}
+            for x in ik:
+                for image in (q_mult(A, x, v), q_mult(A, v, x)):
+                    data = qelem_to_vector(image, closure.coord, 0).data
+                    assert not closure.ech.reduce_data(data), (D, x)
 
 
 @pytest.mark.parametrize(
