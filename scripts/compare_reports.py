@@ -13,11 +13,13 @@ must not move any output is checked with
 `--repo` names the checkout whose `src/` is imported (default: the one
 holding this script).  Fixture paths are relative to that checkout, so the
 recorded commands do not depend on where it lives.  The tensor-square
-modules of SQUARES are written by that checkout into a temporary directory,
-which the recorded commands and reports name `<tmp>`.  Jobs run in-process,
+modules of SQUARES, and trunc2-n2 in the `envdim-skew` benchmark's seed-1
+basis (a unit that is not a basis vector, and non-integral constants), are
+written by that checkout into a temporary directory, which the recorded
+commands and reports name `<tmp>`.  Jobs run in-process,
 one after another; each loads a fresh algebra, so no memo cache is shared
 between jobs.  The heaviest job, `env-dim` on m2std with J to degree 2,
-takes about 2.5 s; it is the one bundled case with a nonzero bracket at
+takes about 1.4 s; it is the one bundled case with a nonzero bracket at
 window 4, so most of its work lies above level 0 of the ideal closure.
 """
 
@@ -56,6 +58,8 @@ def jobs() -> list[list[str]]:
                 ["env-dim", alg(name), "--ideal", ideal, "--degree", str(ENV_DIM_DEGREE[name])]
             )
     out.append(["env-dim", alg("m2std"), "--ideal", "J", "--degree", "2"])
+    for ideal in ("J", "J+I", "OH"):
+        out.append(["env-dim", f"{TMP}/trunc2-skew.alg", "--ideal", ideal, "--degree", "2"])
     for name, ideal, degree, saturate in (
         ("kxk", "J", 2, 2),
         ("kxk", "J", 1, 1),
@@ -86,7 +90,8 @@ def jobs() -> list[list[str]]:
     return out
 
 
-def write_squares(tmp: str) -> None:
+def write_inputs(tmp: str) -> None:
+    from perfbench.workloads import write_skew_algebra
     from poissonenv.fileformat import load_bundled_algebra, serialize_module
     from poissonenv.ncpa import validate_ncpa
     from poissonenv.poisson_modules import tensor_square_module
@@ -94,16 +99,17 @@ def write_squares(tmp: str) -> None:
     for name in SQUARES:
         M = tensor_square_module(validate_ncpa(load_bundled_algebra(f"{name}.alg")))
         Path(tmp, f"{name}-square.mod").write_text(serialize_module(M), encoding="utf-8")
+    write_skew_algebra(Path(tmp, "trunc2-skew.alg"), 1)
 
 
 def run_jobs(repo: Path) -> list[dict]:
-    sys.path.insert(0, str(repo / "src"))
+    sys.path[:0] = [str(repo / "src"), str(repo)]
     os.chdir(repo)
     from poissonenv import cli
 
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        write_squares(tmp)
+        write_inputs(tmp)
         for argv in jobs():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):

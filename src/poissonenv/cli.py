@@ -100,19 +100,23 @@ def parse_element(A: NCPA, text: str) -> SparseVector:
 
 
 def _signed_terms(text: str):
+    """Split "t1 + t2 - t3" into (sign, term) pairs.  One sign may lead the
+    text; every sign needs a term after it."""
     out = []
     sign = 1
     term = ""
-    for ch in text:
+    signed = False
+    for ch in text + "+":  # the sentinel flushes the last term
         if ch in "+-":
             if term.strip():
                 out.append((sign, term.strip()))
+            elif signed:
+                raise UsageError(f"sign with no term after it in {text!r}")
             sign = 1 if ch == "+" else -1
             term = ""
+            signed = True
         else:
             term += ch
-    if term.strip():
-        out.append((sign, term.strip()))
     if not out:
         raise UsageError("empty element expression")
     return out

@@ -11,6 +11,7 @@ families off the degree <= 1 monomials.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -322,14 +323,18 @@ def _action_of(M: QuasiPoissonModule) -> EnvAction:
 
     def fn(mono: QMonomial) -> Matrix:
         # apply the Lie word first (innermost letter last), then the
-        # commuting left/right multiplications
+        # commuting left/right multiplications; the matrix of the word's
+        # prefix comes from the action's cache
         i, j, word = mono
-        acc = mat_mul(M.left[i], M.right[j])
-        for letter in word:
-            acc = mat_mul(acc, M.lie[letter])
-        return acc
+        if not word:
+            return mat_mul(M.left[i], M.right[j])
+        return mat_mul(action().matrix((i, j, word[:-1])), M.lie[word[-1]])
 
-    return EnvAction(M.algebra, M.dim, fn)
+    out = EnvAction(M.algebra, M.dim, fn)
+    # weak: out holds fn, and a cycle would keep every cached matrix alive
+    # until the cyclic collector runs
+    action = weakref.ref(out)
+    return out
 
 
 def action_to_module(action: EnvAction, check_degree: int = 2) -> QuasiPoissonModule:

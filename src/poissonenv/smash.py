@@ -8,12 +8,20 @@ from such triples to nonzero rational coefficients.  The product follows
 the ordered-tripartition expansion: letters of the left factor's word
 either bracket into the incoming left slot, bracket into the incoming
 opposite slot, or pass through to the word slot.
+
+Inside q_mono_mult and q_mult an algebra slot may also hold None, which
+stands for the unit 1 of A without expanding it over the basis: i(a) is
+(a, None, ()), k(a) is (None, a, ()) and j(a) is (None, None, (a,)).  A
+None slot uses 1 . x = x . 1 = x and ad_w(1) = 0 for a nonempty word w,
+so a product with one such factor equals the product with the expanded
+embedding, term by term.  The other factor must hold a basis index in
+that slot; then the product holds none.
 """
 
 from __future__ import annotations
 
 from .limits import DegreeCapExceeded, degree_cap
-from .linalg import SparseVector, accumulate, add_terms, scale_terms, sub_terms
+from .linalg import ONE, SparseVector, accumulate, add_terms, scale_terms, sub_terms
 from .ncpa import NCPA
 from .pbw import lie_word_on_basis, straighten
 from .words import ordered_partitions, subword
@@ -96,9 +104,14 @@ def embed(A: NCPA, kind: str, a: SparseVector) -> QElement:
     raise ValueError(f"unknown embedding kind {kind!r}")
 
 
-def _factor(A: NCPA, outer: int, word, inner: int, left: bool) -> dict:
+def _factor(A: NCPA, outer, word, inner, left: bool) -> dict:
     """v_outer . ad_word(v_inner) if left, else ad_word(v_inner) . v_outer,
-    as a plain coefficient dict; memoized per algebra."""
+    as a plain coefficient dict; memoized per algebra.  None in either slot
+    is the unit (see the module docstring); not both."""
+    if inner is None:  # ad_w(1) = 0 unless w is empty
+        return {} if word else {outer: ONE}
+    if outer is None:
+        return lie_word_on_basis(A, word, inner).data
     cache = A.caches["q_factor"]
     key = (left, outer, word, inner)
     if key not in cache:
@@ -118,6 +131,8 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
         return hit
     i1, j1, alpha = m1
     i2, j2, beta = m2
+    if (i1 is None and i2 is None) or (j1 is None and j2 is None):
+        raise ValueError("both factors hold the unit in one slot")
     if len(alpha) + len(beta) > degree_cap():
         raise DegreeCapExceeded(
             f"product degree {len(alpha) + len(beta)} exceeds cap {degree_cap()}"

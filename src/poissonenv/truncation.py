@@ -58,7 +58,6 @@ from .smash import (
     embed_left,
     embed_lie,
     embed_right,
-    q_identity,
     q_mult,
     q_sub,
     q_term_key,
@@ -179,10 +178,11 @@ class _LeveledClosure:
     """
 
     def __init__(self, A: NCPA, gens: IdealGens):
-        one = q_identity(A)
-        side = [e(A, A.basis(a)) for e in (embed_left, embed_right) for a in range(A.n)]
-        self.ik = [x for x in side if x != one]  # i(1), k(1) act as the identity
-        self.j = [embed_lie(A, A.basis(a)) for a in range(A.n)]
+        # one-term generators, the unit kept as a None slot (see smash);
+        # i(1), k(1) act as the identity
+        ik = [a for a in range(A.n) if A.basis(a) != A.unit]
+        self.ik = [{(a, None, ()): ONE} for a in ik] + [{(None, a, ()): ONE} for a in ik]
+        self.j = [{(None, None, (a,)): ONE} for a in range(A.n)]
         self.frontier = list(gens.gens)  # seeds level 0; then the last level's gain
         self.level = -1
         self.ech = Echelon(0)

@@ -117,6 +117,57 @@ def test_q_mul(capsys):
     assert out.splitlines()[0] == "e1:e1:e1.e2"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["q-mul", "kxk.alg", "e1:e1:e2 - + e1:e1:e1", "e1:e1:"],
+        ["q-mul", "kxk.alg", "e1:e1:e2 +", "e1:e1:"],
+        ["q-mul", "kxk.alg", "e1:e1:e2", " --e1:e1:"],
+        ["q-mul", "kxk.alg", "e1:e1:e2", " -"],
+        ["mul", "kxk.alg", "e1 + - e2", "e1"],
+        ["mul", "kxk.alg", "e1", "e2 -"],
+        ["mul", "m2std.alg", "+ +E12", "E21"],
+    ],
+)
+def test_dangling_or_doubled_sign_is_a_usage_error(capsys, argv):
+    argv = [path(a) if a.endswith(".alg") else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert "error: sign with no term after it" in out
+
+
+def test_single_leading_sign_is_accepted(capsys):
+    # a leading space keeps the argument parser from reading an option
+    code, out = run(capsys, "q-mul", path("kxk.alg"), " -e1:e1:e2", "+e1:e1:e1")
+    assert code == 0
+    assert out.splitlines()[0] == "-e1:e1:e1.e2"
+    code, out = run(capsys, "mul", path("m2std.alg"), "- E12 + E21", "E21 + E12")
+    assert code == 0
+    assert out.splitlines()[0] == "-E11 + E22"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "POISSON_ENV_MAX_DEGREE must be an integer, got 'abc'"),
+    ("-1", "POISSON_ENV_MAX_DEGREE must be nonnegative, got -1"),
+])
+@pytest.mark.parametrize("argv", [
+    ["env-dim", "kxk.alg", "--ideal", "J", "--degree", "1"],
+    ["q-mul", "kxk.alg", "e1:e1:e2", "e1:e1:e1"],
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_bad_degree_cap_variable(capsys, monkeypatch, value, message, argv, as_json):
+    monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", value)
+    argv = [path(a) if a.endswith(".alg") else a for a in argv]
+    code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 2
+    if as_json:
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["findings"] == [{"kind": "error", "detail": message}]
+    else:
+        assert out.splitlines()[0] == f"error: {message}"
+
+
 def test_relations(capsys):
     for name in ("kxk.alg", "m2std.alg", "trunc2-n2.alg"):
         code, out = run(capsys, "relations", path(name))

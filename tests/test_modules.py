@@ -132,6 +132,31 @@ def test_action_zero_bracket_positive_degree(kxk):
     assert mat_is_zero(action.matrix((0, 0, (1,))))
 
 
+def test_action_matrices_match_the_product_formula(m2):
+    # each monomial's matrix is left(i) . right(j) . lie(w1) ... lie(wk), as
+    # the loop below multiplies it out; the action builds it from its prefix
+    import gc
+    import weakref
+
+    M = tensor_square_module(m2)
+    action = module_to_action(M)
+    for word in u_monomials(4, 3):
+        for i in range(4):
+            for j in range(4):
+                acc = mat_mul(M.left[i], M.right[j])
+                for letter in word:
+                    acc = mat_mul(acc, M.lie[letter])
+                assert action.matrix((i, j, word)) == acc, (i, j, word)
+    # no reference cycle: the cached matrices go with the last reference
+    ref = weakref.ref(action)
+    gc.disable()
+    try:
+        del action
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_roundtrip_regular_modules(kxk, m2, trunc2):
     for A in (kxk, m2, trunc2):
         report = roundtrip_report(A, regular_module(A), 2)

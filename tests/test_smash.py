@@ -198,7 +198,8 @@ def test_format_roundtrip_with_cli_parser(m2):
 def _direct_q_mono_mult(A, m1, m2):
     # The tripartition formula written out afresh: each letter of the left
     # word brackets into the left slot, into the opposite slot, or passes to
-    # the word slot; nested brackets and products use A.bracket and A.mul.
+    # the word slot; nested brackets and products use A.bracket and A.mul,
+    # and a None slot holds A.unit.
     from poissonenv.pbw import straighten
 
     i1, j1, alpha = m1
@@ -209,11 +210,14 @@ def _direct_q_mono_mult(A, m1, m2):
             v = A.bracket(A.basis(letter), v)
         return v
 
+    def slot(i):
+        return A.unit if i is None else A.basis(i)
+
     out = {}
     for blocks in itertools.product(range(3), repeat=len(alpha)):
         parts = [tuple(a for a, b in zip(alpha, blocks) if b == k) for k in range(3)]
-        left = A.mul(A.basis(i1), ad(parts[0], A.basis(i2)))
-        right = A.mul(ad(parts[1], A.basis(j2)), A.basis(j1))
+        left = A.mul(slot(i1), ad(parts[0], slot(i2)))
+        right = A.mul(ad(parts[1], slot(j2)), slot(j1))
         for p, cp in left.data.items():
             for q, dq in right.data.items():
                 for gamma, eg in straighten(A, parts[2] + beta).items():
@@ -231,3 +235,31 @@ def test_q_mono_mult_matches_direct_formula(name, request):
         for m2 in monos:
             if len(m1[2]) + len(m2[2]) <= 2:
                 assert q_mono_mult(A, m1, m2) == _direct_q_mono_mult(A, m1, m2), (m1, m2)
+
+
+@pytest.mark.parametrize("name", ["kxk_skew", "m2", "ut2", "trunc2"])
+def test_unit_slot_generators_match_embeddings(name, request):
+    # a generator with None for the unit multiplies every monomial of degree
+    # <= 2, on either side, as its embedding expanded over the basis does, and
+    # as the direct formula does with the unit put in the None slots
+    A = request.getfixturevalue(name)
+    monos = [(i, j, w) for w in u_monomials(A.n, 2) for i in range(A.n) for j in range(A.n)]
+    generators = {"i": lambda a: (a, None, ()), "k": lambda a: (None, a, ()),
+                  "j": lambda a: (None, None, (a,))}
+    for kind, gen in generators.items():
+        for a in range(A.n):
+            g = gen(a)
+            e = embed(A, kind, A.basis(a))
+            for m in monos:
+                assert (q_mult(A, {g: ONE}, {m: ONE}) == q_mult(A, e, {m: ONE})
+                        == _direct_q_mono_mult(A, g, m)), (g, m)
+                assert (q_mult(A, {m: ONE}, {g: ONE}) == q_mult(A, {m: ONE}, e)
+                        == _direct_q_mono_mult(A, m, g)), (m, g)
+
+
+def test_unit_slot_shared_by_both_factors_is_rejected(m2):
+    for m1, m2_ in [((0, None, ()), (1, None, (2,))),
+                    ((None, 1, ()), (None, 2, ())),
+                    ((None, None, (0,)), (None, None, (1,)))]:
+        with pytest.raises(ValueError, match="unit"):
+            q_mono_mult(m2, m1, m2_)
