@@ -13,10 +13,13 @@ must not move any output is checked with
 `--repo` names the checkout whose `src/` is imported (default: the one
 holding this script).  Fixture paths are relative to that checkout, so the
 recorded commands do not depend on where it lives.  The tensor-square
-modules of SQUARES, and trunc2-n2 in the `envdim-skew` benchmark's seed-1
-basis (a unit that is not a basis vector, and non-integral constants), are
-written by that checkout into a temporary directory, which the recorded
-commands and reports name `<tmp>`.  Jobs run in-process,
+modules of SQUARES, trunc2-n2 in the `envdim-skew` benchmark's seed-1
+basis (a unit that is not a basis vector, and non-integral constants), and
+the tensor square of that algebra are written by that checkout into a
+temporary directory, which the recorded commands and reports name `<tmp>`.
+In that basis every i(a) and k(a) expands over 3 terms and every j(a) over
+9, so its `relations`, `env-dim`, `module-check` and `roundtrip` jobs check
+the unit's expansion.  Jobs run in-process,
 one after another; each loads a fresh algebra, so no memo cache is shared
 between jobs.  The heaviest job, `env-dim` on m2std with J to degree 2,
 takes about 1.4 s; it is the one bundled case with a nonzero bracket at
@@ -40,6 +43,7 @@ BAD = ("bad-antisym", "bad-jacobi", "bad-leibniz")
 MODULES = ("kxk-regular", "kxk-nonpoisson")
 SQUARES = ("kxk", "trunc2-n2")
 TMP = "<tmp>"
+SKEW = f"{TMP}/trunc2-skew.alg"
 # --degree per fixture for each ideal; m2std J also runs to degree 2 (jobs()).
 ENV_DIM_DEGREE = {"kxk": 3, "trunc2-n2": 2, "m2std": 1}
 
@@ -58,8 +62,9 @@ def jobs() -> list[list[str]]:
                 ["env-dim", alg(name), "--ideal", ideal, "--degree", str(ENV_DIM_DEGREE[name])]
             )
     out.append(["env-dim", alg("m2std"), "--ideal", "J", "--degree", "2"])
+    out.append(["relations", SKEW])
     for ideal in ("J", "J+I", "OH"):
-        out.append(["env-dim", f"{TMP}/trunc2-skew.alg", "--ideal", ideal, "--degree", "2"])
+        out.append(["env-dim", SKEW, "--ideal", ideal, "--degree", "2"])
     for name, ideal, degree, saturate in (
         ("kxk", "J", 2, 2),
         ("kxk", "J", 1, 1),
@@ -81,10 +86,10 @@ def jobs() -> list[list[str]]:
         out.append(["module-check", alg("kxk"), path])
         out.append(["roundtrip", alg("kxk"), path])
         out.append(["roundtrip", alg("kxk"), path, "--degree", "3"])
-    for name in SQUARES:
-        path = f"{TMP}/{name}-square.mod"
-        out.append(["module-check", alg(name), path, "--poisson"])
-        out.append(["roundtrip", alg(name), path, "--degree", "2"])
+    squares = [(alg(name), f"{TMP}/{name}-square.mod") for name in SQUARES]
+    for algebra, path in squares + [(SKEW, f"{TMP}/trunc2-skew-square.mod")]:
+        out.append(["module-check", algebra, path, "--poisson"])
+        out.append(["roundtrip", algebra, path, "--degree", "2"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
     out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
     return out
@@ -92,14 +97,17 @@ def jobs() -> list[list[str]]:
 
 def write_inputs(tmp: str) -> None:
     from perfbench.workloads import write_skew_algebra
-    from poissonenv.fileformat import load_bundled_algebra, serialize_module
+    from poissonenv.fileformat import load_bundled_algebra, parse_algebra_file, serialize_module
     from poissonenv.ncpa import validate_ncpa
     from poissonenv.poisson_modules import tensor_square_module
 
-    for name in SQUARES:
-        M = tensor_square_module(validate_ncpa(load_bundled_algebra(f"{name}.alg")))
+    skew = Path(tmp, "trunc2-skew.alg")
+    write_skew_algebra(skew, 1)
+    algebras = {name: load_bundled_algebra(f"{name}.alg") for name in SQUARES}
+    algebras["trunc2-skew"] = parse_algebra_file(skew.read_text(encoding="utf-8"))
+    for name, pres in algebras.items():
+        M = tensor_square_module(validate_ncpa(pres))
         Path(tmp, f"{name}-square.mod").write_text(serialize_module(M), encoding="utf-8")
-    write_skew_algebra(Path(tmp, "trunc2-skew.alg"), 1)
 
 
 def run_jobs(repo: Path) -> list[dict]:

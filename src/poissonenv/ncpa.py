@@ -21,6 +21,7 @@ from .linalg import (
     Subspace,
     ZERO,
     accumulate,
+    close_under,
     complement_conditions,
     mat_apply,
     mat_flatten,
@@ -406,20 +407,9 @@ def _operator_algebra_basis(A: NCPA) -> list[Matrix]:
     n = A.n
     gens = [mat_identity(n)] + _operator_matrices(A)
     ech = Echelon(n * n)
-    basis: list[Matrix] = []
-    queue: list[Matrix] = []
-    for g in gens:
-        if ech.add(mat_flatten(g)) is not None:
-            basis.append(g)
-            queue.append(g)
-    while queue:
-        b = queue.pop()
-        for g in gens:
-            prod = mat_mul(g, b)
-            if ech.add(mat_flatten(prod)) is not None:
-                basis.append(prod)
-                queue.append(prod)
-    return basis
+    return close_under(
+        lambda m: ech.add(mat_flatten(m)), gens, [lambda b, g=g: mat_mul(g, b) for g in gens]
+    )
 
 
 def _trace_radical(basis: list[Matrix]) -> list[Matrix]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from .limits import DegreeCapExceeded, degree_cap
+from .limits import DegreeCapExceeded, check_degree, degree_cap
 from .linalg import ONE, SparseVector, accumulate
 from .ncpa import NCPA
 from .words import Word, counit, shuffle_coproduct
@@ -192,6 +192,7 @@ def module_algebra_failures(A: NCPA, degree_bound: int) -> list[dict]:
     """Exhaustive check that the enveloping algebra acts by module-algebra
     maps on A, on A^op, and on A (x) A^op, for all PBW monomials up to the
     bound and all basis pairs.  Returns one record per failed instance."""
+    check_degree(degree_bound)  # before any work: the words stop at the cap
     failures: list[dict] = []
     monomials = u_monomials(A.n, degree_bound)
 

@@ -30,7 +30,7 @@ from .linalg import (
     solve_nullspace,
 )
 from .ncpa import NCPA, is_standard, poisson_ideal_closure
-from .smash import QElement, QMonomial, q_mono_mult
+from .smash import QElement, QMonomial, embed, q_mono_mult
 from .truncation import ideal_j_gens
 from .pbw import u_monomials
 
@@ -345,29 +345,11 @@ def action_to_module(action: EnvAction, check_degree: int = 2) -> QuasiPoissonMo
     if bad:
         raise ActionError(f"action not multiplicative at {bad[:3]}")
     A = action.algebra
-    unit = A.unit
-    left, right, lie = [], [], []
-    for p in range(A.n):
-        left.append(
-            mat_lincomb(
-                ((uq, action.matrix((p, q, ()))) for q, uq in unit.data.items()),
-                action.dim,
-            )
-        )
-        right.append(
-            mat_lincomb(
-                ((up, action.matrix((q2, p, ()))) for q2, up in unit.data.items()),
-                action.dim,
-            )
-        )
-        terms = []
-        for q1, u1 in unit.data.items():
-            for q2, u2 in unit.data.items():
-                terms.append((u1 * u2, action.matrix((q1, q2, (p,)))))
-        lie.append(mat_lincomb(terms, action.dim))
-    M = QuasiPoissonModule(
-        A, action.dim, tuple(left), tuple(right), tuple(lie)
+    left, right, lie = (
+        tuple(action.of_element(embed(A, kind, A.basis(p))) for p in range(A.n))
+        for kind in "ikj"
     )
+    M = QuasiPoissonModule(A, action.dim, left, right, lie)
     return validate_quasi_poisson(M)
 
 

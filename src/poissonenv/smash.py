@@ -9,13 +9,16 @@ the ordered-tripartition expansion: letters of the left factor's word
 either bracket into the incoming left slot, bracket into the incoming
 opposite slot, or pass through to the word slot.
 
-Inside q_mono_mult and q_mult an algebra slot may also hold None, which
-stands for the unit 1 of A without expanding it over the basis: i(a) is
-(a, None, ()), k(a) is (None, a, ()) and j(a) is (None, None, (a,)).  A
-None slot uses 1 . x = x . 1 = x and ad_w(1) = 0 for a nonempty word w,
-so a product with one such factor equals the product with the expanded
-embedding, term by term.  The other factor must hold a basis index in
-that slot; then the product holds none.
+An algebra slot may also hold None, which stands for the unit 1 of A
+without expanding it over the basis.  This is how the three generators
+are written everywhere (GENERATOR_TERM): i(a) is (a, None, ()), k(a) is
+(None, a, ()) and j(a) is (None, None, (a,)), and products of them such
+as i(p) j(q) = (p, None, (q,)) are single terms too.  expand_unit is the
+only code that rewrites None slots over the unit's basis terms.  Inside
+q_mono_mult and q_mult a None slot uses 1 . x = x . 1 = x and ad_w(1) = 0
+for a nonempty word w, so a product with one such factor equals the
+product with the expanded factor, term by term.  The other factor must
+hold a basis index in that slot; then the product holds none.
 """
 
 from __future__ import annotations
@@ -52,56 +55,50 @@ def q_sub(x: QElement, y: QElement) -> QElement:
     return sub_terms(x, y)
 
 
+# The one-term forms of i(v_a), k(v_a) and j(v_a); None is the unit.
+GENERATOR_TERM = {
+    "i": lambda a: (a, None, ()),
+    "k": lambda a: (None, a, ()),
+    "j": lambda a: (None, None, (a,)),
+}
+
+
+def expand_unit(A: NCPA, x: QElement) -> QElement:
+    """x with every None slot rewritten over the unit's basis terms."""
+    unit = A.unit.data.items()
+    out: QElement = {}
+    for (i, j, word), c in x.items():
+        for p, up in (unit if i is None else ((i, ONE),)):
+            for q, uq in (unit if j is None else ((j, ONE),)):
+                accumulate(out, (p, q, word), c * up * uq)
+    return out
+
+
 def q_identity(A: NCPA) -> QElement:
-    out: QElement = {}
-    for p, up in A.unit.data.items():
-        for q, uq in A.unit.data.items():
-            out[(p, q, ())] = up * uq
-    return out
-
-
-def embed_left(A: NCPA, a: SparseVector) -> QElement:
-    """a  |->  a (x) 1 # 1; an algebra map for the product."""
-    if a.n != A.n:
-        raise ValueError("element has wrong dimension for this algebra")
-    out: QElement = {}
-    for p, c in a.data.items():
-        for q, uq in A.unit.data.items():
-            accumulate(out, (p, q, ()), c * uq)
-    return out
-
-
-def embed_right(A: NCPA, a: SparseVector) -> QElement:
-    """a  |->  1 (x) a # 1; an algebra map for the opposite product."""
-    if a.n != A.n:
-        raise ValueError("element has wrong dimension for this algebra")
-    out: QElement = {}
-    for q, c in a.data.items():
-        for p, up in A.unit.data.items():
-            accumulate(out, (p, q, ()), c * up)
-    return out
-
-
-def embed_lie(A: NCPA, a: SparseVector) -> QElement:
-    """a  |->  1 (x) 1 # a; a Lie-algebra map."""
-    if a.n != A.n:
-        raise ValueError("element has wrong dimension for this algebra")
-    out: QElement = {}
-    for r, c in a.data.items():
-        for p, up in A.unit.data.items():
-            for q, uq in A.unit.data.items():
-                accumulate(out, (p, q, (r,)), c * up * uq)
-    return out
+    return expand_unit(A, {(None, None, ()): ONE})
 
 
 def embed(A: NCPA, kind: str, a: SparseVector) -> QElement:
-    if kind == "i":
-        return embed_left(A, a)
-    if kind == "k":
-        return embed_right(A, a)
-    if kind == "j":
-        return embed_lie(A, a)
-    raise ValueError(f"unknown embedding kind {kind!r}")
+    """i, k or j of a, expanded: i and k are algebra maps for the product
+    and the opposite product, j is a Lie-algebra map."""
+    if kind not in GENERATOR_TERM:
+        raise ValueError(f"unknown embedding kind {kind!r}")
+    if a.n != A.n:
+        raise ValueError("element has wrong dimension for this algebra")
+    term = GENERATOR_TERM[kind]
+    return expand_unit(A, {term(r): c for r, c in a.data.items()})
+
+
+def embed_left(A: NCPA, a: SparseVector) -> QElement:
+    return embed(A, "i", a)  # a (x) 1 # 1
+
+
+def embed_right(A: NCPA, a: SparseVector) -> QElement:
+    return embed(A, "k", a)  # 1 (x) a # 1
+
+
+def embed_lie(A: NCPA, a: SparseVector) -> QElement:
+    return embed(A, "j", a)  # 1 (x) 1 # a
 
 
 def _factor(A: NCPA, outer, word, inner, left: bool) -> dict:

@@ -52,16 +52,7 @@ from .linalg import (
 )
 from .ncpa import NCPA
 from .pbw import u_monomials
-from .smash import (
-    QElement,
-    QMonomial,
-    embed_left,
-    embed_lie,
-    embed_right,
-    q_mult,
-    q_sub,
-    q_term_key,
-)
+from .smash import GENERATOR_TERM, QElement, QMonomial, expand_unit, q_mult, q_term_key
 
 
 @dataclass(frozen=True)
@@ -78,47 +69,32 @@ class IdealGens:
         return IdealGens(f"{self.label}+{other.label}", self.gens + other.gens)
 
 
+def _nonzero_expansions(A: NCPA, label: str, elements) -> IdealGens:
+    """The generators written with unit slots (see smash), expanded."""
+    gens = (expand_unit(A, x) for x in elements)
+    return IdealGens(label, tuple(g for g in gens if g))
+
+
 def ideal_j_gens(A: NCPA) -> IdealGens:
     """One generator per basis pair (p, q):
-    1 (x) 1 # (v_p v_q)  -  v_p (x) 1 # v_q  -  1 (x) v_q # v_p."""
-    gens = []
-    for p in range(A.n):
-        ip = embed_left(A, A.basis(p))
-        for q in range(A.n):
-            g = q_sub(
-                q_sub(
-                    embed_lie(A, A.mul_basis(p, q)),
-                    q_mult(A, ip, embed_lie(A, A.basis(q))),
-                ),
-                q_mult(A, embed_right(A, A.basis(q)), embed_lie(A, A.basis(p))),
-            )
-            if g:
-                gens.append(g)
-    return IdealGens("J", tuple(gens))
+    j(v_p v_q) - i(v_p) j(v_q) - k(v_q) j(v_p)."""
+    return _nonzero_expansions(A, "J", (
+        {**{(None, None, (r,)): c for r, c in A.mul_basis(p, q).items()},
+         (p, None, (q,)): -ONE, (None, q, (p,)): -ONE}
+        for p in range(A.n) for q in range(A.n)))
 
 
 def ideal_i_gens(A: NCPA) -> IdealGens:
     """One generator per basis element: j(a) - i(a) + k(a)."""
-    gens = []
-    for p in range(A.n):
-        v = A.basis(p)
-        g = q_sub(embed_lie(A, v), embed_left(A, v))
-        for mono, c in embed_right(A, v).items():
-            g = q_sub(g, {mono: -c})
-        if g:
-            gens.append(g)
-    return IdealGens("I", tuple(gens))
+    return _nonzero_expansions(A, "I", (
+        {(None, None, (a,)): ONE, (a, None, ()): -ONE, (None, a, ()): ONE}
+        for a in range(A.n)))
 
 
 def ideal_oh_gens(A: NCPA) -> IdealGens:
     """One generator per basis element: (a (x) 1 - 1 (x) a) # 1."""
-    gens = []
-    for p in range(A.n):
-        v = A.basis(p)
-        g = q_sub(embed_left(A, v), embed_right(A, v))
-        if g:
-            gens.append(g)
-    return IdealGens("OH", tuple(gens))
+    return _nonzero_expansions(A, "OH", (
+        {(a, None, ()): ONE, (None, a, ()): -ONE} for a in range(A.n)))
 
 
 def ideal_gens_by_label(A: NCPA, label: str) -> IdealGens:
@@ -181,8 +157,9 @@ class _LeveledClosure:
         # one-term generators, the unit kept as a None slot (see smash);
         # i(1), k(1) act as the identity
         ik = [a for a in range(A.n) if A.basis(a) != A.unit]
-        self.ik = [{(a, None, ()): ONE} for a in ik] + [{(None, a, ()): ONE} for a in ik]
-        self.j = [{(None, None, (a,)): ONE} for a in range(A.n)]
+        i, k, j = (GENERATOR_TERM[kind] for kind in "ikj")
+        self.ik = [{i(a): ONE} for a in ik] + [{k(a): ONE} for a in ik]
+        self.j = [{j(a): ONE} for a in range(A.n)]
         self.frontier = list(gens.gens)  # seeds level 0; then the last level's gain
         self.level = -1
         self.ech = Echelon(0)

@@ -67,3 +67,36 @@ def kxk_skew() -> NCPA:
         {},
     )
     return validate_ncpa(pres)
+
+
+# Reference constructions that expand the unit over the basis by hand, kept
+# independent of smash.expand_unit: the oracle for the embeddings and for the
+# ideal generators built from them.
+
+def reference_identity(A) -> dict:
+    out = {}
+    for p, up in A.unit.data.items():
+        for q, uq in A.unit.data.items():
+            out[(p, q, ())] = up * uq
+    return out
+
+
+def reference_embed(A, kind: str, a: SparseVector) -> dict:
+    """i(a) = a (x) 1 # 1, k(a) = 1 (x) a # 1, j(a) = 1 (x) 1 # a."""
+    unit = A.unit.data
+    out = {}
+    for r, c in a.data.items():
+        if kind == "i":
+            terms = [((r, q, ()), c * uq) for q, uq in unit.items()]
+        elif kind == "k":
+            terms = [((p, r, ()), c * up) for p, up in unit.items()]
+        else:
+            terms = [((p, q, (r,)), c * up * uq)
+                     for p, up in unit.items() for q, uq in unit.items()]
+        for key, v in terms:
+            s = out.get(key, 0) + v
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out

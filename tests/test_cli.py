@@ -146,6 +146,16 @@ def test_single_leading_sign_is_accepted(capsys):
     assert out.splitlines()[0] == "-E11 + E22"
 
 
+def test_leading_sign_after_double_dash(capsys):
+    # without "--" the argument parser reads "-e1:e1:e2" as an option
+    code, out = run(capsys, "q-mul", path("kxk.alg"), "--", "-e1:e1:e2", "e1:e1:")
+    assert code == 0
+    assert out.splitlines()[0] == "-e1:e1:e2"
+    code, out = run(capsys, "mul", path("m2std.alg"), "--", "-E12", "E21")
+    assert code == 0
+    assert out.splitlines()[0] == "-E11"
+
+
 @pytest.mark.parametrize("value, message", [
     ("abc", "POISSON_ENV_MAX_DEGREE must be an integer, got 'abc'"),
     ("-1", "POISSON_ENV_MAX_DEGREE must be nonnegative, got -1"),
@@ -178,6 +188,23 @@ def test_relations(capsys):
 def test_module_alg(capsys):
     code, out = run(capsys, "module-alg", path("kxk.alg"), "--degree", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_module_alg_degree_above_cap_fails_before_any_work(capsys, monkeypatch, as_json):
+    def forbidden(*args):
+        raise AssertionError("module-alg acted by a word before checking its degree")
+
+    monkeypatch.setattr("poissonenv.pbw.lie_word_act", forbidden)
+    argv = ["module-alg", path("m2std.alg"), "--degree", "11"]
+    code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 2
+    if as_json:
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["findings"] == [{"kind": "error", "detail": "degree 11 exceeds cap 10"}]
+    else:
+        assert out.splitlines()[0] == "error: degree 11 exceeds cap 10"
 
 
 def test_env_dim_text(capsys):

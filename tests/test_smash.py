@@ -23,7 +23,7 @@ from poissonenv.smash import (
     q_sub,
 )
 
-from conftest import vec
+from conftest import reference_embed, reference_identity, vec
 
 ONE = Fraction(1)
 
@@ -66,6 +66,16 @@ def test_embed_unit_gives_identity(kxk, m2, trunc2):
     for A in (kxk, m2, trunc2):
         assert embed_left(A, A.unit) == q_identity(A)
         assert embed_right(A, A.unit) == q_identity(A)
+
+
+@pytest.mark.parametrize("name", ["kxk", "kxk_skew", "m2", "ut2", "trunc2"])
+def test_embeddings_match_reference_expansion(name, request):
+    # items lists, so term order is checked as well as values
+    A = request.getfixturevalue(name)
+    assert list(q_identity(A).items()) == list(reference_identity(A).items())
+    for kind in "ikj":
+        for a in [A.basis(p) for p in range(A.n)] + [A.unit]:
+            assert list(embed(A, kind, a).items()) == list(reference_embed(A, kind, a).items())
 
 
 def test_embed_kinds(kxk):

@@ -26,6 +26,8 @@ from poissonenv.truncation import (
     truncated_quotient,
 )
 
+from conftest import reference_embed
+
 ONE = Fraction(1)
 
 
@@ -58,6 +60,40 @@ def test_j_generators_match_embedding_expression(kxk, m2):
                 if g:
                     expected.append(g)
         assert list(ideal_j_gens(A).gens) == expected
+
+
+def _reference_ideal_gens(A, label):
+    """J as q_mult of hand-expanded embeddings, I and OH as q_sub chains."""
+    def e(kind, v):
+        return reference_embed(A, kind, v)
+
+    gens = []
+    for p in range(A.n):
+        vp = A.basis(p)
+        if label == "J":
+            for q in range(A.n):
+                vq = A.basis(q)
+                gens.append(q_sub(
+                    q_sub(e("j", A.mul_basis(p, q)), q_mult(A, e("i", vp), e("j", vq))),
+                    q_mult(A, e("k", vq), e("j", vp)),
+                ))
+        elif label == "I":
+            g = q_sub(e("j", vp), e("i", vp))
+            for mono, c in e("k", vp).items():
+                g = q_sub(g, {mono: -c})
+            gens.append(g)
+        else:
+            gens.append(q_sub(e("i", vp), e("k", vp)))
+    return [list(g.items()) for g in gens if g]
+
+
+@pytest.mark.parametrize("name", ["kxk", "kxk_skew", "m2", "ut2", "trunc2"])
+def test_ideal_generators_match_reference(name, request):
+    # values and term order: the closure's memo key and input are the dicts
+    A = request.getfixturevalue(name)
+    for label, build in (("J", ideal_j_gens), ("I", ideal_i_gens), ("OH", ideal_oh_gens)):
+        gens = build(A).gens
+        assert [list(g.items()) for g in gens] == _reference_ideal_gens(A, label), label
 
 
 def test_j_generator_kxk_values(kxk):
