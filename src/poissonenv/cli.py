@@ -447,9 +447,10 @@ def _run(args: argparse.Namespace, argv) -> Report:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # no local keeps the parser: its reference cycles would wait for a
+        # full collection while the job runs
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 2 if code not in (0,) else 0

@@ -1,16 +1,21 @@
 """Exact rational sparse vectors, echelon subspaces, and dense matrices.
 
-Everything is over Q via fractions.Fraction; no floating point anywhere.
-SparseVector, Subspace and the tuple matrices are not changed once built
-(by convention: SparseVector.data is a plain dict), while Echelon and
-TrackedEchelon are mutable accumulators.  Nothing here is locked; the
-package runs in a single thread.  Subspaces are kept in reduced row
-echelon form, which makes subspace equality plain basis-list equality.
+Everything is over Q; no floating point anywhere.  Vectors, subspaces and
+matrices hold fractions.Fraction entries, but the one elimination kernel
+works on primitive integer rows: a vector's denominators are cleared on
+entry, and Fractions are formed again only on the way out (Subspace rows,
+Echelon.add, remainders and express coefficients).  SparseVector, Subspace
+and the tuple matrices are not changed once built (by convention:
+SparseVector.data is a plain dict), while Echelon and TrackedEchelon are
+mutable accumulators.  Nothing here is locked; the package runs in a single
+thread.  Subspaces are kept in reduced row echelon form, which makes
+subspace equality plain basis-list equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -149,92 +154,136 @@ def accumulate(out: dict, key, coeff: Fraction) -> None:
 
 # -- echelon machinery -------------------------------------------------------
 #
-# All row reduction goes through _axpy and _clear_pivots; Subspace.reduce,
-# Echelon and TrackedEchelon are thin users of them.
+# All row reduction goes through _eliminate and _clear_pivots; Echelon,
+# TrackedEchelon, Subspace.reduce and remainder are thin users of them.
+# Rows are primitive integer vectors (content 1, positive pivot entry), so
+# elimination is integer multiply-and-subtract (fraction-free, as in
+# Bareiss, Math. Comp. 22, 1968); a vector's denominators are cleared once
+# on entry, and Fractions are formed again only on the way out.
 
-def _axpy(out: dict, lam: Fraction, row: Mapping) -> None:
-    """out -= lam * row, in place, dropping entries that cancel."""
+def _integral(data: Mapping) -> tuple[dict[int, int], int]:
+    """The integer vector s * data, with s the lcm of its denominators, and s."""
+    s = lcm(*[v.denominator for v in data.values()])
+    return {c: v.numerator * (s // v.denominator) for c, v in data.items()}, s
+
+
+def _eliminate(out: dict, p: int, row: Mapping[int, int]) -> int:
+    """out := (a/g) * out - (b/g) * row in place, where a = row[p],
+    b = out[p] and g = gcd(a, b), so column p cancels; returns a/g."""
+    a = row[p]
+    b = out[p]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for c in out:
+            out[c] *= a
     for c, v in row.items():
-        s = out.get(c, ZERO) - lam * v
+        s = out.get(c, 0) - b * v
         if s:
             out[c] = s
         else:
             out.pop(c, None)
+    return a
 
 
-def _clear_pivots(data: Mapping, pivot_row: Mapping[int, Mapping]) -> dict:
-    """Copy of data with every pivot column cleared by its RREF row.
+IntRows = Mapping[int, Mapping[int, int]]  # pivot column -> integer row
 
-    Eliminating one pivot never introduces entries at other pivot columns
-    (RREF), so a single pass over the initial support works."""
-    out = dict(data)
+
+def _clear_pivots(data: Mapping, pivot_row: IntRows) -> tuple[dict[int, int], int]:
+    """(r, s) with r the integer vector s * (data - w), w in the rows' span,
+    zero at every pivot column, and s > 0.
+
+    A row is zero at every pivot column but its own, so eliminating one
+    pivot never introduces entries at the others, and a single pass over
+    the initial support works."""
+    out, s = _integral(data)
     for p in [c for c in out if c in pivot_row]:
-        lam = out.get(p)
-        if lam:
-            _axpy(out, lam, pivot_row[p])
-    return out
+        s *= _eliminate(out, p, pivot_row[p])
+    return out, s
+
+
+def remainder(data: Mapping, pivot_row: IntRows) -> dict[int, Fraction]:
+    """data minus the combination of the rows that clears every pivot column.
+
+    pivot_row maps each pivot column to an integer row that is zero at
+    every other row's pivot column; the remainder is then unique."""
+    red, s = _clear_pivots(data, pivot_row)
+    return {c: Fraction(v, s) for c, v in red.items()}
 
 
 class Echelon:
-    """Mutable reduced-row-echelon accumulator over raw index->Fraction dicts.
+    """Mutable row-echelon accumulator over raw index->rational dicts.
 
-    Pivot entries are 1 and are the sole nonzero entries in their columns,
-    so subspace equality is row-list equality once frozen into a Subspace.
-    Pivots are only taken at coordinates below n.
+    Rows are primitive integer vectors whose pivot entry is positive and is
+    the sole nonzero entry in its column; dividing each row by its pivot
+    entry gives the reduced row echelon form, so subspace equality is
+    row-list equality once frozen into a Subspace.  Pivots are only taken
+    at coordinates below n.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[dict[int, Fraction]] = []
-        self.pivot_row: dict[int, dict[int, Fraction]] = {}
+        self.rows: list[dict[int, int]] = []
+        self.pivot_row: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce_data(self, data: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        return _clear_pivots(data, self.pivot_row)
+        return remainder(data, self.pivot_row)
 
-    def _insert(self, data: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+    def _insert(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
         # Shared by add_data and TrackedEchelon.insert, which stay separate
         # entry points so that per-layer tracing counts each insertion once.
-        red = self.reduce_data(data)
+        red, _ = _clear_pivots(data, self.pivot_row)
         p = min(red, default=self.n)
         if p >= self.n:
             return None
-        inv = ONE / red[p]
-        row = {c: inv * v for c, v in red.items()}
-        # clear the new pivot column from existing rows
+        g = gcd(*red.values())
+        if red[p] < 0:
+            g = -g
+        row = {c: v // g for c, v in red.items()} if g != 1 else red
+        # clear the new pivot column from existing rows, keeping them primitive
         for other in self.rows:
-            lam = other.get(p)
-            if lam:
-                _axpy(other, lam, row)
+            if p in other:
+                _eliminate(other, p, row)
+                g = gcd(*other.values())
+                if g != 1:
+                    for c in other:
+                        other[c] //= g
         self.rows.append(row)
         self.pivot_row[p] = row
         return row
 
-    def add_data(self, data: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
-        """Insert a vector; returns the new normalized row, or None if in span."""
+    def add_data(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
+        """Insert a vector; returns the new primitive integer row, or None
+        if the vector is in the span."""
         return self._insert(data)
 
     def add(self, v: SparseVector) -> SparseVector | None:
+        """Insert a vector; returns the new row divided by its pivot entry,
+        or None if the vector is in the span."""
         if v.n != self.n:
             raise ValueError("dimension mismatch")
         row = self.add_data(v.data)
         if row is None:
             return None
-        out = SparseVector(self.n)
-        out.data = dict(row)
-        return out
+        return _normalized(self.n, row)
 
     def to_subspace(self) -> "Subspace":
         ordered = sorted(self.pivot_row.items())
-        rows = []
-        for _, row in ordered:
-            vec = SparseVector(self.n)
-            vec.data = dict(row)
-            rows.append(vec)
-        return Subspace(self.n, tuple(rows), tuple(p for p, _ in ordered))
+        rows = tuple(_normalized(self.n, row) for _, row in ordered)
+        return Subspace(self.n, rows, tuple(p for p, _ in ordered))
+
+
+def _normalized(n: int, row: Mapping[int, int]) -> SparseVector:
+    """The integer row divided by its pivot (least) entry."""
+    a = row[min(row)]
+    out = SparseVector(n)
+    out.data = {c: Fraction(v, a) for c, v in row.items()}
+    return out
 
 
 class TrackedEchelon(Echelon):
@@ -245,8 +294,9 @@ class TrackedEchelon(Echelon):
     vectors, so its entries at n + t are the coefficients of that
     combination.  Pivots are only taken below n, so a vector whose data part
     reduces to zero adds no row (but still uses up its tag).  Reducing an
-    untagged target v leaves v - sum(lam_k * row_k); when its data part is
-    zero, v = sum_t c_t * (t-th vector) with c_t the negated entry at n + t.
+    untagged target v leaves s * (v - sum(lam_k * row_k)); when its data
+    part is zero, v = sum_t c_t * (t-th vector) with c_t the negated entry
+    at n + t divided by s.
     """
 
     def __init__(self, n: int):
@@ -255,17 +305,17 @@ class TrackedEchelon(Echelon):
 
     def insert(self, data: Mapping[int, Fraction]) -> bool:
         """Insert the next tagged vector; True if the rank grew."""
-        tagged = {**data, self.n + self.count: ONE}
+        tagged = {**data, self.n + self.count: 1}
         self.count += 1
         return self._insert(tagged) is not None
 
     def express(self, v: SparseVector) -> dict[int, Fraction] | None:
         """Coefficients over the inserted vectors, or None if not in span."""
-        red = self.reduce_data(v.data)
+        red, s = _clear_pivots(v.data, self.pivot_row)
         n = self.n
         if any(c < n for c in red):
             return None
-        return {c - n: -x for c, x in red.items()}
+        return {c - n: Fraction(-x, s) for c, x in red.items()}
 
 
 class Subspace:
@@ -277,7 +327,8 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = rows
         self.pivots = pivots
-        self._pivot_row = {p: r.data for p, r in zip(pivots, rows)}
+        # the rows cleared of denominators: primitive, with a positive pivot
+        self._pivot_row = {p: _integral(r.data)[0] for p, r in zip(pivots, rows)}
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -292,7 +343,7 @@ class Subspace:
         if v.n != self.ambient_dim:
             raise ValueError("dimension mismatch")
         out = SparseVector(self.ambient_dim)
-        out.data = _clear_pivots(v.data, self._pivot_row)
+        out.data = remainder(v.data, self._pivot_row)
         return out
 
     def contains(self, v: SparseVector) -> bool:
@@ -316,7 +367,7 @@ def join_and_reduce(vectors: Iterable[SparseVector], ambient_dim: int) -> Subspa
     for v in vectors:
         if v.n != ambient_dim:
             raise ValueError("dimension mismatch")
-        ech.add(v)
+        ech.add_data(v.data)
     return ech.to_subspace()
 
 
@@ -376,19 +427,14 @@ def express_in_span(
 
 def solve_nullspace(rows: Iterable[SparseVector], dim: int) -> Subspace:
     """Solution space of the homogeneous system given by the rows."""
-    ech = Echelon(dim)
-    for r in rows:
-        if r.n != dim:
-            raise ValueError("dimension mismatch")
-        ech.add(r)
-    pivots = sorted(ech.pivot_row.items())
+    s = join_and_reduce(rows, dim)
     basis = []
     for free in range(dim):
-        if free in ech.pivot_row:
+        if free in s.pivots:
             continue
         data = {free: ONE}
-        for p, row in pivots:
-            c = row.get(free)
+        for p, row in zip(s.pivots, s.rows):
+            c = row.data.get(free)
             if c:
                 data[p] = -c
         v = SparseVector(dim)

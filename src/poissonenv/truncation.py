@@ -46,9 +46,9 @@ from .linalg import (
     ONE,
     SparseVector,
     Subspace,
-    TrackedEchelon,
     close_under,
     join_and_reduce,
+    remainder,
 )
 from .ncpa import NCPA
 from .pbw import u_monomials
@@ -168,6 +168,8 @@ class _LeveledClosure:
 
     def extend_to(self, A: NCPA, D: int) -> None:
         """Grow the span to T_{D-1}, window D."""
+        if self.level >= D - 1:
+            return
         for t, mono in enumerate(env_monomials(A, D)):
             self.coord.setdefault(mono, -1 - t)
         ik_ops, j_ops = _both_sides(A, self.ik), _both_sides(A, self.j)
@@ -185,10 +187,16 @@ class _LeveledClosure:
             for p in self.ech.pivot_row:
                 self.pivot_level.setdefault(p, self.level)
 
+    def low_rows(self, n_low: int) -> dict[int, dict[int, int]]:
+        """Copies of the rows that span the current span met with the first
+        n_low monomials, at monomial positions and keyed by their pivots:
+        each row's largest monomial, zero in every other row."""
+        return {-1 - p: {-1 - c: x for c, x in row.items()}
+                for p, row in self.ech.pivot_row.items() if p >= -n_low}
+
     def slice(self, n_low: int) -> Subspace:
         """The current span met with the first n_low monomials."""
-        rows = [SparseVector(n_low, {-1 - c: x for c, x in row.items()})
-                for p, row in self.ech.pivot_row.items() if p >= -n_low]
+        rows = [SparseVector(n_low, row) for row in self.low_rows(n_low).values()]
         return join_and_reduce(rows, n_low)
 
 
@@ -233,9 +241,11 @@ def truncated_ideal_span(
 class TruncatedQuotient:
     """Finite slice of an enveloping-algebra quotient.
 
-    Coset representatives are monomials chosen greedily in the fixed term
-    order; reduce() rewrites an element of degree <= d as coordinates over
-    those representatives modulo the ideal slice.
+    The ideal slice is spanned by the leveled closure's rows whose pivots,
+    each row's largest monomial, lie at degree <= d.  The coset
+    representatives are the other monomials of degree <= d, so the degree
+    <= d block is the slice plus their span, and each element has one
+    decomposition: reduce() clears the pivots and reads off the rest.
     """
 
     def __init__(self, A: NCPA, gens: IdealGens, degree: int, saturation: int):
@@ -249,21 +259,14 @@ class TruncatedQuotient:
         self.monomials = env_monomials(A, degree)
         self.index = {m: t for t, m in enumerate(self.monomials)}
         n_low = len(self.monomials)
-        n_ideal = self.ideal_slice.rank
-
-        # Tags 0..n_ideal-1 are the slice rows; tag n_ideal + t is the
-        # monomial t, which is a coset representative iff it raised the rank.
-        self._solver = TrackedEchelon(n_low)
-        for row in self.ideal_slice.rows:
-            self._solver.insert(row.data)
-        coset: list[QMonomial] = []
-        self._coset_position: dict[int, int] = {}
-        for t, mono in enumerate(self.monomials):
-            if self._solver.insert({t: ONE}):
-                self._coset_position[n_ideal + t] = len(coset)
-                coset.append(mono)
-        self.coset_basis = coset
-        if len(coset) + n_ideal != n_low:
+        # copied: a later, wider window reworks the closure's rows
+        self._slice_rows = (
+            _leveled_closure(A, gens, saturation).low_rows(n_low) if saturation else {}
+        )
+        coset = [t for t in range(n_low) if t not in self._slice_rows]
+        self._coset_position = {t: k for k, t in enumerate(coset)}
+        self.coset_basis: list[QMonomial] = [self.monomials[t] for t in coset]
+        if len(self._slice_rows) != self.ideal_slice.rank:
             raise RuntimeError("coset basis bookkeeping failed")
 
     @property
@@ -278,12 +281,9 @@ class TruncatedQuotient:
                     f"element degree {len(mono[2])} exceeds truncation {self.degree}"
                 )
         vec = qelem_to_vector(x, self.index, len(self.monomials))
-        combo = self._solver.express(vec)
-        if combo is None:
-            raise RuntimeError("slice plus coset basis failed to span")
+        rest = remainder(vec.data, self._slice_rows)
         out = SparseVector(len(self.coset_basis))
-        position = self._coset_position
-        out.data = {position[t]: c for t, c in combo.items() if t in position}
+        out.data = {self._coset_position[t]: c for t, c in rest.items()}
         return out
 
 

@@ -69,6 +69,29 @@ def kxk_skew() -> NCPA:
     return validate_ncpa(pres)
 
 
+@pytest.fixture(scope="session")
+def trunc2_skew() -> NCPA:
+    """trunc2-n2 in the envdim-skew benchmark's seed-1 basis, the columns of
+    [[2, 0, 0], [-1, 2, 0], [-1, 1, 2]]: a unit that is not a basis vector,
+    and structure constants that are not integral."""
+    mul = {
+        (0, 0): vec(3, {0: 2, 1: -1, 2: Fraction(-1, 2)}),
+        (0, 1): vec(3, {1: 2}),
+        (0, 2): vec(3, {2: 2}),
+        (1, 0): vec(3, {1: 2}),
+        (2, 0): vec(3, {2: 2}),
+    }
+    pres = AlgebraPresentation(
+        "trunc2-n2-skew",
+        3,
+        ["f0", "f1", "f2"],
+        vec(3, {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 8)}),
+        mul,
+        {},
+    )
+    return validate_ncpa(pres)
+
+
 # Reference constructions that expand the unit over the basis by hand, kept
 # independent of smash.expand_unit: the oracle for the embeddings and for the
 # ideal generators built from them.

@@ -284,6 +284,34 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
         run_command(["relations", path("kxk.alg")])
 
 
+def test_parser_is_freed_before_the_job_runs(monkeypatch, capsys):
+    # a parser kept alive through the job leaves its reference cycles for a
+    # full collection to find while the job allocates
+    import gc
+    import weakref
+
+    import poissonenv.cli as cli
+
+    build, run_job = cli.build_parser, cli._run
+    parsers, alive = [], []
+
+    def recording_build_parser():
+        parser = build()
+        parsers.append(weakref.ref(parser))
+        return parser
+
+    def collecting_run(args, argv):
+        gc.collect()
+        alive.append(parsers[0]() is not None)
+        return run_job(args, argv)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    monkeypatch.setattr(cli, "_run", collecting_run)
+    code, out = run(capsys, "validate", path("kxk.alg"))
+    assert code == 0
+    assert alive == [False]
+
+
 def test_simple_true(capsys):
     code, out = run(capsys, "simple", path("m2std.alg"))
     assert code == 0

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from poissonenv.linalg import (
+    ONE,
     ZERO,
+    Echelon,
     SparseVector,
     Subspace,
     complement_conditions,
@@ -247,6 +250,159 @@ def test_express_in_span_rejects_outside_target(case, data):
     stray = SparseVector.unit(dim, data.draw(st.sampled_from(outside)))
     target = _combine(coeffs, vecs, dim) + stray
     assert express_in_span(vecs, target) is None
+
+
+# Reference elimination: the Fraction Gauss-Jordan that the integer kernel
+# replaced, with every row divided by its pivot entry as it is made.  The
+# reduced row echelon form of a span is unique, so the kernel must give the
+# same values, as Fractions.
+
+def _ref_clear(data, pivot_row):
+    out = dict(data)
+    for p in [c for c in out if c in pivot_row]:
+        lam = out[p]
+        for c, v in pivot_row[p].items():
+            s = out.get(c, ZERO) - lam * v
+            if s:
+                out[c] = s
+            else:
+                out.pop(c, None)
+    return out
+
+
+def _ref_echelon(vectors, n):
+    """{pivot: row} of the vectors' span, pivots below n, pivot entries 1."""
+    pivot_row = {}
+    for data in vectors:
+        red = _ref_clear(data, pivot_row)
+        p = min(red, default=n)
+        if p >= n:
+            continue
+        row = {c: v / red[p] for c, v in red.items()}
+        for other in pivot_row.values():
+            lam = other.get(p)
+            if lam:
+                for c, v in row.items():
+                    s = other.get(c, ZERO) - lam * v
+                    if s:
+                        other[c] = s
+                    else:
+                        other.pop(c, None)
+        pivot_row[p] = row
+    return pivot_row
+
+
+def _ref_span(vectors, n):
+    return [(p, row) for p, row in sorted(_ref_echelon([v.data for v in vectors], n).items())]
+
+
+def _ref_nullspace(rows, n):
+    pivot_row = _ref_echelon([r.data for r in rows], n)
+    basis = []
+    for free in range(n):
+        if free not in pivot_row:
+            data = {free: ONE}
+            for p, row in pivot_row.items():
+                if row.get(free):
+                    data[p] = -row[free]
+            basis.append(SparseVector(n, data))
+    return _ref_span(basis, n)
+
+
+def _ref_express(vectors, target):
+    n = target.n
+    tagged = [{**v.data, n + t: ONE} for t, v in enumerate(vectors)]
+    red = _ref_clear(target.data, _ref_echelon(tagged, n))
+    if any(c < n for c in red):
+        return None
+    return [-red.get(n + t, ZERO) for t in range(len(vectors))]
+
+
+def _as_pairs(s):
+    return [(p, row.data) for p, row in zip(s.pivots, s.rows)]
+
+
+def _all_types(values, kind):
+    return all(type(x) is kind for x in values)
+
+
+def _all_fractions(values):
+    return _all_types(values, Fraction)
+
+
+def _rows_are_fractions(s):
+    return _all_fractions(x for row in s.rows for x in row.data.values())
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+leading = rationals.filter(lambda x: x not in (0, 1))
+
+
+@st.composite
+def rational_vectors(draw, dim):
+    """A vector whose first nonzero entry is not 1, or the zero vector."""
+    start = draw(st.integers(min_value=0, max_value=dim))
+    if start == dim:
+        return SparseVector(dim)
+    tail = [draw(rationals) for _ in range(start + 1, dim)]
+    return SparseVector.from_dense([ZERO] * start + [draw(leading)] + tail)
+
+
+@st.composite
+def rational_systems(draw):
+    dim = draw(st.integers(min_value=1, max_value=5))
+    count = draw(st.integers(min_value=0, max_value=5))
+    vecs = [draw(rational_vectors(dim)) for _ in range(count)]
+    if vecs and draw(st.booleans()):
+        # a dependent vector: a combination of the others
+        coeffs = [draw(rationals) for _ in vecs]
+        vecs.append(_combine(coeffs, vecs, dim))
+    return dim, vecs, draw(rational_vectors(dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_elimination_matches_fraction_reference(case):
+    dim, vecs, target = case
+    expected = _ref_span(vecs, dim)
+
+    s = join_and_reduce(vecs, dim)
+    assert _as_pairs(s) == expected
+    assert _rows_are_fractions(s)
+
+    ech = Echelon(dim)
+    for v in vecs:
+        ech.add(v)
+    for row in ech.rows:
+        # primitive integer rows with a positive pivot entry
+        assert _all_types(row.values(), int) and gcd(*row.values()) == 1
+        assert row[min(row)] > 0
+    assert _as_pairs(ech.to_subspace()) == expected
+    assert _rows_are_fractions(ech.to_subspace())
+
+    reduced = s.reduce(target)
+    assert reduced.data == _ref_clear(target.data, dict(expected))
+    assert _all_fractions(reduced.data.values())
+
+    null = solve_nullspace(vecs, dim)
+    assert _as_pairs(null) == _ref_nullspace(vecs, dim)
+    assert _rows_are_fractions(null)
+
+    conditions = complement_conditions(s)
+    assert [w.data for w in conditions] == [row for _, row in _ref_nullspace(s.rows, dim)]
+    assert _all_fractions(x for w in conditions for x in w.data.values())
+
+    found = express_in_span(vecs, target)
+    assert found == _ref_express(vecs, target)
+    if found is not None:
+        assert _all_fractions(found)
+
+
+def test_nullspace_of_a_row_whose_pivot_entry_is_not_one():
+    # 2x + 3y = 0 and 4z = 0: the solutions are t * (1, -2/3, 0)
+    s = solve_nullspace([sv(2, 3, 0), sv(0, 0, 4)], 3)
+    assert list(s.rows) == [sv(1, Fraction(-2, 3), 0)]
+    assert s.pivots == (0,)
 
 
 # Dense reference kernels: every product and combination term, zero or not,

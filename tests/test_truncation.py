@@ -1,10 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from poissonenv.limits import DegreeCapExceeded
-from poissonenv.linalg import Echelon, SparseVector, Subspace, in_span, join_and_reduce
+from poissonenv.linalg import (
+    Echelon,
+    SparseVector,
+    Subspace,
+    TrackedEchelon,
+    in_span,
+    join_and_reduce,
+)
+from poissonenv.ncpa import is_poisson_simple
 from poissonenv.smash import (
+    embed,
     embed_left,
     embed_lie,
     embed_right,
@@ -295,6 +305,78 @@ def test_kxk_quotient_component_structure(kxk):
     assert q2.reduce(q_mult(kxk, a12, a21)).is_zero()  # distinct factors
     assert q2.reduce(q_mult(kxk, e(0, 1), a12)) == q2.reduce(a12)
     assert q2.reduce(q_mult(kxk, e(0, 0), a12)).is_zero()
+
+
+# -- reference: cosets from a second elimination pass ------------------------
+#
+# The slice rows, then every monomial in term order, each with a tag; a
+# monomial is a coset representative iff it raised the rank, and reduce()
+# reads the representatives' tags off the tracked combination.
+
+class _ReferenceQuotient:
+    def __init__(self, q):
+        n_ideal = q.ideal_slice.rank
+        self.solver = TrackedEchelon(len(q.monomials))
+        for row in q.ideal_slice.rows:
+            self.solver.insert(row.data)
+        self.position, self.coset_basis = {}, []
+        for t, mono in enumerate(q.monomials):
+            if self.solver.insert({t: ONE}):
+                self.position[n_ideal + t] = len(self.coset_basis)
+                self.coset_basis.append(mono)
+
+    def reduce(self, q, x):
+        combo = self.solver.express(qelem_to_vector(x, q.index, len(q.monomials)))
+        data = {self.position[t]: c for t, c in combo.items() if t in self.position}
+        return SparseVector(len(self.coset_basis), data)
+
+
+def _random_elements(monomials, count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        terms = rng.sample(monomials, min(len(monomials), rng.randint(1, 6)))
+        out.append({m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for m in terms})
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, max_degree",
+    [("kxk", 3), ("trunc2", 2), ("m2", 1), ("trunc2_skew", 2)],
+)
+@pytest.mark.parametrize("label", ["J", "J+I", "OH"])
+def test_quotient_cosets_match_second_pass(name, max_degree, label, request):
+    A = request.getfixturevalue(name)
+    gens = ideal_gens_by_label(A, label)
+    for d in range(max_degree + 1):
+        q = truncated_quotient(A, gens, d)
+        ref = _ReferenceQuotient(q)
+        assert q.coset_basis == ref.coset_basis, d
+        for k, x in enumerate(_random_elements(q.monomials, 20, f"{name} {label} {d}")):
+            assert q.reduce(x) == ref.reduce(q, x), (d, k)
+
+
+@pytest.mark.parametrize("name", ["kxk_skew", "trunc2_skew"])
+def test_results_have_fraction_coefficients(name, request):
+    # the elimination kernel works on integers; no int, and no float from a
+    # division of ints, may leak into what it returns
+    A = request.getfixturevalue(name)
+    gens = ideal_j_gens(A)
+    coefficients = []
+    for d in range(3):
+        slice_, _ = truncated_ideal_span(A, gens, d, d + 2)
+        coefficients += [c for row in slice_.rows for c in row.data.values()]
+    factors = [embed(A, kind, A.basis(a)) for kind in "ikj" for a in range(A.n)]
+    for x in factors + list(gens.gens[:2]):
+        for y in factors:
+            coefficients += q_mult(A, x, y).values()
+    q = truncated_quotient(A, gens, 2)
+    for x in _random_elements(q.monomials, 20, name):
+        coefficients += q.reduce(x).data.values()
+    witness = is_poisson_simple(A).witness
+    assert witness is not None and witness.rank
+    coefficients += [c for row in witness.rows for c in row.data.values()]
+    assert all(type(c) is Fraction for c in coefficients)
 
 
 def test_oh_quotient_smoke(kxk):
