@@ -19,7 +19,8 @@ the tensor square of that algebra are written by that checkout into a
 temporary directory, which the recorded commands and reports name `<tmp>`.
 In that basis every i(a) and k(a) expands over 3 terms and every j(a) over
 9, so its `relations`, `env-dim`, `module-check` and `roundtrip` jobs check
-the unit's expansion.  Jobs run in-process,
+the unit's expansion, and its `q-mul` jobs, with fractional coefficients,
+check that products come out over the right denominators.  Jobs run in-process,
 one after another; each loads a fresh algebra, so no memo cache is shared
 between jobs.  The heaviest job, `env-dim` on m2std with J to degree 2,
 takes about 1.4 s; it is the one bundled case with a nonzero bracket at
@@ -92,6 +93,9 @@ def jobs() -> list[list[str]]:
         out.append(["roundtrip", algebra, path, "--degree", "2"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
     out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
+    # non-integral constants and coefficients, words on both sides
+    out.append(["q-mul", SKEW, "1/2*f0:f1:f2.f1 + 3*f2:f0:f0", "2/3*f1:f0:f1 - 5/4*f0:f2:f2.f0"])
+    out.append(["q-mul", SKEW, "1/6*f0:f0:f2 - 7/3*f1:f2:f0", "3/5*f2:f1:f1.f2.f0 + f0:f1:f1"])
     return out
 
 

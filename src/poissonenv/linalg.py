@@ -4,7 +4,9 @@ Everything is over Q; no floating point anywhere.  Vectors, subspaces and
 matrices hold fractions.Fraction entries, but the one elimination kernel
 works on primitive integer rows: a vector's denominators are cleared on
 entry, and Fractions are formed again only on the way out (Subspace rows,
-Echelon.add, remainders and express coefficients).  SparseVector, Subspace
+Echelon.add, remainders and express coefficients).  Echelon.add_data also
+takes int data as it is; the ideal closure in truncation feeds it integer
+vectors from the smash product's integer kernel.  SparseVector, Subspace
 and the tuple matrices are not changed once built (by convention:
 SparseVector.data is a plain dict), while Echelon and TrackedEchelon are
 mutable accumulators.  Nothing here is locked; the package runs in a single
@@ -161,10 +163,19 @@ def accumulate(out: dict, key, coeff: Fraction) -> None:
 # Bareiss, Math. Comp. 22, 1968); a vector's denominators are cleared once
 # on entry, and Fractions are formed again only on the way out.
 
-def _integral(data: Mapping) -> tuple[dict[int, int], int]:
-    """The integer vector s * data, with s the lcm of its denominators, and s."""
+def _integral(data: Mapping) -> tuple[dict, int]:
+    """The integer vector s * data, with s the lcm of its denominators, and s.
+
+    The values may be Fractions or ints (an int is its own numerator, over
+    1), so integer data passes through with s = 1."""
     s = lcm(*[v.denominator for v in data.values()])
     return {c: v.numerator * (s // v.denominator) for c, v in data.items()}, s
+
+
+def _primitive(data: dict) -> dict:
+    """The integer vector data divided by the gcd of its entries."""
+    g = gcd(*data.values())
+    return {c: v // g for c, v in data.items()} if g > 1 else data
 
 
 def _eliminate(out: dict, p: int, row: Mapping[int, int]) -> int:
@@ -258,8 +269,8 @@ class Echelon:
         return row
 
     def add_data(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
-        """Insert a vector; returns the new primitive integer row, or None
-        if the vector is in the span."""
+        """Insert a vector, with Fraction or int values; returns the new
+        primitive integer row, or None if the vector is in the span."""
         return self._insert(data)
 
     def add(self, v: SparseVector) -> SparseVector | None:

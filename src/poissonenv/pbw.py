@@ -38,14 +38,13 @@ def straighten(A: NCPA, word: Word) -> UElement:
     inversion count, so the rewriting terminates, and the result does not
     depend on the strategy.  Memoized per algebra.
     """
-    if len(word) > degree_cap():
-        raise DegreeCapExceeded(
-            f"word degree {len(word)} exceeds cap {degree_cap()}"
-        )
     cache = A.caches["straighten"]
     hit = cache.get(word)
     if hit is not None:
         return hit
+    cap = degree_cap()  # read on a miss only, as q_mono_mult does
+    if len(word) > cap:
+        raise DegreeCapExceeded(f"word degree {len(word)} exceeds cap {cap}")
     stack = [word]
     while stack:
         w = stack.pop()
@@ -82,12 +81,13 @@ def _first_descent(word: Word) -> int | None:
 
 def u_mult(A: NCPA, x: UElement, y: UElement) -> UElement:
     """Concatenate monomials and straighten; identity is the empty word."""
+    cap = degree_cap()
     out: UElement = {}
     for wx, cx in x.items():
         for wy, cy in y.items():
-            if len(wx) + len(wy) > degree_cap():
+            if len(wx) + len(wy) > cap:
                 raise DegreeCapExceeded(
-                    f"product degree {len(wx) + len(wy)} exceeds cap {degree_cap()}"
+                    f"product degree {len(wx) + len(wy)} exceeds cap {cap}"
                 )
             c = cx * cy
             for mono, d in straighten(A, wx + wy).items():

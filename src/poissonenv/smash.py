@@ -9,6 +9,16 @@ the ordered-tripartition expansion: letters of the left factor's word
 either bracket into the incoming left slot, bracket into the incoming
 opposite slot, or pass through to the word slot.
 
+The product works on integers (fraction-free, as the echelon in linalg
+does).  Each memoized monomial product is kept as (numerators,
+denominator): integer numerators over one positive denominator, in lowest
+terms.  q_mult_scaled multiplies elements with integer coefficients over
+the lcm of the denominators it meets, and returns that lcm beside the
+integer result; the ideal closure uses only spans, so it never divides.
+Fractions are formed only at the public exits: q_mono_mult and q_mult
+return new dicts of Fraction coefficients, with one division per
+coefficient.
+
 An algebra slot may also hold None, which stands for the unit 1 of A
 without expanding it over the basis.  This is how the three generators
 are written everywhere (GENERATOR_TERM): i(a) is (a, None, ()), k(a) is
@@ -23,8 +33,11 @@ hold a basis index in that slot; then the product holds none.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .limits import DegreeCapExceeded, degree_cap
-from .linalg import ONE, SparseVector, accumulate, add_terms, scale_terms, sub_terms
+from .linalg import ONE, SparseVector, _integral, accumulate, add_terms, scale_terms, sub_terms
 from .ncpa import NCPA
 from .pbw import lie_word_on_basis, straighten
 from .words import ordered_partitions, subword
@@ -101,68 +114,124 @@ def embed_lie(A: NCPA, a: SparseVector) -> QElement:
     return embed(A, "j", a)  # 1 (x) 1 # a
 
 
-def _factor(A: NCPA, outer, word, inner, left: bool) -> dict:
+# (numerators, denominator) of zero, shared by every memo entry that is zero,
+# as most are (1,568 of the 2,268 q_mono entries of the trunc2-n2
+# tensor-square roundtrip): a tuple and a dict for each would outweigh the
+# memory the integer entries save.  Memo entries are never mutated.
+_ZERO_TERMS = ({}, 1)
+
+
+def _factor(A: NCPA, outer, word, inner, left: bool) -> tuple[dict, int]:
     """v_outer . ad_word(v_inner) if left, else ad_word(v_inner) . v_outer,
-    as a plain coefficient dict; memoized per algebra.  None in either slot
-    is the unit (see the module docstring); not both."""
+    as (numerators, denominator) with integer numerators in lowest terms;
+    memoized per algebra.  None in either slot is the unit (see the module
+    docstring); not both."""
     if inner is None:  # ad_w(1) = 0 unless w is empty
-        return {} if word else {outer: ONE}
-    if outer is None:
-        return lie_word_on_basis(A, word, inner).data
+        return _ZERO_TERMS if word else ({outer: 1}, 1)
     cache = A.caches["q_factor"]
     key = (left, outer, word, inner)
-    if key not in cache:
-        out: dict = {}
-        for k, c in lie_word_on_basis(A, word, inner).data.items():
-            for p, v in (A.mul_basis(outer, k) if left else A.mul_basis(k, outer)).items():
-                accumulate(out, p, c * v)
-        cache[key] = out
-    return cache[key]
+    hit = cache.get(key)
+    if hit is None:
+        out = ad = lie_word_on_basis(A, word, inner).data
+        if outer is not None:
+            out = {}
+            for k, c in ad.items():
+                for p, v in (A.mul_basis(outer, k) if left else A.mul_basis(k, outer)).items():
+                    accumulate(out, p, c * v)
+        hit = cache[key] = _integral(out) if out else _ZERO_TERMS
+    return hit
+
+
+def _over(nums: dict, den: int) -> QElement:
+    """The element with integer numerators nums over the denominator den."""
+    return {mono: Fraction(v, den) for mono, v in nums.items()}
 
 
 def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
-    """Product of two basis monomials, memoized per algebra."""
+    """Product of two basis monomials, as a new dict.  Memoized per algebra
+    as (numerators, denominator): integers in lowest terms."""
     cache = A.caches["q_mono"]
     hit = cache.get((m1, m2))
     if hit is not None:
-        return hit
+        return _over(*hit)
     i1, j1, alpha = m1
     i2, j2, beta = m2
     if (i1 is None and i2 is None) or (j1 is None and j2 is None):
         raise ValueError("both factors hold the unit in one slot")
-    if len(alpha) + len(beta) > degree_cap():
-        raise DegreeCapExceeded(
-            f"product degree {len(alpha) + len(beta)} exceeds cap {degree_cap()}"
-        )
-    out: QElement = {}
+    cap = degree_cap()
+    if len(alpha) + len(beta) > cap:
+        raise DegreeCapExceeded(f"product degree {len(alpha) + len(beta)} exceeds cap {cap}")
+    terms = []
     for part1, rest in ordered_partitions(len(alpha), 2):
         left = _factor(A, i1, subword(alpha, part1), i2, True)
-        if not left:
+        if not left[0]:
             continue
         remainder = subword(alpha, rest)
         for part2, part3 in ordered_partitions(len(remainder), 2):
             # opposite product: v_{j1} o w = w . v_{j1}
             right = _factor(A, j1, subword(remainder, part2), j2, False)
-            if not right:
-                continue
-            tail = straighten(A, subword(remainder, part3) + beta)
-            for p, cp in left.items():
-                for q, dq in right.items():
-                    c = cp * dq
-                    for gamma, eg in tail.items():
-                        accumulate(out, (p, q, gamma), c * eg)
-    cache[(m1, m2)] = out
-    return out
+            if right[0]:
+                tail = _integral(straighten(A, subword(remainder, part3) + beta))
+                terms.append((left, right, tail))
+    if not terms:  # most products of basis monomials are zero
+        cache[(m1, m2)] = _ZERO_TERMS
+        return {}
+    # every term is brought over the common denominator den
+    den = lcm(*[ld * rd * td for (_, ld), (_, rd), (_, td) in terms])
+    nums: dict = {}
+    for (left, ld), (right, rd), (tail, td) in terms:
+        f = den // (ld * rd * td)
+        for p, cp in left.items():
+            for q, dq in right.items():
+                c = f * cp * dq
+                for gamma, eg in tail.items():
+                    key = (p, q, gamma)
+                    v = nums.get(key, 0) + c * eg
+                    if v:
+                        nums[key] = v
+                    else:
+                        nums.pop(key, None)
+    g = gcd(den, *nums.values())  # den itself if the terms cancel
+    if g != 1:
+        den //= g
+        nums = {mono: v // g for mono, v in nums.items()}
+    entry = cache[(m1, m2)] = (nums, den) if nums else _ZERO_TERMS
+    return _over(*entry)
+
+
+def q_mult_scaled(A: NCPA, x: dict, y: dict) -> tuple[dict, int]:
+    """(z, s) with z / s = x * y, for x and y with integer coefficients: z
+    has integer coefficients, and s is the lcm of the denominators of the
+    monomial products used."""
+    cache = A.caches["q_mono"]
+    pairs = []
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            entry = cache.get((m1, m2))
+            if entry is None:
+                q_mono_mult(A, m1, m2)  # the one function that fills the memo
+                entry = cache[(m1, m2)]
+            if entry[0]:
+                pairs.append((c1 * c2, entry))
+    s = lcm(*[den for _, (_, den) in pairs])
+    out: dict = {}
+    for c, (nums, den) in pairs:
+        if den != s:
+            c *= s // den
+        for mono, d in nums.items():
+            v = out.get(mono, 0) + c * d
+            if v:
+                out[mono] = v
+            else:
+                out.pop(mono, None)
+    return out, s
 
 
 def q_mult(A: NCPA, x: QElement, y: QElement) -> QElement:
-    out: QElement = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            c = c1 * c2
-            for mono, d in q_mono_mult(A, m1, m2).items():
-                accumulate(out, mono, c * d)
-    return out
+    xs, sx = _integral(x)
+    ys, sy = _integral(y)
+    out, s = q_mult_scaled(A, xs, ys)
+    return _over(out, s * sx * sy)
 
 
 def augmentation(A: NCPA, x: QElement) -> SparseVector:

@@ -46,13 +46,15 @@ from .linalg import (
     ONE,
     SparseVector,
     Subspace,
+    _integral,
+    _primitive,
     close_under,
     join_and_reduce,
     remainder,
 )
 from .ncpa import NCPA
 from .pbw import u_monomials
-from .smash import GENERATOR_TERM, QElement, QMonomial, expand_unit, q_mult, q_term_key
+from .smash import GENERATOR_TERM, QElement, QMonomial, expand_unit, q_mult_scaled, q_term_key
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,11 @@ def qelem_to_vector(x: QElement, index: dict, n_coords: int) -> SparseVector:
 
 
 def _both_sides(A: NCPA, factors: list) -> list:
-    """Left and right multiplication by each factor."""
+    """Left and right multiplication by each integer factor, up to a
+    nonzero scalar: the images are primitive integer vectors."""
     return [op for x in factors for op in (
-        lambda y, x=x: q_mult(A, x, y), lambda y, x=x: q_mult(A, y, x))]
+        lambda y, x=x: _primitive(q_mult_scaled(A, x, y)[0]),
+        lambda y, x=x: _primitive(q_mult_scaled(A, y, x)[0]))]
 
 
 class _LeveledClosure:
@@ -158,9 +162,11 @@ class _LeveledClosure:
         # i(1), k(1) act as the identity
         ik = [a for a in range(A.n) if A.basis(a) != A.unit]
         i, k, j = (GENERATOR_TERM[kind] for kind in "ikj")
-        self.ik = [{i(a): ONE} for a in ik] + [{k(a): ONE} for a in ik]
-        self.j = [{j(a): ONE} for a in range(A.n)]
-        self.frontier = list(gens.gens)  # seeds level 0; then the last level's gain
+        self.ik = [{i(a): 1} for a in ik] + [{k(a): 1} for a in ik]
+        self.j = [{j(a): 1} for a in range(A.n)]
+        # seeds level 0, then the last level's gain; only spans are used, so
+        # these are primitive integer vectors
+        self.frontier = [_primitive(_integral(g)[0]) for g in gens.gens]
         self.level = -1
         self.ech = Echelon(0)
         self.coord: dict[QMonomial, int] = {}

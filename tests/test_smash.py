@@ -1,10 +1,15 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from poissonenv.fileformat import load_bundled_algebra
 from poissonenv.limits import DegreeCapExceeded
+from poissonenv.ncpa import validate_ncpa
 from poissonenv.pbw import u_monomials
 from poissonenv.smash import (
     augmentation,
@@ -22,6 +27,7 @@ from poissonenv.smash import (
     q_scale,
     q_sub,
 )
+from poissonenv.truncation import ideal_j_gens, truncated_ideal_span
 
 from conftest import reference_embed, reference_identity, vec
 
@@ -273,3 +279,72 @@ def test_unit_slot_shared_by_both_factors_is_rejected(m2):
                     ((None, None, (0,)), (None, None, (1,)))]:
         with pytest.raises(ValueError, match="unit"):
             q_mono_mult(m2, m1, m2_)
+
+
+def _fraction_q_mult(A, x, y):
+    """q_mult as a Fraction loop over the monomial products: the reference
+    for the integer kernel, down to the order of the terms."""
+    out = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            c = c1 * c2
+            for mono, d in q_mono_mult(A, m1, m2).items():
+                s = out.get(mono, Fraction(0)) + c * d
+                if s:
+                    out[mono] = s
+                else:
+                    out.pop(mono, None)
+    return out
+
+
+@st.composite
+def _elements(draw, n):
+    """Up to four terms over monomials of degree <= 2, with int or with
+    Fraction coefficients of denominator <= 4."""
+    monos = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.lists(st.integers(0, n - 1), max_size=2).map(lambda w: tuple(sorted(w))))
+    if draw(st.booleans()):
+        coeffs = st.integers(-3, 3).filter(bool)
+    else:
+        coeffs = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return draw(st.dictionaries(monos, coeffs, max_size=4))
+
+
+@pytest.mark.parametrize("name", ["kxk_skew", "trunc2_skew", "m2", "ut2"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_q_mult_matches_fraction_loop(name, request, data):
+    A = request.getfixturevalue(name)
+    x = data.draw(_elements(A.n))
+    y = data.draw(_elements(A.n))
+    got = q_mult(A, x, y)
+    assert list(got.items()) == list(_fraction_q_mult(A, x, y).items())
+    assert all(type(c) is Fraction for c in got.values())
+
+
+def test_q_mono_mult_hit_is_a_new_dict():
+    # a fresh algebra, so that the first call is a miss
+    A = validate_ncpa(load_bundled_algebra("m2std.alg"))
+    m1, m2_ = (1, 2, (3,)), (2, 1, (1,))
+    assert (m1, m2_) not in A.caches["q_mono"]
+    miss = q_mono_mult(A, m1, m2_)
+    frozen = copy.deepcopy(A.caches["q_mono"][(m1, m2_)])
+    hit = q_mono_mult(A, m1, m2_)
+    assert hit == miss and hit is not miss and miss
+    hit.clear()
+    miss[m1] = Fraction(99)
+    assert q_mono_mult(A, m1, m2_) == _direct_q_mono_mult(A, m1, m2_)
+    assert A.caches["q_mono"][(m1, m2_)] == frozen
+
+
+@pytest.mark.parametrize("name", ["kxk_skew", "trunc2_skew", "m2"])
+def test_q_mono_cache_holds_integers_in_lowest_terms(name, request):
+    A = request.getfixturevalue(name)
+    truncated_ideal_span(A, ideal_j_gens(A), 1, 2)
+    entries = A.caches["q_mono"]
+    assert entries
+    for key, (nums, den) in entries.items():
+        assert type(den) is int and den > 0, key
+        assert all(type(v) is int and v for v in nums.values()), key
+        assert gcd(den, *nums.values()) == 1, key

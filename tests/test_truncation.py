@@ -19,6 +19,7 @@ from poissonenv.smash import (
     embed_lie,
     embed_right,
     q_identity,
+    q_mono_mult,
     q_mult,
     q_sub,
 )
@@ -370,6 +371,12 @@ def test_results_have_fraction_coefficients(name, request):
     for x in factors + list(gens.gens[:2]):
         for y in factors:
             coefficients += q_mult(A, x, y).values()
+    # products the closure memoized: q_mono_mult hits, and q_mult over them
+    cached = list(A.caches["q_mono"])[:200]
+    assert cached
+    for m1, m2 in cached:
+        coefficients += q_mono_mult(A, m1, m2).values()
+        coefficients += q_mult(A, {m1: Fraction(1, 3)}, {m2: 2}).values()
     q = truncated_quotient(A, gens, 2)
     for x in _random_elements(q.monomials, 20, name):
         coefficients += q.reduce(x).data.values()
