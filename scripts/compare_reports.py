@@ -66,6 +66,9 @@ def jobs() -> list[list[str]]:
     out.append(["relations", SKEW])
     for ideal in ("J", "J+I", "OH"):
         out.append(["env-dim", SKEW, "--ideal", ideal, "--degree", "2"])
+    # a fixed window, whose last row is unstable; a window above the degree
+    out.append(["env-dim", SKEW, "--ideal", "J", "--degree", "2", "--saturate", "2"])
+    out.append(["env-dim", SKEW, "--ideal", "OH", "--degree", "1", "--saturate", "3"])
     for name, ideal, degree, saturate in (
         ("kxk", "J", 2, 2),
         ("kxk", "J", 1, 1),
@@ -87,6 +90,8 @@ def jobs() -> list[list[str]]:
         out.append(["module-check", alg("kxk"), path])
         out.append(["roundtrip", alg("kxk"), path])
         out.append(["roundtrip", alg("kxk"), path, "--degree", "3"])
+    # above the default degree cap: exit 2 before any work
+    out.append(["roundtrip", alg("kxk"), f"{DATA}/kxk-regular.mod", "--degree", "9"])
     squares = [(alg(name), f"{TMP}/{name}-square.mod") for name in SQUARES]
     for algebra, path in squares + [(SKEW, f"{TMP}/trunc2-skew-square.mod")]:
         out.append(["module-check", algebra, path, "--poisson"])

@@ -3,15 +3,17 @@
 Everything is over Q; no floating point anywhere.  Vectors, subspaces and
 matrices hold fractions.Fraction entries, but the one elimination kernel
 works on primitive integer rows: a vector's denominators are cleared on
-entry, and Fractions are formed again only on the way out (Subspace rows,
-Echelon.add, remainders and express coefficients).  Echelon.add_data also
-takes int data as it is; the ideal closure in truncation feeds it integer
-vectors from the smash product's integer kernel.  SparseVector, Subspace
-and the tuple matrices are not changed once built (by convention:
-SparseVector.data is a plain dict), while Echelon and TrackedEchelon are
-mutable accumulators.  Nothing here is locked; the package runs in a single
-thread.  Subspaces are kept in reduced row echelon form, which makes
-subspace equality plain basis-list equality.
+entry, and Fractions are formed again only on the way out, by _over
+(Subspace rows, Echelon.add, remainders, express coefficients and the
+smash product's results).  A Subspace is built from an Echelon's integer
+rows, so it clears no denominators.  Echelon.add_data also takes int data
+as it is; the ideal closure in truncation feeds it integer vectors from
+the smash product's integer kernel.  SparseVector, Subspace and the tuple
+matrices are not changed once built (by convention: SparseVector.data is a
+plain dict), while Echelon and TrackedEchelon are mutable accumulators.
+Nothing here is locked; the package runs in a single thread.  Subspaces
+are kept in reduced row echelon form, which makes subspace equality plain
+basis-list equality.
 """
 
 from __future__ import annotations
@@ -214,13 +216,18 @@ def _clear_pivots(data: Mapping, pivot_row: IntRows) -> tuple[dict[int, int], in
     return out, s
 
 
+def _over(nums: Mapping, den: int) -> dict:
+    """The Fractions nums[k] / den: the one place where integers become
+    Fractions again."""
+    return {k: Fraction(v, den) for k, v in nums.items()}
+
+
 def remainder(data: Mapping, pivot_row: IntRows) -> dict[int, Fraction]:
     """data minus the combination of the rows that clears every pivot column.
 
     pivot_row maps each pivot column to an integer row that is zero at
     every other row's pivot column; the remainder is then unique."""
-    red, s = _clear_pivots(data, pivot_row)
-    return {c: Fraction(v, s) for c, v in red.items()}
+    return _over(*_clear_pivots(data, pivot_row))
 
 
 class Echelon:
@@ -284,16 +291,13 @@ class Echelon:
         return _normalized(self.n, row)
 
     def to_subspace(self) -> "Subspace":
-        ordered = sorted(self.pivot_row.items())
-        rows = tuple(_normalized(self.n, row) for _, row in ordered)
-        return Subspace(self.n, rows, tuple(p for p, _ in ordered))
+        return Subspace(self.n, self.pivot_row)
 
 
 def _normalized(n: int, row: Mapping[int, int]) -> SparseVector:
     """The integer row divided by its pivot (least) entry."""
-    a = row[min(row)]
     out = SparseVector(n)
-    out.data = {c: Fraction(v, a) for c, v in row.items()}
+    out.data = _over(row, row[min(row)])
     return out
 
 
@@ -326,20 +330,21 @@ class TrackedEchelon(Echelon):
         n = self.n
         if any(c < n for c in red):
             return None
-        return {c - n: Fraction(-x, s) for c, x in red.items()}
+        return _over({c - n: -x for c, x in red.items()}, s)
 
 
 class Subspace:
-    """Immutable subspace of Q^n in reduced row echelon form."""
+    """Immutable subspace of Q^n in reduced row echelon form, built from an
+    Echelon's primitive integer rows keyed by pivot (copied: the Echelon
+    reworks them in place); rows holds each divided by its pivot entry."""
 
     __slots__ = ("ambient_dim", "rows", "pivots", "_pivot_row")
 
-    def __init__(self, ambient_dim: int, rows: tuple = (), pivots: tuple = ()):
+    def __init__(self, ambient_dim: int, pivot_row: IntRows | None = None):
         self.ambient_dim = ambient_dim
-        self.rows = rows
-        self.pivots = pivots
-        # the rows cleared of denominators: primitive, with a positive pivot
-        self._pivot_row = {p: _integral(r.data)[0] for p, r in zip(pivots, rows)}
+        self._pivot_row = {p: dict(row) for p, row in sorted((pivot_row or {}).items())}
+        self.pivots = tuple(self._pivot_row)
+        self.rows = tuple(_normalized(ambient_dim, row) for row in self._pivot_row.values())
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":

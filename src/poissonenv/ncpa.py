@@ -554,7 +554,7 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
 
 # -- derivations ---------------------------------------------------------------
 
-def _derivation_rows(A: NCPA, table_basis, table_bilinear) -> list[SparseVector]:
+def _derivation_rows(A: NCPA, table_basis) -> list[SparseVector]:
     """Rows of psi(v_i . v_j) = psi(v_i) . v_j + v_i . psi(v_j) over the
     unknown matrix psi, flattened row-major (psi[r][c] at r*n + c)."""
     n = A.n
@@ -587,8 +587,8 @@ def _derivation_rows(A: NCPA, table_basis, table_bilinear) -> list[SparseVector]
 def poisson_derivations(A: NCPA) -> Subspace:
     """Maps that are derivations for both the product and the bracket,
     as a subspace of n x n matrices flattened row-major."""
-    rows = _derivation_rows(A, A.mul_basis, A.mul)
-    rows += _derivation_rows(A, A.bracket_basis, A.bracket)
+    rows = _derivation_rows(A, A.mul_basis)
+    rows += _derivation_rows(A, A.bracket_basis)
     return solve_nullspace(rows, A.n * A.n)
 
 
@@ -623,8 +623,8 @@ class RegularStructures:
 
 def regular_poisson_structures(A: NCPA) -> RegularStructures:
     n = A.n
-    rows = _derivation_rows(A, A.mul_basis, A.mul)
-    rows += _derivation_rows(A, A.bracket_basis, A.bracket)
+    rows = _derivation_rows(A, A.mul_basis)
+    rows += _derivation_rows(A, A.bracket_basis)
     # psi(v_j) must lie in the center
     conds = complement_conditions(center(A))
     for j in range(n):

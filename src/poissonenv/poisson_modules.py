@@ -15,6 +15,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .limits import DegreeCapExceeded, degree_cap
 from .linalg import (
     Matrix,
     SparseVector,
@@ -358,6 +359,10 @@ def roundtrip_report(
 ) -> dict:
     """Check both passages are mutually inverse on M, and that the induced
     action is associative on monomial pairs up to the bound."""
+    # the largest product degree formed: action_to_module checks degree 2
+    deg, cap = max(2, degree_bound), degree_cap()
+    if deg > cap:  # before any work
+        raise DegreeCapExceeded(f"product degree {deg} exceeds cap {cap}")
     action = module_to_action(M)
     back = action_to_module(action)
     gf_equal = M.equal_actions(back)

@@ -33,11 +33,10 @@ hold a basis index in that slot; then the product holds none.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .limits import DegreeCapExceeded, degree_cap
-from .linalg import ONE, SparseVector, _integral, accumulate, add_terms, scale_terms, sub_terms
+from .linalg import ONE, SparseVector, _integral, _over, accumulate, add_terms, scale_terms, sub_terms
 from .ncpa import NCPA
 from .pbw import lie_word_on_basis, straighten
 from .words import ordered_partitions, subword
@@ -140,11 +139,6 @@ def _factor(A: NCPA, outer, word, inner, left: bool) -> tuple[dict, int]:
                     accumulate(out, p, c * v)
         hit = cache[key] = _integral(out) if out else _ZERO_TERMS
     return hit
-
-
-def _over(nums: dict, den: int) -> QElement:
-    """The element with integer numerators nums over the denominator den."""
-    return {mono: Fraction(v, den) for mono, v in nums.items()}
 
 
 def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:

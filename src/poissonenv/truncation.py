@@ -33,12 +33,15 @@ of T_{B-2} lie in T_{B-1} already, so the vectors T_{B-1} gained suffice.
 So T_B is closed as well, and closing it again would gain no rank.
 Rows are kept in descending term order, so those with pivots in the low
 block span the slice, and a pivot never moves once taken: the level that
-took it tells every narrower window's rank and stable flag.
+took it tells every narrower window's rank and stable flag.  TruncatedQuotient
+is the one reader of the closure; dimension_table and truncated_ideal_span
+call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .limits import DegreeCapExceeded, degree_cap
 from .linalg import (
@@ -200,11 +203,6 @@ class _LeveledClosure:
         return {-1 - p: {-1 - c: x for c, x in row.items()}
                 for p, row in self.ech.pivot_row.items() if p >= -n_low}
 
-    def slice(self, n_low: int) -> Subspace:
-        """The current span met with the first n_low monomials."""
-        rows = [SparseVector(n_low, row) for row in self.low_rows(n_low).values()]
-        return join_and_reduce(rows, n_low)
-
 
 def _leveled_closure(A: NCPA, gens: IdealGens, D: int) -> _LeveledClosure:
     """The generators' closure grown to window D, memoized per algebra so
@@ -226,54 +224,60 @@ def truncated_ideal_span(
 ) -> tuple[Subspace, bool]:
     """Ideal slice at degree d with saturation window D, plus a stability
     flag comparing against the window D - 1."""
-    if D < d:
-        raise ValueError("saturation bound must be >= truncation degree")
-    if D > degree_cap():
-        raise DegreeCapExceeded(
-            f"saturation degree {D} exceeds cap {degree_cap()}"
-        )
-    n_low = len(env_monomials(A, d))
-    if D == 0:  # window 0 holds no products
-        return Subspace.zero(n_low), True
-    closure = _leveled_closure(A, gens, D)
-    # stable: no pivot in the block is new at window D; window D - 1 has no
-    # degree-D block, so d = D counts as unstable
-    stable = d < D and all(
-        B < D - 1 for p, B in closure.pivot_level.items() if p >= -n_low
-    )
-    return closure.slice(n_low), stable
+    q = TruncatedQuotient(A, gens, d, D)
+    return q.ideal_slice, q.stable
 
 
 class TruncatedQuotient:
     """Finite slice of an enveloping-algebra quotient.
 
-    The ideal slice is spanned by the leveled closure's rows whose pivots,
-    each row's largest monomial, lie at degree <= d.  The coset
-    representatives are the other monomials of degree <= d, so the degree
-    <= d block is the slice plus their span, and each element has one
-    decomposition: reduce() clears the pivots and reads off the rest.
+    The one reader of the leveled closure.  The ideal slice is spanned by
+    the closure's rows whose pivots, each row's largest monomial, lie at
+    degree <= d.  The coset representatives are the other monomials of
+    degree <= d, so the degree <= d block is the slice plus their span, and
+    each element has one decomposition: reduce() clears the pivots and reads
+    off the rest.  The dimension and stable flag need no elimination, but
+    ideal_slice does (a Subspace pivots at each row's least monomial), so it
+    is built on first read.
     """
 
     def __init__(self, A: NCPA, gens: IdealGens, degree: int, saturation: int):
+        if saturation < degree:
+            raise ValueError("saturation bound must be >= truncation degree")
+        cap = degree_cap()
+        if saturation > cap:
+            raise DegreeCapExceeded(f"saturation degree {saturation} exceeds cap {cap}")
         self.algebra = A
         self.gens = gens
         self.degree = degree
         self.saturation = saturation
-        self.ideal_slice, self.stable = truncated_ideal_span(
-            A, gens, degree, saturation
-        )
         self.monomials = env_monomials(A, degree)
         self.index = {m: t for t, m in enumerate(self.monomials)}
         n_low = len(self.monomials)
-        # copied: a later, wider window reworks the closure's rows
-        self._slice_rows = (
-            _leveled_closure(A, gens, saturation).low_rows(n_low) if saturation else {}
-        )
+        if saturation == 0:  # window 0 holds no products
+            self._slice_rows, self.stable = {}, True
+        else:
+            closure = _leveled_closure(A, gens, saturation)
+            # copied: a later, wider window reworks the closure's rows
+            self._slice_rows = closure.low_rows(n_low)
+            # stable: no pivot in the block is new at window D; window D - 1
+            # has no degree-D block, so d = D counts as unstable
+            self.stable = degree < saturation and all(
+                B < saturation - 1 for p, B in closure.pivot_level.items() if p >= -n_low
+            )
         coset = [t for t in range(n_low) if t not in self._slice_rows]
         self._coset_position = {t: k for k, t in enumerate(coset)}
         self.coset_basis: list[QMonomial] = [self.monomials[t] for t in coset]
-        if len(self._slice_rows) != self.ideal_slice.rank:
+
+    @cached_property
+    def ideal_slice(self) -> Subspace:
+        """The slice as a Subspace, eliminated on first read."""
+        n_low = len(self.monomials)
+        rows = [SparseVector(n_low, row) for row in self._slice_rows.values()]
+        out = join_and_reduce(rows, n_low)
+        if out.rank != len(self._slice_rows):
             raise RuntimeError("coset basis bookkeeping failed")
+        return out
 
     @property
     def dimension(self) -> int:
@@ -296,9 +300,7 @@ class TruncatedQuotient:
 def truncated_quotient(
     A: NCPA, gens: IdealGens, d: int, D: int | None = None
 ) -> TruncatedQuotient:
-    if D is None:
-        D = d + 2
-    return TruncatedQuotient(A, gens, d, D)
+    return TruncatedQuotient(A, gens, d, d + 2 if D is None else D)
 
 
 def dimension_table(
@@ -308,16 +310,6 @@ def dimension_table(
 
     Windows never shrink as the degree grows, so one leveled pass serves
     every degree."""
-    out = []
-    for d in range(max_degree + 1):
-        D = (d + 2) if saturation is None else saturation
-        slice_, stable = truncated_ideal_span(A, gens, d, D)
-        out.append(
-            {
-                "degree": d,
-                "saturation": D,
-                "dimension": slice_.ambient_dim - slice_.rank,
-                "stable": stable,
-            }
-        )
-    return out
+    quotients = (truncated_quotient(A, gens, d, saturation) for d in range(max_degree + 1))
+    return [{"degree": q.degree, "saturation": q.saturation, "dimension": q.dimension,
+             "stable": q.stable} for q in quotients]

@@ -207,6 +207,24 @@ def test_module_alg_degree_above_cap_fails_before_any_work(capsys, monkeypatch, 
         assert out.splitlines()[0] == "error: degree 11 exceeds cap 10"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_roundtrip_degree_above_cap_fails_before_any_work(capsys, monkeypatch, as_json):
+    def forbidden(*args):
+        raise AssertionError("roundtrip multiplied matrices before checking its degree")
+
+    monkeypatch.setattr("poissonenv.poisson_modules.mat_mul", forbidden)
+    argv = ["roundtrip", path("kxk.alg"), path("kxk-regular.mod"), "--degree", "9"]
+    code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 2
+    message = "product degree 9 exceeds cap 8"
+    if as_json:
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["findings"] == [{"kind": "error", "detail": message}]
+    else:
+        assert out.splitlines()[0] == f"error: {message}"
+
+
 def test_env_dim_text(capsys):
     code, out = run(
         capsys, "env-dim", path("kxk.alg"), "--ideal", "J", "--degree", "1"

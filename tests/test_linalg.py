@@ -405,6 +405,23 @@ def test_nullspace_of_a_row_whose_pivot_entry_is_not_one():
     assert s.pivots == (0,)
 
 
+def test_subspace_keeps_its_rows_when_the_echelon_reworks_them():
+    vectors = [sv(1, 1, 0, 0), sv(0, 0, 1, 1)]
+    ech = Echelon(4)
+    for v in vectors:
+        ech.add(v)
+    s = ech.to_subspace()
+    rows = list(s.rows)
+    probes = [sv(1, 0, 0, 0), sv(0, 1, 1, 0), sv(3, 1, 2, 5)]
+    reduced = [s.reduce(v) for v in probes]
+    before = [dict(row) for row in ech.rows]
+    ech.add(sv(0, 2, 0, 1))  # pivot 1 reworks the row of pivot 0 in place
+    assert [dict(row) for row in ech.rows[:2]] != before
+    assert s == join_and_reduce(vectors, 4)
+    assert list(s.rows) == rows
+    assert [s.reduce(v) for v in probes] == reduced
+
+
 # Dense reference kernels: every product and combination term, zero or not,
 # as mat_mul and mat_lincomb computed them before they skipped zero entries.
 def _dense_mat_mul(a, b):

@@ -502,6 +502,46 @@ def test_window_without_degree_block_is_unstable(kxk):
     assert truncated_ideal_span(kxk, none, 2, 2) == (Subspace.zero(24), False)
 
 
+def test_dimension_table_builds_no_subspace(kxk, trunc2, m2, monkeypatch):
+    # dimensions and stable flags come from the closure's rows; only a read
+    # of ideal_slice eliminates them again
+    def forbidden(*args):
+        raise AssertionError("dimension_table eliminated an ideal slice")
+
+    monkeypatch.setattr("poissonenv.truncation.join_and_reduce", forbidden)
+    for A, max_degree, dims in (
+        (kxk, 3, [4, 6, 8, 10]),
+        (trunc2, 2, [9, 15, 22]),
+        (m2, 1, [16, 16]),
+    ):
+        table = dimension_table(A, ideal_j_gens(A), max_degree)
+        assert [row["dimension"] for row in table] == dims
+
+
+def _slice_rank_row(A, gens, d, D):
+    """A dimension_table row as the co-rank of the eliminated slice."""
+    slice_, stable = truncated_ideal_span(A, gens, d, D)
+    n_low = len(env_monomials(A, d))
+    return {"degree": d, "saturation": D, "dimension": n_low - slice_.rank, "stable": stable}
+
+
+@pytest.mark.parametrize("name", ["kxk", "trunc2", "m2"])
+@pytest.mark.parametrize("label", ["J", "J+I", "OH"])
+@pytest.mark.parametrize("descending", [False, True])
+def test_dimension_table_matches_slice_rank(name, label, descending, request):
+    A = request.getfixturevalue(name)
+    gens = ideal_gens_by_label(A, label)
+    top = 1 if name == "m2" else 2
+    calls = [(d, D) for d in range(top + 1) for D in (d, d + 1, d + 2)]
+    if descending:  # each narrower window starts the closure over
+        calls.sort(key=lambda call: -call[1])
+    for d, D in calls:
+        table = dimension_table(A, gens, d, D)
+        assert table == [_slice_rank_row(A, gens, e, D) for e in range(d + 1)], (d, D)
+        q = truncated_quotient(A, gens, d, D)
+        assert q.ideal_slice == truncated_ideal_span(A, gens, d, D)[0], (d, D)
+
+
 def test_slice_independent_of_call_order():
     # the leveled closure is memoized per algebra; a narrower window after
     # a wider one starts a fresh pass and must give the same answer
