@@ -98,6 +98,9 @@ def jobs() -> list[list[str]]:
         out.append(["roundtrip", algebra, path, "--degree", "2"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
     out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
+    # above the default degree cap: a product of degree 9, a word of degree 9
+    out.append(["q-mul", alg("kxk"), "e1:e1:e1.e2.e1.e2.e1", "e1:e1:e2.e1.e2.e1"])
+    out.append(["q-mul", alg("kxk"), "e1:e1:e1.e2.e1.e2.e1.e2.e1.e2.e1", "e1:e1:"])
     # non-integral constants and coefficients, words on both sides
     out.append(["q-mul", SKEW, "1/2*f0:f1:f2.f1 + 3*f2:f0:f0", "2/3*f1:f0:f1 - 5/4*f0:f2:f2.f0"])
     out.append(["q-mul", SKEW, "1/6*f0:f0:f2 - 7/3*f1:f2:f0", "3/5*f2:f1:f1.f2.f0 + f0:f1:f1"])

@@ -22,7 +22,7 @@ from .fileformat import (
     serialize_algebra,
 )
 from .limits import DegreeCapExceeded
-from .linalg import SparseVector
+from .linalg import SparseVector, accumulate
 from .ncpa import (
     NCPA,
     NcpaValidationError,
@@ -41,7 +41,7 @@ from .poisson_modules import (
     quasi_violations,
     roundtrip_report,
 )
-from .smash import QElement, format_q_element, q_add, q_mult
+from .smash import QElement, format_q_element, q_mult
 from .truncation import dimension_table, ideal_gens_by_label
 
 
@@ -130,12 +130,16 @@ def _parse_label_term(A: NCPA, body: str) -> SparseVector:
     else:
         coeff = None
         label = body
+    v = A.basis(_label_index(A, label))
+    return v if coeff is None else v.scale(coeff)
+
+
+def _label_index(A: NCPA, label: str) -> int:
+    label = label.strip()
     try:
-        idx = A.labels.index(label)
+        return A.labels.index(label)
     except ValueError:
         raise UsageError(f"unknown basis label {label!r}")
-    v = A.basis(idx)
-    return v if coeff is None else v.scale(coeff)
 
 
 def parse_q_element(A: NCPA, text: str) -> QElement:
@@ -155,19 +159,10 @@ def parse_q_element(A: NCPA, text: str) -> QElement:
         fields = mono.split(":")
         if len(fields) != 3:
             raise UsageError(f"monomial {mono!r} must have form i:j:word")
-        def label_index(label):
-            label = label.strip()
-            try:
-                return A.labels.index(label)
-            except ValueError:
-                raise UsageError(f"unknown basis label {label!r}")
-        i = label_index(fields[0])
-        j = label_index(fields[1])
-        word = tuple(
-            label_index(t) for t in fields[2].split(".") if t.strip()
-        )
+        i, j = _label_index(A, fields[0]), _label_index(A, fields[1])
+        word = tuple(_label_index(A, t) for t in fields[2].split(".") if t.strip())
         for gamma, c in straighten(A, word).items():
-            total = q_add(total, {(i, j, gamma): coeff * c})
+            accumulate(total, (i, j, gamma), coeff * c)
     return total
 
 

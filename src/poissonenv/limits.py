@@ -1,15 +1,19 @@
-"""Degree caps shared by the word/enveloping-algebra layers."""
+"""The one degree cap of the word and enveloping-algebra layers.
+
+POISSON_ENV_MAX_DEGREE (default 8) bounds every degree: words, straightened
+products, smash products, saturation windows and module round trips.  Its
+ceiling is 10 because the work grows exponentially in the degree r: a word
+has 2^r bipartitions and a smash product enumerates up to 3^r tripartitions
+(3^10 is about 59,000 per monomial pair).  So every degree the cap admits
+can also be enumerated.
+"""
 
 from __future__ import annotations
 
 import os
 
-# Hard bound for word combinatorics: partition enumeration is p^r.
-WORD_DEGREE_LIMIT = 10
-
-# Default cap for enveloping-algebra degrees (3^r tripartition factors
-# downstream); overridable via the environment.
 DEFAULT_DEGREE_CAP = 8
+MAX_DEGREE_CAP = 10
 DEGREE_CAP_ENV = "POISSON_ENV_MAX_DEGREE"
 
 
@@ -27,10 +31,14 @@ def degree_cap() -> int:
         raise DegreeCapExceeded(f"{DEGREE_CAP_ENV} must be an integer, got {raw!r}")
     if value < 0:
         raise DegreeCapExceeded(f"{DEGREE_CAP_ENV} must be nonnegative, got {value}")
+    if value > MAX_DEGREE_CAP:
+        raise DegreeCapExceeded(
+            f"{DEGREE_CAP_ENV} must be at most {MAX_DEGREE_CAP}, got {value}"
+        )
     return value
 
 
-def check_degree(degree: int, limit: int | None = None) -> None:
-    cap = WORD_DEGREE_LIMIT if limit is None else limit
+def check_degree(degree: int, what: str = "degree") -> None:
+    cap = degree_cap()
     if degree > cap:
-        raise DegreeCapExceeded(f"degree {degree} exceeds cap {cap}")
+        raise DegreeCapExceeded(f"{what} {degree} exceeds cap {cap}")

@@ -10,6 +10,7 @@ doubles as the total order used by all later PBW constructions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -554,12 +555,13 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
 
 # -- derivations ---------------------------------------------------------------
 
-def _derivation_rows(A: NCPA, table_basis) -> list[SparseVector]:
+def _derivation_rows(A: NCPA) -> list[SparseVector]:
     """Rows of psi(v_i . v_j) = psi(v_i) . v_j + v_i . psi(v_j) over the
-    unknown matrix psi, flattened row-major (psi[r][c] at r*n + c)."""
+    unknown matrix psi, flattened row-major (psi[r][c] at r*n + c), for the
+    product and then for the bracket."""
     n = A.n
     rows = []
-    for i in range(n):
+    for table_basis, i in itertools.product((A.mul_basis, A.bracket_basis), range(n)):
         for j in range(n):
             prod = table_basis(i, j)
             for t in range(n):
@@ -587,9 +589,7 @@ def _derivation_rows(A: NCPA, table_basis) -> list[SparseVector]:
 def poisson_derivations(A: NCPA) -> Subspace:
     """Maps that are derivations for both the product and the bracket,
     as a subspace of n x n matrices flattened row-major."""
-    rows = _derivation_rows(A, A.mul_basis)
-    rows += _derivation_rows(A, A.bracket_basis)
-    return solve_nullspace(rows, A.n * A.n)
+    return solve_nullspace(_derivation_rows(A), A.n * A.n)
 
 
 @dataclass
@@ -623,8 +623,8 @@ class RegularStructures:
 
 def regular_poisson_structures(A: NCPA) -> RegularStructures:
     n = A.n
-    rows = _derivation_rows(A, A.mul_basis)
-    rows += _derivation_rows(A, A.bracket_basis)
+    rows = _derivation_rows(A)
+    derivations = solve_nullspace(rows, n * n)
     # psi(v_j) must lie in the center
     conds = complement_conditions(center(A))
     for j in range(n):
@@ -652,5 +652,4 @@ def regular_poisson_structures(A: NCPA) -> RegularStructures:
                         v = SparseVector(n * n)
                         v.data = data
                         rows.append(v)
-    constrained = solve_nullspace(rows, n * n)
-    return RegularStructures(poisson_derivations(A), constrained, A)
+    return RegularStructures(derivations, solve_nullspace(rows, n * n), A)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from .limits import DegreeCapExceeded, check_degree, degree_cap
+from .limits import check_degree
 from .linalg import ONE, SparseVector, accumulate
 from .ncpa import NCPA
 from .words import Word, counit, shuffle_coproduct
@@ -42,9 +42,7 @@ def straighten(A: NCPA, word: Word) -> UElement:
     hit = cache.get(word)
     if hit is not None:
         return hit
-    cap = degree_cap()  # read on a miss only, as q_mono_mult does
-    if len(word) > cap:
-        raise DegreeCapExceeded(f"word degree {len(word)} exceeds cap {cap}")
+    check_degree(len(word), "word degree")  # on a miss only, as in q_mono_mult
     stack = [word]
     while stack:
         w = stack.pop()
@@ -81,14 +79,11 @@ def _first_descent(word: Word) -> int | None:
 
 def u_mult(A: NCPA, x: UElement, y: UElement) -> UElement:
     """Concatenate monomials and straighten; identity is the empty word."""
-    cap = degree_cap()
+    if x and y:
+        check_degree(max(map(len, x)) + max(map(len, y)), "product degree")
     out: UElement = {}
     for wx, cx in x.items():
         for wy, cy in y.items():
-            if len(wx) + len(wy) > cap:
-                raise DegreeCapExceeded(
-                    f"product degree {len(wx) + len(wy)} exceeds cap {cap}"
-                )
             c = cx * cy
             for mono, d in straighten(A, wx + wy).items():
                 accumulate(out, mono, c * d)

@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .limits import DegreeCapExceeded, degree_cap
+from .limits import check_degree
 from .linalg import (
     Matrix,
     SparseVector,
@@ -32,8 +32,7 @@ from .linalg import (
 )
 from .ncpa import NCPA, is_standard, poisson_ideal_closure
 from .smash import QElement, QMonomial, embed, q_mono_mult
-from .truncation import ideal_j_gens
-from .pbw import u_monomials
+from .truncation import env_monomials, ideal_j_gens
 
 
 class ModuleShapeError(Exception):
@@ -294,11 +293,7 @@ class EnvAction:
         differs from acting by the product."""
         A = self.algebra
         out = []
-        monos = []
-        for word in u_monomials(A.n, degree_bound):
-            for i in range(A.n):
-                for j in range(A.n):
-                    monos.append((i, j, word))
+        monos = env_monomials(A, degree_bound)
         for m1 in monos:
             for m2 in monos:
                 if len(m1[2]) + len(m2[2]) > degree_bound:
@@ -359,21 +354,15 @@ def roundtrip_report(
 ) -> dict:
     """Check both passages are mutually inverse on M, and that the induced
     action is associative on monomial pairs up to the bound."""
-    # the largest product degree formed: action_to_module checks degree 2
-    deg, cap = max(2, degree_bound), degree_cap()
-    if deg > cap:  # before any work
-        raise DegreeCapExceeded(f"product degree {deg} exceeds cap {cap}")
+    # before any work, the largest product degree formed: action_to_module
+    # checks degree 2
+    check_degree(max(2, degree_bound), "product degree")
     action = module_to_action(M)
     back = action_to_module(action)
     gf_equal = M.equal_actions(back)
 
     action2 = _action_of(back)  # action_to_module validated back
-    monos = [
-        (i, j, word)
-        for word in u_monomials(A.n, degree_bound)
-        for i in range(A.n)
-        for j in range(A.n)
-    ]
+    monos = env_monomials(A, degree_bound)
     fgf_mismatches = [
         m for m in monos if action.matrix(m) != action2.matrix(m)
     ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .limits import DegreeCapExceeded, degree_cap
+from .limits import check_degree
 from .linalg import ONE, SparseVector, _integral, _over, accumulate, add_terms, scale_terms, sub_terms
 from .ncpa import NCPA
 from .pbw import lie_word_on_basis, straighten
@@ -152,9 +152,7 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
     i2, j2, beta = m2
     if (i1 is None and i2 is None) or (j1 is None and j2 is None):
         raise ValueError("both factors hold the unit in one slot")
-    cap = degree_cap()
-    if len(alpha) + len(beta) > cap:
-        raise DegreeCapExceeded(f"product degree {len(alpha) + len(beta)} exceeds cap {cap}")
+    check_degree(len(alpha) + len(beta), "product degree")
     terms = []
     for part1, rest in ordered_partitions(len(alpha), 2):
         left = _factor(A, i1, subword(alpha, part1), i2, True)

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .limits import DegreeCapExceeded, degree_cap
+from .limits import DegreeCapExceeded, check_degree
 from .linalg import (
     Echelon,
     ONE,
@@ -57,7 +57,7 @@ from .linalg import (
 )
 from .ncpa import NCPA
 from .pbw import u_monomials
-from .smash import GENERATOR_TERM, QElement, QMonomial, expand_unit, q_mult_scaled, q_term_key
+from .smash import GENERATOR_TERM, QElement, QMonomial, expand_unit, q_mult_scaled
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,11 @@ def ideal_gens_by_label(A: NCPA, label: str) -> IdealGens:
 
 def env_monomials(A: NCPA, max_degree: int) -> list[QMonomial]:
     """Monomial basis of the enveloping algebra up to the given degree, in
-    the fixed term order; monomials of degree <= d form a prefix."""
-    out = []
-    for word in u_monomials(A.n, max_degree):
-        for i in range(A.n):
-            for j in range(A.n):
-                out.append((i, j, word))
-    out.sort(key=q_term_key)
-    return out
+    the fixed term order (q_term_key: u_monomials runs by degree, then word);
+    monomials of degree <= d form a prefix."""
+    n = A.n
+    return [(i, j, word) for word in u_monomials(n, max_degree)
+            for i in range(n) for j in range(n)]
 
 
 def qelem_to_vector(x: QElement, index: dict, n_coords: int) -> SparseVector:
@@ -244,9 +241,7 @@ class TruncatedQuotient:
     def __init__(self, A: NCPA, gens: IdealGens, degree: int, saturation: int):
         if saturation < degree:
             raise ValueError("saturation bound must be >= truncation degree")
-        cap = degree_cap()
-        if saturation > cap:
-            raise DegreeCapExceeded(f"saturation degree {saturation} exceeds cap {cap}")
+        check_degree(saturation, "saturation degree")
         self.algebra = A
         self.gens = gens
         self.degree = degree

@@ -159,6 +159,7 @@ def test_leading_sign_after_double_dash(capsys):
 @pytest.mark.parametrize("value, message", [
     ("abc", "POISSON_ENV_MAX_DEGREE must be an integer, got 'abc'"),
     ("-1", "POISSON_ENV_MAX_DEGREE must be nonnegative, got -1"),
+    ("11", "POISSON_ENV_MAX_DEGREE must be at most 10, got 11"),
 ])
 @pytest.mark.parametrize("argv", [
     ["env-dim", "kxk.alg", "--ideal", "J", "--degree", "1"],
@@ -202,9 +203,42 @@ def test_module_alg_degree_above_cap_fails_before_any_work(capsys, monkeypatch, 
     if as_json:
         doc = json.loads(out)
         assert doc["status"] == "error"
-        assert doc["findings"] == [{"kind": "error", "detail": "degree 11 exceeds cap 10"}]
+        assert doc["findings"] == [{"kind": "error", "detail": "degree 11 exceeds cap 8"}]
     else:
-        assert out.splitlines()[0] == "error: degree 11 exceeds cap 10"
+        assert out.splitlines()[0] == "error: degree 11 exceeds cap 8"
+
+
+def test_module_alg_obeys_the_configured_cap(capsys, monkeypatch):
+    monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "2")
+    code, out = run(capsys, "module-alg", path("kxk.alg"), "--degree", "3")
+    assert code == 2
+    assert out.splitlines()[0] == "error: degree 3 exceeds cap 2"
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["roundtrip", "kxk.alg", "kxk-regular.mod", "--degree", "11"],
+     "poissonenv.poisson_modules.mat_mul"),
+    (["module-alg", "kxk.alg", "--degree", "11"], "poissonenv.pbw.lie_word_act"),
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cap_variable_above_ceiling_fails_before_any_work(
+    capsys, monkeypatch, argv, target, as_json
+):
+    def forbidden(*args):
+        raise AssertionError("worked before reading the degree cap")
+
+    monkeypatch.setattr(target, forbidden)
+    monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "12")
+    argv = [path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
+    code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 2
+    message = "POISSON_ENV_MAX_DEGREE must be at most 10, got 12"
+    if as_json:
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["findings"] == [{"kind": "error", "detail": message}]
+    else:
+        assert out.splitlines()[0] == f"error: {message}"
 
 
 @pytest.mark.parametrize("as_json", [False, True])

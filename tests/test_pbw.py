@@ -51,6 +51,17 @@ def test_straighten_degree_cap(kxk):
         straighten(kxk, (0,) * 9)
 
 
+def test_u_mult_checks_the_product_degree_before_straightening(kxk, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("straightened before checking the degree")
+
+    monkeypatch.setattr("poissonenv.pbw.straighten", forbidden)
+    x = {(0,): ONE, (0,) * 5: ONE}
+    y = {(1,) * 4: ONE, (): ONE}
+    with pytest.raises(DegreeCapExceeded, match="^product degree 9 exceeds cap 8$"):
+        u_mult(kxk, x, y)
+
+
 def test_u_mult_identity(m2):
     x = straighten(m2, (2, 1))
     assert u_mult(m2, u_one(), x) == x

@@ -54,10 +54,13 @@ def test_degree_guard():
         shuffle_coproduct(tuple(range(11)))
 
 
-def test_degree_guard_configurable():
-    with pytest.raises(DegreeCapExceeded):
-        ordered_partitions(3, 2, limit=2)
-    assert len(ordered_partitions(3, 2, limit=3)) == 8
+def test_degree_guard_configurable(monkeypatch):
+    # the guard runs on memo misses only, and no other test enumerates (3, 7)
+    monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "2")
+    with pytest.raises(DegreeCapExceeded, match="^degree 3 exceeds cap 2$"):
+        ordered_partitions(3, 7)
+    monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "3")
+    assert len(ordered_partitions(3, 7)) == 7**3
 
 
 def test_coproduct_of_identity():
