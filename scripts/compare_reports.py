@@ -96,6 +96,8 @@ def jobs() -> list[list[str]]:
     for algebra, path in squares + [(SKEW, f"{TMP}/trunc2-skew-square.mod")]:
         out.append(["module-check", algebra, path, "--poisson"])
         out.append(["roundtrip", algebra, path, "--degree", "2"])
+    # deeper words on the non-integral square: products of degree 3
+    out.append(["roundtrip", SKEW, f"{TMP}/trunc2-skew-square.mod", "--degree", "3"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
     out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
     # above the default degree cap: a product of degree 9, a word of degree 9

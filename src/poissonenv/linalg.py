@@ -1,16 +1,19 @@
-"""Exact rational sparse vectors, echelon subspaces, and dense matrices.
+"""Exact rational sparse vectors, echelon subspaces, and matrices.
 
 Everything is over Q; no floating point anywhere.  Vectors, subspaces and
-matrices hold fractions.Fraction entries, but the one elimination kernel
+matrices hold fractions.Fraction entries at the public surface, but the
+arithmetic runs on integers in two kernels.  The one elimination kernel
 works on primitive integer rows: a vector's denominators are cleared on
 entry, and Fractions are formed again only on the way out, by _over
 (Subspace rows, Echelon.add, remainders, express coefficients and the
 smash product's results).  A Subspace is built from an Echelon's integer
 rows, so it clears no denominators.  Echelon.add_data also takes int data
 as it is; the ideal closure in truncation feeds it integer vectors from
-the smash product's integer kernel.  SparseVector, Subspace and the tuple
-matrices are not changed once built (by convention: SparseVector.data is a
-plain dict), while Echelon and TrackedEchelon are mutable accumulators.
+the smash product's integer kernel.  The one matrix kernel works on a
+canonical integer form of a matrix (see "exact matrices" below).
+SparseVector, Subspace, the tuple matrices and their integer forms are not
+changed once built (by convention: SparseVector.data and a form's rows are
+plain dicts), while Echelon and TrackedEchelon are mutable accumulators.
 Nothing here is locked; the package runs in a single thread.  Subspaces
 are kept in reduced row echelon form, which makes subspace equality plain
 basis-list equality.
@@ -464,9 +467,20 @@ def complement_conditions(s: Subspace) -> list[SparseVector]:
     return list(solve_nullspace(s.rows, s.ambient_dim).rows)
 
 
-# -- dense exact matrices (tuples of tuples of Fraction); kernels skip zeros --
+# -- exact matrices ------------------------------------------------------------
+#
+# A Matrix is a tuple of tuples of Fraction.  All products and combinations
+# go through one integer kernel over the form (rows, den): a tuple of sparse
+# {column: int} rows over one positive denominator, in lowest terms (the gcd
+# of den and every entry is 1, and the zero matrix has den 1).  That form is
+# canonical, so two matrices of one shape are equal exactly when their forms
+# are; mat_mul and mat_lincomb are thin Fraction exits over the kernel, as
+# smash.q_mult is over q_mult_scaled, and poisson_modules checks modules and
+# actions on the forms themselves.
 
 Matrix = tuple
+IntMatrix = tuple  # (rows: tuple[dict[int, int], ...], den: int)
+
 
 def mat_identity(m: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(m)) for i in range(m))
@@ -481,25 +495,81 @@ def mat_shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
+def int_matrix(a: Matrix) -> IntMatrix:
+    """The canonical integer form of a matrix of Fractions (or ints).
+
+    den is the lcm of the entries' denominators, so no prime divides den
+    and every scaled entry: the form is in lowest terms as built."""
+    den = lcm(*[x.denominator for row in a for x in row if x])
+    return tuple(
+        {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+        for row in a
+    ), den
+
+
+def frac_matrix(form: IntMatrix, cols: int) -> Matrix:
+    """The matrix of Fractions, with cols columns, of an integer form."""
+    rows, den = form
+    out = []
+    for row in rows:
+        acc = [ZERO] * cols
+        for j, v in row.items():
+            acc[j] = Fraction(v, den)
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _lowest(rows: list[dict[int, int]], den: int) -> IntMatrix:
+    """The form of rows / den: divided by the gcd of den and every entry."""
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        if row:
+            g = gcd(g, *row.values())
+    if g != 1:
+        den //= g
+        rows = [{j: v // g for j, v in row.items()} for row in rows]
+    return tuple(rows), den
+
+
+def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The form of the product a . b; walks only nonzero entries."""
+    b_rows, db = b
+    out = []
+    for row in a[0]:
+        if not row:  # empty, as most rows of a module's action matrices are
+            out.append(row)
+            continue
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in b_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return _lowest(out, a[1] * db)
+
+
+def int_mat_lincomb(pairs: Iterable[tuple[int, IntMatrix]], r: int, den: int = 1) -> IntMatrix:
+    """The form of (sum of c * m over pairs) / den, for integer coefficients
+    c, r-row forms m and den > 0."""
+    pairs = [(c, m) for c, m in pairs if c]
+    s = lcm(*[d for _, (_, d) in pairs])
+    acc: list[dict[int, int]] = [{} for _ in range(r)]
+    for c, (rows, d) in pairs:
+        if d != s:
+            c *= s // d
+        for out, row in zip(acc, rows):
+            for j, v in row.items():
+                out[j] = out.get(j, 0) + c * v
+    return _lowest([{j: v for j, v in row.items() if v} if row else row for row in acc], s * den)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     if ca != rb:
         raise ValueError("matrix shape mismatch")
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [ZERO] * cb
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_rows[k]:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return frac_matrix(int_mat_mul(int_matrix(a), int_matrix(b)), cb)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -512,16 +582,15 @@ def mat_is_zero(a: Matrix) -> bool:
 
 def mat_lincomb(pairs: Iterable[tuple[Fraction, Matrix]], r: int, c: int | None = None) -> Matrix:
     c = r if c is None else c
-    acc = [[ZERO] * c for _ in range(r)]
-    for coeff, m in pairs:
+    pairs = [(rat(coeff), m) for coeff, m in pairs]
+    for _, m in pairs:
         if mat_shape(m) != (r, c):
             raise ValueError("matrix shape mismatch")
-        coeff = rat(coeff)
-        for acc_row, row in zip(acc, m):
-            for j, x in enumerate(row):
-                if x:
-                    acc_row[j] += coeff * x
-    return tuple(tuple(row) for row in acc)
+    s = lcm(*[coeff.denominator for coeff, _ in pairs])
+    form = int_mat_lincomb(
+        ((coeff.numerator * (s // coeff.denominator), int_matrix(m)) for coeff, m in pairs), r, s
+    )
+    return frac_matrix(form, c)
 
 
 def mat_apply(a: Matrix, v: SparseVector) -> SparseVector:

@@ -7,25 +7,35 @@ algebra basis: left action, right action, and Lie-type action.  The
 passage to an enveloping-algebra action sends the monomial (i, j, word)
 to left(i) . lie(word) . right(j); the reverse passage reads the three
 families off the degree <= 1 monomials.
+
+Module families, action matrices and of_element values are tuples of
+Fraction, but the axiom checks, the action's monomial matrices and its
+multiplicativity check run on linalg's canonical integer forms: each
+family is converted once, products and combinations stay integral, and
+two matrices are equal exactly when their forms are.  A monomial pair is
+checked against the smash product's memo entry (numerators, denominator)
+as it stands, so no Fraction is formed per pair.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .limits import check_degree
 from .linalg import (
+    IntMatrix,
     Matrix,
     SparseVector,
     Subspace,
     ZERO,
-    mat_add,
+    _integral,
+    frac_matrix,
+    int_mat_lincomb,
+    int_mat_mul,
+    int_matrix,
     mat_identity,
     mat_is_zero,
-    mat_lincomb,
-    mat_mul,
     mat_shape,
     mat_sub,
     solve_nullspace,
@@ -61,21 +71,6 @@ class QuasiPoissonModule:
                     raise ModuleShapeError(
                         f"matrix shape {mat_shape(m)} != {(self.dim, self.dim)}"
                     )
-
-    def left_of(self, x: SparseVector) -> Matrix:
-        return mat_lincomb(
-            ((c, self.left[i]) for i, c in x.data.items()), self.dim
-        )
-
-    def right_of(self, x: SparseVector) -> Matrix:
-        return mat_lincomb(
-            ((c, self.right[i]) for i, c in x.data.items()), self.dim
-        )
-
-    def lie_of(self, x: SparseVector) -> Matrix:
-        return mat_lincomb(
-            ((c, self.lie[i]) for i, c in x.data.items()), self.dim
-        )
 
     def equal_actions(self, other: "QuasiPoissonModule") -> bool:
         return (
@@ -194,61 +189,76 @@ def quotient_module(A: NCPA, ideal: Subspace) -> QuasiPoissonModule:
 
 
 # -- validation ------------------------------------------------------------------
+#
+# The axioms are checked on the integer forms of the module's three families,
+# converted once; two forms are equal exactly when their matrices are.
+
+def _families(M: QuasiPoissonModule) -> tuple[tuple[IntMatrix, ...], ...]:
+    return tuple(tuple(int_matrix(m) for m in fam) for fam in (M.left, M.right, M.lie))
+
+
+def _of(family: Sequence[IntMatrix], x: SparseVector, dim: int, *extra: IntMatrix) -> IntMatrix:
+    """The form of sum_i x_i * family[i], plus each form in extra."""
+    nums, s = _integral(x.data)
+    pairs = [(c, family[i]) for i, c in nums.items()]
+    pairs += [(s, m) for m in extra]
+    return int_mat_lincomb(pairs, dim, s)
+
 
 def quasi_violations(M: QuasiPoissonModule) -> list[dict]:
     """Bimodule axioms plus the three quasi-Poisson compatibilities,
     checked on basis pairs."""
+    return _quasi_violations(M, *_families(M))
+
+
+def _quasi_violations(M: QuasiPoissonModule, L, R, Z) -> list[dict]:
     A = M.algebra
     n = A.n
+    dim = M.dim
+    mul = int_mat_mul
     out: list[dict] = []
-    ident = mat_identity(M.dim)
+    ident = int_matrix(mat_identity(dim))
 
-    if M.left_of(A.unit) != ident:
+    if _of(L, A.unit, dim) != ident:
         out.append({"axiom": "unit-left", "indices": ()})
-    if M.right_of(A.unit) != ident:
+    if _of(R, A.unit, dim) != ident:
         out.append({"axiom": "unit-right", "indices": ()})
 
     for i in range(n):
         for j in range(n):
             prod = A.mul_basis(i, j)
-            if mat_mul(M.left[i], M.left[j]) != M.left_of(prod):
+            if mul(L[i], L[j]) != _of(L, prod, dim):
                 out.append({"axiom": "left-action", "indices": (i, j)})
-            if mat_mul(M.right[j], M.right[i]) != M.right_of(prod):
+            if mul(R[j], R[i]) != _of(R, prod, dim):
                 out.append({"axiom": "right-action", "indices": (i, j)})
-            if mat_mul(M.left[i], M.right[j]) != mat_mul(M.right[j], M.left[i]):
+            if mul(L[i], R[j]) != mul(R[j], L[i]):
                 out.append({"axiom": "bimodule-commute", "indices": (i, j)})
             bra = A.bracket_basis(i, j)
             # {a, b.m}* = {a,b}.m + b.{a,m}*
-            lhs = mat_mul(M.lie[i], M.left[j])
-            rhs = mat_add(M.left_of(bra), mat_mul(M.left[j], M.lie[i]))
-            if lhs != rhs:
+            if mul(Z[i], L[j]) != _of(L, bra, dim, mul(L[j], Z[i])):
                 out.append({"axiom": "lie-left", "indices": (i, j)})
             # {a, m.b}* = m.{a,b} + {a,m}*.b
-            lhs = mat_mul(M.lie[i], M.right[j])
-            rhs = mat_add(M.right_of(bra), mat_mul(M.right[j], M.lie[i]))
-            if lhs != rhs:
+            if mul(Z[i], R[j]) != _of(R, bra, dim, mul(R[j], Z[i])):
                 out.append({"axiom": "lie-right", "indices": (i, j)})
             # {{a,b}, m}* = {a,{b,m}*}* - {b,{a,m}*}*
-            lhs = M.lie_of(bra)
-            rhs = mat_sub(
-                mat_mul(M.lie[i], M.lie[j]), mat_mul(M.lie[j], M.lie[i])
-            )
-            if lhs != rhs:
+            rhs = int_mat_lincomb(((1, mul(Z[i], Z[j])), (-1, mul(Z[j], Z[i]))), dim)
+            if _of(Z, bra, dim) != rhs:
                 out.append({"axiom": "lie-module", "indices": (i, j)})
     return out
 
 
 def poisson_violations(M: QuasiPoissonModule) -> list[dict]:
     """Quasi-Poisson axioms plus {ab, m}* = a.{b,m}* + {a,m}*.b."""
-    out = quasi_violations(M)
+    L, R, Z = _families(M)
+    out = _quasi_violations(M, L, R, Z)
     A = M.algebra
+    dim = M.dim
     for i in range(A.n):
         for j in range(A.n):
-            lhs = M.lie_of(A.mul_basis(i, j))
-            rhs = mat_add(
-                mat_mul(M.left[i], M.lie[j]), mat_mul(M.right[j], M.lie[i])
+            rhs = int_mat_lincomb(
+                ((1, int_mat_mul(L[i], Z[j])), (1, int_mat_mul(R[j], Z[i]))), dim
             )
-            if lhs != rhs:
+            if _of(Z, A.mul_basis(i, j), dim) != rhs:
                 out.append({"axiom": "product-compat", "indices": (i, j)})
     return out
 
@@ -264,73 +274,95 @@ def validate_quasi_poisson(M: QuasiPoissonModule) -> QuasiPoissonModule:
 
 class EnvAction:
     """A representation of the quasi-Poisson enveloping algebra, given by
-    a matrix for each monomial; matrices (built lazily) and monomial-pair
-    multiplicativity verdicts are cached."""
+    a matrix for each monomial.  Each monomial's matrix (built lazily) and
+    its integer form (see linalg) are cached, as are the monomial-pair
+    multiplicativity verdicts, which are taken on the forms: no Fraction is
+    formed per pair."""
 
     def __init__(self, algebra: NCPA, dim: int, matrix_fn: Callable[[QMonomial], Matrix]):
         self.algebra = algebra
         self.dim = dim
         self._fn = matrix_fn
         self._cache: dict[QMonomial, Matrix] = {}
+        self._forms: dict[QMonomial, IntMatrix] = {}
         self._verdicts: dict[tuple[QMonomial, QMonomial], bool] = {}
 
     def matrix(self, mono: QMonomial) -> Matrix:
         hit = self._cache.get(mono)
         if hit is None:
-            hit = self._fn(mono)
-            if mat_shape(hit) != (self.dim, self.dim):
-                raise ModuleShapeError("action matrix has wrong shape")
-            self._cache[mono] = hit
+            hit = self._cache[mono] = self._new_matrix(mono)
         return hit
 
+    def _new_matrix(self, mono: QMonomial) -> Matrix:
+        out = self._fn(mono)
+        if mat_shape(out) != (self.dim, self.dim):
+            raise ModuleShapeError("action matrix has wrong shape")
+        return out
+
+    def _form(self, mono: QMonomial) -> IntMatrix:
+        hit = self._forms.get(mono)
+        if hit is None:
+            hit = self._forms[mono] = self._new_form(mono)
+        return hit
+
+    def _new_form(self, mono: QMonomial) -> IntMatrix:
+        return int_matrix(self.matrix(mono))
+
+    def _combination(self, nums: dict, den: int) -> IntMatrix:
+        """The form of the action of sum nums[m] * m / den."""
+        return int_mat_lincomb(((c, self._form(m)) for m, c in nums.items()), self.dim, den)
+
     def of_element(self, x: QElement) -> Matrix:
-        return mat_lincomb(
-            ((c, self.matrix(m)) for m, c in x.items()), self.dim
-        )
+        return frac_matrix(self._combination(*_integral(x)), self.dim)
 
     def multiplicativity_failures(self, degree_bound: int) -> list[tuple]:
         """Monomial pairs (total degree <= bound) where composing matrices
         differs from acting by the product."""
         A = self.algebra
+        memo = A.caches["q_mono"]
         out = []
         monos = env_monomials(A, degree_bound)
+        # monomials of degree <= d form a prefix of monos, upto[d] long
+        upto = [sum(len(m[2]) <= d for m in monos) for d in range(degree_bound + 1)]
         for m1 in monos:
-            for m2 in monos:
-                if len(m1[2]) + len(m2[2]) > degree_bound:
-                    continue
+            for m2 in monos[:upto[degree_bound - len(m1[2])]]:
                 ok = self._verdicts.get((m1, m2))
                 if ok is None:
-                    composed = mat_mul(self.matrix(m1), self.matrix(m2))
-                    direct = self.of_element(q_mono_mult(A, m1, m2))
-                    ok = self._verdicts[m1, m2] = composed == direct
+                    entry = memo.get((m1, m2))
+                    if entry is None:
+                        q_mono_mult(A, m1, m2)  # the one function that fills the memo
+                        entry = memo[(m1, m2)]
+                    composed = int_mat_mul(self._form(m1), self._form(m2))
+                    ok = self._verdicts[m1, m2] = composed == self._combination(*entry)
                 if not ok:
                     out.append((m1, m2))
         return out
 
 
+class _ModuleAction(EnvAction):
+    """The action of a module: monomial (i, j, word) acts by
+    left(i) . right(j) . lie(w_1) ... lie(w_k).  Its integer form is built
+    from that of (i, j, word[:-1]) and the families' forms, converted once;
+    its matrix of Fractions only when read."""
+
+    def __init__(self, M: QuasiPoissonModule):
+        super().__init__(M.algebra, M.dim, None)  # both builders are overridden
+        self._left, self._right, self._lie = _families(M)
+
+    def _new_matrix(self, mono: QMonomial) -> Matrix:
+        return frac_matrix(self._form(mono), self.dim)
+
+    def _new_form(self, mono: QMonomial) -> IntMatrix:
+        i, j, word = mono
+        if not word:
+            return int_mat_mul(self._left[i], self._right[j])
+        return int_mat_mul(self._form((i, j, word[:-1])), self._lie[word[-1]])
+
+
 def module_to_action(M: QuasiPoissonModule) -> EnvAction:
     """Monomial (i, j, word) acts by left(i) . lie(word) . right(j); the
     module must satisfy the quasi-Poisson axioms."""
-    return _action_of(validate_quasi_poisson(M))
-
-
-def _action_of(M: QuasiPoissonModule) -> EnvAction:
-    """module_to_action without re-checking the axioms."""
-
-    def fn(mono: QMonomial) -> Matrix:
-        # apply the Lie word first (innermost letter last), then the
-        # commuting left/right multiplications; the matrix of the word's
-        # prefix comes from the action's cache
-        i, j, word = mono
-        if not word:
-            return mat_mul(M.left[i], M.right[j])
-        return mat_mul(action().matrix((i, j, word[:-1])), M.lie[word[-1]])
-
-    out = EnvAction(M.algebra, M.dim, fn)
-    # weak: out holds fn, and a cycle would keep every cached matrix alive
-    # until the cyclic collector runs
-    action = weakref.ref(out)
-    return out
+    return _ModuleAction(validate_quasi_poisson(M))
 
 
 def action_to_module(action: EnvAction, check_degree: int = 2) -> QuasiPoissonModule:
@@ -361,11 +393,9 @@ def roundtrip_report(
     back = action_to_module(action)
     gf_equal = M.equal_actions(back)
 
-    action2 = _action_of(back)  # action_to_module validated back
+    action2 = _ModuleAction(back)  # action_to_module validated back
     monos = env_monomials(A, degree_bound)
-    fgf_mismatches = [
-        m for m in monos if action.matrix(m) != action2.matrix(m)
-    ]
+    fgf_mismatches = [m for m in monos if action._form(m) != action2._form(m)]
     assoc_failures = action.multiplicativity_failures(degree_bound)
     return {
         "module_roundtrip_equal": gf_equal,

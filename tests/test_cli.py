@@ -215,9 +215,15 @@ def test_module_alg_obeys_the_configured_cap(capsys, monkeypatch):
     assert out.splitlines()[0] == "error: degree 3 exceeds cap 2"
 
 
+# Every matrix product goes through the integer kernel: the module action and
+# the axiom checks call it directly, and linalg's Fraction exits (mat_mul,
+# mat_lincomb) call it behind every binding of theirs.
+MATRIX_KERNEL = "poissonenv.linalg.int_mat_mul"
+
+
 @pytest.mark.parametrize("argv, target", [
     (["roundtrip", "kxk.alg", "kxk-regular.mod", "--degree", "11"],
-     "poissonenv.poisson_modules.mat_mul"),
+     "poissonenv.poisson_modules.int_mat_mul"),
     (["module-alg", "kxk.alg", "--degree", "11"], "poissonenv.pbw.lie_word_act"),
 ])
 @pytest.mark.parametrize("as_json", [False, True])
@@ -227,7 +233,8 @@ def test_cap_variable_above_ceiling_fails_before_any_work(
     def forbidden(*args):
         raise AssertionError("worked before reading the degree cap")
 
-    monkeypatch.setattr(target, forbidden)
+    for name in (target, MATRIX_KERNEL):
+        monkeypatch.setattr(name, forbidden)
     monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "12")
     argv = [path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
     code, out = run(capsys, *(["--json"] if as_json else []), *argv)
@@ -246,7 +253,8 @@ def test_roundtrip_degree_above_cap_fails_before_any_work(capsys, monkeypatch, a
     def forbidden(*args):
         raise AssertionError("roundtrip multiplied matrices before checking its degree")
 
-    monkeypatch.setattr("poissonenv.poisson_modules.mat_mul", forbidden)
+    for name in ("poissonenv.poisson_modules.int_mat_mul", MATRIX_KERNEL):
+        monkeypatch.setattr(name, forbidden)
     argv = ["roundtrip", path("kxk.alg"), path("kxk-regular.mod"), "--degree", "9"]
     code, out = run(capsys, *(["--json"] if as_json else []), *argv)
     assert code == 2

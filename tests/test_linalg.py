@@ -12,7 +12,11 @@ from poissonenv.linalg import (
     Subspace,
     complement_conditions,
     express_in_span,
+    frac_matrix,
     in_span,
+    int_mat_lincomb,
+    int_mat_mul,
+    int_matrix,
     join_and_reduce,
     mat_apply,
     mat_identity,
@@ -455,7 +459,25 @@ def _is_fraction_matrix(m, r, c):
     )
 
 
+def _assert_canonical_form(m, r, c, scale):
+    """int_matrix(m) is in lowest terms, converts back to m, and equals the
+    form of another matrix exactly when that matrix equals m; scale != 0."""
+    form = int_matrix(m)
+    rows, den = form
+    assert len(rows) == r and den > 0
+    assert all(v and 0 <= j < c for row in rows for j, v in row.items())
+    assert gcd(den, *(v for row in rows for v in row.values())) == 1
+    back = frac_matrix(form, c)
+    assert back == m
+    assert _is_fraction_matrix(back, r, c)
+    scaled = tuple(tuple(scale * x for x in row) for row in m)
+    negated = tuple(tuple(-x for x in row) for row in m)
+    for other in (m, scaled, negated, mat_zero(r, c)):
+        assert (int_matrix(other) == form) == (other == m)
+
+
 sparse_entries = st.one_of(st.just(ZERO), st.just(ZERO), small_fractions)
+nonzero_fractions = small_fractions.filter(bool)
 dims = st.integers(min_value=1, max_value=4)
 
 
@@ -474,6 +496,11 @@ def test_mat_mul_matches_dense_reference(r, k, c, data):
     got = mat_mul(a, b)
     assert got == _dense_mat_mul(a, b)
     assert _is_fraction_matrix(got, r, c)
+    # the kernel's product is the canonical form of the reference product
+    assert int_mat_mul(int_matrix(a), int_matrix(b)) == int_matrix(got)
+    scale = data.draw(nonzero_fractions)
+    for m, rows, cols in ((a, r, k), (b, k, c), (got, r, c)):
+        _assert_canonical_form(m, rows, cols, scale)
 
 
 @settings(max_examples=100, deadline=None)
@@ -487,6 +514,17 @@ def test_mat_lincomb_matches_dense_reference(r, c, data):
     got = mat_lincomb(iter(pairs), r, c)
     assert got == _dense_mat_lincomb(pairs, r, c)
     assert _is_fraction_matrix(got, r, c)
+    # over integer coefficients and a denominator, the kernel gives the
+    # canonical form of the same combination
+    den = data.draw(st.integers(min_value=1, max_value=6))
+    int_pairs = [(rat(coeff).numerator, m) for coeff, m in pairs]
+    want = _dense_mat_lincomb(
+        [(Fraction(coeff, den), m) for coeff, m in int_pairs], r, c
+    )
+    assert int_mat_lincomb(
+        ((coeff, int_matrix(m)) for coeff, m in int_pairs), r, den
+    ) == int_matrix(want)
+    _assert_canonical_form(got, r, c, data.draw(nonzero_fractions))
     if r == c:
         assert mat_lincomb(iter(pairs), r) == got
 

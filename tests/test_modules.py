@@ -327,3 +327,161 @@ def test_poisson_simplicity_annihilator_link(kxk, m2):
     # a simple one does not, among the tested modules
     for M2_ in (regular_module(m2), tensor_square_module(m2)):
         assert annihilator(m2, M2_).rank == 0
+
+
+# Fraction references: the multiplicativity loop and the axiom loops as they
+# ran before the checks moved to integer forms, over dense Fraction matrices
+# multiplied and combined here, independently of linalg's kernel.
+
+def _fmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in cols)
+        for row in a
+    )
+
+
+def _fcomb(pairs, dim):
+    acc = [[ZERO] * dim for _ in range(dim)]
+    for c, m in pairs:
+        for acc_row, row in zip(acc, m):
+            for j, x in enumerate(row):
+                acc_row[j] += c * x
+    return tuple(tuple(row) for row in acc)
+
+
+def _fadd(a, b):
+    return _fcomb(((ONE, a), (ONE, b)), len(a))
+
+
+def _fsub(a, b):
+    return _fcomb(((ONE, a), (-ONE, b)), len(a))
+
+
+def _ref_multiplicativity_failures(action, degree_bound):
+    from poissonenv.smash import q_mono_mult
+    from poissonenv.truncation import env_monomials
+
+    A = action.algebra
+    out = []
+    monos = env_monomials(A, degree_bound)
+    for m1 in monos:
+        for m2 in monos:
+            if len(m1[2]) + len(m2[2]) > degree_bound:
+                continue
+            composed = _fmul(action.matrix(m1), action.matrix(m2))
+            direct = _fcomb(
+                ((c, action.matrix(m)) for m, c in q_mono_mult(A, m1, m2).items()), action.dim
+            )
+            if composed != direct:
+                out.append((m1, m2))
+    return out
+
+
+def _ref_quasi_violations(M):
+    A = M.algebra
+    n = A.n
+    out = []
+    ident = mat_identity(M.dim)
+
+    def of(fam, x):
+        return _fcomb(((c, fam[i]) for i, c in x.data.items()), M.dim)
+
+    if of(M.left, A.unit) != ident:
+        out.append({"axiom": "unit-left", "indices": ()})
+    if of(M.right, A.unit) != ident:
+        out.append({"axiom": "unit-right", "indices": ()})
+    for i in range(n):
+        for j in range(n):
+            prod = A.mul_basis(i, j)
+            if _fmul(M.left[i], M.left[j]) != of(M.left, prod):
+                out.append({"axiom": "left-action", "indices": (i, j)})
+            if _fmul(M.right[j], M.right[i]) != of(M.right, prod):
+                out.append({"axiom": "right-action", "indices": (i, j)})
+            if _fmul(M.left[i], M.right[j]) != _fmul(M.right[j], M.left[i]):
+                out.append({"axiom": "bimodule-commute", "indices": (i, j)})
+            bra = A.bracket_basis(i, j)
+            lhs = _fmul(M.lie[i], M.left[j])
+            rhs = _fadd(of(M.left, bra), _fmul(M.left[j], M.lie[i]))
+            if lhs != rhs:
+                out.append({"axiom": "lie-left", "indices": (i, j)})
+            lhs = _fmul(M.lie[i], M.right[j])
+            rhs = _fadd(of(M.right, bra), _fmul(M.right[j], M.lie[i]))
+            if lhs != rhs:
+                out.append({"axiom": "lie-right", "indices": (i, j)})
+            lhs = of(M.lie, bra)
+            rhs = _fsub(_fmul(M.lie[i], M.lie[j]), _fmul(M.lie[j], M.lie[i]))
+            if lhs != rhs:
+                out.append({"axiom": "lie-module", "indices": (i, j)})
+    return out
+
+
+def _ref_poisson_violations(M):
+    out = _ref_quasi_violations(M)
+    A = M.algebra
+    for i in range(A.n):
+        for j in range(A.n):
+            lhs = _fcomb(((c, M.lie[k]) for k, c in A.mul_basis(i, j).data.items()), M.dim)
+            rhs = _fadd(_fmul(M.left[i], M.lie[j]), _fmul(M.right[j], M.lie[i]))
+            if lhs != rhs:
+                out.append({"axiom": "product-compat", "indices": (i, j)})
+    return out
+
+
+def _product_formula_action(M):
+    """The action monomial (i, j, word) would have, left(i) . right(j) .
+    lie(w_1) ... lie(w_k), built from dense Fraction matrices on request."""
+    def fn(mono):
+        i, j, word = mono
+        acc = _fmul(M.left[i], M.right[j])
+        for letter in word:
+            acc = _fmul(acc, M.lie[letter])
+        return acc
+
+    return EnvAction(M.algebra, M.dim, fn)
+
+
+def _fractional_break(M):
+    """M with 1/3 added at entry (0, 1) of left(0) and -2/5 at (1, 0) of lie(1)."""
+    def bumped(m, r, c, x):
+        return tuple(
+            tuple(y + x if (s, t) == (r, c) else y for t, y in enumerate(row))
+            for s, row in enumerate(m)
+        )
+
+    left = (bumped(M.left[0], 0, 1, Fraction(1, 3)),) + M.left[1:]
+    lie = M.lie[:1] + (bumped(M.lie[1], 1, 0, Fraction(-2, 5)),) + M.lie[2:]
+    return QuasiPoissonModule(M.algebra, M.dim, left, M.right, lie)
+
+
+def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2):
+    from poissonenv.poisson_modules import _ModuleAction
+
+    broken = _fractional_break(regular_module(kxk_skew))
+    twist = projection_twist_module(kxk)
+    for M, bound in (  # module, multiplicativity bound
+        (tensor_square_module(kxk_skew), 3),
+        (tensor_square_module(trunc2_skew), 2),
+        (regular_module(ut2), 2),  # a nonzero Lie action
+        (twist, 3),
+        (broken, 3),
+    ):
+        quasi = quasi_violations(M)
+        assert quasi == _ref_quasi_violations(M)
+        poisson = poisson_violations(M)
+        assert poisson == _ref_poisson_violations(M)
+        assert bool(quasi) == (M is broken)
+        assert bool(poisson) == (M is broken or M is twist)
+        # the dense reference is slow on the 9-dimensional square: check the
+        # module's own action there, and also a matrix_fn action elsewhere
+        actions = [_ModuleAction(M)]
+        if M.dim < 9:
+            actions.append(_product_formula_action(M))
+        for action in actions:
+            got = action.multiplicativity_failures(bound)
+            assert got == _ref_multiplicativity_failures(action, bound)
+            assert bool(got) == (M is broken)
+    identity = EnvAction(kxk_skew, 2, lambda mono: mat_identity(2))
+    for bound in (1, 2, 3):
+        got = identity.multiplicativity_failures(bound)
+        assert got and got == _ref_multiplicativity_failures(identity, bound)
