@@ -14,9 +14,10 @@ must not move any output is checked with
 holding this script).  Fixture paths are relative to that checkout, so the
 recorded commands do not depend on where it lives.  The tensor-square
 modules of SQUARES, trunc2-n2 in the `envdim-skew` benchmark's seed-1
-basis (a unit that is not a basis vector, and non-integral constants), and
-the tensor square of that algebra are written by that checkout into a
-temporary directory, which the recorded commands and reports name `<tmp>`.
+basis (a unit that is not a basis vector, and non-integral constants), the
+tensor square of that algebra and the regular module of m2std are written
+by that checkout into a temporary directory, which the recorded commands
+and reports name `<tmp>`.
 In that basis every i(a) and k(a) expands over 3 terms and every j(a) over
 9, so its `relations`, `env-dim`, `module-check` and `roundtrip` jobs check
 the unit's expansion, and its `q-mul` jobs, with fractional coefficients,
@@ -98,6 +99,10 @@ def jobs() -> list[list[str]]:
         out.append(["roundtrip", algebra, path, "--degree", "2"])
     # deeper words on the non-integral square: products of degree 3
     out.append(["roundtrip", SKEW, f"{TMP}/trunc2-skew-square.mod", "--degree", "3"])
+    # a nonzero bracket: the regular module of m2std keeps several parts of
+    # each word pair's tripartitions
+    out.append(["module-check", alg("m2std"), f"{TMP}/m2std-regular.mod", "--poisson"])
+    out.append(["roundtrip", alg("m2std"), f"{TMP}/m2std-regular.mod", "--degree", "2"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
     out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
     # above the default degree cap: a product of degree 9, a word of degree 9
@@ -113,7 +118,7 @@ def write_inputs(tmp: str) -> None:
     from perfbench.workloads import write_skew_algebra
     from poissonenv.fileformat import load_bundled_algebra, parse_algebra_file, serialize_module
     from poissonenv.ncpa import validate_ncpa
-    from poissonenv.poisson_modules import tensor_square_module
+    from poissonenv.poisson_modules import regular_module, tensor_square_module
 
     skew = Path(tmp, "trunc2-skew.alg")
     write_skew_algebra(skew, 1)
@@ -122,6 +127,10 @@ def write_inputs(tmp: str) -> None:
     for name, pres in algebras.items():
         M = tensor_square_module(validate_ncpa(pres))
         Path(tmp, f"{name}-square.mod").write_text(serialize_module(M), encoding="utf-8")
+    m2std = validate_ncpa(load_bundled_algebra("m2std.alg"))
+    Path(tmp, "m2std-regular.mod").write_text(
+        serialize_module(regular_module(m2std)), encoding="utf-8"
+    )
 
 
 def run_jobs(repo: Path) -> list[dict]:

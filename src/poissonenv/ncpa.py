@@ -133,10 +133,12 @@ class NCPA:
     """A presentation together with bilinear product/bracket evaluation.
 
     Construct through validate_ncpa / standard_ncpa so the axioms have
-    actually been checked.  Instances carry memo caches for the PBW,
-    smash-product and ideal-slice layers.  Cached values are immutable,
-    except the leveled ideal closures under "ideal_slice", which later
-    calls extend to wider windows.
+    actually been checked.  Instances carry memo caches for the PBW
+    layer ("straighten", "lie_word"), the smash product ("q_mono", its
+    slot factors "q_factor", the word-pair plans "q_plan" and the integer
+    straightened tails "q_tail") and the ideal slices ("ideal_slice").
+    Cached values are immutable, except the leveled ideal closures under
+    "ideal_slice", which later calls extend to wider windows.
     """
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -155,6 +157,8 @@ class NCPA:
             "lie_word": {},
             "q_mono": {},
             "q_factor": {},
+            "q_plan": {},
+            "q_tail": {},
             "ideal_slice": {},
         }
 

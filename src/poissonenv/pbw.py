@@ -42,7 +42,7 @@ def straighten(A: NCPA, word: Word) -> UElement:
     hit = cache.get(word)
     if hit is not None:
         return hit
-    check_degree(len(word), "word degree")  # on a miss only, as in q_mono_mult
+    check_degree(len(word), "word degree")  # on a miss only, as smash plans do
     stack = [word]
     while stack:
         w = stack.pop()

@@ -321,6 +321,7 @@ class EnvAction:
         A = self.algebra
         memo = A.caches["q_mono"]
         out = []
+        zero = (({},) * self.dim, 1)  # the form of the zero matrix
         monos = env_monomials(A, degree_bound)
         # monomials of degree <= d form a prefix of monos, upto[d] long
         upto = [sum(len(m[2]) <= d for m in monos) for d in range(degree_bound + 1)]
@@ -333,7 +334,8 @@ class EnvAction:
                         q_mono_mult(A, m1, m2)  # the one function that fills the memo
                         entry = memo[(m1, m2)]
                     composed = int_mat_mul(self._form(m1), self._form(m2))
-                    ok = self._verdicts[m1, m2] = composed == self._combination(*entry)
+                    product = self._combination(*entry) if entry[0] else zero
+                    ok = self._verdicts[m1, m2] = composed == product
                 if not ok:
                     out.append((m1, m2))
         return out

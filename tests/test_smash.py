@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from poissonenv.fileformat import load_bundled_algebra
 from poissonenv.limits import DegreeCapExceeded
+from poissonenv.linalg import _integral
 from poissonenv.ncpa import validate_ncpa
-from poissonenv.pbw import u_monomials
+from poissonenv.pbw import straighten, u_monomials
+from poissonenv.poisson_modules import roundtrip_report, tensor_square_module
 from poissonenv.smash import (
     augmentation,
     embed,
@@ -24,6 +26,7 @@ from poissonenv.smash import (
     q_identity,
     q_mono_mult,
     q_mult,
+    q_mult_scaled,
     q_scale,
     q_sub,
 )
@@ -213,11 +216,13 @@ def test_format_roundtrip_with_cli_parser(m2):
 
 def _direct_q_mono_mult(A, m1, m2):
     # The tripartition formula written out afresh: each letter of the left
-    # word brackets into the left slot, into the opposite slot, or passes to
-    # the word slot; nested brackets and products use A.bracket and A.mul,
-    # and a None slot holds A.unit.
-    from poissonenv.pbw import straighten
-
+    # word brackets into the left slot (block 0), into the opposite slot
+    # (block 1), or passes to the word slot (block 2); nested brackets and
+    # products use A.bracket and A.mul, and a None slot holds A.unit.  The
+    # term order is the product's: the left block is chosen first (a base-2
+    # counter, position 0 most significant, in the block first), then the
+    # opposite block among the other letters, and a sum that cancels is
+    # dropped at once.
     i1, j1, alpha = m1
     i2, j2, beta = m2
 
@@ -229,8 +234,11 @@ def _direct_q_mono_mult(A, m1, m2):
     def slot(i):
         return A.unit if i is None else A.basis(i)
 
+    def order(blocks):
+        return [b != 0 for b in blocks], [b == 2 for b in blocks if b]
+
     out = {}
-    for blocks in itertools.product(range(3), repeat=len(alpha)):
+    for blocks in sorted(itertools.product(range(3), repeat=len(alpha)), key=order):
         parts = [tuple(a for a, b in zip(alpha, blocks) if b == k) for k in range(3)]
         left = A.mul(slot(i1), ad(parts[0], slot(i2)))
         right = A.mul(ad(parts[1], slot(j2)), slot(j1))
@@ -238,8 +246,12 @@ def _direct_q_mono_mult(A, m1, m2):
             for q, dq in right.data.items():
                 for gamma, eg in straighten(A, parts[2] + beta).items():
                     key = (p, q, gamma)
-                    out[key] = out.get(key, 0) + cp * dq * eg
-    return {k: v for k, v in out.items() if v}
+                    v = out.get(key, 0) + cp * dq * eg
+                    if v:
+                        out[key] = v
+                    else:
+                        out.pop(key, None)
+    return out
 
 
 @pytest.mark.parametrize("name", ["kxk_skew", "m2"])
@@ -251,6 +263,137 @@ def test_q_mono_mult_matches_direct_formula(name, request):
         for m2 in monos:
             if len(m1[2]) + len(m2[2]) <= 2:
                 assert q_mono_mult(A, m1, m2) == _direct_q_mono_mult(A, m1, m2), (m1, m2)
+
+
+@st.composite
+def _monomial_pairs(draw, n, degree=4):
+    """Two monomials whose product has degree <= degree.  A slot may hold
+    None (the unit) unless the other factor's slot does too."""
+    def word(k):
+        return st.lists(st.integers(0, n - 1), max_size=k).map(lambda w: tuple(sorted(w)))
+
+    index = st.integers(0, n - 1)
+    slot = st.one_of(st.none(), index)
+    alpha = draw(word(degree))
+    beta = draw(word(degree - len(alpha)))
+    i1, j1 = draw(slot), draw(slot)
+    i2 = draw(index if i1 is None else slot)
+    j2 = draw(index if j1 is None else slot)
+    return (i1, j1, alpha), (i2, j2, beta)
+
+
+@pytest.mark.parametrize("name", ["kxk_skew", "trunc2_skew", "m2", "ut2"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_q_mono_mult_matches_direct_formula_to_degree_4(name, request, data):
+    # equal terms in equal order, None slots included
+    A = request.getfixturevalue(name)
+    m1, m2_ = data.draw(_monomial_pairs(A.n))
+    got = q_mono_mult(A, m1, m2_)
+    assert list(got.items()) == list(_direct_q_mono_mult(A, m1, m2_).items()), (m1, m2_)
+    assert all(type(c) is Fraction for c in got.values())
+
+
+def test_zero_bracket_plans_keep_one_part():
+    # every Lie word of positive degree acts as zero, so only the part that
+    # passes all of alpha to the word slot is left
+    A = validate_ncpa(load_bundled_algebra("trunc2-n2.alg"))
+    monos = [(i, j, w) for w in u_monomials(A.n, 2) for i in range(A.n) for j in range(A.n)]
+    for m1 in monos:
+        for m2_ in monos:
+            q_mono_mult(A, m1, m2_)
+    plans = A.caches["q_plan"]
+    assert len(plans) == len(u_monomials(A.n, 2)) ** 2
+    for (alpha, beta), plan in plans.items():
+        assert plan == (((), (((), alpha + beta),)),), (alpha, beta)
+
+
+def test_plans_keep_parts_that_act():
+    # no basis element of M_2 is central, so a letter bracketing into either
+    # slot survives, and the plan lists all three tripartitions of (a,)
+    A = validate_ncpa(load_bundled_algebra("m2std.alg"))
+    for a in range(A.n):
+        q_mono_mult(A, (0, 1, (a,)), (2, 3, ()))
+        assert A.caches["q_plan"][((a,), ())] == (
+            ((a,), (((), ()),)),
+            ((), (((a,), ()), ((), (a,)))),
+        )
+
+
+def test_plan_and_tail_entries_are_tuples_never_mutated():
+    A = validate_ncpa(load_bundled_algebra("m2std.alg"))
+    x = {(1, 2, (3,)): ONE, (0, 3, (1, 2)): Fraction(-1, 2)}
+    y = {(2, 1, (0,)): ONE, (3, 3, ()): Fraction(2, 3)}
+    got = q_mult(A, x, y)
+    plans, tails = A.caches["q_plan"], A.caches["q_tail"]
+    assert plans and tails
+    frozen = copy.deepcopy((plans, tails))
+    for plan in plans.values():
+        assert type(plan) is tuple
+        for w1, rights in plan:
+            assert type(w1) is tuple and type(rights) is tuple
+            assert all(type(w2) is tuple and type(rest) is tuple for w2, rest in rights)
+    for word, tail in tails.items():
+        assert type(tail) is tuple and tail == _integral(straighten(A, word))
+    got.clear()
+    for m1 in x:
+        for m2_ in y:
+            q_mono_mult(A, m1, m2_)[m1] = Fraction(99)
+    q_mult(A, y, x)
+    assert {k: plans[k] for k in frozen[0]} == frozen[0]
+    assert {k: tails[k] for k in frozen[1]} == frozen[1]
+
+
+def _count_cap_reads(monkeypatch) -> list:
+    """Replace every binding of limits.degree_cap with a counting wrapper."""
+    import importlib
+    import pkgutil
+
+    import poissonenv
+    from poissonenv import limits
+
+    original = limits.degree_cap
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return original()
+
+    modules = [poissonenv] + [importlib.import_module(f"poissonenv.{m.name}")
+                              for m in pkgutil.iter_modules(poissonenv.__path__)]
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+    return reads
+
+
+def test_degree_cap_is_read_once_per_plan_or_straighten_miss(monkeypatch):
+    A = validate_ncpa(load_bundled_algebra("trunc2-n2.alg"))
+    M = tensor_square_module(A)
+    reads = _count_cap_reads(monkeypatch)
+    report = roundtrip_report(A, M, 2)
+    assert report["module_roundtrip_equal"] and not report["associativity_failures"]
+    assert len(A.caches["q_mono"]) == 2268
+    # the roundtrip's own check and the ordered_partitions misses, which are
+    # memoized per process, are the constant
+    assert 0 < len(reads) <= len(A.caches["q_plan"]) + len(A.caches["straighten"]) + 4
+
+
+@pytest.mark.parametrize("product", ["q_mono_mult", "q_mult", "q_mult_scaled"])
+def test_plan_checks_the_product_degree(product, monkeypatch):
+    A = validate_ncpa(load_bundled_algebra("m2std.alg"))  # no plan yet
+    monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "2")
+    m1, m2_ = (0, 1, (1,)), (2, 3, (0, 3))
+    run = {
+        "q_mono_mult": lambda: q_mono_mult(A, m1, m2_),
+        "q_mult": lambda: q_mult(A, {m1: ONE}, {m2_: ONE}),
+        "q_mult_scaled": lambda: q_mult_scaled(A, {m1: 1}, {m2_: 1}),
+    }[product]
+    with pytest.raises(DegreeCapExceeded, match="product degree 3 exceeds cap 2"):
+        run()
+    assert not A.caches["q_plan"] and not A.caches["q_mono"]
 
 
 @pytest.mark.parametrize("name", ["kxk_skew", "m2", "ut2", "trunc2"])
