@@ -15,9 +15,12 @@ holding this script).  Fixture paths are relative to that checkout, so the
 recorded commands do not depend on where it lives.  The tensor-square
 modules of SQUARES, trunc2-n2 in the `envdim-skew` benchmark's seed-1
 basis (a unit that is not a basis vector, and non-integral constants), the
-tensor square of that algebra and the regular module of m2std are written
-by that checkout into a temporary directory, which the recorded commands
-and reports name `<tmp>`.
+tensor square of that algebra, the regular module of m2std and the
+2-dimensional quotient module of trunc2-n2 by the Poisson ideal generated
+by x1 are written by that checkout into a temporary directory, which the
+recorded commands and reports name `<tmp>`.  The square of m2std (16
+dimensions, a nonzero bracket) is the one square whose Lie action adds
+both legs into one entry; it fails the Poisson check.
 In that basis every i(a) and k(a) expands over 3 terms and every j(a) over
 9, so its `relations`, `env-dim`, `module-check` and `roundtrip` jobs check
 the unit's expansion, and its `q-mul` jobs, with fractional coefficients,
@@ -43,7 +46,7 @@ DATA = "src/poissonenv/data"
 FIXTURES = ("kxk", "trunc2-n2", "m2std")
 BAD = ("bad-antisym", "bad-jacobi", "bad-leibniz")
 MODULES = ("kxk-regular", "kxk-nonpoisson")
-SQUARES = ("kxk", "trunc2-n2")
+SQUARES = ("kxk", "trunc2-n2", "m2std")
 TMP = "<tmp>"
 SKEW = f"{TMP}/trunc2-skew.alg"
 # --degree per fixture for each ideal; m2std J also runs to degree 2 (jobs()).
@@ -103,6 +106,8 @@ def jobs() -> list[list[str]]:
     # each word pair's tripartitions
     out.append(["module-check", alg("m2std"), f"{TMP}/m2std-regular.mod", "--poisson"])
     out.append(["roundtrip", alg("m2std"), f"{TMP}/m2std-regular.mod", "--degree", "2"])
+    out.append(["module-check", alg("trunc2-n2"), f"{TMP}/trunc2-n2-quotient.mod", "--poisson"])
+    out.append(["roundtrip", alg("trunc2-n2"), f"{TMP}/trunc2-n2-quotient.mod", "--degree", "2"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
     out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
     # above the default degree cap: a product of degree 9, a word of degree 9
@@ -117,8 +122,8 @@ def jobs() -> list[list[str]]:
 def write_inputs(tmp: str) -> None:
     from perfbench.workloads import write_skew_algebra
     from poissonenv.fileformat import load_bundled_algebra, parse_algebra_file, serialize_module
-    from poissonenv.ncpa import validate_ncpa
-    from poissonenv.poisson_modules import regular_module, tensor_square_module
+    from poissonenv.ncpa import poisson_ideal_closure, validate_ncpa
+    from poissonenv.poisson_modules import quotient_module, regular_module, tensor_square_module
 
     skew = Path(tmp, "trunc2-skew.alg")
     write_skew_algebra(skew, 1)
@@ -131,6 +136,9 @@ def write_inputs(tmp: str) -> None:
     Path(tmp, "m2std-regular.mod").write_text(
         serialize_module(regular_module(m2std)), encoding="utf-8"
     )
+    trunc2 = validate_ncpa(algebras["trunc2-n2"])
+    quotient = quotient_module(trunc2, poisson_ideal_closure(trunc2, [trunc2.basis(1)]))  # x1
+    Path(tmp, "trunc2-n2-quotient.mod").write_text(serialize_module(quotient), encoding="utf-8")
 
 
 def run_jobs(repo: Path) -> list[dict]:

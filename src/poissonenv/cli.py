@@ -70,7 +70,7 @@ class Report:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
@@ -187,7 +187,10 @@ def cmd_std(args):
     A = standard_ncpa(pres)
     text = serialize_algebra(A.presentation)
     if args.out:
-        Path(args.out).write_text(text, "utf-8")
+        try:
+            Path(args.out).write_text(text, "utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}")
         out = [f"wrote standard NCPA to {args.out}"]
     else:
         out = [text.rstrip("\n")]

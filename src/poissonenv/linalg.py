@@ -495,6 +495,12 @@ def mat_shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
+def mat_from_columns(cols: Sequence[Mapping[int, Fraction]], rows: int) -> Matrix:
+    """The rows x len(cols) matrix whose j-th column is the sparse column
+    cols[j], a {row: value} dict."""
+    return tuple(tuple(col.get(r, ZERO) for col in cols) for r in range(rows))
+
+
 def int_matrix(a: Matrix) -> IntMatrix:
     """The canonical integer form of a matrix of Fractions (or ints).
 

@@ -26,6 +26,7 @@ from .linalg import (
     complement_conditions,
     mat_apply,
     mat_flatten,
+    mat_from_columns,
     mat_identity,
     mat_lincomb,
     mat_mul,
@@ -234,10 +235,7 @@ class NCPA:
         """Matrix whose j-th column is column(j); cached under key."""
         cache = self.caches.setdefault("ops", {})
         if key not in cache:
-            cols = [column(j) for j in range(self.n)]
-            cache[key] = tuple(
-                tuple(col.get(r) for col in cols) for r in range(self.n)
-            )
+            cache[key] = mat_from_columns([column(j).data for j in range(self.n)], self.n)
         return cache[key]
 
     def left_mult_matrix(self, i: int) -> Matrix:

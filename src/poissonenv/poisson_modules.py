@@ -5,8 +5,8 @@ quasi-Poisson enveloping algebra.
 A module is given by three families of exact matrices indexed by the
 algebra basis: left action, right action, and Lie-type action.  The
 passage to an enveloping-algebra action sends the monomial (i, j, word)
-to left(i) . lie(word) . right(j); the reverse passage reads the three
-families off the degree <= 1 monomials.
+to left(i) . right(j) . lie(w_1) ... lie(w_k); the reverse passage reads
+the three families off the degree <= 1 monomials.
 
 Module families, action matrices and of_element values are tuples of
 Fraction, but the axiom checks, the action's monomial matrices and its
@@ -28,12 +28,13 @@ from .linalg import (
     Matrix,
     SparseVector,
     Subspace,
-    ZERO,
     _integral,
+    add_terms,
     frac_matrix,
     int_mat_lincomb,
     int_mat_mul,
     int_matrix,
+    mat_from_columns,
     mat_identity,
     mat_is_zero,
     mat_shape,
@@ -92,13 +93,10 @@ def regular_module(A: NCPA, lie_table: Mapping | None = None) -> QuasiPoissonMod
     if lie_table is None:
         lie = tuple(A.ad_matrix(i) for i in range(n))
     else:
-        lie = []
-        for i in range(n):
-            cols = [
-                lie_table.get((i, j), SparseVector(n)) for j in range(n)
-            ]
-            lie.append(tuple(tuple(col.get(r) for col in cols) for r in range(n)))
-        lie = tuple(lie)
+        lie = tuple(
+            mat_from_columns([lie_table.get((i, j), A.zero()).data for j in range(n)], n)
+            for i in range(n)
+        )
     return QuasiPoissonModule(A, n, left, right, lie)
 
 
@@ -107,32 +105,23 @@ def tensor_square_module(A: NCPA) -> QuasiPoissonModule:
     the Lie action acting as a derivation on the two legs."""
     n = A.n
     dim = n * n
+    legs = [(b, c) for b in range(n) for c in range(n)]  # b (x) c is column b*n + c
 
-    def at(b, c):
-        return b * n + c
+    def first(x: SparseVector, c: int) -> dict:  # x (x) c
+        return {k * n + c: v for k, v in x.data.items()}
 
-    left = []
-    right = []
-    lie = []
-    for i in range(n):
-        lmat = [[ZERO] * dim for _ in range(dim)]
-        rmat = [[ZERO] * dim for _ in range(dim)]
-        zmat = [[ZERO] * dim for _ in range(dim)]
-        for b in range(n):
-            for c in range(n):
-                src = at(b, c)
-                for k, v in A.mul_basis(i, b).data.items():
-                    lmat[at(k, c)][src] += v
-                for k, v in A.mul_basis(c, i).data.items():
-                    rmat[at(b, k)][src] += v
-                for k, v in A.bracket_basis(i, b).data.items():
-                    zmat[at(k, c)][src] += v
-                for k, v in A.bracket_basis(i, c).data.items():
-                    zmat[at(b, k)][src] += v
-        left.append(tuple(tuple(row) for row in lmat))
-        right.append(tuple(tuple(row) for row in rmat))
-        lie.append(tuple(tuple(row) for row in zmat))
-    return QuasiPoissonModule(A, dim, tuple(left), tuple(right), tuple(lie))
+    def second(b: int, x: SparseVector) -> dict:  # b (x) x
+        return {b * n + k: v for k, v in x.data.items()}
+
+    def family(column) -> tuple:
+        return tuple(mat_from_columns([column(i, b, c) for b, c in legs], dim) for i in range(n))
+
+    left = family(lambda i, b, c: first(A.mul_basis(i, b), c))
+    right = family(lambda i, b, c: second(b, A.mul_basis(c, i)))
+    # the Lie action is a derivation: both legs add into one column
+    lie = family(lambda i, b, c: add_terms(
+        first(A.bracket_basis(i, b), c), second(b, A.bracket_basis(i, c))))
+    return QuasiPoissonModule(A, dim, left, right, lie)
 
 
 def standard_bimodule_to_poisson(
@@ -167,25 +156,15 @@ def quotient_module(A: NCPA, ideal: Subspace) -> QuasiPoissonModule:
     pos = {c: t for t, c in enumerate(reps)}
 
     def project(v: SparseVector) -> dict:
-        red = ideal.reduce(v)
-        return {pos[c]: val for c, val in red.data.items()}
+        return {pos[c]: val for c, val in ideal.reduce(v).data.items()}
 
-    left, right, lie = [], [], []
-    for i in range(n):
-        lmat = [[ZERO] * dim for _ in range(dim)]
-        rmat = [[ZERO] * dim for _ in range(dim)]
-        zmat = [[ZERO] * dim for _ in range(dim)]
-        for t, c in enumerate(reps):
-            for r, val in project(A.mul_basis(i, c)).items():
-                lmat[r][t] = val
-            for r, val in project(A.mul_basis(c, i)).items():
-                rmat[r][t] = val
-            for r, val in project(A.bracket_basis(i, c)).items():
-                zmat[r][t] = val
-        left.append(tuple(tuple(row) for row in lmat))
-        right.append(tuple(tuple(row) for row in rmat))
-        lie.append(tuple(tuple(row) for row in zmat))
-    return QuasiPoissonModule(A, dim, tuple(left), tuple(right), tuple(lie))
+    def family(column) -> tuple:  # column t of matrix i: column(i, reps[t]), projected
+        return tuple(mat_from_columns([project(column(i, c)) for c in reps], dim) for i in range(n))
+
+    left = family(A.mul_basis)
+    right = family(lambda i, c: A.mul_basis(c, i))
+    lie = family(A.bracket_basis)
+    return QuasiPoissonModule(A, dim, left, right, lie)
 
 
 # -- validation ------------------------------------------------------------------
@@ -274,30 +253,20 @@ def validate_quasi_poisson(M: QuasiPoissonModule) -> QuasiPoissonModule:
 
 class EnvAction:
     """A representation of the quasi-Poisson enveloping algebra, given by
-    a matrix for each monomial.  Each monomial's matrix (built lazily) and
-    its integer form (see linalg) are cached, as are the monomial-pair
-    multiplicativity verdicts, which are taken on the forms: no Fraction is
-    formed per pair."""
+    a matrix for each monomial.  Each monomial's integer form (see linalg),
+    built lazily, is the one store: matrix() reads its Fractions off the
+    form.  The monomial-pair multiplicativity verdicts are cached too, and
+    taken on the forms: no Fraction is formed per pair."""
 
     def __init__(self, algebra: NCPA, dim: int, matrix_fn: Callable[[QMonomial], Matrix]):
         self.algebra = algebra
         self.dim = dim
         self._fn = matrix_fn
-        self._cache: dict[QMonomial, Matrix] = {}
         self._forms: dict[QMonomial, IntMatrix] = {}
         self._verdicts: dict[tuple[QMonomial, QMonomial], bool] = {}
 
     def matrix(self, mono: QMonomial) -> Matrix:
-        hit = self._cache.get(mono)
-        if hit is None:
-            hit = self._cache[mono] = self._new_matrix(mono)
-        return hit
-
-    def _new_matrix(self, mono: QMonomial) -> Matrix:
-        out = self._fn(mono)
-        if mat_shape(out) != (self.dim, self.dim):
-            raise ModuleShapeError("action matrix has wrong shape")
-        return out
+        return frac_matrix(self._form(mono), self.dim)
 
     def _form(self, mono: QMonomial) -> IntMatrix:
         hit = self._forms.get(mono)
@@ -306,7 +275,10 @@ class EnvAction:
         return hit
 
     def _new_form(self, mono: QMonomial) -> IntMatrix:
-        return int_matrix(self.matrix(mono))
+        out = self._fn(mono)
+        if mat_shape(out) != (self.dim, self.dim):
+            raise ModuleShapeError("action matrix has wrong shape")
+        return int_matrix(out)
 
     def _combination(self, nums: dict, den: int) -> IntMatrix:
         """The form of the action of sum nums[m] * m / den."""
@@ -344,15 +316,11 @@ class EnvAction:
 class _ModuleAction(EnvAction):
     """The action of a module: monomial (i, j, word) acts by
     left(i) . right(j) . lie(w_1) ... lie(w_k).  Its integer form is built
-    from that of (i, j, word[:-1]) and the families' forms, converted once;
-    its matrix of Fractions only when read."""
+    from that of (i, j, word[:-1]) and the families' forms, converted once."""
 
     def __init__(self, M: QuasiPoissonModule):
-        super().__init__(M.algebra, M.dim, None)  # both builders are overridden
+        super().__init__(M.algebra, M.dim, None)  # _new_form is overridden
         self._left, self._right, self._lie = _families(M)
-
-    def _new_matrix(self, mono: QMonomial) -> Matrix:
-        return frac_matrix(self._form(mono), self.dim)
 
     def _new_form(self, mono: QMonomial) -> IntMatrix:
         i, j, word = mono
@@ -362,16 +330,16 @@ class _ModuleAction(EnvAction):
 
 
 def module_to_action(M: QuasiPoissonModule) -> EnvAction:
-    """Monomial (i, j, word) acts by left(i) . lie(word) . right(j); the
-    module must satisfy the quasi-Poisson axioms."""
+    """Monomial (i, j, word) acts by left(i) . right(j) . lie(w_1) ...
+    lie(w_k); the module must satisfy the quasi-Poisson axioms."""
     return _ModuleAction(validate_quasi_poisson(M))
 
 
-def action_to_module(action: EnvAction, check_degree: int = 2) -> QuasiPoissonModule:
+def action_to_module(action: EnvAction) -> QuasiPoissonModule:
     """Read the three action families off the degree <= 1 monomials.  The
-    action must respect monomial products up to the given degree (the
-    degree-2 products encode the generating relations)."""
-    bad = action.multiplicativity_failures(check_degree)
+    action must respect monomial products up to degree 2 (the degree-2
+    products encode the generating relations)."""
+    bad = action.multiplicativity_failures(2)
     if bad:
         raise ActionError(f"action not multiplicative at {bad[:3]}")
     A = action.algebra

@@ -94,6 +94,46 @@ def test_std_emits_commutator_bracket(capsys, tmp_path):
     )
 
 
+def assert_error(out, as_json, start):
+    """The report is an error whose one finding's detail begins with start."""
+    if as_json:
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        [finding] = doc["findings"]
+        assert finding["kind"] == "error"
+        assert finding["detail"].startswith(start)
+    else:
+        assert out.splitlines()[0].startswith(f"error: {start}")
+        assert "status: error" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "BAD"],
+    ["module-check", "BAD", "kxk-regular.mod"],
+    ["module-check", "kxk.alg", "BAD"],
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, argv, as_json):
+    bad = tmp_path / "utf16.alg"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte-order mark
+    argv = [str(bad) if a == "BAD" else path(a) if "." in a else a for a in argv]
+    code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 2
+    assert_error(out, as_json, f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("target", ["missing/m2.alg", "."])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_std_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, target, as_json):
+    out_file = tmp_path / target
+    code, out = run(
+        capsys, *(["--json"] if as_json else []), "std", path("m2std.alg"), "--out", str(out_file)
+    )
+    assert code == 2
+    assert_error(out, as_json, f"cannot write {out_file}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_mul_and_bracket(capsys):
     code, out = run(capsys, "mul", path("kxk.alg"), "e1+e2", "e1")
     assert code == 0

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from poissonenv.linalg import mat_identity, mat_is_zero, mat_mul, mat_zero
+from poissonenv.linalg import SparseVector, mat_identity, mat_is_zero, mat_mul, mat_zero
 from poissonenv.ncpa import poisson_ideal_closure, regular_poisson_structures
 from poissonenv.pbw import u_monomials
 from poissonenv.poisson_modules import (
     ActionError,
     EnvAction,
+    ModuleShapeError,
     QuasiPoissonModule,
     action_to_module,
     annihilator,
@@ -485,3 +486,130 @@ def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2)
     for bound in (1, 2, 3):
         got = identity.multiplicativity_failures(bound)
         assert got and got == _ref_multiplicativity_failures(identity, bound)
+
+
+# Dense-grid references: the tensor square, the quotient module and the
+# twisted regular Lie family as they were built before every family came from
+# sparse columns through linalg.mat_from_columns, scattering each image into
+# a dense grid of Fractions.
+
+def _ref_tensor_square(A):
+    n = A.n
+    dim = n * n
+    left, right, lie = [], [], []
+    for i in range(n):
+        lmat = [[ZERO] * dim for _ in range(dim)]
+        rmat = [[ZERO] * dim for _ in range(dim)]
+        zmat = [[ZERO] * dim for _ in range(dim)]
+        for b in range(n):
+            for c in range(n):
+                src = b * n + c
+                for k, v in A.mul_basis(i, b).data.items():
+                    lmat[k * n + c][src] += v
+                for k, v in A.mul_basis(c, i).data.items():
+                    rmat[b * n + k][src] += v
+                for k, v in A.bracket_basis(i, b).data.items():
+                    zmat[k * n + c][src] += v
+                for k, v in A.bracket_basis(i, c).data.items():
+                    zmat[b * n + k][src] += v
+        left.append(tuple(tuple(row) for row in lmat))
+        right.append(tuple(tuple(row) for row in rmat))
+        lie.append(tuple(tuple(row) for row in zmat))
+    return tuple(left), tuple(right), tuple(lie)
+
+
+def _ref_quotient(A, ideal):
+    n = A.n
+    reps = [c for c in range(n) if c not in set(ideal.pivots)]
+    dim = len(reps)
+    pos = {c: t for t, c in enumerate(reps)}
+    left, right, lie = [], [], []
+    for i in range(n):
+        lmat = [[ZERO] * dim for _ in range(dim)]
+        rmat = [[ZERO] * dim for _ in range(dim)]
+        zmat = [[ZERO] * dim for _ in range(dim)]
+        for t, c in enumerate(reps):
+            for grid, image in (
+                (lmat, A.mul_basis(i, c)),
+                (rmat, A.mul_basis(c, i)),
+                (zmat, A.bracket_basis(i, c)),
+            ):
+                for r, val in ideal.reduce(image).data.items():
+                    grid[pos[r]][t] = val
+        left.append(tuple(tuple(row) for row in lmat))
+        right.append(tuple(tuple(row) for row in rmat))
+        lie.append(tuple(tuple(row) for row in zmat))
+    return tuple(left), tuple(right), tuple(lie)
+
+
+def _ref_twisted_lie(A, table):
+    n = A.n
+    lie = []
+    for i in range(n):
+        cols = [table.get((i, j), SparseVector(n)) for j in range(n)]
+        lie.append(tuple(tuple(col.get(r) for col in cols) for r in range(n)))
+    return tuple(lie)
+
+
+def _families_of(M):
+    return M.left, M.right, M.lie
+
+
+def _all_fractions(families):
+    return all(type(x) is Fraction for fam in families for m in fam for row in m for x in row)
+
+
+def test_constructions_match_the_dense_grid_references(kxk, m2, trunc2, ut2, kxk_skew, trunc2_skew):
+    from poissonenv.linalg import join_and_reduce
+
+    for A in (kxk, m2, trunc2, ut2, kxk_skew, trunc2_skew):
+        M = tensor_square_module(A)
+        assert _families_of(M) == _ref_tensor_square(A)
+        assert _all_fractions(_families_of(M))
+
+        ideals = [join_and_reduce([], A.n)]
+        for p in range(A.n):
+            ideal = poisson_ideal_closure(A, [A.basis(p)])
+            if ideal not in ideals:
+                ideals.append(ideal)
+        for ideal in ideals:
+            M = quotient_module(A, ideal)
+            assert M.dim == A.n - ideal.rank
+            assert _families_of(M) == _ref_quotient(A, ideal)
+            assert _all_fractions(_families_of(M))
+
+        structures = regular_poisson_structures(A)
+        psis = [SparseVector(A.n * A.n)]
+        psis += list(structures.space.rows) + list(structures.derivations.rows)
+        for psi in psis:
+            table = structures.star_bracket_table(psi)
+            M = regular_module(A, table)
+            assert M.lie == _ref_twisted_lie(A, table)
+            assert _all_fractions(_families_of(M))
+
+
+def test_tensor_square_lie_adds_both_legs_into_one_entry(m2):
+    # b (x) c with {v_i, b} having a b-part and {v_i, c} a c-part: the column
+    # of b (x) c under lie(i) has both parts on its own diagonal entry
+    n = m2.n
+    shared = [
+        (i, b, c)
+        for i in range(n) for b in range(n) for c in range(n)
+        if m2.bracket_basis(i, b).get(b) and m2.bracket_basis(i, c).get(c)
+    ]
+    assert shared
+    lie = tensor_square_module(m2).lie
+    for i, b, c in shared:
+        src = b * n + c
+        both = m2.bracket_basis(i, b).get(b) + m2.bracket_basis(i, c).get(c)
+        assert lie[i][src][src] == both
+
+
+def test_action_matrix_of_wrong_shape_is_rejected(kxk):
+    def wrong_shape():
+        return EnvAction(kxk, 2, lambda mono: mat_identity(3))
+
+    with pytest.raises(ModuleShapeError, match="action matrix has wrong shape"):
+        wrong_shape().matrix((0, 0, ()))
+    with pytest.raises(ModuleShapeError, match="action matrix has wrong shape"):
+        action_to_module(wrong_shape())
