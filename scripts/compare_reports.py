@@ -26,9 +26,11 @@ In that basis every i(a) and k(a) expands over 3 terms and every j(a) over
 the unit's expansion, and its `q-mul` jobs, with fractional coefficients,
 check that products come out over the right denominators.  Jobs run in-process,
 one after another; each loads a fresh algebra, so no memo cache is shared
-between jobs.  The heaviest job, `env-dim` on m2std with J to degree 2,
-takes about 1.4 s; it is the one bundled case with a nonzero bracket at
-window 4, so most of its work lies above level 0 of the ideal closure.
+between jobs.  The heaviest jobs are `env-dim` on m2std with J to degree 2
+and OH to degree 3 (windows 4 and 5, a nonzero bracket) and on the skew
+basis with J to degree 4 (window 6), each well under a second; most of
+their work lies above level 0 of the ideal closure, where the ordered j
+rule skips products.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ def jobs() -> list[list[str]]:
                 ["env-dim", alg(name), "--ideal", ideal, "--degree", str(ENV_DIM_DEGREE[name])]
             )
     out.append(["env-dim", alg("m2std"), "--ideal", "J", "--degree", "2"])
+    # windows 5 and 6, where the ordered j rule skips the most products: a
+    # nonzero bracket, and non-integral constants
+    out.append(["env-dim", alg("m2std"), "--ideal", "OH", "--degree", "3"])
+    out.append(["env-dim", SKEW, "--ideal", "J", "--degree", "4"])
     out.append(["relations", SKEW])
     for ideal in ("J", "J+I", "OH"):
         out.append(["env-dim", SKEW, "--ideal", ideal, "--degree", "2"])

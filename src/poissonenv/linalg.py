@@ -143,13 +143,6 @@ def sub_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def scale_terms(a: dict, c) -> dict:
-    c = rat(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
 def accumulate(out: dict, key, coeff: Fraction) -> None:
     """In-place coefficient accumulation used by hot loops only."""
     s = out.get(key, ZERO) + coeff
@@ -251,9 +244,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def reduce_data(self, data: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        return remainder(data, self.pivot_row)
 
     def _insert(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
         # Shared by add_data and TrackedEchelon.insert, which stay separate

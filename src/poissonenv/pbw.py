@@ -26,10 +26,6 @@ def u_monomials(n: int, max_degree: int) -> list[Word]:
     return out
 
 
-def u_one() -> UElement:
-    return {(): ONE}
-
-
 def straighten(A: NCPA, word: Word) -> UElement:
     """PBW normal form of a word in the enveloping algebra.
 
@@ -136,14 +132,6 @@ def lie_act(A: NCPA, u: UElement, x: SparseVector) -> SparseVector:
 
 
 Tensor = dict  # dict[tuple[int, int], Fraction], element of A (x) A
-
-
-def tensor_of(a: SparseVector, b: SparseVector) -> Tensor:
-    out: Tensor = {}
-    for i, ci in a.data.items():
-        for j, cj in b.data.items():
-            out[(i, j)] = ci * cj
-    return out
 
 
 def act_on_tensor(A: NCPA, u: UElement, a: SparseVector, b: SparseVector) -> Tensor:

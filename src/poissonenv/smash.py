@@ -47,7 +47,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .limits import check_degree
-from .linalg import ONE, SparseVector, _integral, _over, accumulate, add_terms, scale_terms, sub_terms
+from .linalg import ONE, SparseVector, _integral, _over, accumulate, add_terms, sub_terms
 from .ncpa import NCPA
 from .pbw import lie_word_on_basis, straighten
 from .words import ordered_partitions, subword
@@ -60,14 +60,6 @@ def q_term_key(m: QMonomial):
     """Fixed term order: (degree, word lex, left index, right index)."""
     i, j, word = m
     return (len(word), word, i, j)
-
-
-def q_degree(x: QElement) -> int:
-    return max((len(m[2]) for m in x), default=0)
-
-
-def q_scale(x: QElement, c) -> QElement:
-    return scale_terms(x, c)
 
 
 def q_add(x: QElement, y: QElement) -> QElement:

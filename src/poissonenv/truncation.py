@@ -12,15 +12,15 @@ stabilize at the true values for the worked examples.
 
 The windows come from one leveled closure, not from enumerating monomial
 pairs: T_0 is the span of the generators closed under multiplication by
-i(a) and k(a) on both sides, and T_B adds j(a) * v and v * j(a) for every
-v that T_{B-1} gained; only T_0 is closed under i and k.  This is sound
-because F_0 is generated by the i(a), k(a), F_1 = F_0 + F_0 j(A), and
-F_B = F_1^B along the PBW filtration (Bergman, The diamond lemma for ring
-theory, Adv. Math. 29, 1978); so T_B is exactly the sum of F_a g F_b over
-a + b <= B once every T_B is closed under i(b) and k(b) on both sides.
-T_0 is by construction.  If T_{B-1} is, take v in T_{B-1}; the generator
-relations j(a)i(b) = i(b)j(a) + i({a,b}) and j(a)k(b) = k(b)j(a) + k({a,b})
-give
+i(a) and k(a) on both sides, and T_B adds the j(a) * v and v * j(a) for the
+vectors v that T_{B-1} gained, save those the ordered rule below skips;
+only T_0 is closed under i and k.  This is sound because F_0 is generated
+by the i(a), k(a), F_1 = F_0 + F_0 j(A), and F_B = F_1^B along the PBW
+filtration (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
+1978); so T_B is exactly the sum of F_a g F_b over a + b <= B once every
+T_B is closed under i(b) and k(b) on both sides.  T_0 is by construction.
+If T_{B-1} is, take v in T_{B-1}; the generator relations
+j(a)i(b) = i(b)j(a) + i({a,b}) and j(a)k(b) = k(b)j(a) + k({a,b}) give
 
     i(b) * j(a)v = j(a) * i(b)v - i({a,b}) * v
     j(a)v * i(b) = j(a) * v i(b)
@@ -28,9 +28,41 @@ give
     v j(a) * i(b) = v i(b) * j(a) + v * i({a,b})
 
 and the same four with k in place of i.  Every term on the right is in
-T_{B-1} or is a j image of T_{B-1}, and T_B holds all of those: the j images
-of T_{B-2} lie in T_{B-1} already, so the vectors T_{B-1} gained suffice.
-So T_B is closed as well, and closing it again would gain no rank.
+T_{B-1} or is a j image of T_{B-1}.  So T_B is closed as well, and closing
+it again would gain no rank, as soon as T_B contains j(A) T_{B-1} and
+T_{B-1} j(A); the argument needs no more than that.
+
+The ordered rule.  Each vector a level keeps remembers how it was made: at
+level 0, as j(c) * w ("left, c") or as w * j(c) ("right, c").  The next
+level forms
+
+    j(a) * v  for v made at level 0, and for v left-made with a <= c;
+    v * j(a)  for v made at level 0 or left-made, and for v right-made
+              with a <= c.
+
+This is close to Janet/Pommaret involutive division (Gerdt and Blinkov,
+Math. Comput. Simul. 45, 1998) and to Buchberger's chain criterion
+(Gebauer and Möller, J. Symb. Comput. 6, 1988).  It still gives T_B, so
+the same rows and pivot levels.  Let U_B be the span kept through level B
+and assume U_b = T_b for every b < B.  The j images of T_{B-2} lie in T_{B-1}, so
+it suffices that j(a) v and v j(a) lie in U_B for each vector v kept at
+level B-1.  Kept vectors are their products as made, up to a nonzero
+scalar, so the identities below, from [j(a), j(b)] = j({a,b}), hold
+exactly; w is kept at level B-2, so its j images lie in T_{B-1}.
+
+  Right products, by induction on a.  Take v = w j(c) with a > c.  Then
+  v j(a) = (w j(a)) j(c) + w j({c,a}).  The last term lies in T_{B-1}.
+  w j(a) lies in T_{B-1}: it is a combination of vectors kept at level
+  B-1, whose j(c) images lie in U_B by induction (c < a), plus a part of
+  T_{B-2}, whose j(c) image lies in T_{B-1}.
+
+  Left products, by induction on a, once every right product is known to
+  lie in U_B.  Take v = j(c) w with a > c.  Then
+  j(a) v = j(c) (j(a) w) + j({a,c}) w; as before, j(a) w is a combination
+  of kept vectors, whose j(c) images lie in U_B by induction, plus a part
+  of T_{B-2}.  A right-made v = w j(d) gives j(a) v = (j(a) w) j(d), a
+  combination of right j(d) images of kept vectors plus T_{B-1}.
+
 Rows are kept in descending term order, so those with pivots in the low
 block span the slice, and a pivot never moves once taken: the level that
 took it tells every narrower window's rank and stable flag.  TruncatedQuotient
@@ -139,12 +171,16 @@ def qelem_to_vector(x: QElement, index: dict, n_coords: int) -> SparseVector:
     return v
 
 
+def _product(A: NCPA, x: QElement, y: QElement) -> QElement:
+    """x * y for integer x, y, up to a nonzero scalar: a primitive integer
+    vector."""
+    return _primitive(q_mult_scaled(A, x, y)[0])
+
+
 def _both_sides(A: NCPA, factors: list) -> list:
-    """Left and right multiplication by each integer factor, up to a
-    nonzero scalar: the images are primitive integer vectors."""
+    """Left and right multiplication by each integer factor (_product)."""
     return [op for x in factors for op in (
-        lambda y, x=x: _primitive(q_mult_scaled(A, x, y)[0]),
-        lambda y, x=x: _primitive(q_mult_scaled(A, y, x)[0]))]
+        lambda y, x=x: _product(A, x, y), lambda y, x=x: _product(A, y, x))]
 
 
 class _LeveledClosure:
@@ -164,13 +200,19 @@ class _LeveledClosure:
         i, k, j = (GENERATOR_TERM[kind] for kind in "ikj")
         self.ik = [{i(a): 1} for a in ik] + [{k(a): 1} for a in ik]
         self.j = [{j(a): 1} for a in range(A.n)]
-        # seeds level 0, then the last level's gain; only spans are used, so
-        # these are primitive integer vectors
-        self.frontier = [_primitive(_integral(g)[0]) for g in gens.gens]
+        # seeds level 0, then the last level's gain, each as (vector, l, r):
+        # the next level forms j(a) * vector for a <= l and vector * j(a) for
+        # a <= r (see the module docstring).  Only spans are used, so the
+        # vectors are primitive integer vectors.
+        top = A.n - 1
+        self.frontier = [(_primitive(_integral(g)[0]), top, top) for g in gens.gens]
         self.level = -1
         self.ech = Echelon(0)
         self.coord: dict[QMonomial, int] = {}
         self.pivot_level: dict[int, int] = {}  # level that took each pivot
+        # per level, the j products formed and skipped (none at level 0)
+        self.j_formed: list[int] = []
+        self.j_skipped: list[int] = []
 
     def extend_to(self, A: NCPA, D: int) -> None:
         """Grow the span to T_{D-1}, window D."""
@@ -178,18 +220,38 @@ class _LeveledClosure:
             return
         for t, mono in enumerate(env_monomials(A, D)):
             self.coord.setdefault(mono, -1 - t)
-        ik_ops, j_ops = _both_sides(A, self.ik), _both_sides(A, self.j)
+        top = A.n - 1
 
         def add(x: QElement):
             return self.ech.add_data(qelem_to_vector(x, self.coord, 0).data)
 
         while self.level < D - 1:
             self.level += 1
-            vectors = (self.frontier if self.level == 0
-                       else (op(y) for y in self.frontier for op in j_ops))
-            # above level 0 the generator relations carry T_{B-1}'s i/k
-            # closure to the j images (see the module docstring)
-            self.frontier = close_under(add, vectors, ik_ops if self.level == 0 else ())
+            if self.level == 0:
+                seeds = (y for y, _, _ in self.frontier)
+                gained = close_under(add, seeds, _both_sides(A, self.ik))
+                self.frontier = [(y, top, top) for y in gained]
+                formed = skipped = 0
+            else:
+                # above level 0 the generator relations carry T_{B-1}'s i/k
+                # closure to the j images, and the ordered rule forms only
+                # the j images the others do not span (module docstring)
+                gained, formed = [], 0
+                for y, left, right in self.frontier:
+                    for a, x in enumerate(self.j):
+                        if a <= left:
+                            v = _product(A, x, y)
+                            if add(v) is not None:
+                                gained.append((v, a, top))
+                        if a <= right:
+                            v = _product(A, y, x)
+                            if add(v) is not None:
+                                gained.append((v, -1, a))
+                    formed += left + right + 2
+                skipped = 2 * A.n * len(self.frontier) - formed
+                self.frontier = gained
+            self.j_formed.append(formed)
+            self.j_skipped.append(skipped)
             for p in self.ech.pivot_row:
                 self.pivot_level.setdefault(p, self.level)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .limits import check_degree
 from .linalg import ONE, ZERO
@@ -62,8 +62,3 @@ def shuffle_coproduct(word: Word) -> dict[tuple[Word, Word], Fraction]:
 
 def counit(word: Word) -> Fraction:
     return ONE if len(word) == 0 else ZERO
-
-
-def counit_terms(terms: Mapping[Word, Fraction]) -> Fraction:
-    """Linear extension of the counit to a word combination."""
-    return terms.get((), ZERO)

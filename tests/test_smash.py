@@ -22,12 +22,10 @@ from poissonenv.smash import (
     format_q_element,
     generator_relation_failures,
     q_add,
-    q_degree,
     q_identity,
     q_mono_mult,
     q_mult,
     q_mult_scaled,
-    q_scale,
     q_sub,
 )
 from poissonenv.truncation import ideal_j_gens, truncated_ideal_span
@@ -35,6 +33,10 @@ from poissonenv.truncation import ideal_j_gens, truncated_ideal_span
 from conftest import reference_embed, reference_identity, vec
 
 ONE = Fraction(1)
+
+
+def q_scale(x, c):
+    return {m: c * v for m, v in x.items()}
 
 
 def test_identity_element(kxk, m2):
@@ -197,7 +199,7 @@ def test_filtration_degree_bound(m2):
         m1, m2_ = rng.choice(monos), rng.choice(monos)
         prod = q_mono_mult(m2, m1, m2_)
         if prod:
-            assert q_degree(prod) <= len(m1[2]) + len(m2_[2])
+            assert max(len(m[2]) for m in prod) <= len(m1[2]) + len(m2_[2])
 
 
 def test_degree_cap_enforced(kxk):

@@ -9,11 +9,16 @@ from poissonenv.linalg import (
     SparseVector,
     Subspace,
     TrackedEchelon,
+    _integral,
+    _primitive,
+    close_under,
     in_span,
     join_and_reduce,
+    remainder,
 )
 from poissonenv.ncpa import is_poisson_simple
 from poissonenv.smash import (
+    GENERATOR_TERM,
     embed,
     embed_left,
     embed_lie,
@@ -21,6 +26,7 @@ from poissonenv.smash import (
     q_identity,
     q_mono_mult,
     q_mult,
+    q_mult_scaled,
     q_sub,
 )
 from poissonenv.truncation import (
@@ -459,7 +465,9 @@ def test_leveled_slice_matches_pair_span(name, label, first_only, request):
 
 @pytest.mark.parametrize(
     "name, label",
-    [("kxk", "J"), ("ut2", "J+I"), ("ut2", "OH"), ("trunc2", "J"), ("kxk_skew", "J")],
+    [("kxk", "J"), ("ut2", "J+I"), ("ut2", "OH"), ("trunc2", "J"), ("kxk_skew", "J"),
+     # deeper levels skip j products; m2 has a nonzero bracket
+     ("m2", "J"), ("trunc2_skew", "J")],
 )
 def test_leveled_closure_is_closed_under_i_and_k(name, label, request):
     # only level 0 is closed under i(a), k(a); the generator relations must
@@ -475,7 +483,76 @@ def test_leveled_closure_is_closed_under_i_and_k(name, label, request):
             for x in ik:
                 for image in (q_mult(A, x, v), q_mult(A, v, x)):
                     data = qelem_to_vector(image, closure.coord, 0).data
-                    assert not closure.ech.reduce_data(data), (D, x)
+                    assert not remainder(data, closure.ech.pivot_row), (D, x)
+
+
+# -- reference: the closure that forms every j product --------------------------
+
+def _unrestricted_closure_levels(A, gens, D):
+    """Rows and pivot levels after each level of the closure that multiplies
+    everything a level gained by every j(a) on both sides."""
+    coord = {m: -1 - t for t, m in enumerate(env_monomials(A, D))}
+    ech, pivot_level, out = Echelon(0), {}, []
+
+    def add(x):
+        return ech.add_data(qelem_to_vector(x, coord, 0).data)
+
+    def both_sides(factors):
+        return [op for x in factors for op in (
+            lambda y, x=x: _primitive(q_mult_scaled(A, x, y)[0]),
+            lambda y, x=x: _primitive(q_mult_scaled(A, y, x)[0]))]
+
+    i, k, j = (GENERATOR_TERM[kind] for kind in "ikj")
+    ik = [a for a in range(A.n) if A.basis(a) != A.unit]
+    ik_ops = both_sides([{i(a): 1} for a in ik] + [{k(a): 1} for a in ik])
+    j_ops = both_sides([{j(a): 1} for a in range(A.n)])
+    frontier = close_under(add, [_primitive(_integral(g)[0]) for g in gens.gens], ik_ops)
+    for level in range(D):
+        if level:
+            images = (op(y) for y in frontier for op in j_ops)
+            frontier = [v for v in images if add(v) is not None]
+        for p in ech.pivot_row:
+            pivot_level.setdefault(p, level)
+        out.append(({p: dict(row) for p, row in ech.pivot_row.items()}, dict(pivot_level)))
+    return out
+
+
+def _assert_unrestricted_rows(A, gens, top):
+    # skipping the j products the bracket relation already spans leaves the
+    # rows and the level of each pivot as the unrestricted closure has them
+    reference = _unrestricted_closure_levels(A, gens, top)
+    closure = _LeveledClosure(A, gens)
+    for D in range(1, top + 1):
+        closure.extend_to(A, D)
+        assert (closure.ech.pivot_row, closure.pivot_level) == reference[D - 1], D
+
+
+@pytest.mark.parametrize("name", ["kxk", "m2", "trunc2", "ut2", "kxk_skew", "trunc2_skew"])
+@pytest.mark.parametrize("label", ["J", "OH", "J+I"])
+def test_ordered_j_rule_keeps_every_row(name, label, request):
+    A = request.getfixturevalue(name)
+    _assert_unrestricted_rows(A, ideal_gens_by_label(A, label), 4 if name == "m2" else 5)
+
+
+@pytest.mark.parametrize("label, t", [("J", 0), ("J", 5), ("I", 1)])
+def test_ordered_j_rule_keeps_every_row_of_one_generator(m2, label, t):
+    # the full J and I are closed under brackets with the j(a), which hides
+    # rules that skip more, such as j(c) * j(c) w or right products of
+    # left-made vectors; these single generators are not
+    gens = ideal_gens_by_label(m2, label)
+    _assert_unrestricted_rows(m2, IdealGens(label, gens.gens[t:t + 1]), 3)
+
+
+def test_closure_counts_j_products(trunc2):
+    closure = _LeveledClosure(trunc2, ideal_j_gens(trunc2))
+    sizes = []
+    for D in range(1, 5):
+        closure.extend_to(trunc2, D)
+        sizes.append(len(closure.frontier))
+    assert closure.j_formed == [0, 126, 231, 318]
+    assert closure.j_skipped == [0, 0, 51, 168]
+    for level in range(1, 4):
+        assert closure.j_formed[level] + closure.j_skipped[level] == 2 * trunc2.n * sizes[level - 1]
 
 
 @pytest.mark.parametrize(

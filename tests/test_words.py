@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from poissonenv.limits import DegreeCapExceeded
 from poissonenv.words import (
     counit,
-    counit_terms,
     ordered_partitions,
     shuffle_coproduct,
     subword,
@@ -92,7 +91,6 @@ def test_coproduct_merges_equal_pairs():
 def test_counit():
     assert counit(()) == 1
     assert counit((3,)) == 0
-    assert counit_terms({(): Fraction(2), (1, 1): Fraction(5)}) == 2
 
 
 def all_words(alphabet, max_degree):
