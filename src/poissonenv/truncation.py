@@ -44,11 +44,11 @@ This is close to Janet/Pommaret involutive division (Gerdt and Blinkov,
 Math. Comput. Simul. 45, 1998) and to Buchberger's chain criterion
 (Gebauer and Möller, J. Symb. Comput. 6, 1988).  It still gives T_B, so
 the same rows and pivot levels.  Let U_B be the span kept through level B
-and assume U_b = T_b for every b < B.  The j images of T_{B-2} lie in T_{B-1}, so
-it suffices that j(a) v and v j(a) lie in U_B for each vector v kept at
-level B-1.  Kept vectors are their products as made, up to a nonzero
-scalar, so the identities below, from [j(a), j(b)] = j({a,b}), hold
-exactly; w is kept at level B-2, so its j images lie in T_{B-1}.
+and assume U_b = T_b for every b < B.  The j images of T_{B-2} lie in
+T_{B-1}, so it suffices that j(a) v and v j(a) lie in U_B for each vector
+v kept at level B-1.  Kept vectors are their products as made, up to a
+nonzero scalar, so the identities below, from [j(a), j(b)] = j({a,b}),
+hold exactly; w is kept at level B-2, so its j images lie in T_{B-1}.
 
   Right products, by induction on a.  Take v = w j(c) with a > c.  Then
   v j(a) = (w j(a)) j(c) + w j({c,a}).  The last term lies in T_{B-1}.
