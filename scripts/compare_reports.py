@@ -18,9 +18,11 @@ basis (a unit that is not a basis vector, and non-integral constants), the
 tensor square of that algebra, the regular module of m2std and the
 2-dimensional quotient module of trunc2-n2 by the Poisson ideal generated
 by x1 are written by that checkout into a temporary directory, which the
-recorded commands and reports name `<tmp>`.  The square of m2std (16
-dimensions, a nonzero bracket) is the one square whose Lie action adds
-both legs into one entry; it fails the Poisson check.
+recorded commands and reports name `<tmp>`, and so is m2std in the basis
+(1, E12, E21, E11), whose unit is a basis vector and whose j(f0) is
+central.  The square of m2std (16 dimensions, a nonzero bracket) is the
+one square whose Lie action adds both legs into one entry; it fails the
+Poisson check.
 In that basis every i(a) and k(a) expands over 3 terms and every j(a) over
 9, so its `relations`, `env-dim`, `module-check` and `roundtrip` jobs check
 the unit's expansion, and its `q-mul` jobs, with fractional coefficients,
@@ -51,6 +53,8 @@ MODULES = ("kxk-regular", "kxk-nonpoisson")
 SQUARES = ("kxk", "trunc2-n2", "m2std")
 TMP = "<tmp>"
 SKEW = f"{TMP}/trunc2-skew.alg"
+# m2std in the basis (1, E12, E21, E11), whose unit is the basis vector f0
+M2_UNIT = f"{TMP}/m2std-unit.alg"
 # --degree per fixture for each ideal; m2std J also runs to degree 2 (jobs()).
 ENV_DIM_DEGREE = {"kxk": 3, "trunc2-n2": 2, "m2std": 1}
 
@@ -79,6 +83,9 @@ def jobs() -> list[list[str]]:
     # a fixed window, whose last row is unstable; a window above the degree
     out.append(["env-dim", SKEW, "--ideal", "J", "--degree", "2", "--saturate", "2"])
     out.append(["env-dim", SKEW, "--ideal", "OH", "--degree", "1", "--saturate", "3"])
+    # j(f0) is the one central generator
+    for ideal in ("J", "OH"):
+        out.append(["env-dim", M2_UNIT, "--ideal", ideal, "--degree", "2"])
     for name, ideal, degree, saturate in (
         ("kxk", "J", 2, 2),
         ("kxk", "J", 1, 1),
@@ -126,8 +133,13 @@ def jobs() -> list[list[str]]:
 
 
 def write_inputs(tmp: str) -> None:
-    from perfbench.workloads import write_skew_algebra
-    from poissonenv.fileformat import load_bundled_algebra, parse_algebra_file, serialize_module
+    from perfbench.workloads import rebase, write_skew_algebra
+    from poissonenv.fileformat import (
+        load_bundled_algebra,
+        parse_algebra_file,
+        serialize_algebra,
+        serialize_module,
+    )
     from poissonenv.ncpa import poisson_ideal_closure, validate_ncpa
     from poissonenv.poisson_modules import quotient_module, regular_module, tensor_square_module
 
@@ -138,7 +150,9 @@ def write_inputs(tmp: str) -> None:
     for name, pres in algebras.items():
         M = tensor_square_module(validate_ncpa(pres))
         Path(tmp, f"{name}-square.mod").write_text(serialize_module(M), encoding="utf-8")
-    m2std = validate_ncpa(load_bundled_algebra("m2std.alg"))
+    m2_unit = rebase(algebras["m2std"], [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
+    Path(tmp, "m2std-unit.alg").write_text(serialize_algebra(m2_unit), encoding="utf-8")
+    m2std = validate_ncpa(algebras["m2std"])
     Path(tmp, "m2std-regular.mod").write_text(
         serialize_module(regular_module(m2std)), encoding="utf-8"
     )

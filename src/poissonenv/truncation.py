@@ -13,10 +13,10 @@ stabilize at the true values for the worked examples.
 The windows come from one leveled closure, not from enumerating monomial
 pairs: T_0 is the span of the generators closed under multiplication by
 i(a) and k(a) on both sides, and T_B adds the j(a) * v and v * j(a) for the
-vectors v that T_{B-1} gained, save those the ordered rule below skips;
-only T_0 is closed under i and k.  This is sound because F_0 is generated
-by the i(a), k(a), F_1 = F_0 + F_0 j(A), and F_B = F_1^B along the PBW
-filtration (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
+vectors v that T_{B-1} gained, save those the ordered and central rules
+below skip; only T_0 is closed under i and k.  This is sound because F_0 is
+generated by the i(a), k(a), F_1 = F_0 + F_0 j(A), and F_B = F_1^B along the
+PBW filtration (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
 1978); so T_B is exactly the sum of F_a g F_b over a + b <= B once every
 T_B is closed under i(b) and k(b) on both sides.  T_0 is by construction.
 If T_{B-1} is, take v in T_{B-1}; the generator relations
@@ -62,6 +62,18 @@ hold exactly; w is kept at level B-2, so its j images lie in T_{B-1}.
   of kept vectors, whose j(c) images lie in U_B by induction, plus a part
   of T_{B-2}.  A right-made v = w j(d) gives j(a) v = (j(a) w) j(d), a
   combination of right j(d) images of kept vectors plus T_{B-1}.
+
+The central rule.  j(a) is central when {v_a, A} = 0, and i(a), k(a) are
+when v_a also commutes with A.  Proof: the commutators i({a,b}), k({a,b})
+and j({a,b}) of j(a) with i(b), k(b), j(b) then vanish, and so do i([a,b])
+and -k([a,b]) (i(a) with i(b), k(a) with k(b); i and k always commute),
+while the generators' products span the algebra.  A central g has
+g v = v g, so only v g is formed: at level 0 for central i(a) and k(a), and
+above it for central j(a), since the ordered rule admits j(a) * v only for v
+made at level 0 or left-made, and forms v * j(a) for those at every a.  The
+vector kept is then right-made, and the proof above holds as it stands:
+where it takes j(c) x in U_B for c < a, a central c gives j(c) x = x j(c),
+a right product of a kept vector.
 
 Rows are kept in descending term order, so those with pivots in the low
 block span the slice, and a pivot never moves once taken: the level that
@@ -177,10 +189,15 @@ def _product(A: NCPA, x: QElement, y: QElement) -> QElement:
     return _primitive(q_mult_scaled(A, x, y)[0])
 
 
-def _both_sides(A: NCPA, factors: list) -> list:
-    """Left and right multiplication by each integer factor (_product)."""
-    return [op for x in factors for op in (
-        lambda y, x=x: _product(A, x, y), lambda y, x=x: _product(A, y, x))]
+def _sides(A: NCPA, factors: list) -> list:
+    """Multiplication by each integer factor (_product) of the (factor,
+    central) pairs: on the left unless it is central, and on the right."""
+    ops = []
+    for x, central in factors:
+        if not central:
+            ops.append(lambda y, x=x: _product(A, x, y))
+        ops.append(lambda y, x=x: _product(A, y, x))
+    return ops
 
 
 class _LeveledClosure:
@@ -198,12 +215,19 @@ class _LeveledClosure:
         # i(1), k(1) act as the identity
         ik = [a for a in range(A.n) if A.basis(a) != A.unit]
         i, k, j = (GENERATOR_TERM[kind] for kind in "ikj")
-        self.ik = [{i(a): 1} for a in ik] + [{k(a): 1} for a in ik]
-        self.j = [{j(a): 1} for a in range(A.n)]
+        # the central generators, by basis index (see the module docstring)
+        basis = range(A.n)
+        self.j_central = tuple(
+            all(A.bracket_basis(a, b).is_zero() for b in basis) for a in basis)
+        self.ik_central = tuple(
+            c and all(A.mul_basis(a, b) == A.mul_basis(b, a) for b in basis)
+            for a, c in zip(basis, self.j_central))
+        self.ik = [({g(a): 1}, self.ik_central[a]) for g in (i, k) for a in ik]
+        self.j = [{j(a): 1} for a in basis]
         # seeds level 0, then the last level's gain, each as (vector, l, r):
-        # the next level forms j(a) * vector for a <= l and vector * j(a) for
-        # a <= r (see the module docstring).  Only spans are used, so the
-        # vectors are primitive integer vectors.
+        # the next level forms j(a) * vector for a <= l, save central j(a),
+        # and vector * j(a) for a <= r (see the module docstring).  Only
+        # spans are used, so the vectors are primitive integer vectors.
         top = A.n - 1
         self.frontier = [(_primitive(_integral(g)[0]), top, top) for g in gens.gens]
         self.level = -1
@@ -229,25 +253,27 @@ class _LeveledClosure:
             self.level += 1
             if self.level == 0:
                 seeds = (y for y, _, _ in self.frontier)
-                gained = close_under(add, seeds, _both_sides(A, self.ik))
+                gained = close_under(add, seeds, _sides(A, self.ik))
                 self.frontier = [(y, top, top) for y in gained]
                 formed = skipped = 0
             else:
                 # above level 0 the generator relations carry T_{B-1}'s i/k
-                # closure to the j images, and the ordered rule forms only
-                # the j images the others do not span (module docstring)
+                # closure to the j images, and the ordered and central rules
+                # form only the j images the others do not span (module
+                # docstring)
                 gained, formed = [], 0
                 for y, left, right in self.frontier:
                     for a, x in enumerate(self.j):
-                        if a <= left:
+                        if a <= left and not self.j_central[a]:
                             v = _product(A, x, y)
+                            formed += 1
                             if add(v) is not None:
                                 gained.append((v, a, top))
                         if a <= right:
                             v = _product(A, y, x)
+                            formed += 1
                             if add(v) is not None:
                                 gained.append((v, -1, a))
-                    formed += left + right + 2
                 skipped = 2 * A.n * len(self.frontier) - formed
                 self.frontier = gained
             self.j_formed.append(formed)

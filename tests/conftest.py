@@ -50,6 +50,22 @@ def ut2() -> NCPA:
 
 
 @pytest.fixture(scope="session")
+def ut2_zero() -> NCPA:
+    """Upper-triangular 2x2 matrices with the zero bracket: every j(a) is
+    central, but i(E12) and k(E12) are not."""
+    mul = {
+        (0, 0): vec(3, {0: 1}),
+        (0, 1): vec(3, {1: 1}),
+        (1, 2): vec(3, {1: 1}),
+        (2, 2): vec(3, {2: 1}),
+    }
+    pres = AlgebraPresentation(
+        "ut2zero", 3, ["E11", "E12", "E22"], vec(3, {0: 1, 2: 1}), mul, {}
+    )
+    return validate_ncpa(pres)
+
+
+@pytest.fixture(scope="session")
 def kxk_skew() -> NCPA:
     """K x K in the basis b1 = e1 + 4 e2, b2 = 2 e1 + e2: same algebra,
     but its idempotents are not probe vectors."""
@@ -90,6 +106,21 @@ def trunc2_skew() -> NCPA:
         {},
     )
     return validate_ncpa(pres)
+
+
+@pytest.fixture(scope="session")
+def m2_rebased() -> NCPA:
+    """m2std in the basis f0 = 1, f1 = E12, f2 = E21, f3 = E11 (so E22 is
+    f0 - f3), with the commutator bracket: the unit is a basis vector, and
+    j(f0) is the one central generator."""
+    unit = {(0, b): {b: 1} for b in range(4)} | {(a, 0): {a: 1} for a in range(4)}
+    mul = unit | {(1, 2): {3: 1}, (2, 1): {0: 1, 3: -1}, (2, 3): {2: 1},
+                  (3, 1): {1: 1}, (3, 3): {3: 1}}
+    pres = AlgebraPresentation(
+        "m2std-rebased", 4, ["f0", "f1", "f2", "f3"], vec(4, {0: 1}),
+        {ab: vec(4, v) for ab, v in mul.items()}, {}
+    )
+    return standard_ncpa(pres)
 
 
 # Reference constructions that expand the unit over the basis by hand, kept

@@ -543,16 +543,59 @@ def test_ordered_j_rule_keeps_every_row_of_one_generator(m2, label, t):
     _assert_unrestricted_rows(m2, IdealGens(label, gens.gens[t:t + 1]), 3)
 
 
-def test_closure_counts_j_products(trunc2):
-    closure = _LeveledClosure(trunc2, ideal_j_gens(trunc2))
-    sizes = []
-    for D in range(1, 5):
-        closure.extend_to(trunc2, D)
-        sizes.append(len(closure.frontier))
-    assert closure.j_formed == [0, 126, 231, 318]
-    assert closure.j_skipped == [0, 0, 51, 168]
-    for level in range(1, 4):
-        assert closure.j_formed[level] + closure.j_skipped[level] == 2 * trunc2.n * sizes[level - 1]
+@pytest.mark.parametrize(
+    "name, label, t",
+    [("trunc2", "J", 0), ("trunc2", "J", 4), ("trunc2", "OH", 1), ("trunc2", "I", 2),
+     ("trunc2_skew", "J", 1), ("trunc2_skew", "OH", 0), ("kxk", "J", 1), ("kxk", "I", 0),
+     ("m2_rebased", "J", 0), ("m2_rebased", "J", 5), ("m2_rebased", "I", 1),
+     ("m2_rebased", "OH", 2), ("ut2_zero", "J", 1), ("ut2_zero", "OH", 1)],
+)
+def test_central_rule_keeps_every_row_of_one_generator(name, label, t, request):
+    # every generator of trunc2, trunc2_skew and kxk is central, of ut2_zero
+    # every j(a) and of m2_rebased only j(f0): the closure forms one side of
+    # each central product, and single generators are not closed under
+    # ad j(c)
+    A = request.getfixturevalue(name)
+    gens = ideal_gens_by_label(A, label)
+    _assert_unrestricted_rows(A, IdealGens(label, gens.gens[t:t + 1]), 4)
+
+
+@pytest.mark.parametrize("name", ["kxk", "m2", "trunc2", "ut2", "kxk_skew", "trunc2_skew",
+                                  "m2_rebased", "ut2_zero", "field_k"])
+def test_central_flags_match_the_smash_product(name, request):
+    A = request.getfixturevalue(name)
+    closure = _LeveledClosure(A, IdealGens("none", ()))
+    gens = {kind: [embed(A, kind, A.basis(a)) for a in range(A.n)] for kind in "ikj"}
+    every = [x for xs in gens.values() for x in xs]
+    flags = {"i": closure.ik_central, "k": closure.ik_central, "j": closure.j_central}
+    for kind, xs in gens.items():
+        for a, g in enumerate(xs):
+            central = all(q_mult(A, g, x) == q_mult(A, x, g) for x in every)
+            assert flags[kind][a] == central, (kind, a)
+
+
+def test_rebased_m2_matches_m2(m2, m2_rebased):
+    for label in ("J", "OH"):
+        assert (dimension_table(m2_rebased, ideal_gens_by_label(m2_rebased, label), 1)
+                == dimension_table(m2, ideal_gens_by_label(m2, label), 1)), label
+
+
+def test_closure_counts_j_products(trunc2, m2):
+    # trunc2: every j(a) is central, so j(a) * v is never formed; m2std has
+    # no central basis vector, so only the ordered rule skips
+    for A, formed, skipped in (
+        (trunc2, [0, 63, 90, 136], [0, 63, 192, 350]),
+        (m2, [0, 512, 993, 1483], [0, 0, 287, 1077]),
+    ):
+        closure = _LeveledClosure(A, ideal_j_gens(A))
+        sizes = []
+        for D in range(1, 5):
+            closure.extend_to(A, D)
+            sizes.append(len(closure.frontier))
+        assert closure.j_formed == formed
+        assert closure.j_skipped == skipped
+        for level in range(1, 4):
+            assert closure.j_formed[level] + closure.j_skipped[level] == 2 * A.n * sizes[level - 1]
 
 
 @pytest.mark.parametrize(
