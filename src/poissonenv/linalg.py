@@ -416,24 +416,6 @@ def saturate_closure(
     return ech.to_subspace()
 
 
-def express_in_span(
-    vectors: Sequence[SparseVector], target: SparseVector
-) -> list[Fraction] | None:
-    """Coefficients c with target = sum c_t * vectors[t], or None."""
-    if not vectors:
-        return [] if target.is_zero() else None
-    n = vectors[0].n
-    tracked = TrackedEchelon(n)
-    for v in vectors:
-        if v.n != n:
-            raise ValueError("dimension mismatch")
-        tracked.insert(v.data)
-    combo = tracked.express(target)
-    if combo is None:
-        return None
-    return [combo.get(t, ZERO) for t in range(len(vectors))]
-
-
 def solve_nullspace(rows: Iterable[SparseVector], dim: int) -> Subspace:
     """Solution space of the homogeneous system given by the rows."""
     s = join_and_reduce(rows, dim)

@@ -256,14 +256,24 @@ class EnvAction:
     a matrix for each monomial.  Each monomial's integer form (see linalg),
     built lazily, is the one store: matrix() reads its Fractions off the
     form.  The monomial-pair multiplicativity verdicts are cached too, and
-    taken on the forms: no Fraction is formed per pair."""
+    taken on the forms: no Fraction is formed per pair.  Each bound's
+    failure list is kept as well.
+
+    A monomial that acts as zero is stored as the one zero form, and the
+    check does no matrix work with it: if m1 or m2 acts as zero, then
+    F(m1)·F(m2) is zero, since a zero factor gives a zero product; and the
+    terms of m1·m2 that act as zero are dropped, since they add nothing to
+    F(m1·m2).  Each rational matrix has exactly one form, so every verdict
+    is the one the full products give."""
 
     def __init__(self, algebra: NCPA, dim: int, matrix_fn: Callable[[QMonomial], Matrix]):
         self.algebra = algebra
         self.dim = dim
         self._fn = matrix_fn
+        self._zero: IntMatrix = (({},) * dim, 1)  # the form of the zero matrix
         self._forms: dict[QMonomial, IntMatrix] = {}
         self._verdicts: dict[tuple[QMonomial, QMonomial], bool] = {}
+        self._failures: dict[int, list[tuple]] = {}
 
     def matrix(self, mono: QMonomial) -> Matrix:
         return frac_matrix(self._form(mono), self.dim)
@@ -271,7 +281,10 @@ class EnvAction:
     def _form(self, mono: QMonomial) -> IntMatrix:
         hit = self._forms.get(mono)
         if hit is None:
-            hit = self._forms[mono] = self._new_form(mono)
+            hit = self._new_form(mono)
+            if not any(hit[0]):
+                hit = self._zero
+            self._forms[mono] = hit
         return hit
 
     def _new_form(self, mono: QMonomial) -> IntMatrix:
@@ -290,27 +303,40 @@ class EnvAction:
     def multiplicativity_failures(self, degree_bound: int) -> list[tuple]:
         """Monomial pairs (total degree <= bound) where composing matrices
         differs from acting by the product."""
+        found = self._failures.get(degree_bound)
+        if found is not None:
+            return list(found)
         A = self.algebra
         memo = A.caches["q_mono"]
+        verdicts = self._verdicts
+        form = self._form
+        zero = self._zero
         out = []
-        zero = (({},) * self.dim, 1)  # the form of the zero matrix
         monos = env_monomials(A, degree_bound)
         # monomials of degree <= d form a prefix of monos, upto[d] long
         upto = [sum(len(m[2]) <= d for m in monos) for d in range(degree_bound + 1)]
         for m1 in monos:
             for m2 in monos[:upto[degree_bound - len(m1[2])]]:
-                ok = self._verdicts.get((m1, m2))
+                pair = (m1, m2)
+                ok = verdicts.get(pair)
                 if ok is None:
-                    entry = memo.get((m1, m2))
+                    entry = memo.get(pair)
                     if entry is None:
                         q_mono_mult(A, m1, m2)  # the one function that fills the memo
-                        entry = memo[(m1, m2)]
-                    composed = int_mat_mul(self._form(m1), self._form(m2))
-                    product = self._combination(*entry) if entry[0] else zero
-                    ok = self._verdicts[m1, m2] = composed == product
+                        entry = memo[pair]
+                    # read every form, m1's, m2's, then the product terms', even
+                    # where a factor is zero: a failing matrix_fn then fails at
+                    # the same monomial whatever acts as zero
+                    f1, f2 = form(m1), form(m2)
+                    composed = zero if f1 is zero or f2 is zero else int_mat_mul(f1, f2)
+                    nums, den = entry
+                    live = {m: c for m, c in nums.items() if form(m) is not zero}
+                    product = self._combination(live, den) if live else zero
+                    ok = verdicts[pair] = composed == product
                 if not ok:
-                    out.append((m1, m2))
-        return out
+                    out.append(pair)
+        self._failures[degree_bound] = out
+        return list(out)
 
 
 class _ModuleAction(EnvAction):

@@ -480,3 +480,46 @@ def test_run_command_report_shape():
     assert report.elapsed >= 0
     doc = report.to_dict()
     assert set(doc) == {"command", "status", "findings", "output", "elapsed"}
+
+
+def test_q_mono_memo_is_filled_only_by_q_mono_mult_misses(tmp_path, monkeypatch, capsys):
+    # A per-layer trace counts q_mono memo entries as the calls of
+    # smash.q_mono_mult that missed the memo, through every binding of it;
+    # a memo entry made any other way would break that count.
+    import importlib
+    import pkgutil
+
+    import poissonenv
+    from poissonenv import smash
+    from poissonenv.fileformat import load_bundled_algebra, serialize_module
+    from poissonenv.ncpa import validate_ncpa
+    from poissonenv.poisson_modules import tensor_square_module
+
+    original = smash.q_mono_mult
+    misses = {}  # id(algebra) -> [algebra, calls that missed the memo]
+
+    def counted(A, m1, m2):
+        seen = misses.setdefault(id(A), [A, 0])
+        seen[1] += (m1, m2) not in A.caches["q_mono"]
+        return original(A, m1, m2)
+
+    modules = [poissonenv] + [
+        importlib.import_module(f"poissonenv.{m.name}") for m in pkgutil.iter_modules(poissonenv.__path__)
+    ]
+    bindings = [(m, key) for m in modules for key, value in vars(m).items() if value is original]
+    assert len(bindings) > 1
+    for m, key in bindings:
+        monkeypatch.setattr(m, key, counted)
+
+    square = tmp_path / "trunc2-n2-square.mod"
+    trunc2 = validate_ncpa(load_bundled_algebra("trunc2-n2.alg"))
+    square.write_text(serialize_module(tensor_square_module(trunc2)), encoding="utf-8")
+    for argv in (
+        ["roundtrip", path("trunc2-n2.alg"), str(square), "--degree", "2"],
+        ["env-dim", path("trunc2-n2.alg"), "--ideal", "J", "--degree", "2"],
+    ):
+        misses.clear()
+        assert main(["--json", *argv]) == 0
+        capsys.readouterr()
+        [(A, missed)] = misses.values()  # one algebra per job
+        assert missed == len(A.caches["q_mono"]) > 0, argv

@@ -10,8 +10,8 @@ from poissonenv.linalg import (
     Echelon,
     SparseVector,
     Subspace,
+    TrackedEchelon,
     complement_conditions,
-    express_in_span,
     frac_matrix,
     in_span,
     int_mat_lincomb,
@@ -35,6 +35,14 @@ def sv(*values):
     return SparseVector.from_dense([Fraction(v) for v in values])
 
 
+def express(vectors, target):
+    """TrackedEchelon.express over the vectors, inserted in order."""
+    tracked = TrackedEchelon(target.n)
+    for v in vectors:
+        tracked.insert(v.data)
+    return tracked.express(target)
+
+
 def test_in_span_zero_vector_always():
     assert in_span(Subspace.zero(2), sv(0, 0))
 
@@ -48,8 +56,8 @@ def test_in_span_solves_two_by_two():
     # (3,5) = 4*(1,1) - 1*(1,-1)
     s = join_and_reduce([sv(1, 1), sv(1, -1)], 2)
     assert in_span(s, sv(3, 5))
-    coeffs = express_in_span([sv(1, 1), sv(1, -1)], sv(3, 5))
-    assert coeffs == [Fraction(4), Fraction(-1)]
+    coeffs = express([sv(1, 1), sv(1, -1)], sv(3, 5))
+    assert coeffs == {0: Fraction(4), 1: Fraction(-1)}
 
 
 def test_join_empty():
@@ -150,8 +158,9 @@ def test_complement_conditions():
 
 
 def test_express_not_in_span():
-    assert express_in_span([sv(1, 0)], sv(0, 1)) is None
-    assert express_in_span([], sv(0, 0)) == []
+    assert express([sv(1, 0)], sv(0, 1)) is None
+    assert express([], sv(0, 0)) == {}
+    assert express([], sv(1, 0)) is None
 
 
 def test_matrix_helpers():
@@ -237,10 +246,10 @@ def test_express_in_span_rebuilds_target(case, data):
         vecs = vecs + [vecs[0], _combine(mix, vecs, dim)]
     coeffs = data.draw(_coefficients(len(vecs)))
     target = _combine(coeffs, vecs, dim)
-    found = express_in_span(vecs, target)
+    found = express(vecs, target)
     assert found is not None
-    assert len(found) == len(vecs)
-    assert _combine(found, vecs, dim) == target
+    assert set(found) <= set(range(len(vecs)))
+    assert _combine([found.get(t, ZERO) for t in range(len(vecs))], vecs, dim) == target
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,7 +262,7 @@ def test_express_in_span_rejects_outside_target(case, data):
     coeffs = data.draw(_coefficients(len(vecs)))
     stray = SparseVector.unit(dim, data.draw(st.sampled_from(outside)))
     target = _combine(coeffs, vecs, dim) + stray
-    assert express_in_span(vecs, target) is None
+    assert express(vecs, target) is None
 
 
 # Reference elimination: the Fraction Gauss-Jordan that the integer kernel
@@ -319,7 +328,7 @@ def _ref_express(vectors, target):
     red = _ref_clear(target.data, _ref_echelon(tagged, n))
     if any(c < n for c in red):
         return None
-    return [-red.get(n + t, ZERO) for t in range(len(vectors))]
+    return {c - n: -x for c, x in red.items()}
 
 
 def _as_pairs(s):
@@ -396,10 +405,10 @@ def test_elimination_matches_fraction_reference(case):
     assert [w.data for w in conditions] == [row for _, row in _ref_nullspace(s.rows, dim)]
     assert _all_fractions(x for w in conditions for x in w.data.values())
 
-    found = express_in_span(vecs, target)
+    found = express(vecs, target)
     assert found == _ref_express(vecs, target)
     if found is not None:
-        assert _all_fractions(found)
+        assert _all_fractions(found.values())
 
 
 def test_nullspace_of_a_row_whose_pivot_entry_is_not_one():

@@ -613,3 +613,148 @@ def test_action_matrix_of_wrong_shape_is_rejected(kxk):
         wrong_shape().matrix((0, 0, ()))
     with pytest.raises(ModuleShapeError, match="action matrix has wrong shape"):
         action_to_module(wrong_shape())
+
+
+# The multiplicativity sweep as it ran before monomials acting as zero were
+# skipped: one product of forms per pair and one combination per nonzero
+# memo entry, on the action's own forms.
+
+def _sweep_without_skips(action, degree_bound):
+    from poissonenv.linalg import int_mat_lincomb, int_mat_mul
+    from poissonenv.smash import q_mono_mult
+    from poissonenv.truncation import env_monomials
+
+    A = action.algebra
+    memo = A.caches["q_mono"]
+    zero = (({},) * action.dim, 1)
+    out = []
+    monos = env_monomials(A, degree_bound)
+    for m1 in monos:
+        for m2 in monos:
+            if len(m1[2]) + len(m2[2]) > degree_bound:
+                continue
+            q_mono_mult(A, m1, m2)
+            nums, den = memo[(m1, m2)]
+            composed = int_mat_mul(action._form(m1), action._form(m2))
+            product = zero
+            if nums:
+                pairs = ((c, action._form(m)) for m, c in nums.items())
+                product = int_mat_lincomb(pairs, action.dim, den)
+            if composed != product:
+                out.append((m1, m2))
+    return out
+
+
+def _module_fixtures(kxk, m2, trunc2, trunc2_skew):
+    from poissonenv.fileformat import bundled_path, parse_module_file
+
+    def bundled(name):
+        return parse_module_file(bundled_path(name).read_text(encoding="utf-8"), kxk)
+
+    x1 = poisson_ideal_closure(trunc2, [trunc2.basis(1)])
+    return {
+        "kxk-regular": bundled("kxk-regular.mod"),
+        "kxk-nonpoisson": bundled("kxk-nonpoisson.mod"),
+        "kxk-square": tensor_square_module(kxk),
+        "trunc2-square": tensor_square_module(trunc2),
+        "trunc2-skew-square": tensor_square_module(trunc2_skew),
+        "m2-square": tensor_square_module(m2),
+        "m2-regular": regular_module(m2),
+        "trunc2-quotient": quotient_module(trunc2, x1),
+    }
+
+
+def test_sweep_matches_the_sweep_without_skips(kxk, m2, trunc2, trunc2_skew):
+    from poissonenv.poisson_modules import _ModuleAction
+
+    for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items():
+        for bound in (2, 3):
+            expected = _sweep_without_skips(_ModuleAction(M), bound)
+            assert _ModuleAction(M).multiplicativity_failures(bound) == expected, (name, bound)
+            if name == "kxk-nonpoisson":  # quasi-Poisson, so multiplicative all the same
+                assert expected == []
+
+
+def _corrupted(A, M, mono, change, asked):
+    """The action of M, except that mono acts by change(its matrix); each
+    monomial whose matrix is asked for is appended to asked."""
+    good = module_to_action(M)
+
+    def fn(m):
+        asked.append(m)
+        out = good.matrix(m)
+        return change(out) if m == mono else out
+
+    return EnvAction(A, M.dim, fn)
+
+
+def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2):
+    M = tensor_square_module(trunc2)
+    good = module_to_action(M)
+    dead = (0, 0, (1,))  # a nonempty word: zero bracket, so it acts as zero
+    live = (1, 0, ())  # left(x1) . right(1)
+    assert mat_is_zero(good.matrix(dead)) and not mat_is_zero(good.matrix(live))
+    identity = mat_identity(M.dim)
+    cases = {
+        "zero made nonzero": (trunc2, M, dead, lambda m: identity),
+        "live made zero": (trunc2, M, live, lambda m: mat_zero(M.dim)),
+        "live scaled": (
+            trunc2, M, live, lambda m: tuple(tuple(x * Fraction(3, 2) for x in row) for row in m)
+        ),
+        # the first monomial swept, whose products with e2's monomials are
+        # zero, so the later forms are not read through its product terms;
+        # the idempotent e1 (x) e1 acting as zero keeps the action multiplicative
+        "first made zero": (kxk, tensor_square_module(kxk), (0, 0, ()), lambda m: mat_zero(4)),
+    }
+    for name, (A, M, mono, change) in cases.items():
+        for bound in (2, 3):
+            asked, asked_without_skips = [], []
+            got = _corrupted(A, M, mono, change, asked).multiplicativity_failures(bound)
+            expected = _sweep_without_skips(
+                _corrupted(A, M, mono, change, asked_without_skips), bound
+            )
+            assert got == expected, (name, bound)
+            assert bool(got) == (name != "first made zero"), (name, bound)
+            # matrices are asked for in the same order, so a matrix_fn that
+            # raises does so at the same monomial
+            assert asked == asked_without_skips, (name, bound)
+
+
+def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
+    from poissonenv import poisson_modules
+    from poissonenv.poisson_modules import _ModuleAction
+    from poissonenv.truncation import env_monomials
+
+    action = _ModuleAction(tensor_square_module(trunc2))
+    monos = env_monomials(trunc2, 2)
+    live = [m for m in monos if not mat_is_zero(action.matrix(m))]  # builds every form
+    assert (len(monos), len(live)) == (90, 9)
+    assert all(not m[2] for m in live)  # the zero bracket kills every nonempty word
+    calls = {"mul": 0, "lincomb": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(poisson_modules, "int_mat_mul", counting("mul", poisson_modules.int_mat_mul))
+    monkeypatch.setattr(
+        poisson_modules, "int_mat_lincomb", counting("lincomb", poisson_modules.int_mat_lincomb)
+    )
+    assert action.multiplicativity_failures(2) == []
+    # one product per pair of live monomials, one combination per pair whose
+    # product has a live term
+    memo = trunc2.caches["q_mono"]
+    with_live_terms = sum(
+        any(m in live for m in memo[(m1, m2)][0])
+        for m1 in monos
+        for m2 in monos
+        if len(m1[2]) + len(m2[2]) <= 2
+    )
+    assert calls == {"mul": len(live) ** 2, "lincomb": with_live_terms} == {"mul": 81, "lincomb": 25}
+    # a second call with the same bound reads the stored list
+    found = action.multiplicativity_failures(2)
+    found.append("not stored")
+    assert action.multiplicativity_failures(2) == []
+    assert calls == {"mul": 81, "lincomb": 25}
