@@ -136,10 +136,11 @@ class NCPA:
     Construct through validate_ncpa / standard_ncpa so the axioms have
     actually been checked.  Instances carry memo caches for the PBW
     layer ("straighten", "lie_word"), the smash product ("q_mono", its
-    slot factors "q_factor", the word-pair plans "q_plan" and the integer
-    straightened tails "q_tail") and the ideal slices ("ideal_slice").
-    Cached values are immutable, except the leveled ideal closures under
-    "ideal_slice", which later calls extend to wider windows.
+    slot factors "q_factor" and the word-pair plans "q_plan", which hold
+    the integer straightened tails), the ideal slices ("ideal_slice") and
+    the operator matrices ("ops").  Cached values are immutable, except
+    the leveled ideal closures under "ideal_slice", which later calls
+    extend to wider windows.
     """
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -159,8 +160,8 @@ class NCPA:
             "q_mono": {},
             "q_factor": {},
             "q_plan": {},
-            "q_tail": {},
             "ideal_slice": {},
+            "ops": {},
         }
 
     # -- basic evaluation ---------------------------------------------------
@@ -233,7 +234,7 @@ class NCPA:
 
     def _matrix(self, key, column) -> Matrix:
         """Matrix whose j-th column is column(j); cached under key."""
-        cache = self.caches.setdefault("ops", {})
+        cache = self.caches["ops"]
         if key not in cache:
             cache[key] = mat_from_columns([column(j).data for j in range(self.n)], self.n)
         return cache[key]

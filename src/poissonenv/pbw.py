@@ -13,7 +13,7 @@ from fractions import Fraction
 from .limits import check_degree
 from .linalg import ONE, SparseVector, accumulate
 from .ncpa import NCPA
-from .words import Word, counit, shuffle_coproduct
+from .words import Word, shuffle_coproduct
 
 UElement = dict  # dict[Word, Fraction], monomial words weakly increasing
 
@@ -180,8 +180,6 @@ def module_algebra_failures(A: NCPA, degree_bound: int) -> list[dict]:
     monomials = u_monomials(A.n, degree_bound)
 
     for word in monomials:
-        u = {word: ONE}
-        eps = counit(word)
         for a in range(A.n):
             for b in range(A.n):
                 # on A: x(a . b) = sum x1(a) . x2(b)

@@ -10,16 +10,17 @@ the three families off the degree <= 1 monomials.
 
 Module families, action matrices and of_element values are tuples of
 Fraction, but the axiom checks, the action's monomial matrices and its
-multiplicativity check run on linalg's canonical integer forms: each
-family is converted once, products and combinations stay integral, and
-two matrices are equal exactly when their forms are.  A monomial pair is
-checked against the smash product's memo entry (numerators, denominator)
-as it stands, so no Fraction is formed per pair.
+multiplicativity check run on linalg's canonical integer forms: a module
+converts its families once (forms), products and combinations stay
+integral, and two matrices are equal exactly when their forms are.  A
+monomial pair is checked against the smash product's memo entry
+(numerators, denominator) as it stands, so no Fraction is formed per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .limits import check_degree
@@ -54,7 +55,7 @@ class ActionError(Exception):
     """An enveloping-algebra action failed its multiplicativity check."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class QuasiPoissonModule:
     algebra: NCPA
     dim: int
@@ -73,13 +74,14 @@ class QuasiPoissonModule:
                         f"matrix shape {mat_shape(m)} != {(self.dim, self.dim)}"
                     )
 
+    @cached_property
+    def forms(self) -> tuple[tuple[IntMatrix, ...], ...]:
+        """The integer forms of left, right and lie, converted once; the
+        module is frozen, so they never go stale."""
+        return tuple(tuple(int_matrix(m) for m in fam) for fam in (self.left, self.right, self.lie))
+
     def equal_actions(self, other: "QuasiPoissonModule") -> bool:
-        return (
-            self.dim == other.dim
-            and self.left == other.left
-            and self.right == other.right
-            and self.lie == other.lie
-        )
+        return self.dim == other.dim and self.forms == other.forms
 
 
 # -- constructions -------------------------------------------------------------
@@ -169,12 +171,8 @@ def quotient_module(A: NCPA, ideal: Subspace) -> QuasiPoissonModule:
 
 # -- validation ------------------------------------------------------------------
 #
-# The axioms are checked on the integer forms of the module's three families,
-# converted once; two forms are equal exactly when their matrices are.
-
-def _families(M: QuasiPoissonModule) -> tuple[tuple[IntMatrix, ...], ...]:
-    return tuple(tuple(int_matrix(m) for m in fam) for fam in (M.left, M.right, M.lie))
-
+# The axioms are checked on the module's forms; two forms are equal exactly
+# when their matrices are.
 
 def _of(family: Sequence[IntMatrix], x: SparseVector, dim: int, *extra: IntMatrix) -> IntMatrix:
     """The form of sum_i x_i * family[i], plus each form in extra."""
@@ -187,10 +185,7 @@ def _of(family: Sequence[IntMatrix], x: SparseVector, dim: int, *extra: IntMatri
 def quasi_violations(M: QuasiPoissonModule) -> list[dict]:
     """Bimodule axioms plus the three quasi-Poisson compatibilities,
     checked on basis pairs."""
-    return _quasi_violations(M, *_families(M))
-
-
-def _quasi_violations(M: QuasiPoissonModule, L, R, Z) -> list[dict]:
+    L, R, Z = M.forms
     A = M.algebra
     n = A.n
     dim = M.dim
@@ -228,8 +223,8 @@ def _quasi_violations(M: QuasiPoissonModule, L, R, Z) -> list[dict]:
 
 def poisson_violations(M: QuasiPoissonModule) -> list[dict]:
     """Quasi-Poisson axioms plus {ab, m}* = a.{b,m}* + {a,m}*.b."""
-    L, R, Z = _families(M)
-    out = _quasi_violations(M, L, R, Z)
+    out = quasi_violations(M)
+    L, R, Z = M.forms
     A = M.algebra
     dim = M.dim
     for i in range(A.n):
@@ -342,11 +337,11 @@ class EnvAction:
 class _ModuleAction(EnvAction):
     """The action of a module: monomial (i, j, word) acts by
     left(i) . right(j) . lie(w_1) ... lie(w_k).  Its integer form is built
-    from that of (i, j, word[:-1]) and the families' forms, converted once."""
+    from that of (i, j, word[:-1]) and the module's forms."""
 
     def __init__(self, M: QuasiPoissonModule):
         super().__init__(M.algebra, M.dim, None)  # _new_form is overridden
-        self._left, self._right, self._lie = _families(M)
+        self._left, self._right, self._lie = M.forms
 
     def _new_form(self, mono: QMonomial) -> IntMatrix:
         i, j, word = mono
@@ -389,7 +384,9 @@ def roundtrip_report(
     back = action_to_module(action)
     gf_equal = M.equal_actions(back)
 
-    action2 = _ModuleAction(back)  # action_to_module validated back
+    # F(G(F(M))) is built from back's matrices alone, so where they are M's
+    # it is F(M); action_to_module validated back
+    action2 = action if gf_equal else _ModuleAction(back)
     monos = env_monomials(A, degree_bound)
     fgf_mismatches = [m for m in monos if action._form(m) != action2._form(m)]
     assoc_failures = action.multiplicativity_failures(degree_bound)

@@ -23,9 +23,9 @@ The word work of a monomial product depends on the two words alone, and
 most word pairs recur with many slot pairs (the 2,268 monomial pairs of
 the trunc2-n2 tensor-square roundtrip share 28 word pairs).  So it is
 done once per word pair and memoized per algebra: the plan ("q_plan")
-lists the ordered tripartitions of the left word, with the degree cap read
-when a plan is built, and "q_tail" holds each straightened word slot as
-integers.  A plan leaves out every part whose Lie word acts as zero on
+lists the ordered tripartitions of the left word, each with its
+straightened word slot as integers, and the degree cap is read when a plan
+is built.  A plan leaves out every part whose Lie word acts as zero on
 the whole basis, which gives a zero factor for any slot (see q_mono_mult);
 with a zero bracket only the part that passes every letter through is
 left.
@@ -146,12 +146,13 @@ def _factor(A: NCPA, outer, word, inner, left: bool) -> tuple[dict, int]:
 
 def _plan(A: NCPA, alpha, beta) -> tuple:
     """The plan of the word pair (alpha, beta): the ordered tripartitions
-    of alpha as ((w1, ((w2, rest), ...)), ...), where w1 brackets into the
-    left slot, w2 into the opposite slot, and rest is the leftover letters
-    followed by beta, in the order of the terms of q_mono_mult.  Parts
-    whose Lie word kills every basis vector are left out (see
-    q_mono_mult).  Stored under "q_plan"; the degree cap is read here,
-    once per word pair."""
+    of alpha as ((w1, ((w2, tail), ...)), ...), where w1 brackets into the
+    left slot, w2 into the opposite slot, and tail is the straightened
+    word of the leftover letters followed by beta, as (numerators,
+    denominator), in the order of the terms of q_mono_mult.  Parts whose
+    Lie word kills every basis vector are left out (see q_mono_mult).
+    Stored under "q_plan"; the degree cap is read here, once per word
+    pair."""
     check_degree(len(alpha) + len(beta), "product degree")
     live: dict = {(): True}  # the empty word is the identity
 
@@ -170,7 +171,8 @@ def _plan(A: NCPA, alpha, beta) -> tuple:
             for part2, part3 in ordered_partitions(len(remainder), 2):
                 w2 = subword(remainder, part2)
                 if acts(w2):
-                    rights.append((w2, subword(remainder, part3) + beta))
+                    tail = _integral(straighten(A, subword(remainder, part3) + beta))
+                    rights.append((w2, tail))
             plan.append((w1, tuple(rights)))
     plan = A.caches["q_plan"][(alpha, beta)] = tuple(plan)
     return plan
@@ -181,13 +183,12 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
     as (numerators, denominator): integers in lowest terms.
 
     Walks the word pair's plan (_plan) and multiplies the slot factors of
-    each part; the straightened rest of a term whose two factors are
-    nonzero is read from the "q_tail" memo, as (numerators, denominator).
-    Dropping a part w1 or w2 whose Lie word kills every basis vector is
-    exact: ad_w(v_b) = 0 for every b makes the factor v_outer . ad_w(v_b)
-    zero for every slot pair, and ad_w(1) = 0 for nonempty w makes it zero
-    for a None slot too.  Such terms added nothing and the others keep
-    their order, so the sum and its term order are unchanged."""
+    each part by its integer tail.  Dropping a part w1 or w2 whose Lie
+    word kills every basis vector is exact: ad_w(v_b) = 0 for every b
+    makes the factor v_outer . ad_w(v_b) zero for every slot pair, and
+    ad_w(1) = 0 for nonempty w makes it zero for a None slot too.  Such
+    terms added nothing and the others keep their order, so the sum and
+    its term order are unchanged."""
     cache = A.caches["q_mono"]
     hit = cache.get((m1, m2))
     if hit is not None:
@@ -199,19 +200,15 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
     plan = A.caches["q_plan"].get((alpha, beta))
     if plan is None:
         plan = _plan(A, alpha, beta)
-    tails = A.caches["q_tail"]
     terms = []
     for w1, rights in plan:
         left = _factor(A, i1, w1, i2, True)
         if not left[0]:
             continue
-        for w2, rest in rights:
+        for w2, tail in rights:
             # opposite product: v_{j1} o w = w . v_{j1}
             right = _factor(A, j1, w2, j2, False)
             if right[0]:
-                tail = tails.get(rest)
-                if tail is None:
-                    tail = tails[rest] = _integral(straighten(A, rest))
                 terms.append((left, right, tail))
     if not terms:  # most products of basis monomials are zero
         cache[(m1, m2)] = _ZERO_TERMS

@@ -392,7 +392,9 @@ def dimension_table(
     """Quotient dimension and stability flag for each degree 0..max_degree.
 
     Windows never shrink as the degree grows, so one leveled pass serves
-    every degree."""
+    every degree, and the widest is checked against the cap before any
+    closure work."""
+    check_degree(max_degree + 2 if saturation is None else saturation, "saturation degree")
     quotients = (truncated_quotient(A, gens, d, saturation) for d in range(max_degree + 1))
     return [{"degree": q.degree, "saturation": q.saturation, "dimension": q.dimension,
              "stable": q.stable} for q in quotients]

@@ -307,6 +307,24 @@ def test_roundtrip_degree_above_cap_fails_before_any_work(capsys, monkeypatch, a
         assert out.splitlines()[0] == f"error: {message}"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_env_dim_widest_window_above_cap_fails_before_any_work(capsys, monkeypatch, as_json):
+    def forbidden(*args):
+        raise AssertionError("env-dim grew the closure before checking its widest window")
+
+    monkeypatch.setattr("poissonenv.truncation.q_mult_scaled", forbidden)
+    argv = ["env-dim", path("m2std.alg"), "--degree", "7"]
+    code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 2
+    message = "saturation degree 9 exceeds cap 8"
+    if as_json:
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["findings"] == [{"kind": "error", "detail": message}]
+    else:
+        assert out.splitlines()[0] == f"error: {message}"
+
+
 def test_env_dim_text(capsys):
     code, out = run(
         capsys, "env-dim", path("kxk.alg"), "--ideal", "J", "--degree", "1"

@@ -758,3 +758,69 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
     found.append("not stored")
     assert action.multiplicativity_failures(2) == []
     assert calls == {"mul": 81, "lincomb": 25}
+
+
+def test_roundtrip_converts_each_module_once_and_builds_one_action(trunc2, monkeypatch):
+    from poissonenv import poisson_modules
+    from poissonenv.poisson_modules import _ModuleAction
+
+    M = tensor_square_module(trunc2)
+    calls = {"int_matrix": 0, "_new_form": 0}
+    int_matrix, new_form = poisson_modules.int_matrix, _ModuleAction._new_form
+
+    def counted_int_matrix(*args):
+        calls["int_matrix"] += 1
+        return int_matrix(*args)
+
+    def counted_new_form(self, mono):
+        calls["_new_form"] += 1
+        return new_form(self, mono)
+
+    monkeypatch.setattr(poisson_modules, "int_matrix", counted_int_matrix)
+    monkeypatch.setattr(_ModuleAction, "_new_form", counted_new_form)
+    report = roundtrip_report(trunc2, M, 2)
+    assert report["ok"] and report["monomials_checked"] == 90
+    # nine family matrices and one identity per module, M and G(F(M)); one
+    # form per monomial of F(M), which F(G(F(M))) is, since G(F(M)) = M
+    assert calls == {"int_matrix": 20, "_new_form": 90}
+
+
+def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatch):
+    from poissonenv import poisson_modules
+    from poissonenv.poisson_modules import _ModuleAction
+    from poissonenv.truncation import env_monomials
+
+    M = regular_module(m2)
+    back = QuasiPoissonModule(
+        m2, M.dim, M.left, M.right,
+        tuple(tuple(tuple(2 * x for x in row) for row in m) for m in M.lie),
+    )
+    monkeypatch.setattr(poisson_modules, "action_to_module", lambda action: back)
+    report = roundtrip_report(m2, M, 2)
+    first, second = _ModuleAction(M), _ModuleAction(back)
+    differ = [m for m in env_monomials(m2, 2) if first.matrix(m) != second.matrix(m)]
+    assert differ and len(differ) < report["monomials_checked"]
+    assert report["module_roundtrip_equal"] is False
+    assert report["ok"] is False
+    assert report["action_roundtrip_mismatches"] == differ
+
+
+def test_equal_actions_sees_one_changed_entry(m2):
+    M = regular_module(m2)
+    lie = list(M.lie)
+    rows = [list(row) for row in lie[1]]
+    rows[0][1] += 1
+    lie[1] = tuple(tuple(row) for row in rows)
+    other = QuasiPoissonModule(m2, M.dim, M.left, M.right, tuple(lie))
+    assert M.equal_actions(regular_module(m2))
+    assert not M.equal_actions(other) and not other.equal_actions(M)
+
+
+def test_modules_are_frozen(kxk):
+    from dataclasses import FrozenInstanceError
+
+    M = regular_module(kxk)
+    forms = M.forms
+    with pytest.raises(FrozenInstanceError):
+        M.lie = M.left
+    assert M.forms is forms

@@ -308,19 +308,48 @@ def test_zero_bracket_plans_keep_one_part():
     plans = A.caches["q_plan"]
     assert len(plans) == len(u_monomials(A.n, 2)) ** 2
     for (alpha, beta), plan in plans.items():
-        assert plan == (((), (((), alpha + beta),)),), (alpha, beta)
+        tail = _integral(straighten(A, alpha + beta))
+        assert plan == (((), (((), tail),)),), (alpha, beta)
 
 
 def test_plans_keep_parts_that_act():
     # no basis element of M_2 is central, so a letter bracketing into either
     # slot survives, and the plan lists all three tripartitions of (a,)
     A = validate_ncpa(load_bundled_algebra("m2std.alg"))
+
+    def tail(word):
+        return _integral(straighten(A, word))
+
     for a in range(A.n):
         q_mono_mult(A, (0, 1, (a,)), (2, 3, ()))
         assert A.caches["q_plan"][((a,), ())] == (
-            ((a,), (((), ()),)),
-            ((), (((a,), ()), ((), (a,)))),
+            ((a,), (((), tail(())),)),
+            ((), (((a,), tail(())), ((), tail((a,))))),
         )
+
+
+def _plan_terms(A, alpha, beta):
+    # The plan written out afresh, flattened to (w1, w2, rest) in the
+    # product's term order (see _direct_q_mono_mult), keeping the terms
+    # whose two Lie words each act on some basis vector.
+    def acts(word):
+        for b in range(A.n):
+            v = A.basis(b)
+            for letter in reversed(word):
+                v = A.bracket(A.basis(letter), v)
+            if v.data:
+                return True
+        return False
+
+    def order(blocks):
+        return [b != 0 for b in blocks], [b == 2 for b in blocks if b]
+
+    out = []
+    for blocks in sorted(itertools.product(range(3), repeat=len(alpha)), key=order):
+        w1, w2, rest = (tuple(a for a, b in zip(alpha, blocks) if b == k) for k in range(3))
+        if acts(w1) and acts(w2):
+            out.append((w1, w2, rest + beta))
+    return out
 
 
 def test_plan_and_tail_entries_are_tuples_never_mutated():
@@ -328,23 +357,26 @@ def test_plan_and_tail_entries_are_tuples_never_mutated():
     x = {(1, 2, (3,)): ONE, (0, 3, (1, 2)): Fraction(-1, 2)}
     y = {(2, 1, (0,)): ONE, (3, 3, ()): Fraction(2, 3)}
     got = q_mult(A, x, y)
-    plans, tails = A.caches["q_plan"], A.caches["q_tail"]
-    assert plans and tails
-    frozen = copy.deepcopy((plans, tails))
-    for plan in plans.values():
+    plans = A.caches["q_plan"]
+    assert plans
+    frozen = copy.deepcopy(plans)
+    for (alpha, beta), plan in plans.items():
         assert type(plan) is tuple
+        terms = []
         for w1, rights in plan:
             assert type(w1) is tuple and type(rights) is tuple
-            assert all(type(w2) is tuple and type(rest) is tuple for w2, rest in rights)
-    for word, tail in tails.items():
-        assert type(tail) is tuple and tail == _integral(straighten(A, word))
+            for w2, tail in rights:
+                assert type(w2) is tuple and type(tail) is tuple
+                terms.append((w1, w2, tail))
+        # each tail is the straightened rest of its term, as integers
+        assert terms == [(w1, w2, _integral(straighten(A, rest)))
+                         for w1, w2, rest in _plan_terms(A, alpha, beta)], (alpha, beta)
     got.clear()
     for m1 in x:
         for m2_ in y:
             q_mono_mult(A, m1, m2_)[m1] = Fraction(99)
     q_mult(A, y, x)
-    assert {k: plans[k] for k in frozen[0]} == frozen[0]
-    assert {k: tails[k] for k in frozen[1]} == frozen[1]
+    assert {k: plans[k] for k in frozen} == frozen
 
 
 def _count_cap_reads(monkeypatch) -> list:
