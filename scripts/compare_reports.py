@@ -78,6 +78,10 @@ def jobs() -> list[list[str]]:
     out.append(["env-dim", alg("m2std"), "--ideal", "OH", "--degree", "3"])
     out.append(["env-dim", SKEW, "--ideal", "J", "--degree", "4"])
     out.append(["relations", SKEW])
+    # the other readers of the echelon's reduced form, on non-integral
+    # constants: to_subspace, through saturate_closure and solve_nullspace
+    for cmd in ("simple", "derivations"):
+        out += [[cmd, path] for path in (SKEW, M2_UNIT)]
     for ideal in ("J", "J+I", "OH"):
         out.append(["env-dim", SKEW, "--ideal", ideal, "--degree", "2"])
     # a fixed window, whose last row is unstable; a window above the degree

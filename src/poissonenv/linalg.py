@@ -154,12 +154,19 @@ def accumulate(out: dict, key, coeff: Fraction) -> None:
 
 # -- echelon machinery -------------------------------------------------------
 #
-# All row reduction goes through _eliminate and _clear_pivots; Echelon,
-# TrackedEchelon, Subspace.reduce and remainder are thin users of them.
 # Rows are primitive integer vectors (content 1, positive pivot entry), so
 # elimination is integer multiply-and-subtract (fraction-free, as in
 # Bareiss, Math. Comp. 22, 1968); a vector's denominators are cleared once
-# on entry, and Fractions are formed again only on the way out.
+# on entry, and Fractions are formed again only on the way out.  An
+# Echelon keeps its rows triangular: a row's pivot is its least coordinate
+# and no other row's pivot, but a row may have entries at larger pivots.
+# An insert reduces a vector by leading term only and never rewrites a
+# stored row; the reduced form, each row zero at every other row's pivot,
+# is built once where it is read, by reduced_rows, as Gröbner-basis
+# practice interreduces once at the end (Faugère, F4, J. Pure Appl. Algebra
+# 139, 1999).  All row reduction goes through _eliminate: _top_reduce for
+# inserts and TrackedEchelon.express, _clear_pivots for reduced rows and
+# remainders.
 
 def _integral(data: Mapping) -> tuple[dict, int]:
     """The integer vector s * data, with s the lcm of its denominators, and s.
@@ -199,17 +206,48 @@ def _eliminate(out: dict, p: int, row: Mapping[int, int]) -> int:
 IntRows = Mapping[int, Mapping[int, int]]  # pivot column -> integer row
 
 
+def _top_reduce(data: Mapping, pivot_row: IntRows, n: int) -> tuple[dict[int, int], int, int]:
+    """(r, s, p) with r the integer vector s * (data - w), w in the span of
+    triangular rows, s > 0, and p the least coordinate of r, or n if r has
+    none; p is no pivot.
+
+    Eliminates the leading coordinate while it is a pivot: each row is zero
+    below its pivot, so the leading coordinate only grows."""
+    out, s = _integral(data)
+    p = min(out, default=n)
+    while p in pivot_row:
+        s *= _eliminate(out, p, pivot_row[p])
+        p = min(out, default=n)
+    return out, s, p
+
+
 def _clear_pivots(data: Mapping, pivot_row: IntRows) -> tuple[dict[int, int], int]:
     """(r, s) with r the integer vector s * (data - w), w in the rows' span,
-    zero at every pivot column, and s > 0.
+    zero at every pivot column, and s > 0, for reduced rows.
 
-    A row is zero at every pivot column but its own, so eliminating one
-    pivot never introduces entries at the others, and a single pass over
-    the initial support works."""
+    A reduced row is zero at every pivot column but its own, so eliminating
+    one pivot never introduces entries at the others, and a single pass
+    over the initial support works."""
     out, s = _integral(data)
     for p in [c for c in out if c in pivot_row]:
         s *= _eliminate(out, p, pivot_row[p])
     return out, s
+
+
+def reduced_rows(pivot_row: IntRows) -> dict[int, dict[int, int]]:
+    """The reduced form of triangular rows, keyed by pivot in ascending
+    order: each row, less the combination of the rows with larger pivots
+    that clears their pivot columns, made primitive.
+
+    Rows with larger pivots are reduced first, so each is cleared in a
+    single pass; every pivot entry stays positive.  The reduced form with
+    primitive rows and positive pivots is unique, so it does not depend on
+    the order the rows were inserted in.  Builds new rows and leaves the
+    given ones as they are."""
+    done: dict[int, dict[int, int]] = {}
+    for p in sorted(pivot_row, reverse=True):
+        done[p] = _primitive(_clear_pivots(pivot_row[p], done)[0])
+    return dict(reversed(done.items()))
 
 
 def _over(nums: Mapping, den: int) -> dict:
@@ -222,18 +260,21 @@ def remainder(data: Mapping, pivot_row: IntRows) -> dict[int, Fraction]:
     """data minus the combination of the rows that clears every pivot column.
 
     pivot_row maps each pivot column to an integer row that is zero at
-    every other row's pivot column; the remainder is then unique."""
+    every other row's pivot column (see reduced_rows); the remainder is
+    then unique."""
     return _over(*_clear_pivots(data, pivot_row))
 
 
 class Echelon:
-    """Mutable row-echelon accumulator over raw index->rational dicts.
+    """Mutable triangular row-echelon accumulator over raw index->rational
+    dicts.
 
-    Rows are primitive integer vectors whose pivot entry is positive and is
-    the sole nonzero entry in its column; dividing each row by its pivot
-    entry gives the reduced row echelon form, so subspace equality is
-    row-list equality once frozen into a Subspace.  Pivots are only taken
-    at coordinates below n.
+    Rows are primitive integer vectors whose pivot, their least coordinate,
+    holds a positive entry and is no other row's pivot.  Rows are stored as
+    inserted and never rewritten; to_subspace reduces them (reduced_rows),
+    and dividing each reduced row by its pivot entry gives the reduced row
+    echelon form, so subspace equality is row-list equality once frozen
+    into a Subspace.  Pivots are only taken at coordinates below n.
     """
 
     def __init__(self, n: int):
@@ -248,22 +289,13 @@ class Echelon:
     def _insert(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
         # Shared by add_data and TrackedEchelon.insert, which stay separate
         # entry points so that per-layer tracing counts each insertion once.
-        red, _ = _clear_pivots(data, self.pivot_row)
-        p = min(red, default=self.n)
+        red, _, p = _top_reduce(data, self.pivot_row, self.n)
         if p >= self.n:
             return None
         g = gcd(*red.values())
         if red[p] < 0:
             g = -g
         row = {c: v // g for c, v in red.items()} if g != 1 else red
-        # clear the new pivot column from existing rows, keeping them primitive
-        for other in self.rows:
-            if p in other:
-                _eliminate(other, p, row)
-                g = gcd(*other.values())
-                if g != 1:
-                    for c in other:
-                        other[c] //= g
         self.rows.append(row)
         self.pivot_row[p] = row
         return row
@@ -275,7 +307,8 @@ class Echelon:
 
     def add(self, v: SparseVector) -> SparseVector | None:
         """Insert a vector; returns the new row divided by its pivot entry,
-        or None if the vector is in the span."""
+        or None if the vector is in the span.  The row is reduced by
+        leading term only: it may have entries at larger pivots."""
         if v.n != self.n:
             raise ValueError("dimension mismatch")
         row = self.add_data(v.data)
@@ -302,9 +335,11 @@ class TrackedEchelon(Echelon):
     vectors, so its entries at n + t are the coefficients of that
     combination.  Pivots are only taken below n, so a vector whose data part
     reduces to zero adds no row (but still uses up its tag).  Reducing an
-    untagged target v leaves s * (v - sum(lam_k * row_k)); when its data
-    part is zero, v = sum_t c_t * (t-th vector) with c_t the negated entry
-    at n + t divided by s.
+    untagged target v by leading term leaves s * (v - sum(lam_k * row_k));
+    when its data part is zero, v = sum_t c_t * (t-th vector) with c_t the
+    negated entry at n + t divided by s.  Only the vectors that raised the
+    rank carry tags in the rows, and they are independent, so the
+    coefficients are unique.
     """
 
     def __init__(self, n: int):
@@ -319,23 +354,25 @@ class TrackedEchelon(Echelon):
 
     def express(self, v: SparseVector) -> dict[int, Fraction] | None:
         """Coefficients over the inserted vectors, or None if not in span."""
-        red, s = _clear_pivots(v.data, self.pivot_row)
         n = self.n
-        if any(c < n for c in red):
+        if v.n != n:
+            raise ValueError("dimension mismatch")
+        red, s, p = _top_reduce(v.data, self.pivot_row, n)
+        if p < n:
             return None
         return _over({c - n: -x for c, x in red.items()}, s)
 
 
 class Subspace:
     """Immutable subspace of Q^n in reduced row echelon form, built from an
-    Echelon's primitive integer rows keyed by pivot (copied: the Echelon
-    reworks them in place); rows holds each divided by its pivot entry."""
+    Echelon's triangular rows keyed by pivot, which it reduces into new rows
+    (reduced_rows); rows holds each divided by its pivot entry."""
 
     __slots__ = ("ambient_dim", "rows", "pivots", "_pivot_row")
 
     def __init__(self, ambient_dim: int, pivot_row: IntRows | None = None):
         self.ambient_dim = ambient_dim
-        self._pivot_row = {p: dict(row) for p, row in sorted((pivot_row or {}).items())}
+        self._pivot_row = reduced_rows(pivot_row or {})
         self.pivots = tuple(self._pivot_row)
         self.rows = tuple(_normalized(ambient_dim, row) for row in self._pivot_row.values())
 
@@ -391,7 +428,8 @@ def close_under(add: Callable, vectors: Iterable, operators: Sequence[Callable])
     span, then the operator images of every vector that was not, until no
     image is new.  Those vectors span what was added, so by linearity the
     span they add is invariant.  Terminates because the rank is bounded.
-    Returns those vectors, as given: images of reduced rows would be denser.
+    Returns those vectors, as given: the images of an echelon's rows, which
+    carry the elimination's fill-in, would be denser.
     """
     added = [v for v in vectors if add(v) is not None]
     queue = list(added)

@@ -75,11 +75,14 @@ vector kept is then right-made, and the proof above holds as it stands:
 where it takes j(c) x in U_B for c < a, a central c gives j(c) x = x j(c),
 a right product of a kept vector.
 
-Rows are kept in descending term order, so those with pivots in the low
-block span the slice, and a pivot never moves once taken: the level that
-took it tells every narrower window's rank and stable flag.  TruncatedQuotient
-is the one reader of the closure; dimension_table and truncated_ideal_span
-call it.
+Rows are kept in descending term order, each pivot at its row's largest
+monomial, so those with pivots in the low block lie in it and span the
+slice, and a pivot never moves once taken: the level that took it tells
+every narrower window's rank and stable flag.  The echelon keeps its rows
+triangular and never rewrites one, so the closure does no back-substitution:
+the pivots alone give dimensions and stable flags, and a slice's rows are
+reduced only when read.  TruncatedQuotient is the one reader of the closure;
+dimension_table and truncated_ideal_span call it.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ from .linalg import (
     _primitive,
     close_under,
     join_and_reduce,
+    reduced_rows,
     remainder,
 )
 from .ncpa import NCPA
@@ -282,11 +286,10 @@ class _LeveledClosure:
                 self.pivot_level.setdefault(p, self.level)
 
     def low_rows(self, n_low: int) -> dict[int, dict[int, int]]:
-        """Copies of the rows that span the current span met with the first
-        n_low monomials, at monomial positions and keyed by their pivots:
-        each row's largest monomial, zero in every other row."""
-        return {-1 - p: {-1 - c: x for c, x in row.items()}
-                for p, row in self.ech.pivot_row.items() if p >= -n_low}
+        """The rows that span the current span met with the first n_low
+        monomials, keyed by their pivots, each row's largest monomial: the
+        echelon's own triangular rows, which it never rewrites."""
+        return {p: row for p, row in self.ech.pivot_row.items() if p >= -n_low}
 
 
 def _leveled_closure(A: NCPA, gens: IdealGens, D: int) -> _LeveledClosure:
@@ -321,9 +324,10 @@ class TruncatedQuotient:
     degree <= d.  The coset representatives are the other monomials of
     degree <= d, so the degree <= d block is the slice plus their span, and
     each element has one decomposition: reduce() clears the pivots and reads
-    off the rest.  The dimension and stable flag need no elimination, but
-    ideal_slice does (a Subspace pivots at each row's least monomial), so it
-    is built on first read.
+    off the rest.  The dimension, coset basis and stable flag need only the
+    pivots; reduce() and ideal_slice need the rows in reduced form, and
+    ideal_slice a second elimination (a Subspace pivots at each row's least
+    monomial), so each is built on first read.
     """
 
     def __init__(self, A: NCPA, gens: IdealGens, degree: int, saturation: int):
@@ -338,19 +342,27 @@ class TruncatedQuotient:
         self.index = {m: t for t, m in enumerate(self.monomials)}
         n_low = len(self.monomials)
         if saturation == 0:  # window 0 holds no products
-            self._slice_rows, self.stable = {}, True
+            self._low_rows, self.stable = {}, True
         else:
             closure = _leveled_closure(A, gens, saturation)
-            # copied: a later, wider window reworks the closure's rows
-            self._slice_rows = closure.low_rows(n_low)
+            # kept, not copied: a later, wider window adds rows to the
+            # closure but rewrites none
+            self._low_rows = closure.low_rows(n_low)
             # stable: no pivot in the block is new at window D; window D - 1
             # has no degree-D block, so d = D counts as unstable
             self.stable = degree < saturation and all(
                 B < saturation - 1 for p, B in closure.pivot_level.items() if p >= -n_low
             )
-        coset = [t for t in range(n_low) if t not in self._slice_rows]
+        coset = [t for t in range(n_low) if -1 - t not in self._low_rows]
         self._coset_position = {t: k for k, t in enumerate(coset)}
         self.coset_basis: list[QMonomial] = [self.monomials[t] for t in coset]
+
+    @cached_property
+    def _slice_rows(self) -> dict[int, dict[int, int]]:
+        """The low rows in reduced form, at monomial positions and keyed by
+        their pivots, each zero in every other row."""
+        return {-1 - p: {-1 - c: x for c, x in row.items()}
+                for p, row in reduced_rows(self._low_rows).items()}
 
     @cached_property
     def ideal_slice(self) -> Subspace:
@@ -358,7 +370,7 @@ class TruncatedQuotient:
         n_low = len(self.monomials)
         rows = [SparseVector(n_low, row) for row in self._slice_rows.values()]
         out = join_and_reduce(rows, n_low)
-        if out.rank != len(self._slice_rows):
+        if out.rank != len(self._low_rows):
             raise RuntimeError("coset basis bookkeeping failed")
         return out
 

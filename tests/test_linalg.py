@@ -26,6 +26,7 @@ from poissonenv.linalg import (
     mat_zero,
     minimal_polynomial,
     rat,
+    reduced_rows,
     saturate_closure,
     solve_nullspace,
 )
@@ -418,7 +419,7 @@ def test_nullspace_of_a_row_whose_pivot_entry_is_not_one():
     assert s.pivots == (0,)
 
 
-def test_subspace_keeps_its_rows_when_the_echelon_reworks_them():
+def test_subspace_keeps_its_rows_when_the_echelon_grows():
     vectors = [sv(1, 1, 0, 0), sv(0, 0, 1, 1)]
     ech = Echelon(4)
     for v in vectors:
@@ -427,12 +428,101 @@ def test_subspace_keeps_its_rows_when_the_echelon_reworks_them():
     rows = list(s.rows)
     probes = [sv(1, 0, 0, 0), sv(0, 1, 1, 0), sv(3, 1, 2, 5)]
     reduced = [s.reduce(v) for v in probes]
+    stored = list(ech.rows)
     before = [dict(row) for row in ech.rows]
-    ech.add(sv(0, 2, 0, 1))  # pivot 1 reworks the row of pivot 0 in place
-    assert [dict(row) for row in ech.rows[:2]] != before
+    # pivot 1: the new row keeps its entry at pivot 2, and the rows before
+    # it are neither rewritten nor replaced
+    assert ech.add(sv(0, 2, 2, 0)) == sv(0, 1, 1, 0)
+    assert ech.rows[:2] == before
+    assert all(a is b for a, b in zip(ech.rows, stored))
+    assert ech.to_subspace() == join_and_reduce(vectors + [sv(0, 1, 1, 0)], 4)
+    assert ech.to_subspace().rows[0] == sv(1, 0, 0, 1)
     assert s == join_and_reduce(vectors, 4)
     assert list(s.rows) == rows
     assert [s.reduce(v) for v in probes] == reduced
+
+
+def test_express_rejects_a_vector_of_another_dimension():
+    tracked = TrackedEchelon(2)
+    tracked.insert({0: 1})
+    # coordinate 2 would be read as the tag of the first vector
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tracked.express(SparseVector(3, {0: 1, 2: 5}))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tracked.express(SparseVector(1, {0: 1}))
+    assert tracked.express(SparseVector(2, {0: 3})) == {0: Fraction(3)}
+
+
+# Triangular against reduced: the echelon reduces inserts by leading term
+# only and builds the reduced form where it is read, while _ref_echelon
+# keeps every row reduced as it goes.  A span's pivots are its leading
+# coordinates, whatever basis holds them, so both take the same pivot at
+# the same insert, and the reduced form and the coefficients of an
+# expression over independent vectors are unique.
+
+integers = st.integers(min_value=-6, max_value=6)
+
+
+@st.composite
+def mixed_sequences(draw):
+    """Vectors as int or Fraction data, some of them dependent on earlier
+    ones, zero or repeated, and a target in or out of their span."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    count = draw(st.integers(min_value=0, max_value=7))
+    out = []
+    for _ in range(count):
+        kinds = ["int", "fraction"] + (["dependent"] if out else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dependent":
+            coeffs = [draw(st.one_of(integers, rationals)) for _ in out]
+            data = _combine(coeffs, [SparseVector(dim, d) for d in out], dim).data
+        else:
+            values = integers if kind == "int" else rationals
+            picked = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), max_size=dim))
+            data = {c: draw(values) for c in picked}
+        out.append({c: v for c, v in data.items() if v})
+    if out and draw(st.booleans()):
+        coeffs = [draw(rationals) for _ in out]
+        target = _combine(coeffs, [SparseVector(dim, d) for d in out], dim)
+    else:
+        target = draw(rational_vectors(dim))
+    return dim, out, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_sequences())
+def test_triangular_echelon_matches_reduced_reference(case):
+    dim, vectors, target = case
+    fractions = [{c: Fraction(v) for c, v in data.items()} for data in vectors]
+    ech = Echelon(dim)
+    tracked = TrackedEchelon(dim)
+    for k, data in enumerate(vectors):
+        before = _ref_echelon(fractions[:k], dim)
+        after = _ref_echelon(fractions[:k + 1], dim)
+        row = ech.add_data(data)
+        assert (row is None) == (len(after) == len(before)), k
+        assert tracked.insert(data) == (row is not None), k
+        if row is not None:
+            assert _all_types(row.values(), int) and gcd(*row.values()) == 1
+            assert min(row) == list(after)[-1] and row[min(row)] > 0
+        # the same pivots, taken in the same order
+        assert list(ech.pivot_row) == list(after), k
+    vecs = [SparseVector(dim, d) for d in fractions]
+    assert _as_pairs(ech.to_subspace()) == _ref_span(vecs, dim)
+    assert ech.to_subspace() == Subspace(dim, reduced_rows(ech.pivot_row))
+    assert tracked.express(target) == _ref_express(vecs, target)
+
+
+def test_reduced_rows_leaves_the_triangular_rows_as_they_are():
+    ech = Echelon(4)
+    for data in ({0: 2, 1: 3, 2: 1}, {1: 1, 2: 1, 3: 1}, {2: 3, 3: 6}):
+        ech.add_data(data)
+    before = {p: dict(row) for p, row in ech.pivot_row.items()}
+    reduced = reduced_rows(ech.pivot_row)
+    assert ech.pivot_row == before
+    assert list(reduced) == [0, 1, 2]
+    assert reduced == {0: {0: 2, 3: 1}, 1: {1: 1, 3: -1}, 2: {2: 1, 3: 2}}
+    assert reduced_rows(reduced) == reduced
 
 
 # Dense reference kernels: every product and combination term, zero or not,

@@ -14,6 +14,7 @@ from poissonenv.linalg import (
     close_under,
     in_span,
     join_and_reduce,
+    reduced_rows,
     remainder,
 )
 from poissonenv.ncpa import is_poisson_simple
@@ -32,6 +33,7 @@ from poissonenv.smash import (
 from poissonenv.truncation import (
     IdealGens,
     _LeveledClosure,
+    _leveled_closure,
     dimension_table,
     env_monomials,
     ideal_gens_by_label,
@@ -478,19 +480,20 @@ def test_leveled_closure_is_closed_under_i_and_k(name, label, request):
     for D in range(1, 4):
         closure.extend_to(A, D)
         monomial = {c: m for m, c in closure.coord.items()}
+        reduced = reduced_rows(closure.ech.pivot_row)
         for row in closure.ech.pivot_row.values():
             v = {monomial[c]: x for c, x in row.items()}
             for x in ik:
                 for image in (q_mult(A, x, v), q_mult(A, v, x)):
                     data = qelem_to_vector(image, closure.coord, 0).data
-                    assert not remainder(data, closure.ech.pivot_row), (D, x)
+                    assert not remainder(data, reduced), (D, x)
 
 
 # -- reference: the closure that forms every j product --------------------------
 
 def _unrestricted_closure_levels(A, gens, D):
-    """Rows and pivot levels after each level of the closure that multiplies
-    everything a level gained by every j(a) on both sides."""
+    """Reduced rows and pivot levels after each level of the closure that
+    multiplies everything a level gained by every j(a) on both sides."""
     coord = {m: -1 - t for t, m in enumerate(env_monomials(A, D))}
     ech, pivot_level, out = Echelon(0), {}, []
 
@@ -513,18 +516,21 @@ def _unrestricted_closure_levels(A, gens, D):
             frontier = [v for v in images if add(v) is not None]
         for p in ech.pivot_row:
             pivot_level.setdefault(p, level)
-        out.append(({p: dict(row) for p, row in ech.pivot_row.items()}, dict(pivot_level)))
+        out.append((reduced_rows(ech.pivot_row), dict(pivot_level)))
     return out
 
 
 def _assert_unrestricted_rows(A, gens, top):
     # skipping the j products the bracket relation already spans leaves the
-    # rows and the level of each pivot as the unrestricted closure has them
+    # span and the level of each pivot as the unrestricted closure has them;
+    # the two insert different vectors, so their triangular rows differ, but
+    # the reduced form of a span is unique
     reference = _unrestricted_closure_levels(A, gens, top)
     closure = _LeveledClosure(A, gens)
     for D in range(1, top + 1):
         closure.extend_to(A, D)
-        assert (closure.ech.pivot_row, closure.pivot_level) == reference[D - 1], D
+        got = (reduced_rows(closure.ech.pivot_row), closure.pivot_level)
+        assert got == reference[D - 1], D
 
 
 @pytest.mark.parametrize("name", ["kxk", "m2", "trunc2", "ut2", "kxk_skew", "trunc2_skew"])
@@ -558,6 +564,109 @@ def test_central_rule_keeps_every_row_of_one_generator(name, label, t, request):
     A = request.getfixturevalue(name)
     gens = ideal_gens_by_label(A, label)
     _assert_unrestricted_rows(A, IdealGens(label, gens.gens[t:t + 1]), 4)
+
+
+# -- reference: the slice rows reduced by Fraction Gauss-Jordan ---------------
+#
+# The closure stores triangular rows, and a quotient reduces its low rows
+# only when reduce() or ideal_slice first reads them.  The reduced form of
+# a span is unique, so a Fraction Gauss-Jordan that keeps every row reduced
+# as it goes must give the same remainders and the same slice.
+
+def _ref_subtract(out, lam, row):
+    for c, v in row.items():
+        s = out.get(c, 0) - lam * v
+        if s:
+            out[c] = s
+        else:
+            out.pop(c, None)
+
+
+def _ref_reduced(rows, pivot_of):
+    """{pivot: row} of the rows' span in ascending pivot order, with each
+    pivot taken by pivot_of, each pivot entry 1, and each row zero at every
+    other row's pivot."""
+    out = {}
+    for row in rows:
+        red = {c: Fraction(x) for c, x in row.items()}
+        for p, other in out.items():
+            lam = red.get(p)
+            if lam:
+                _ref_subtract(red, lam, other)
+        if not red:
+            continue
+        p = pivot_of(red)
+        red = {c: x / red[p] for c, x in red.items()}
+        for other in out.values():
+            lam = other.get(p)
+            if lam:
+                _ref_subtract(other, lam, red)
+        out[p] = red
+    return dict(sorted(out.items()))
+
+
+@pytest.mark.parametrize("name", ["trunc2_skew", "m2"])
+@pytest.mark.parametrize("label", ["J", "OH"])
+def test_quotient_reads_match_a_reduced_reference(name, label, request):
+    A = request.getfixturevalue(name)
+    gens = ideal_gens_by_label(A, label)
+    for D in range(1, 5):
+        closure = _LeveledClosure(A, gens)
+        closure.extend_to(A, D)
+        for d in range(D + 1):
+            q = truncated_quotient(A, gens, d, D)
+            n_low = len(q.monomials)
+            # the closure's low rows at monomial positions, pivots at the top
+            rows = [{-1 - c: x for c, x in row.items()}
+                    for p, row in closure.ech.pivot_row.items() if p >= -n_low]
+            top = _ref_reduced(rows, max)
+            assert set(top) == set(range(n_low)) - {q.index[m] for m in q.coset_basis}
+            slice_ = q.ideal_slice
+            got = [(p, row.data) for p, row in zip(slice_.pivots, slice_.rows)]
+            assert got == list(_ref_reduced(rows, min).items()), (D, d)
+            position = {q.index[m]: k for k, m in enumerate(q.coset_basis)}
+            for k, x in enumerate(_random_elements(q.monomials, 8, f"{name} {label} {D} {d}")):
+                rest = {q.index[m]: c for m, c in x.items()}
+                for p, row in top.items():
+                    lam = rest.get(p)
+                    if lam:
+                        _ref_subtract(rest, lam, row)
+                assert q.reduce(x).data == {position[t]: c for t, c in rest.items()}, (D, d, k)
+
+
+@pytest.mark.parametrize("name", ["trunc2_skew", "m2"])
+def test_closure_never_rewrites_a_stored_row(name, request):
+    # an insert, within a level or at a wider window, only adds a row; a
+    # quotient keeps the rows it was built from, not copies, and reads them
+    # reduced
+    A = request.getfixturevalue(name)
+    gens = ideal_j_gens(A)
+    closure = _LeveledClosure(A, gens)
+    inserted = []
+    add_data = closure.ech.add_data
+
+    def recording(data):
+        row = add_data(data)
+        if row is not None:
+            inserted.append((row, dict(row)))
+        return row
+
+    closure.ech.add_data = recording
+    for D in range(1, 5):
+        closure.extend_to(A, D)
+        stored = list(closure.ech.pivot_row.values())
+        assert len(inserted) == len(closure.ech.rows) == len(stored)
+        assert all(a is b is c for (a, _), b, c in zip(inserted, closure.ech.rows, stored))
+        for k, (row, snapshot) in enumerate(inserted):
+            assert row == snapshot, (D, k)
+    q = truncated_quotient(A, gens, 2, 3)
+    rows = dict(q._low_rows)
+    snapshot = {p: dict(row) for p, row in rows.items()}
+    q.reduce(q_identity(A))
+    _leveled_closure(A, gens, 4)  # widens the memoized closure
+    assert q.ideal_slice.rank == len(rows)
+    assert q._low_rows == snapshot
+    assert all(q._low_rows[p] is row for p, row in rows.items())
 
 
 @pytest.mark.parametrize("name", ["kxk", "m2", "trunc2", "ut2", "kxk_skew", "trunc2_skew",
@@ -623,12 +732,14 @@ def test_window_without_degree_block_is_unstable(kxk):
 
 
 def test_dimension_table_builds_no_subspace(kxk, trunc2, m2, monkeypatch):
-    # dimensions and stable flags come from the closure's rows; only a read
-    # of ideal_slice eliminates them again
+    # dimensions and stable flags come from the closure's pivots; only a
+    # read of reduce() or ideal_slice reduces the rows or eliminates them
+    # again
     def forbidden(*args):
         raise AssertionError("dimension_table eliminated an ideal slice")
 
     monkeypatch.setattr("poissonenv.truncation.join_and_reduce", forbidden)
+    monkeypatch.setattr("poissonenv.truncation.reduced_rows", forbidden)
     for A, max_degree, dims in (
         (kxk, 3, [4, 6, 8, 10]),
         (trunc2, 2, [9, 15, 22]),
