@@ -24,15 +24,20 @@ central.  The square of m2std (16 dimensions, a nonzero bracket) is the
 one square whose Lie action adds both legs into one entry; it fails the
 Poisson check.
 In that basis every i(a) and k(a) expands over 3 terms and every j(a) over
-9, so its `relations`, `env-dim`, `module-check` and `roundtrip` jobs check
-the unit's expansion, and its `q-mul` jobs, with fractional coefficients,
-check that products come out over the right denominators.  Jobs run in-process,
-one after another; each loads a fresh algebra, so no memo cache is shared
-between jobs.  The heaviest jobs are `env-dim` on m2std with J to degree 2
-and OH to degree 3 (windows 4 and 5, a nonzero bracket) and on the skew
-basis with J to degree 4 (window 6), each well under a second; most of
-their work lies above level 0 of the ideal closure, where the ordered j
-rule skips products.
+9, so its `relations`, `module-check` and `roundtrip` jobs check the unit's
+expansion (`env-dim` runs its closure in a basis that holds the unit, see
+`ncpa.unit_first`), and its `q-mul`, `mul` and `bracket` jobs, with
+fractional coefficients, check that products come out over the right
+denominators.  Q(sqrt 2), in the basis (1, s) with s s = 2 and a zero
+bracket, is written there too: it is Poisson-simple, and `simple` proves
+it only in its third stage, where the minimal polynomial x^2 - 2 of
+multiplication by s is irreducible.  Every command has a job; `std` runs
+with and without `--out`.  Jobs run in-process, one after another; each
+loads a fresh algebra, so no memo cache is shared between jobs.  The
+heaviest jobs are `env-dim` on m2std with J to degree 3 and OH to degree 3
+(window 5, a nonzero bracket) and on the skew basis with J to degree 4
+(window 6), each under a second; most of their work lies above level 0 of
+the ideal closure, where the ordered j rule skips products.
 """
 
 from __future__ import annotations
@@ -55,7 +60,9 @@ TMP = "<tmp>"
 SKEW = f"{TMP}/trunc2-skew.alg"
 # m2std in the basis (1, E12, E21, E11), whose unit is the basis vector f0
 M2_UNIT = f"{TMP}/m2std-unit.alg"
-# --degree per fixture for each ideal; m2std J also runs to degree 2 (jobs()).
+# Q(sqrt 2) in the basis (1, s), s s = 2, zero bracket
+QSQRT2 = f"{TMP}/qsqrt2.alg"
+# --degree per fixture for each ideal; m2std J also runs to degrees 2 and 3 (jobs()).
 ENV_DIM_DEGREE = {"kxk": 3, "trunc2-n2": 2, "m2std": 1}
 
 
@@ -73,6 +80,8 @@ def jobs() -> list[list[str]]:
                 ["env-dim", alg(name), "--ideal", ideal, "--degree", str(ENV_DIM_DEGREE[name])]
             )
     out.append(["env-dim", alg("m2std"), "--ideal", "J", "--degree", "2"])
+    out.append(["env-dim", alg("m2std"), "--ideal", "J", "--degree", "3"])
+    out.append(["env-dim", alg("kxk"), "--ideal", "J+I", "--degree", "4"])
     # windows 5 and 6, where the ordered j rule skips the most products: a
     # nonzero bracket, and non-integral constants
     out.append(["env-dim", alg("m2std"), "--ideal", "OH", "--degree", "3"])
@@ -137,6 +146,25 @@ def jobs() -> list[list[str]]:
     # non-integral constants and coefficients, words on both sides
     out.append(["q-mul", SKEW, "1/2*f0:f1:f2.f1 + 3*f2:f0:f0", "2/3*f1:f0:f1 - 5/4*f0:f2:f2.f0"])
     out.append(["q-mul", SKEW, "1/6*f0:f0:f2 - 7/3*f1:f2:f0", "3/5*f2:f1:f1.f2.f0 + f0:f1:f1"])
+    # the commands on elements of A, by labels and by coordinates
+    for op in ("mul", "bracket"):
+        out.append([op, alg("kxk"), "1/2*e1 + 3*e2", "2/3*e1 - e2"])
+        out.append([op, alg("m2std"), "E12 + 1/2*E11", "3/4*E21 - E22"])
+        out.append([op, alg("m2std"), "1,-1/3,2,0", "0,5/2,1,-1"])
+        out.append([op, SKEW, "1/2*f0 - 2/3*f2", "f1 + 5/4*f2"])
+    out.append(["mul", alg("kxk"), "e1", "e3"])  # an unknown label: exit 2
+    # std prints the file, or writes it to be read back
+    out.append(["std", alg("kxk")])
+    out.append(["std", alg("m2std"), "--out", f"{TMP}/m2std-std.alg"])
+    out.append(["validate", f"{TMP}/m2std-std.alg"])
+    out.append(["bracket", f"{TMP}/m2std-std.alg", "1/2*E12", "E21 - 2/3*E11"])
+    out.append(["std", SKEW, "--out", f"{TMP}/trunc2-skew-std.alg"])
+    out.append(["validate", f"{TMP}/trunc2-skew-std.alg"])
+    out.append(["std", alg("kxk"), "--out", f"{TMP}/no-such-dir/kxk.alg"])  # exit 2
+    # the third stage of simple: a minimal polynomial that is irreducible
+    for cmd in ("validate", "simple", "derivations"):
+        out.append([cmd, QSQRT2])
+    out.append(["env-dim", QSQRT2, "--ideal", "J", "--degree", "2"])
     return out
 
 
@@ -148,7 +176,8 @@ def write_inputs(tmp: str) -> None:
         serialize_algebra,
         serialize_module,
     )
-    from poissonenv.ncpa import poisson_ideal_closure, validate_ncpa
+    from poissonenv.linalg import SparseVector
+    from poissonenv.ncpa import AlgebraPresentation, poisson_ideal_closure, validate_ncpa
     from poissonenv.poisson_modules import quotient_module, regular_module, tensor_square_module
 
     skew = Path(tmp, "trunc2-skew.alg")
@@ -167,6 +196,10 @@ def write_inputs(tmp: str) -> None:
     trunc2 = validate_ncpa(algebras["trunc2-n2"])
     quotient = quotient_module(trunc2, poisson_ideal_closure(trunc2, [trunc2.basis(1)]))  # x1
     Path(tmp, "trunc2-n2-quotient.mod").write_text(serialize_module(quotient), encoding="utf-8")
+    one, s = (SparseVector(2, {a: 1}) for a in range(2))
+    qsqrt2 = AlgebraPresentation("Q(sqrt2)", 2, ["1", "s"], one,
+                                 {(0, 0): one, (0, 1): s, (1, 0): s, (1, 1): one.scale(2)}, {})
+    Path(tmp, "qsqrt2.alg").write_text(serialize_algebra(qsqrt2), encoding="utf-8")
 
 
 def run_jobs(repo: Path) -> list[dict]:

@@ -31,6 +31,7 @@ from .ncpa import (
     is_poisson_simple,
     regular_poisson_structures,
     standard_ncpa,
+    unit_first as unit_first_copy,
     validate_ncpa,
 )
 from .pbw import module_algebra_failures
@@ -74,8 +75,14 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
-def load_algebra(path: str) -> NCPA:
-    return validate_ncpa(parse_algebra_file(_read_text(path)))
+def load_algebra(path: str, unit_first: bool = False) -> NCPA:
+    """The algebra of an algebra file, validated in the file's basis, so
+    that axiom violations name the file's basis vectors.  With unit_first,
+    the isomorphic copy of ncpa.unit_first, whose basis holds the unit:
+    env-dim runs its ideal closure there, since no number it reports
+    depends on the basis."""
+    A = validate_ncpa(parse_algebra_file(_read_text(path)))
+    return unit_first_copy(A) if unit_first else A
 
 
 # -- element syntax -----------------------------------------------------------
@@ -248,7 +255,7 @@ def cmd_module_alg(args):
 def cmd_env_dim(args):
     if args.saturate is not None and args.saturate < args.degree:
         raise UsageError("saturation bound must be >= truncation degree")
-    A = load_algebra(args.algebra)
+    A = load_algebra(args.algebra, unit_first=True)
     gens = ideal_gens_by_label(A, args.ideal)
     table = dimension_table(A, gens, args.degree, args.saturate)
     findings = [dict(kind="info", **row) for row in table]

@@ -134,13 +134,15 @@ class NCPA:
     """A presentation together with bilinear product/bracket evaluation.
 
     Construct through validate_ncpa / standard_ncpa so the axioms have
-    actually been checked.  Instances carry memo caches for the PBW
-    layer ("straighten", "lie_word"), the smash product ("q_mono", its
-    slot factors "q_factor" and the word-pair plans "q_plan", which hold
-    the integer straightened tails), the ideal slices ("ideal_slice") and
-    the operator matrices ("ops").  Cached values are immutable, except
-    the leveled ideal closures under "ideal_slice", which later calls
-    extend to wider windows.
+    actually been checked, or through unit_first, the isomorphic copy of a
+    checked algebra whose basis holds the unit (env-dim runs its ideal
+    closure there; the copy has caches of its own).  Instances carry memo
+    caches for the PBW layer ("straighten", "lie_word"), the smash product
+    ("q_mono", its slot factors "q_factor" and the word-pair plans
+    "q_plan", which hold the integer straightened tails), the ideal slices
+    ("ideal_slice") and the operator matrices ("ops").  Cached values are
+    immutable, except the leveled ideal closures under "ideal_slice", which
+    later calls extend to wider windows.
     """
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -329,6 +331,56 @@ def standard_ncpa(p: AlgebraPresentation) -> NCPA:
         p.name, p.dim, p.basis_labels, p.unit, dict(p.mul), bracket
     )
     return validate_ncpa(std)
+
+
+def unit_first(A: NCPA) -> NCPA:
+    """A copy of A whose basis holds the unit: the basis vector e_r at the
+    first index r of the unit's support is replaced, in place, by the unit
+    u.  A itself when the unit already is a basis vector.
+
+    A vector sum_k c_k e_k has coordinate c_r / u_r at r and
+    c_k - c_r u_k / u_r at every other k, since
+    e_r = (u - sum_{k != r} u_k e_k) / u_r.  Products of the other basis
+    vectors are A's, rewritten in these coordinates; f_r f_b = f_b f_r = f_b
+    and {f_r, f_b} = 0 are written down directly.  The name and labels are
+    kept (label r now names the unit), and the copy is not validated again:
+    it is isomorphic to A.
+
+    Every number env-dim reports is the same on the copy.  The isomorphism
+    fixes the PBW filtration F of the enveloping algebra, since F_0 is
+    spanned by the images of A (x) A^op and F_1 adds j(A).  J's generators
+    are bilinear in (v_p, v_q), and I's and OH's are linear in v_a, so over
+    any basis they span the same space, and so do the windows T_B, the
+    sums of F_a g F_b with a + b <= B.  Each dimension is
+    dim F_d - dim(T_{D-1} meet F_d), and each stable flag compares two such
+    spaces.  What changes is sparsity: with 1 a basis vector, the i(1),
+    k(1) and j slots that hold the unit stay single terms instead of
+    expanding over its support.
+    """
+    u = A.unit.data
+    r = min(u)
+    ur = u[r]
+    if len(u) == 1 and ur == 1:
+        return A
+    n = A.n
+
+    def coords(v: SparseVector) -> SparseVector:
+        data = dict(v.data)
+        s = data.pop(r, ZERO) / ur
+        if s:
+            for k, uk in u.items():
+                accumulate(data, k, -s * uk)
+            data[r] = s
+        return SparseVector(n, data)
+
+    def table(old: Mapping[tuple, SparseVector]) -> dict:
+        return {ab: coords(v) for ab, v in old.items() if r not in ab}
+
+    mul = table(A.presentation.mul)
+    for b in range(n):
+        mul[(r, b)] = mul[(b, r)] = A.basis(b)
+    return NCPA(AlgebraPresentation(
+        A.name, n, A.labels, A.basis(r), mul, table(A.presentation.bracket)))
 
 
 def is_standard(A: NCPA) -> bool:

@@ -8,7 +8,10 @@ m1 * g * m2 with deg(m1) + deg(m2) <= D - 1; the slice at degree d is its
 intersection with the degree-<=d coordinate block, and a stability flag
 records whether widening the window from D-1 to D changed the slice.
 Quotient dimensions reported this way are upper bounds that in practice
-stabilize at the true values for the worked examples.
+stabilize at the true values for the worked examples.  Dimensions and
+stable flags do not depend on the basis of the algebra (the argument is in
+ncpa.unit_first's docstring), so env-dim computes them in a basis that
+holds the unit.
 
 The windows come from one leveled closure, not from enumerating monomial
 pairs: T_0 is the span of the generators closed under multiplication by

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,60 @@ def m2_rebased() -> NCPA:
         {ab: vec(4, v) for ab, v in mul.items()}, {}
     )
     return standard_ncpa(pres)
+
+
+# A change of basis kept apart from the package and from perfbench: the
+# reference for ncpa.unit_first and for basis-invariance tests.
+
+def inverse(P) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix by Gauss-Jordan elimination;
+    ZeroDivisionError if it is singular."""
+    n = len(P)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+            for r, row in enumerate(P)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def rebase(A, P) -> NCPA:
+    """A in the basis f_a = sum_b P[b][a] e_b (the columns of P), validated."""
+    n = A.n
+    Q = inverse(P)
+    cols = [SparseVector(n, {b: P[b][a] for b in range(n)}) for a in range(n)]
+
+    def to_new(v: SparseVector) -> SparseVector:
+        return SparseVector(n, {r: sum((Q[r][k] * c for k, c in v.items()), Fraction(0))
+                                for r in range(n)})
+
+    def table(op) -> dict:
+        return {(a, b): to_new(op(cols[a], cols[b])) for a in range(n) for b in range(n)}
+
+    return validate_ncpa(AlgebraPresentation(
+        f"{A.name}-rebased", n, [f"f{a}" for a in range(n)], to_new(A.unit),
+        table(A.mul), table(A.bracket)))
+
+
+def skew_basis(seed: int, n: int) -> list[list[int]]:
+    """The envdim-skew benchmark's seeded basis: lower triangular, 2 on the
+    diagonal, a random sign below it."""
+    rng = random.Random(seed)
+    return [[2 if r == c else rng.choice((-1, 1)) if c < r else 0 for c in range(n)]
+            for r in range(n)]
+
+
+@pytest.fixture(scope="session")
+def trunc2_skew7(trunc2) -> NCPA:
+    """trunc2-n2 in the envdim-skew benchmark's seed-7 basis."""
+    return rebase(trunc2, skew_basis(7, trunc2.n))
 
 
 # Reference constructions that expand the unit over the basis by hand, kept

@@ -356,6 +356,39 @@ def test_env_dim_saturate_flag(capsys):
     assert "d=0: 4" in out
 
 
+def test_env_dim_closure_runs_in_the_unit_first_copy(capsys, monkeypatch):
+    from poissonenv import cli
+
+    loaded = []
+    original = cli.load_algebra
+
+    def load(path, unit_first=False):
+        A = original(path, unit_first)
+        loaded.append((unit_first, A))
+        return A
+
+    monkeypatch.setattr(cli, "load_algebra", load)
+    code, out = run(capsys, "env-dim", path("kxk.alg"), "--ideal", "J", "--degree", "1")
+    assert code == 0 and "d=1: 6 (stable)" in out
+    [(unit_first, A)] = loaded
+    # kxk's unit e1 + e2 is not a basis vector; in the copy it is e1's place
+    assert unit_first and A.unit == A.basis(0)
+    assert A.caches["ideal_slice"]
+
+
+def test_validation_errors_name_the_file_basis(tmp_path, capsys):
+    # the copy is made after validation, so env-dim reports a violated axiom
+    # at the file's own basis vectors
+    doc = json.loads(open(path("kxk.alg"), encoding="utf-8").read())
+    doc["bracket"] = [[0, 1, 0, "1"]]
+    bad = tmp_path / "bad.alg"
+    bad.write_text(json.dumps(doc), "utf-8")
+    code, out = run(capsys, "--json", "env-dim", str(bad))
+    assert code == 2
+    detail = json.loads(out)["findings"][0]["detail"]
+    assert "antisymmetry at (0, 1)" in detail
+
+
 def test_env_dim_bad_ideal():
     assert main(["env-dim", path("kxk.alg"), "--ideal", "Z"]) == 2
 

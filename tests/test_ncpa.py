@@ -16,10 +16,13 @@ from poissonenv.ncpa import (
     poisson_ideal_closure,
     regular_poisson_structures,
     standard_ncpa,
+    unit_first,
     validate_ncpa,
 )
 
 from conftest import vec
+
+FIXTURES = ["kxk", "m2", "trunc2", "m2_rebased", "ut2", "trunc2_skew", "trunc2_skew7"]
 
 
 def test_bundled_algebras_validate(kxk, m2, trunc2):
@@ -290,3 +293,40 @@ def test_regular_structures_trunc2_nontrivial(trunc2):
     structures = regular_poisson_structures(trunc2)
     assert structures.derivations.rank == 4
     assert structures.space.rank == 4
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_unit_first_is_an_isomorphic_copy_with_the_unit_in_its_basis(name, request):
+    A = request.getfixturevalue(name)
+    B = unit_first(A)
+    validate_ncpa(B.presentation)
+    assert (B.name, B.labels) == (A.name, A.labels)
+    r = min(A.unit.data)
+    assert B.unit == B.basis(r)
+    # f_r = u and f_a = e_a otherwise: the map f_a -> column a preserves both
+    # operations on every basis pair
+    cols = [A.unit if a == r else A.basis(a) for a in range(A.n)]
+
+    def image(v):
+        return sum((cols[a].scale(c) for a, c in v.items()), A.zero())
+
+    for a in range(A.n):
+        for b in range(A.n):
+            assert image(B.mul_basis(a, b)) == A.mul(cols[a], cols[b])
+            assert image(B.bracket_basis(a, b)) == A.bracket(cols[a], cols[b])
+
+
+@pytest.mark.parametrize("name", ["trunc2", "m2_rebased", "field_k"])
+def test_unit_first_returns_the_algebra_when_the_unit_is_a_basis_vector(name, request):
+    A = request.getfixturevalue(name)
+    assert unit_first(A) is A
+
+
+def test_unit_first_replaces_a_basis_vector_by_a_multiple_of_it():
+    # e e = e/2, so the unit is 2e, which is not a basis vector
+    pres = AlgebraPresentation("k", 1, ["e"], vec(1, {0: 2}),
+                               {(0, 0): vec(1, {0: Fraction(1, 2)})}, {})
+    A = validate_ncpa(pres)
+    B = unit_first(A)
+    assert B is not A
+    assert B.unit == B.basis(0) and B.mul_basis(0, 0) == B.basis(0)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from poissonenv.limits import DegreeCapExceeded
 from poissonenv.linalg import (
@@ -17,7 +18,7 @@ from poissonenv.linalg import (
     reduced_rows,
     remainder,
 )
-from poissonenv.ncpa import is_poisson_simple
+from poissonenv.ncpa import is_poisson_simple, unit_first
 from poissonenv.smash import (
     GENERATOR_TERM,
     embed,
@@ -45,7 +46,7 @@ from poissonenv.truncation import (
     truncated_quotient,
 )
 
-from conftest import reference_embed
+from conftest import rebase, reference_embed
 
 ONE = Fraction(1)
 
@@ -687,6 +688,51 @@ def test_rebased_m2_matches_m2(m2, m2_rebased):
     for label in ("J", "OH"):
         assert (dimension_table(m2_rebased, ideal_gens_by_label(m2_rebased, label), 1)
                 == dimension_table(m2, ideal_gens_by_label(m2, label), 1)), label
+
+
+# Every fixture with its highest degree for the basis-invariance tests.  The
+# windows of m2std cost the most, so it runs to degree 1 only, and its random
+# bases take entries in {0, 1}: with entries in [-2, 2] its rows grow so dense
+# that J to degree 1 alone takes 5-7 s.
+INVARIANCE_DEGREE = {"kxk": 3, "trunc2": 3, "ut2": 3, "trunc2_skew": 3, "trunc2_skew7": 3,
+                     "m2": 1, "m2_rebased": 1}
+SMALL_ENTRIES = {"m2", "m2_rebased"}
+IDEALS = ("J", "I", "OH", "J+I")
+
+
+def _table(A, label: str, d: int) -> list[dict]:
+    return dimension_table(A, ideal_gens_by_label(A, label), d)
+
+
+@pytest.mark.parametrize("label", IDEALS)
+@pytest.mark.parametrize("name", INVARIANCE_DEGREE)
+def test_dimension_table_is_the_same_in_the_unit_first_basis(name, label, request):
+    A = request.getfixturevalue(name)
+    d = INVARIANCE_DEGREE[name]
+    assert _table(unit_first(A), label, d) == _table(A, label, d)
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_dimension_table_is_invariant_under_a_change_of_basis(request, data):
+    # dimensions and stable flags depend on no basis (see ncpa.unit_first):
+    # a random integer basis, and its unit-first copy, answer as A does
+    name = data.draw(st.sampled_from(sorted(INVARIANCE_DEGREE)), label="fixture")
+    label = data.draw(st.sampled_from(IDEALS), label="ideal")
+    d = data.draw(st.integers(0, INVARIANCE_DEGREE[name]), label="degree")
+    A = request.getfixturevalue(name)
+    entries = st.integers(0, 1) if name in SMALL_ENTRIES else st.integers(-2, 2)
+    P = data.draw(st.lists(st.lists(entries, min_size=A.n, max_size=A.n),
+                           min_size=A.n, max_size=A.n), label="basis")
+    try:
+        B = rebase(A, P)
+    except ZeroDivisionError:
+        assume(False)
+    expected = _table(A, label, d)
+    assert _table(B, label, d) == expected
+    assert _table(unit_first(B), label, d) == expected
 
 
 def test_closure_counts_j_products(trunc2, m2):
