@@ -20,9 +20,10 @@ return new dicts of Fraction coefficients, with one division per
 coefficient.
 
 The word work of a monomial product depends on the two words alone, and
-most word pairs recur with many slot pairs (the 2,268 monomial pairs of
-the trunc2-n2 tensor-square roundtrip share 28 word pairs).  So it is
-done once per word pair and memoized per algebra: the plan ("q_plan")
+most word pairs recur with many slot pairs (the 2,268 monomial pairs that
+the trunc2-n2 tensor-square roundtrip checks share 28 word pairs, whose
+plans it reads; it forms only 162 of the products, see EnvAction).  So it
+is done once per word pair and memoized per algebra: the plan ("q_plan")
 lists the ordered tripartitions of the left word, each with its
 straightened word slot as integers, and the degree cap is read when a plan
 is built.  A plan leaves out every part whose Lie word acts as zero on
@@ -116,10 +117,10 @@ def embed_lie(A: NCPA, a: SparseVector) -> QElement:
     return embed(A, "j", a)  # 1 (x) 1 # a
 
 
-# (numerators, denominator) of zero, shared by every memo entry that is zero,
-# as most are (1,568 of the 2,268 q_mono entries of the trunc2-n2
-# tensor-square roundtrip): a tuple and a dict for each would outweigh the
-# memory the integer entries save.  Memo entries are never mutated.
+# (numerators, denominator) of zero, shared by every memo entry that is zero
+# (56 of the 162 q_mono entries of the trunc2-n2 tensor-square roundtrip, 72
+# of the 427 of env-dim trunc2-n2 J <= 2), so that none holds a tuple and a
+# dict of its own.  Memo entries are never mutated.
 _ZERO_TERMS = ({}, 1)
 
 
@@ -176,6 +177,16 @@ def _plan(A: NCPA, alpha, beta) -> tuple:
             plan.append((w1, tuple(rights)))
     plan = A.caches["q_plan"][(alpha, beta)] = tuple(plan)
     return plan
+
+
+def tail_words(A: NCPA, alpha, beta) -> set:
+    """The words of the plan's tails for the word pair (alpha, beta): every
+    term of a product of monomials with words alpha and beta has one of
+    them as its word, whatever the slots.  Builds the plan on a miss."""
+    plan = A.caches["q_plan"].get((alpha, beta))
+    if plan is None:
+        plan = _plan(A, alpha, beta)
+    return {gamma for _, rights in plan for _, (tail, _) in rights for gamma in tail}
 
 
 def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from poissonenv.linalg import SparseVector, mat_identity, mat_is_zero, mat_mul, mat_zero
-from poissonenv.ncpa import poisson_ideal_closure, regular_poisson_structures
+from poissonenv.ncpa import NCPA, poisson_ideal_closure, regular_poisson_structures
 from poissonenv.pbw import u_monomials
 from poissonenv.poisson_modules import (
     ActionError,
@@ -688,14 +688,15 @@ def _corrupted(A, M, mono, change, asked):
     return EnvAction(A, M.dim, fn)
 
 
-def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2):
+def _corrupted_cases(kxk, trunc2) -> dict:
+    """name -> (algebra, module, monomial, change) for _corrupted."""
     M = tensor_square_module(trunc2)
     good = module_to_action(M)
     dead = (0, 0, (1,))  # a nonempty word: zero bracket, so it acts as zero
     live = (1, 0, ())  # left(x1) . right(1)
     assert mat_is_zero(good.matrix(dead)) and not mat_is_zero(good.matrix(live))
     identity = mat_identity(M.dim)
-    cases = {
+    return {
         "zero made nonzero": (trunc2, M, dead, lambda m: identity),
         "live made zero": (trunc2, M, live, lambda m: mat_zero(M.dim)),
         "live scaled": (
@@ -705,8 +706,14 @@ def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2)
         # zero, so the later forms are not read through its product terms;
         # the idempotent e1 (x) e1 acting as zero keeps the action multiplicative
         "first made zero": (kxk, tensor_square_module(kxk), (0, 0, ()), lambda m: mat_zero(4)),
+        # the word (1, 1) is no longer dead, so (1,) times (1,) must be formed;
+        # at bound 3 the words of degree 3 stay dead
+        "dead degree-2 word made live": (trunc2, M, (0, 0, (1, 1)), lambda m: identity),
     }
-    for name, (A, M, mono, change) in cases.items():
+
+
+def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2):
+    for name, (A, M, mono, change) in _corrupted_cases(kxk, trunc2).items():
         for bound in (2, 3):
             asked, asked_without_skips = [], []
             got = _corrupted(A, M, mono, change, asked).multiplicativity_failures(bound)
@@ -720,17 +727,66 @@ def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2)
             assert asked == asked_without_skips, (name, bound)
 
 
+def _fresh(A):
+    """A copy of A whose memo caches are empty."""
+    return NCPA(A.presentation)
+
+
+def _unformed_products(action, bound) -> list:
+    """Run the sweep of action, whose algebra's q_mono memo starts empty, and
+    return the pairs it did not multiply, after checking that each of their
+    products (formed now) has no term that acts as nonzero."""
+    from poissonenv.smash import q_mono_mult
+    from poissonenv.truncation import env_monomials
+
+    A = action.algebra
+    assert not A.caches["q_mono"]
+    action.multiplicativity_failures(bound)
+    monos = env_monomials(A, bound)
+    unformed = [
+        (m1, m2) for m1 in monos for m2 in monos
+        if len(m1[2]) + len(m2[2]) <= bound and (m1, m2) not in A.caches["q_mono"]
+    ]
+    for m1, m2 in unformed:
+        assert all(mat_is_zero(action.matrix(m)) for m in q_mono_mult(A, m1, m2)), (m1, m2)
+    return unformed
+
+
+def test_sweep_skips_only_products_that_act_as_zero(kxk, m2, trunc2, trunc2_skew):
+    from poissonenv.poisson_modules import _ModuleAction
+
+    unformed = {}
+    for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items():
+        for bound in (2, 3):
+            fresh = QuasiPoissonModule(_fresh(M.algebra), M.dim, M.left, M.right, M.lie)
+            unformed[name, bound] = _unformed_products(_ModuleAction(fresh), bound)
+    for name, (A, M, mono, change) in _corrupted_cases(kxk, trunc2).items():
+        for bound in (2, 3):
+            action = _corrupted(_fresh(A), M, mono, change, [])
+            unformed[name, bound] = _unformed_products(action, bound)
+    # the zero bracket makes every nonempty word dead: all but the first row
+    # and the products of degree-0 monomials are left unformed
+    assert len(unformed["trunc2-square", 2]) == 2268 - 162
+    # m2std's modules have no dead word at bound 2, and its square none at 3
+    assert not (unformed["m2-square", 2] or unformed["m2-square", 3] or unformed["m2-regular", 2])
+    assert unformed["m2-regular", 3]
+    revived = unformed["dead degree-2 word made live", 3]
+    x1 = (0, 0, (1,))
+    assert revived and (x1, x1) not in revived
+
+
 def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
     from poissonenv import poisson_modules
     from poissonenv.poisson_modules import _ModuleAction
+    from poissonenv.smash import q_mono_mult
     from poissonenv.truncation import env_monomials
 
-    action = _ModuleAction(tensor_square_module(trunc2))
+    action = _ModuleAction(tensor_square_module(_fresh(trunc2)))
     monos = env_monomials(trunc2, 2)
     live = [m for m in monos if not mat_is_zero(action.matrix(m))]  # builds every form
     assert (len(monos), len(live)) == (90, 9)
     assert all(not m[2] for m in live)  # the zero bracket kills every nonempty word
-    calls = {"mul": 0, "lincomb": 0}
+    calls = {"mul": 0, "lincomb": 0, "q_mono_mult": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -738,26 +794,28 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(poisson_modules, "int_mat_mul", counting("mul", poisson_modules.int_mat_mul))
-    monkeypatch.setattr(
-        poisson_modules, "int_mat_lincomb", counting("lincomb", poisson_modules.int_mat_lincomb)
-    )
+    for name, attr in (("mul", "int_mat_mul"), ("lincomb", "int_mat_lincomb"),
+                       ("q_mono_mult", "q_mono_mult")):
+        monkeypatch.setattr(poisson_modules, attr, counting(name, getattr(poisson_modules, attr)))
     assert action.multiplicativity_failures(2) == []
     # one product per pair of live monomials, one combination per pair whose
-    # product has a live term
-    memo = trunc2.caches["q_mono"]
+    # product has a live term, and one smash product per pair in the first
+    # row or between degree-0 monomials: only there is the tail word () met
+    fresh = _fresh(trunc2)
     with_live_terms = sum(
-        any(m in live for m in memo[(m1, m2)][0])
+        any(m in live for m in q_mono_mult(fresh, m1, m2))
         for m1 in monos
         for m2 in monos
         if len(m1[2]) + len(m2[2]) <= 2
     )
-    assert calls == {"mul": len(live) ** 2, "lincomb": with_live_terms} == {"mul": 81, "lincomb": 25}
+    expected = {"mul": 81, "lincomb": 25, "q_mono_mult": 162}
+    assert calls == {"mul": len(live) ** 2, "lincomb": with_live_terms,
+                     "q_mono_mult": 90 + 81 - 9} == expected
     # a second call with the same bound reads the stored list
     found = action.multiplicativity_failures(2)
     found.append("not stored")
     assert action.multiplicativity_failures(2) == []
-    assert calls == {"mul": 81, "lincomb": 25}
+    assert calls == expected
 
 
 def test_roundtrip_converts_each_module_once_and_builds_one_action(trunc2, monkeypatch):
@@ -780,9 +838,10 @@ def test_roundtrip_converts_each_module_once_and_builds_one_action(trunc2, monke
     monkeypatch.setattr(_ModuleAction, "_new_form", counted_new_form)
     report = roundtrip_report(trunc2, M, 2)
     assert report["ok"] and report["monomials_checked"] == 90
-    # nine family matrices and one identity per module, M and G(F(M)); one
-    # form per monomial of F(M), which F(G(F(M))) is, since G(F(M)) = M
-    assert calls == {"int_matrix": 20, "_new_form": 90}
+    # nine family matrices per module, M and G(F(M)), and one identity for
+    # validating M alone, since G(F(M)) = M; one form per monomial of F(M),
+    # which F(G(F(M))) is
+    assert calls == {"int_matrix": 19, "_new_form": 90}
 
 
 def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatch):
@@ -791,11 +850,18 @@ def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatc
     from poissonenv.truncation import env_monomials
 
     M = regular_module(m2)
-    back = QuasiPoissonModule(
-        m2, M.dim, M.left, M.right,
-        tuple(tuple(tuple(2 * x for x in row) for row in m) for m in M.lie),
-    )
-    monkeypatch.setattr(poisson_modules, "action_to_module", lambda action: back)
+    # M in the basis scaled by 1, 2, 3, 4: an isomorphic, so quasi-Poisson,
+    # module with other matrices
+    scale = [Fraction(k + 1) for k in range(M.dim)]
+
+    def conjugate(m):
+        return tuple(tuple(x * scale[c] / scale[r] for c, x in enumerate(row))
+                     for r, row in enumerate(m))
+
+    back = QuasiPoissonModule(m2, M.dim, *(tuple(map(conjugate, fam))
+                                           for fam in (M.left, M.right, M.lie)))
+    assert quasi_violations(back) == []
+    monkeypatch.setattr(poisson_modules, "_read_module", lambda action: back)
     report = roundtrip_report(m2, M, 2)
     first, second = _ModuleAction(M), _ModuleAction(back)
     differ = [m for m in env_monomials(m2, 2) if first.matrix(m) != second.matrix(m)]
@@ -803,6 +869,25 @@ def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatc
     assert report["module_roundtrip_equal"] is False
     assert report["ok"] is False
     assert report["action_roundtrip_mismatches"] == differ
+
+
+def test_roundtrip_validates_a_differing_module_as_action_to_module_does(m2, monkeypatch):
+    from poissonenv import poisson_modules
+
+    M = regular_module(m2)
+    back = QuasiPoissonModule(  # the Lie action doubled: not quasi-Poisson
+        m2, M.dim, M.left, M.right,
+        tuple(tuple(tuple(2 * x for x in row) for row in m) for m in M.lie),
+    )
+    with pytest.raises(ActionError) as expected:
+        poisson_modules.validate_quasi_poisson(back)
+    monkeypatch.setattr(poisson_modules, "_read_module", lambda action: back)
+    with pytest.raises(ActionError) as got:
+        roundtrip_report(m2, M, 2)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(ActionError) as got:
+        action_to_module(module_to_action(M))
+    assert str(got.value) == str(expected.value)
 
 
 def test_equal_actions_sees_one_changed_entry(m2):
