@@ -8,7 +8,6 @@ from .limits import DegreeCapExceeded
 from .linalg import (
     SparseVector,
     Subspace,
-    in_span,
     join_and_reduce,
     saturate_closure,
 )
@@ -20,13 +19,12 @@ from .ncpa import (
     axiom_violations,
     center,
     is_poisson_simple,
-    poisson_derivations,
     poisson_ideal_closure,
     regular_poisson_structures,
     standard_ncpa,
     validate_ncpa,
 )
-from .pbw import lie_act, straighten, u_coproduct, u_monomials, u_mult
+from .pbw import straighten, u_monomials, u_mult
 from .poisson_modules import (
     EnvAction,
     QuasiPoissonModule,
@@ -43,11 +41,7 @@ from .poisson_modules import (
     tensor_square_module,
 )
 from .smash import (
-    augmentation,
     embed,
-    embed_left,
-    embed_lie,
-    embed_right,
     generator_relation_failures,
     q_identity,
     q_mult,
@@ -60,8 +54,7 @@ from .truncation import (
     ideal_j_gens,
     ideal_oh_gens,
     truncated_ideal_span,
-    truncated_quotient,
 )
-from .words import counit, ordered_partitions, shuffle_coproduct
+from .words import ordered_partitions, shuffle_coproduct
 
 __version__ = "0.1.0"

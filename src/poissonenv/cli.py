@@ -419,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> Report:
+    """The Report of one command line, unprinted; kept for the tests."""
     return _run(build_parser().parse_args(argv), argv)
 
 

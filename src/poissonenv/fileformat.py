@@ -5,6 +5,9 @@ unreduced or negative-denominator inputs are accepted and canonicalized.
 Structure constants are sparse quadruple lists [i, j, k, coeff] meaning
 the coefficient of basis k in the product (or bracket) of basis i and j;
 omitted triples are zero and duplicate (i, j, k) keys are rejected.
+Basis labels must be nonempty, hold none of + - * , : . (the separators
+of the element syntax, cli.parse_element and parse_q_element) and have
+no leading or trailing whitespace, so that every label can be named.
 """
 
 from __future__ import annotations
@@ -56,6 +59,17 @@ def _load_json(text: str) -> dict:
     return doc
 
 
+def _check_label(label: str) -> None:
+    if not label or label != label.strip():
+        problem = "is empty or has leading or trailing whitespace"
+    else:
+        bad = [ch for ch in "+-*,:." if ch in label]
+        if not bad:
+            return
+        problem = f"contains {bad[0]!r}, a separator of the element syntax"
+    raise FileFormatError(f"basis label {label!r} {problem}")
+
+
 def _parse_constants(entries, dim: int, tag: str) -> dict:
     if not isinstance(entries, list):
         raise FileFormatError(f"{tag} must be an array of [i, j, k, coeff] quadruples")
@@ -99,6 +113,8 @@ def parse_algebra_file(text: str) -> AlgebraPresentation:
         raise FileFormatError("basis must be an array of strings")
     if len(basis) != dim:
         raise FileFormatError(f"expected {dim} basis labels, got {len(basis)}")
+    for label in basis:
+        _check_label(label)
     unit_raw = doc["unit"]
     if not (isinstance(unit_raw, list) and len(unit_raw) == dim):
         raise FileFormatError(f"unit must be an array of {dim} rationals")
@@ -178,6 +194,9 @@ def parse_module_file(text: str, A: NCPA) -> QuasiPoissonModule:
 
 
 def serialize_module(M: QuasiPoissonModule) -> str:
+    """Kept as a fixture writer for scripts/compare_reports.py and
+    perfbench."""
+
     def matrices(fam) -> list:
         out = []
         for mat in fam:
@@ -205,4 +224,5 @@ def bundled_path(name: str):
 
 
 def load_bundled_algebra(name: str) -> AlgebraPresentation:
+    """Kept as a fixture loader for the scripts, perfbench and the tests."""
     return parse_algebra_file(bundled_path(name).read_text("utf-8"))

@@ -5,12 +5,13 @@ matrices hold fractions.Fraction entries at the public surface, but the
 arithmetic runs on integers in two kernels.  The one elimination kernel
 works on primitive integer rows: a vector's denominators are cleared on
 entry, and Fractions are formed again only on the way out, by _over
-(Subspace rows, Echelon.add, remainders, express coefficients and the
-smash product's results).  A Subspace is built from an Echelon's integer
-rows, so it clears no denominators.  Echelon.add_data also takes int data
-as it is; the ideal closure in truncation feeds it integer vectors from
-the smash product's integer kernel.  The one matrix kernel works on a
-canonical integer form of a matrix (see "exact matrices" below).
+(Subspace rows, remainders, express coefficients and the smash product's
+results).  A Subspace is built from an Echelon's integer rows, so it
+clears no denominators.  Echelon.add_data takes int data as it is; the
+ideal closure in truncation feeds it integer vectors from the smash
+product's integer kernel, and linear systems (solve_nullspace) are plain
+{index: value} rows.  The one matrix kernel works on a canonical integer
+form of a matrix (see "exact matrices" below).
 SparseVector, Subspace, the tuple matrices and their integer forms are not
 changed once built (by convention: SparseVector.data and a form's rows are
 plain dicts), while Echelon and TrackedEchelon are mutable accumulators.
@@ -57,10 +58,6 @@ class SparseVector:
     def unit(cls, n: int, i: int) -> "SparseVector":
         return cls(n, {i: ONE})
 
-    @classmethod
-    def from_dense(cls, values: Sequence) -> "SparseVector":
-        return cls(len(values), {i: rat(v) for i, v in enumerate(values) if rat(v)})
-
     def get(self, i: int) -> Fraction:
         return self.data.get(i, ZERO)
 
@@ -82,14 +79,6 @@ class SparseVector:
             return SparseVector(self.n)
         return SparseVector(self.n, {i: c * v for i, v in self.data.items()})
 
-    def dot(self, other: "SparseVector") -> Fraction:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        a, b = self.data, other.data
-        if len(b) < len(a):
-            a, b = b, a
-        return sum((v * b[i] for i, v in a.items() if i in b), ZERO)
-
     def __add__(self, other: "SparseVector") -> "SparseVector":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
@@ -103,9 +92,6 @@ class SparseVector:
         out = SparseVector(self.n)
         out.data = sub_terms(self.data, other.data)
         return out
-
-    def __neg__(self) -> "SparseVector":
-        return SparseVector(self.n, {i: -v for i, v in self.data.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -144,7 +130,7 @@ def sub_terms(a: dict, b: dict) -> dict:
 
 
 def accumulate(out: dict, key, coeff: Fraction) -> None:
-    """In-place coefficient accumulation used by hot loops only."""
+    """out[key] += coeff in place; a key whose sum is zero is dropped."""
     s = out.get(key, ZERO) + coeff
     if s:
         out[key] = s
@@ -261,7 +247,8 @@ def remainder(data: Mapping, pivot_row: IntRows) -> dict[int, Fraction]:
 
     pivot_row maps each pivot column to an integer row that is zero at
     every other row's pivot column (see reduced_rows); the remainder is
-    then unique."""
+    then unique.  Kept for Subspace.reduce and TruncatedQuotient.reduce, which
+    lower bounds and module morphisms (ROADMAP items 3 and 10) will read."""
     return _over(*_clear_pivots(data, pivot_row))
 
 
@@ -302,19 +289,10 @@ class Echelon:
 
     def add_data(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
         """Insert a vector, with Fraction or int values; returns the new
-        primitive integer row, or None if the vector is in the span."""
+        primitive integer row, or None if the vector is in the span.  The
+        row is reduced by leading term only: it may have entries at larger
+        pivots."""
         return self._insert(data)
-
-    def add(self, v: SparseVector) -> SparseVector | None:
-        """Insert a vector; returns the new row divided by its pivot entry,
-        or None if the vector is in the span.  The row is reduced by
-        leading term only: it may have entries at larger pivots."""
-        if v.n != self.n:
-            raise ValueError("dimension mismatch")
-        row = self.add_data(v.data)
-        if row is None:
-            return None
-        return _normalized(self.n, row)
 
     def to_subspace(self) -> "Subspace":
         return Subspace(self.n, self.pivot_row)
@@ -376,16 +354,12 @@ class Subspace:
         self.pivots = tuple(self._pivot_row)
         self.rows = tuple(_normalized(ambient_dim, row) for row in self._pivot_row.values())
 
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n)
-
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, v: SparseVector) -> SparseVector:
-        """Remainder of v after eliminating all pivot coordinates."""
+        """Remainder of v after eliminating all pivot coordinates; kept for quotient_module."""
         if v.n != self.ambient_dim:
             raise ValueError("dimension mismatch")
         out = SparseVector(self.ambient_dim)
@@ -393,9 +367,11 @@ class Subspace:
         return out
 
     def contains(self, v: SparseVector) -> bool:
+        """Kept for quotient_module's closure check."""
         return self.reduce(v).is_zero()
 
     def __eq__(self, other) -> bool:
+        """Kept for annihilator's closure check."""
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
@@ -408,19 +384,13 @@ class Subspace:
 
 
 def join_and_reduce(vectors: Iterable[SparseVector], ambient_dim: int) -> Subspace:
-    """Echelonized span of the given vectors."""
+    """Echelonized span of the given vectors; kept for TruncatedQuotient.ideal_slice."""
     ech = Echelon(ambient_dim)
     for v in vectors:
         if v.n != ambient_dim:
             raise ValueError("dimension mismatch")
         ech.add_data(v.data)
     return ech.to_subspace()
-
-
-def in_span(s: Subspace, v: SparseVector) -> bool:
-    if v.n != s.ambient_dim:
-        raise ValueError("dimension mismatch")
-    return s.contains(v)
 
 
 def close_under(add: Callable, vectors: Iterable, operators: Sequence[Callable]) -> list:
@@ -450,31 +420,32 @@ def saturate_closure(
 ) -> Subspace:
     """Smallest subspace containing seed and invariant under the operators."""
     ech = Echelon(ambient_dim)
-    close_under(ech.add, seed, operators)
+    close_under(lambda v: ech.add_data(v.data), seed, operators)
     return ech.to_subspace()
 
 
-def solve_nullspace(rows: Iterable[SparseVector], dim: int) -> Subspace:
-    """Solution space of the homogeneous system given by the rows."""
-    s = join_and_reduce(rows, dim)
-    basis = []
+def solve_nullspace(rows: Iterable[Mapping[int, Fraction]], dim: int) -> Subspace:
+    """Solution space of the homogeneous system whose rows are the given
+    {index: value} dicts, nonzero values only; an empty row adds nothing."""
+    ech = Echelon(dim)
+    for row in rows:
+        ech.add_data(row)
+    s = ech.to_subspace()
+    basis = Echelon(dim)
     for free in range(dim):
-        if free in s.pivots:
-            continue
-        data = {free: ONE}
-        for p, row in zip(s.pivots, s.rows):
-            c = row.data.get(free)
-            if c:
-                data[p] = -c
-        v = SparseVector(dim)
-        v.data = data
-        basis.append(v)
-    return join_and_reduce(basis, dim)
+        if free not in s.pivots:
+            data = {free: ONE}
+            for p, row in zip(s.pivots, s.rows):
+                c = row.data.get(free)
+                if c:
+                    data[p] = -c
+            basis.add_data(data)
+    return basis.to_subspace()
 
 
 def complement_conditions(s: Subspace) -> list[SparseVector]:
     """Basis of {w : w . b = 0 for all b in s}; v in s iff all w . v = 0."""
-    return list(solve_nullspace(s.rows, s.ambient_dim).rows)
+    return list(solve_nullspace([r.data for r in s.rows], s.ambient_dim).rows)
 
 
 # -- exact matrices ------------------------------------------------------------
@@ -497,6 +468,7 @@ def mat_identity(m: int) -> Matrix:
 
 
 def mat_zero(r: int, c: int | None = None) -> Matrix:
+    """Kept for scripts/make_fixtures.py."""
     c = r if c is None else c
     return tuple((ZERO,) * c for _ in range(r))
 
@@ -589,14 +561,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    """a - b; kept for standard_bimodule_to_poisson's Lie action."""
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_is_zero(a: Matrix) -> bool:
+    """Kept for the J-annihilation oracle, action_annihilates."""
     return all(not x for row in a for x in row)
 
 
 def mat_lincomb(pairs: Iterable[tuple[Fraction, Matrix]], r: int, c: int | None = None) -> Matrix:
+    """Reached only by simple's second and third stages (_trace_radical, _poly_eval_matrix)."""
     c = r if c is None else c
     pairs = [(rat(coeff), m) for coeff, m in pairs]
     for _, m in pairs:
@@ -610,6 +585,7 @@ def mat_lincomb(pairs: Iterable[tuple[Fraction, Matrix]], r: int, c: int | None 
 
 
 def mat_apply(a: Matrix, v: SparseVector) -> SparseVector:
+    """Reached only by simple's second stage, on a nonzero radical."""
     r, c = mat_shape(a)
     if v.n != c:
         raise ValueError("dimension mismatch")

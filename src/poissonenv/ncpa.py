@@ -33,7 +33,6 @@ from .linalg import (
     mat_shape,
     mat_unflatten,
     minimal_polynomial,
-    rat,
     saturate_closure,
     solve_nullspace,
 )
@@ -206,13 +205,6 @@ class NCPA:
     def has_zero_bracket(self) -> bool:
         return not self._bracket
 
-    def element(self, coords: Sequence) -> SparseVector:
-        if len(coords) != self.n:
-            raise ValueError(
-                f"expected {self.n} coordinates, got {len(coords)}"
-            )
-        return SparseVector.from_dense([rat(c) for c in coords])
-
     def format_element(self, x: SparseVector) -> str:
         if x.is_zero():
             return "0"
@@ -384,7 +376,8 @@ def unit_first(A: NCPA) -> NCPA:
 
 
 def is_standard(A: NCPA) -> bool:
-    """True iff the bracket is exactly the commutator of the product."""
+    """True iff the bracket is exactly the commutator of the product.  Kept
+    for standard_bimodule_to_poisson."""
     for i in range(A.n):
         for j in range(A.n):
             if A.bracket_basis(i, j) != A.mul_basis(i, j) - A.mul_basis(j, i):
@@ -405,10 +398,7 @@ def center(A: NCPA) -> Subspace:
                 c = A.mul_basis(i, j).get(k) - A.mul_basis(j, i).get(k)
                 if c:
                     data[i] = c
-            if data:
-                v = SparseVector(n)
-                v.data = data
-                rows.append(v)
+            rows.append(data)
     return solve_nullspace(rows, n)
 
 
@@ -443,9 +433,6 @@ class SimplicityReport:
     simple: bool
     witness: Subspace | None = None
 
-    def __bool__(self) -> bool:
-        return self.simple
-
 
 def _operator_matrices(A: NCPA) -> list[Matrix]:
     out = []
@@ -464,7 +451,8 @@ def _operator_algebra_basis(A: NCPA) -> list[Matrix]:
     gens = [mat_identity(n)] + _operator_matrices(A)
     ech = Echelon(n * n)
     return close_under(
-        lambda m: ech.add(mat_flatten(m)), gens, [lambda b, g=g: mat_mul(g, b) for g in gens]
+        lambda m: ech.add_data(mat_flatten(m).data), gens,
+        [lambda b, g=g: mat_mul(g, b) for g in gens],
     )
 
 
@@ -481,9 +469,7 @@ def _trace_radical(basis: list[Matrix]) -> list[Matrix]:
             tr = sum((prod[i][i] for i in range(len(prod))), ZERO)
             if tr:
                 data[s] = tr
-        v = SparseVector(e)
-        v.data = data
-        rows.append(v)
+        rows.append(data)
     sol = solve_nullspace(rows, e)
     size = len(basis[0])
     return [
@@ -503,17 +489,9 @@ def _centralizer_basis(A: NCPA) -> list[Matrix]:
             for c in range(n):
                 data = {}
                 for k in range(n):
-                    x = M[k][c]
-                    if x:
-                        data[r * n + k] = data.get(r * n + k, ZERO) + x
-                    y = M[r][k]
-                    if y:
-                        data[k * n + c] = data.get(k * n + c, ZERO) - y
-                data = {k: v for k, v in data.items() if v}
-                if data:
-                    v = SparseVector(n * n)
-                    v.data = data
-                    rows.append(v)
+                    accumulate(data, r * n + k, M[k][c])
+                    accumulate(data, k * n + c, -M[r][k])
+                rows.append(data)
     sol = solve_nullspace(rows, n * n)
     return [mat_unflatten(v, n, n) for v in sol.rows]
 
@@ -525,6 +503,7 @@ def _is_scalar_matrix(m: Matrix) -> bool:
 
 
 def _poly_eval_matrix(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
+    """Reached by simple's third stage, on a reducible minimal polynomial."""
     n = len(m)
     pairs = []
     power = mat_identity(n)
@@ -550,15 +529,8 @@ def _rational_factors(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
 
 
 def _matrix_kernel(m: Matrix) -> Subspace:
-    rows = []
-    r, c = mat_shape(m)
-    for i in range(r):
-        data = {j: m[i][j] for j in range(c) if m[i][j]}
-        if data:
-            v = SparseVector(c)
-            v.data = data
-            rows.append(v)
-    return solve_nullspace(rows, c)
+    """Reached by simple's third stage, on a reducible minimal polynomial."""
+    return solve_nullspace(({j: x for j, x in enumerate(row) if x} for row in m), mat_shape(m)[1])
 
 
 def is_poisson_simple(A: NCPA) -> SimplicityReport:
@@ -610,7 +582,7 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
 
 # -- derivations ---------------------------------------------------------------
 
-def _derivation_rows(A: NCPA) -> list[SparseVector]:
+def _derivation_rows(A: NCPA) -> list[dict[int, Fraction]]:
     """Rows of psi(v_i . v_j) = psi(v_i) . v_j + v_i . psi(v_j) over the
     unknown matrix psi, flattened row-major (psi[r][c] at r*n + c), for the
     product and then for the bracket."""
@@ -622,36 +594,21 @@ def _derivation_rows(A: NCPA) -> list[SparseVector]:
             for t in range(n):
                 data: dict[int, Fraction] = {}
                 for k, c in prod.data.items():
-                    key = t * n + k
-                    data[key] = data.get(key, ZERO) + c
+                    accumulate(data, t * n + k, c)
                 for p in range(n):
-                    c1 = table_basis(p, j).get(t)
-                    if c1:
-                        key = p * n + i
-                        data[key] = data.get(key, ZERO) - c1
-                    c2 = table_basis(i, p).get(t)
-                    if c2:
-                        key = p * n + j
-                        data[key] = data.get(key, ZERO) - c2
-                data = {k: v for k, v in data.items() if v}
-                if data:
-                    v = SparseVector(n * n)
-                    v.data = data
-                    rows.append(v)
+                    accumulate(data, p * n + i, -table_basis(p, j).get(t))
+                    accumulate(data, p * n + j, -table_basis(i, p).get(t))
+                rows.append(data)
     return rows
-
-
-def poisson_derivations(A: NCPA) -> Subspace:
-    """Maps that are derivations for both the product and the bracket,
-    as a subspace of n x n matrices flattened row-major."""
-    return solve_nullspace(_derivation_rows(A), A.n * A.n)
 
 
 @dataclass
 class RegularStructures:
     """Derivations qualifying to twist the bracket on the regular bimodule.
 
-    ``derivations`` is the unconstrained Poisson-derivation space;
+    ``derivations`` is the unconstrained Poisson-derivation space (maps
+    that are derivations for both the product and the bracket, n x n
+    matrices flattened row-major);
     ``space`` adds the center-valued and commutator-killing constraints.
     The gap between the two is reported rather than resolved.
     """
@@ -661,7 +618,8 @@ class RegularStructures:
     algebra: NCPA
 
     def star_bracket_table(self, psi: SparseVector) -> dict:
-        """Bracket table of {a, b}* = {a, b} + psi(a) b for a flattened psi."""
+        """Bracket table of {a, b}* = {a, b} + psi(a) b for a flattened psi.
+        Kept for the twisted regular modules that the tests build."""
         A = self.algebra
         n = A.n
         if psi.n != n * n:
@@ -684,12 +642,7 @@ def regular_poisson_structures(A: NCPA) -> RegularStructures:
     conds = complement_conditions(center(A))
     for j in range(n):
         for w in conds:
-            data = {}
-            for k, c in w.data.items():
-                data[k * n + j] = c
-            v = SparseVector(n * n)
-            v.data = data
-            rows.append(v)
+            rows.append({k * n + j: c for k, c in w.data.items()})
     # psi(v_a) [v_b, v_c] = 0 over basis triples
     for b in range(n):
         for c in range(n):
@@ -703,8 +656,5 @@ def regular_poisson_structures(A: NCPA) -> RegularStructures:
                         coeff = A.mul(A.basis(p), kappa).get(t)
                         if coeff:
                             data[p * n + a] = coeff
-                    if data:
-                        v = SparseVector(n * n)
-                        v.data = data
-                        rows.append(v)
+                    rows.append(data)
     return RegularStructures(derivations, solve_nullspace(rows, n * n), A)

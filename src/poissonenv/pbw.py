@@ -9,7 +9,7 @@ the empty tuple being the identity) to nonzero rational coefficients.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+
 from .limits import check_degree
 from .linalg import ONE, SparseVector, accumulate
 from .ncpa import NCPA
@@ -74,7 +74,8 @@ def _first_descent(word: Word) -> int | None:
 
 
 def u_mult(A: NCPA, x: UElement, y: UElement) -> UElement:
-    """Concatenate monomials and straighten; identity is the empty word."""
+    """Concatenate monomials and straighten; identity is the empty word.
+    Kept for perfbench.tracing, which wraps it (TRACED)."""
     if x and y:
         check_degree(max(map(len, x)) + max(map(len, y)), "product degree")
     out: UElement = {}
@@ -83,16 +84,6 @@ def u_mult(A: NCPA, x: UElement, y: UElement) -> UElement:
             c = cx * cy
             for mono, d in straighten(A, wx + wy).items():
                 accumulate(out, mono, c * d)
-    return out
-
-
-def u_coproduct(x: UElement) -> dict[tuple[Word, Word], Fraction]:
-    """Shuffle coproduct monomial-wise; both blocks of a weakly increasing
-    word are weakly increasing, so no straightening is needed."""
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for w, c in x.items():
-        for pair, mult in shuffle_coproduct(w).items():
-            accumulate(out, pair, c * mult)
     return out
 
 
@@ -119,15 +110,6 @@ def lie_word_act(A: NCPA, word: Word, x: SparseVector) -> SparseVector:
     out = A.zero()
     for i, c in x.data.items():
         out = out + lie_word_on_basis(A, word, i).scale(c)
-    return out
-
-
-def lie_act(A: NCPA, u: UElement, x: SparseVector) -> SparseVector:
-    """Action of an enveloping-algebra element on the algebra as a Lie
-    module; the identity monomial acts as the identity."""
-    out = A.zero()
-    for word, c in u.items():
-        out = out + lie_word_act(A, word, x).scale(c)
     return out
 
 

@@ -88,7 +88,8 @@ class QuasiPoissonModule:
 
 def regular_module(A: NCPA, lie_table: Mapping | None = None) -> QuasiPoissonModule:
     """The algebra acting on itself; optionally with a replacement table
-    for the Lie-type action (used by twisted regular structures)."""
+    for the Lie-type action (used by twisted regular structures).  Kept as
+    a fixture writer for scripts/compare_reports.py and the tests."""
     n = A.n
     left = tuple(A.left_mult_matrix(i) for i in range(n))
     right = tuple(A.right_mult_matrix(i) for i in range(n))
@@ -104,7 +105,8 @@ def regular_module(A: NCPA, lie_table: Mapping | None = None) -> QuasiPoissonMod
 
 def tensor_square_module(A: NCPA) -> QuasiPoissonModule:
     """A (x) A with a . (b (x) c) = ab (x) c, (b (x) c) . a = b (x) ca and
-    the Lie action acting as a derivation on the two legs."""
+    the Lie action acting as a derivation on the two legs.  Kept as a
+    fixture writer for scripts/compare_reports.py and perfbench."""
     n = A.n
     dim = n * n
     legs = [(b, c) for b in range(n) for c in range(n)]  # b (x) c is column b*n + c
@@ -130,7 +132,8 @@ def standard_bimodule_to_poisson(
     A: NCPA, left: Sequence, right: Sequence
 ) -> QuasiPoissonModule:
     """For a standard NCPA (commutator bracket), any bimodule becomes a
-    Poisson module with Lie action left - right."""
+    Poisson module with Lie action left - right.  Kept as a source of
+    modules for module morphisms (ROADMAP item 10)."""
     if not is_standard(A):
         raise ValueError("bracket is not the commutator of the product")
     dim = mat_shape(left[0])[0]
@@ -142,7 +145,8 @@ def quotient_module(A: NCPA, ideal: Subspace) -> QuasiPoissonModule:
     """Regular actions induced on A / ideal, for a two-sided Poisson ideal.
 
     Representatives are the non-pivot coordinates of the ideal's echelon
-    basis; images are reduced modulo the ideal."""
+    basis; images are reduced modulo the ideal.  Kept as a fixture writer
+    for scripts/compare_reports.py."""
     n = A.n
     for op_name, op in (
         ("left", A.mul),
@@ -281,6 +285,7 @@ class EnvAction:
         self._failures: dict[int, list[tuple]] = {}
 
     def matrix(self, mono: QMonomial) -> Matrix:
+        """Kept for perfbench.tracing, which wraps it (TRACED)."""
         return frac_matrix(self._form(mono), self.dim)
 
     def _form(self, mono: QMonomial) -> IntMatrix:
@@ -293,6 +298,7 @@ class EnvAction:
         return hit
 
     def _new_form(self, mono: QMonomial) -> IntMatrix:
+        """Kept for actions given by a matrix_fn, as the tests build them."""
         out = self._fn(mono)
         if mat_shape(out) != (self.dim, self.dim):
             raise ModuleShapeError("action matrix has wrong shape")
@@ -407,7 +413,8 @@ def _read_module(action: EnvAction) -> QuasiPoissonModule:
 def action_to_module(action: EnvAction) -> QuasiPoissonModule:
     """Read the three action families off the degree <= 1 monomials.  The
     action must respect monomial products up to degree 2 (the degree-2
-    products encode the generating relations)."""
+    products encode the generating relations).  Kept for perfbench.tracing,
+    which wraps it (TRACED)."""
     return validate_quasi_poisson(_read_module(action))
 
 
@@ -443,32 +450,27 @@ def roundtrip_report(
 
 
 def action_annihilates(action: EnvAction, gens) -> bool:
+    """True iff every generator acts as zero; the oracle behind
+    j_annihilation_check."""
     return all(mat_is_zero(action.of_element(g)) for g in gens.gens)
 
 
 def j_annihilation_check(A: NCPA, M: QuasiPoissonModule) -> bool:
     """True iff every generator of the product-compatibility ideal acts as
-    zero; agrees with the Poisson verdict of poisson_violations."""
+    zero; agrees with the Poisson verdict of poisson_violations.  Kept as
+    the oracle that gives that verdict as J-annihilation."""
     return action_annihilates(module_to_action(M), ideal_j_gens(A))
 
 
 def annihilator(A: NCPA, M: QuasiPoissonModule) -> Subspace:
     """Elements acting as zero on both sides; always a two-sided Poisson
-    ideal, which is re-checked here."""
+    ideal, which is re-checked here.  Kept for module morphisms (ROADMAP
+    item 10)."""
     n = A.n
-    rows = []
-    for r in range(M.dim):
-        for c in range(M.dim):
-            for fam in (M.left, M.right):
-                data = {}
-                for i in range(n):
-                    v = fam[i][r][c]
-                    if v:
-                        data[i] = v
-                if data:
-                    vec = SparseVector(n)
-                    vec.data = data
-                    rows.append(vec)
+    rows = (
+        {i: fam[i][r][c] for i in range(n) if fam[i][r][c]}
+        for r in range(M.dim) for c in range(M.dim) for fam in (M.left, M.right)
+    )
     ann = solve_nullspace(rows, n)
     closed = poisson_ideal_closure(A, ann.rows, "two_sided")
     if closed != ann:

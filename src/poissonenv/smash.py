@@ -63,14 +63,6 @@ def q_term_key(m: QMonomial):
     return (len(word), word, i, j)
 
 
-def q_add(x: QElement, y: QElement) -> QElement:
-    return add_terms(x, y)
-
-
-def q_sub(x: QElement, y: QElement) -> QElement:
-    return sub_terms(x, y)
-
-
 # The one-term forms of i(v_a), k(v_a) and j(v_a); None is the unit.
 GENERATOR_TERM = {
     "i": lambda a: (a, None, ()),
@@ -95,26 +87,15 @@ def q_identity(A: NCPA) -> QElement:
 
 
 def embed(A: NCPA, kind: str, a: SparseVector) -> QElement:
-    """i, k or j of a, expanded: i and k are algebra maps for the product
-    and the opposite product, j is a Lie-algebra map."""
+    """i(a) = a (x) 1 # 1, k(a) = 1 (x) a # 1 or j(a) = 1 (x) 1 # a,
+    expanded: i and k are algebra maps for the product and the opposite
+    product, j is a Lie-algebra map."""
     if kind not in GENERATOR_TERM:
         raise ValueError(f"unknown embedding kind {kind!r}")
     if a.n != A.n:
         raise ValueError("element has wrong dimension for this algebra")
     term = GENERATOR_TERM[kind]
     return expand_unit(A, {term(r): c for r, c in a.data.items()})
-
-
-def embed_left(A: NCPA, a: SparseVector) -> QElement:
-    return embed(A, "i", a)  # a (x) 1 # 1
-
-
-def embed_right(A: NCPA, a: SparseVector) -> QElement:
-    return embed(A, "k", a)  # 1 (x) a # 1
-
-
-def embed_lie(A: NCPA, a: SparseVector) -> QElement:
-    return embed(A, "j", a)  # 1 (x) 1 # a
 
 
 # (numerators, denominator) of zero, shared by every memo entry that is zero
@@ -282,17 +263,6 @@ def q_mult(A: NCPA, x: QElement, y: QElement) -> QElement:
     return _over(out, s * sx * sy)
 
 
-def augmentation(A: NCPA, x: QElement) -> SparseVector:
-    """Collapse a (x) b # word to (counit of word) . a b in the algebra;
-    a left inverse of both algebra embeddings."""
-    out = A.zero()
-    for (p, q, word), c in x.items():
-        if word:
-            continue
-        out = out + A.mul_basis(p, q).scale(c)
-    return out
-
-
 def generator_relation_failures(A: NCPA) -> list[dict]:
     """Verify the defining relations among the three embeddings on all
     basis pairs: both algebra maps, their mutual commutation, the Lie
@@ -305,27 +275,21 @@ def generator_relation_failures(A: NCPA) -> list[dict]:
             failures.append({"relation": tag, "pair": pair})
 
     one = q_identity(A)
-    check("i-unit", None, embed_left(A, A.unit), one)
-    check("k-unit", None, embed_right(A, A.unit), one)
+    check("i-unit", None, embed(A, "i", A.unit), one)
+    check("k-unit", None, embed(A, "k", A.unit), one)
 
     for a in range(n):
-        va = A.basis(a)
-        ia = embed_left(A, va)
-        ka = embed_right(A, va)
-        ja = embed_lie(A, va)
+        ia, ka, ja = (embed(A, kind, A.basis(a)) for kind in "ikj")
         for b in range(n):
-            vb = A.basis(b)
-            ib = embed_left(A, vb)
-            kb = embed_right(A, vb)
-            jb = embed_lie(A, vb)
+            ib, kb, jb = (embed(A, kind, A.basis(b)) for kind in "ikj")
             br = A.bracket_basis(a, b)
             check(
                 "i(a)i(b)=i(ab)", (a, b),
-                q_mult(A, ia, ib), embed_left(A, A.mul_basis(a, b)),
+                q_mult(A, ia, ib), embed(A, "i", A.mul_basis(a, b)),
             )
             check(
                 "k(a)k(b)=k(ba)", (a, b),
-                q_mult(A, ka, kb), embed_right(A, A.mul_basis(b, a)),
+                q_mult(A, ka, kb), embed(A, "k", A.mul_basis(b, a)),
             )
             check(
                 "i(a)k(b)=k(b)i(a)", (a, b),
@@ -333,17 +297,17 @@ def generator_relation_failures(A: NCPA) -> list[dict]:
             )
             check(
                 "j(a)j(b)-j(b)j(a)=j({a,b})", (a, b),
-                q_sub(q_mult(A, ja, jb), q_mult(A, jb, ja)), embed_lie(A, br),
+                sub_terms(q_mult(A, ja, jb), q_mult(A, jb, ja)), embed(A, "j", br),
             )
             check(
                 "j(a)i(b)=i(b)j(a)+i({a,b})", (a, b),
                 q_mult(A, ja, ib),
-                q_add(q_mult(A, ib, ja), embed_left(A, br)),
+                add_terms(q_mult(A, ib, ja), embed(A, "i", br)),
             )
             check(
                 "j(a)k(b)=k(b)j(a)+k({a,b})", (a, b),
                 q_mult(A, ja, kb),
-                q_add(q_mult(A, kb, ja), embed_right(A, br)),
+                add_terms(q_mult(A, kb, ja), embed(A, "k", br)),
             )
     return failures
 

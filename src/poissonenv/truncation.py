@@ -314,7 +314,8 @@ def truncated_ideal_span(
     A: NCPA, gens: IdealGens, d: int, D: int
 ) -> tuple[Subspace, bool]:
     """Ideal slice at degree d with saturation window D, plus a stability
-    flag comparing against the window D - 1."""
+    flag comparing against the window D - 1.  Kept for perfbench.tracing,
+    whose truncation.products counts the products formed under it."""
     q = TruncatedQuotient(A, gens, d, D)
     return q.ideal_slice, q.stable
 
@@ -330,10 +331,13 @@ class TruncatedQuotient:
     off the rest.  The dimension, coset basis and stable flag need only the
     pivots; reduce() and ideal_slice need the rows in reduced form, and
     ideal_slice a second elimination (a Subspace pivots at each row's least
-    monomial), so each is built on first read.
+    monomial), so each is built on first read.  The window defaults to
+    degree + 2.
     """
 
-    def __init__(self, A: NCPA, gens: IdealGens, degree: int, saturation: int):
+    def __init__(self, A: NCPA, gens: IdealGens, degree: int, saturation: int | None = None):
+        if saturation is None:
+            saturation = degree + 2
         if saturation < degree:
             raise ValueError("saturation bound must be >= truncation degree")
         check_degree(saturation, "saturation degree")
@@ -369,7 +373,8 @@ class TruncatedQuotient:
 
     @cached_property
     def ideal_slice(self) -> Subspace:
-        """The slice as a Subspace, eliminated on first read."""
+        """The slice as a Subspace, eliminated on first read.  Kept for
+        lower bounds and module morphisms (ROADMAP items 3 and 10)."""
         n_low = len(self.monomials)
         rows = [SparseVector(n_low, row) for row in self._slice_rows.values()]
         out = join_and_reduce(rows, n_low)
@@ -382,7 +387,8 @@ class TruncatedQuotient:
         return len(self.coset_basis)
 
     def reduce(self, x: QElement) -> SparseVector:
-        """Coordinates of x over the coset basis, modulo the ideal slice."""
+        """Coordinates of x over the coset basis, modulo the ideal slice; kept
+        for lower bounds and module morphisms (ROADMAP items 3 and 10)."""
         for mono in x:
             if len(mono[2]) > self.degree:
                 raise DegreeCapExceeded(
@@ -395,12 +401,6 @@ class TruncatedQuotient:
         return out
 
 
-def truncated_quotient(
-    A: NCPA, gens: IdealGens, d: int, D: int | None = None
-) -> TruncatedQuotient:
-    return TruncatedQuotient(A, gens, d, d + 2 if D is None else D)
-
-
 def dimension_table(
     A: NCPA, gens: IdealGens, max_degree: int, saturation: int | None = None
 ) -> list[dict]:
@@ -410,6 +410,6 @@ def dimension_table(
     every degree, and the widest is checked against the cap before any
     closure work."""
     check_degree(max_degree + 2 if saturation is None else saturation, "saturation degree")
-    quotients = (truncated_quotient(A, gens, d, saturation) for d in range(max_degree + 1))
+    quotients = (TruncatedQuotient(A, gens, d, saturation) for d in range(max_degree + 1))
     return [{"degree": q.degree, "saturation": q.saturation, "dimension": q.dimension,
              "stable": q.stable} for q in quotients]

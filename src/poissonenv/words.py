@@ -1,5 +1,5 @@
-"""Word combinatorics for the tensor algebra: ordered partitions, the
-shuffle coproduct, and the counit.
+"""Word combinatorics for the tensor algebra: ordered partitions and the
+shuffle coproduct.
 
 A word is a plain tuple of basis indices; the empty tuple is the identity
 of the tensor algebra.  Everything here is independent of any particular
@@ -58,7 +58,3 @@ def shuffle_coproduct(word: Word) -> dict[tuple[Word, Word], Fraction]:
         key = (subword(word, left_pos), subword(word, right_pos))
         out[key] = out.get(key, ZERO) + ONE
     return out
-
-
-def counit(word: Word) -> Fraction:
-    return ONE if len(word) == 0 else ZERO

@@ -574,3 +574,20 @@ def test_q_mono_memo_is_filled_only_by_q_mono_mult_misses(tmp_path, monkeypatch,
         capsys.readouterr()
         [(A, missed)] = misses.values()  # one algebra per job
         assert missed == len(A.caches["q_mono"]) > 0, argv
+
+
+BAD_LABELS = ["a+b", "a-b", "a*b", "a,b", "a:b", "a.b", "", " a", "a "]
+
+
+@pytest.mark.parametrize("label", BAD_LABELS)
+def test_basis_label_that_element_syntax_cannot_name_exits_2(label, tmp_path, capsys):
+    doc = {"name": "kxk", "dim": 2, "basis": ["e1", label], "unit": ["1", "1"],
+           "mul": [[0, 0, 0, "1"], [1, 1, 1, "1"]], "bracket": []}
+    alg = tmp_path / "labels.alg"
+    alg.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(alg)], ["mul", str(alg), "e1", "e1"],
+                 ["q-mul", str(alg), "e1:e1:", "e1:e1:"]):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        assert out.startswith(f"error: basis label {label!r} "), argv
+        assert "Traceback" not in out + capsys.readouterr().err

@@ -13,7 +13,6 @@ from poissonenv.linalg import (
     TrackedEchelon,
     complement_conditions,
     frac_matrix,
-    in_span,
     int_mat_lincomb,
     int_mat_mul,
     int_matrix,
@@ -33,7 +32,7 @@ from poissonenv.linalg import (
 
 
 def sv(*values):
-    return SparseVector.from_dense([Fraction(v) for v in values])
+    return SparseVector(len(values), dict(enumerate(values)))
 
 
 def express(vectors, target):
@@ -45,18 +44,18 @@ def express(vectors, target):
 
 
 def test_in_span_zero_vector_always():
-    assert in_span(Subspace.zero(2), sv(0, 0))
+    assert Subspace(2).contains(sv(0, 0))
 
 
 def test_in_span_misses():
     s = join_and_reduce([sv(1, 0)], 2)
-    assert not in_span(s, sv(0, 1))
+    assert not s.contains(sv(0, 1))
 
 
 def test_in_span_solves_two_by_two():
     # (3,5) = 4*(1,1) - 1*(1,-1)
     s = join_and_reduce([sv(1, 1), sv(1, -1)], 2)
-    assert in_span(s, sv(3, 5))
+    assert s.contains(sv(3, 5))
     coeffs = express([sv(1, 1), sv(1, -1)], sv(3, 5))
     assert coeffs == {0: Fraction(4), 1: Fraction(-1)}
 
@@ -103,7 +102,7 @@ def test_saturate_idempotent_component():
     ops = [mul_by(0), mul_by(1)]
     s = saturate_closure([sv(1, 0)], ops, 2)
     assert s.rank == 1
-    assert in_span(s, sv(1, 0))
+    assert s.contains(sv(1, 0))
 
 
 def _m2_mult_ops():
@@ -142,20 +141,23 @@ def test_saturate_simple_algebra_fills_space():
 
 def test_solve_nullspace():
     # x + y = 0 in dim 3: solutions span{(1,-1,0), (0,0,1)}
-    s = solve_nullspace([sv(1, 1, 0)], 3)
+    s = solve_nullspace([{0: 1, 1: 1}], 3)
     assert s.rank == 2
-    assert in_span(s, sv(1, -1, 0))
-    assert in_span(s, sv(0, 0, 1))
-    assert not in_span(s, sv(1, 1, 0))
+    assert s.contains(sv(1, -1, 0))
+    assert s.contains(sv(0, 0, 1))
+    assert not s.contains(sv(1, 1, 0))
 
 
 def test_complement_conditions():
     s = join_and_reduce([sv(1, 1)], 2)
     conds = complement_conditions(s)
     assert len(conds) == 1
+    def dot(w, v):
+        return sum(c * v.get(i) for i, c in w.items())
+
     for v in [sv(1, 1), sv(2, 2)]:
-        assert all(w.dot(v) == 0 for w in conds)
-    assert any(w.dot(sv(1, 0)) != 0 for w in conds)
+        assert all(dot(w, v) == 0 for w in conds)
+    assert any(dot(w, sv(1, 0)) != 0 for w in conds)
 
 
 def test_express_not_in_span():
@@ -192,9 +194,9 @@ def vector_lists(draw):
     dim = draw(st.integers(min_value=1, max_value=4))
     count = draw(st.integers(min_value=0, max_value=4))
     vecs = [
-        SparseVector.from_dense(
+        SparseVector(dim, dict(enumerate(
             [draw(small_fractions) for _ in range(dim)]
-        )
+        )))
         for _ in range(count)
     ]
     return dim, vecs
@@ -207,7 +209,7 @@ def test_every_generator_in_its_span(case):
     s = join_and_reduce(vecs, dim)
     assert s.rank <= min(len(vecs), dim)
     for v in vecs:
-        assert in_span(s, v)
+        assert s.contains(v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,7 +225,7 @@ def test_saturation_is_a_fixed_point(case):
     s = saturate_closure(vecs, ops, dim)
     for row in s.rows:
         for op in ops:
-            assert in_span(s, op(row))
+            assert s.contains(op(row))
 
 
 def _coefficients(k):
@@ -258,7 +260,7 @@ def test_express_in_span_rebuilds_target(case, data):
 def test_express_in_span_rejects_outside_target(case, data):
     dim, vecs = case
     s = join_and_reduce(vecs, dim)
-    outside = [i for i in range(dim) if not in_span(s, SparseVector.unit(dim, i))]
+    outside = [i for i in range(dim) if not s.contains(SparseVector.unit(dim, i))]
     assume(outside)
     coeffs = data.draw(_coefficients(len(vecs)))
     stray = SparseVector.unit(dim, data.draw(st.sampled_from(outside)))
@@ -359,7 +361,7 @@ def rational_vectors(draw, dim):
     if start == dim:
         return SparseVector(dim)
     tail = [draw(rationals) for _ in range(start + 1, dim)]
-    return SparseVector.from_dense([ZERO] * start + [draw(leading)] + tail)
+    return SparseVector(dim, dict(enumerate([ZERO] * start + [draw(leading)] + tail)))
 
 
 @st.composite
@@ -386,7 +388,7 @@ def test_elimination_matches_fraction_reference(case):
 
     ech = Echelon(dim)
     for v in vecs:
-        ech.add(v)
+        ech.add_data(v.data)
     for row in ech.rows:
         # primitive integer rows with a positive pivot entry
         assert _all_types(row.values(), int) and gcd(*row.values()) == 1
@@ -398,7 +400,7 @@ def test_elimination_matches_fraction_reference(case):
     assert reduced.data == _ref_clear(target.data, dict(expected))
     assert _all_fractions(reduced.data.values())
 
-    null = solve_nullspace(vecs, dim)
+    null = solve_nullspace([v.data for v in vecs], dim)
     assert _as_pairs(null) == _ref_nullspace(vecs, dim)
     assert _rows_are_fractions(null)
 
@@ -414,7 +416,7 @@ def test_elimination_matches_fraction_reference(case):
 
 def test_nullspace_of_a_row_whose_pivot_entry_is_not_one():
     # 2x + 3y = 0 and 4z = 0: the solutions are t * (1, -2/3, 0)
-    s = solve_nullspace([sv(2, 3, 0), sv(0, 0, 4)], 3)
+    s = solve_nullspace([{0: 2, 1: 3}, {2: 4}], 3)
     assert list(s.rows) == [sv(1, Fraction(-2, 3), 0)]
     assert s.pivots == (0,)
 
@@ -423,7 +425,7 @@ def test_subspace_keeps_its_rows_when_the_echelon_grows():
     vectors = [sv(1, 1, 0, 0), sv(0, 0, 1, 1)]
     ech = Echelon(4)
     for v in vectors:
-        ech.add(v)
+        ech.add_data(v.data)
     s = ech.to_subspace()
     rows = list(s.rows)
     probes = [sv(1, 0, 0, 0), sv(0, 1, 1, 0), sv(3, 1, 2, 5)]
@@ -432,7 +434,7 @@ def test_subspace_keeps_its_rows_when_the_echelon_grows():
     before = [dict(row) for row in ech.rows]
     # pivot 1: the new row keeps its entry at pivot 2, and the rows before
     # it are neither rewritten nor replaced
-    assert ech.add(sv(0, 2, 2, 0)) == sv(0, 1, 1, 0)
+    assert ech.add_data(sv(0, 2, 2, 0).data) == {1: 1, 2: 1}
     assert ech.rows[:2] == before
     assert all(a is b for a, b in zip(ech.rows, stored))
     assert ech.to_subspace() == join_and_reduce(vectors + [sv(0, 1, 1, 0)], 4)
