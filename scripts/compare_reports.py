@@ -31,9 +31,16 @@ fractional coefficients, check that products come out over the right
 denominators.  Q(sqrt 2), in the basis (1, s) with s s = 2 and a zero
 bracket, is written there too: it is Poisson-simple, and `simple` proves
 it only in its third stage, where the minimal polynomial x^2 - 2 of
-multiplication by s is irreducible.  Every command has a job; `std` runs
-with and without `--out`.  Jobs run in-process, one after another; each
-loads a fresh algebra, so no memo cache is shared between jobs.  The
+multiplication by s is irreducible.  The dual numbers k[x]/(x^2) in the
+basis (1, 1 + x) and k x k in the basis (1, e1 + 2 e2) are written there
+too: neither is Poisson-simple, but no basis vector or sum of two
+generates a proper ideal, so `simple` finds one only in its second stage
+(the radical, for the dual numbers) or in the kernel branch of its third
+(a reducible minimal polynomial, for k x k).  Every command has a job;
+`std` runs with and without `--out`, and `module-alg` runs on zero
+brackets (kxk, the skew basis) and on a nonzero one (m2std in both
+bases).  Jobs run in-process, one after another; each loads a fresh
+algebra, so no memo cache is shared between jobs.  The
 heaviest jobs are `env-dim` on m2std with J to degree 3 and OH to degree 3
 (window 5, a nonzero bracket) and on the skew basis with J to degree 4
 (window 6), each under a second; most of their work lies above level 0 of
@@ -62,6 +69,10 @@ SKEW = f"{TMP}/trunc2-skew.alg"
 M2_UNIT = f"{TMP}/m2std-unit.alg"
 # Q(sqrt 2) in the basis (1, s), s s = 2, zero bracket
 QSQRT2 = f"{TMP}/qsqrt2.alg"
+# the dual numbers k[x]/(x^2) in the basis (1, 1 + x), zero bracket
+DUAL = f"{TMP}/dual-numbers.alg"
+# k x k in the basis (1, e1 + 2 e2)
+KXK_UNIT = f"{TMP}/kxk-unit.alg"
 # --degree per fixture for each ideal; m2std J also runs to degrees 2 and 3 (jobs()).
 ENV_DIM_DEGREE = {"kxk": 3, "trunc2-n2": 2, "m2std": 1}
 
@@ -113,9 +124,13 @@ def jobs() -> list[list[str]]:
             ["env-dim", alg(name), "--ideal", ideal, "--degree", str(degree),
              "--saturate", str(saturate)]
         )
+    # a zero bracket makes every nonempty word act as zero (kxk, the skew
+    # basis, whose unit is not a basis vector); m2std's does not
+    out.append(["module-alg", alg("kxk")])
+    out.append(["module-alg", alg("m2std"), "--degree", "3"])
+    out += [["module-alg", path, "--degree", "2"] for path in (M2_UNIT, SKEW)]
     for mod in MODULES:
         path = f"{DATA}/{mod}.mod"
-        out.append(["module-alg", alg("kxk")])
         out.append(["module-check", alg("kxk"), path, "--poisson"])
         out.append(["module-check", alg("kxk"), path])
         out.append(["roundtrip", alg("kxk"), path])
@@ -168,6 +183,11 @@ def jobs() -> list[list[str]]:
     for cmd in ("validate", "simple", "derivations"):
         out.append([cmd, QSQRT2])
     out.append(["env-dim", QSQRT2, "--ideal", "J", "--degree", "2"])
+    # ideals that no probe of simple's first stage generates: its second
+    # stage (a nonzero radical) and the kernel branch of its third (a
+    # reducible minimal polynomial) find them
+    for path in (DUAL, KXK_UNIT):
+        out += [[cmd, path] for cmd in ("validate", "simple", "derivations")]
     return out
 
 
@@ -203,6 +223,13 @@ def write_inputs(tmp: str) -> None:
     qsqrt2 = AlgebraPresentation("Q(sqrt2)", 2, ["1", "s"], one,
                                  {(0, 0): one, (0, 1): s, (1, 0): s, (1, 1): one.scale(2)}, {})
     Path(tmp, "qsqrt2.alg").write_text(serialize_algebra(qsqrt2), encoding="utf-8")
+    x = SparseVector(2, {1: 1})
+    dual = AlgebraPresentation("dual", 2, ["1", "x"], one, {(0, 0): one, (0, 1): x, (1, 0): x}, {})
+    Path(tmp, "dual-numbers.alg").write_text(
+        serialize_algebra(rebase(dual, [[1, 1], [0, 1]])), encoding="utf-8"
+    )
+    kxk_unit = rebase(algebras["kxk"], [[1, 1], [1, 2]])
+    Path(tmp, "kxk-unit.alg").write_text(serialize_algebra(kxk_unit), encoding="utf-8")
 
 
 def run_jobs(repo: Path) -> list[dict]:

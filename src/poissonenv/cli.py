@@ -88,11 +88,12 @@ def load_algebra(path: str, unit_first: bool = False) -> NCPA:
 # -- element syntax -----------------------------------------------------------
 
 def parse_element(A: NCPA, text: str) -> SparseVector:
-    """Either comma-separated coordinates ("1,0") or a linear combination
-    of basis labels ("e1 + 2*e2")."""
+    """Either comma-separated coordinates ("1,0", with one trailing comma
+    allowed: "1,0," and, in dimension 1, "2,") or a linear combination of
+    basis labels ("e1 + 2*e2")."""
     text = text.strip()
     if "," in text:
-        parts = [p.strip() for p in text.split(",")]
+        parts = [p.strip() for p in text.removesuffix(",").split(",")]
         if len(parts) != A.n:
             raise UsageError(
                 f"expected {A.n} coordinates, got {len(parts)} in {text!r}"

@@ -8,6 +8,7 @@ the empty tuple being the identity) to nonzero rational coefficients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .limits import check_degree
@@ -156,79 +157,51 @@ def tensor_mult(A: NCPA, s: Tensor, t: Tensor) -> Tensor:
 def module_algebra_failures(A: NCPA, degree_bound: int) -> list[dict]:
     """Exhaustive check that the enveloping algebra acts by module-algebra
     maps on A, on A^op, and on A (x) A^op, for all PBW monomials up to the
-    bound and all basis pairs.  Returns one record per failed instance."""
+    bound and all basis pairs.  Returns one record per failed instance: for
+    each word and pair, A then A^op; then every A^e instance."""
     check_degree(degree_bound)  # before any work: the words stop at the cap
+    n = A.n
+    mul = {(a, b): A.mul_basis(a, b).data for a in range(n) for b in range(n)}
+    op = {(a, b): mul[b, a] for a, b in mul}
+    pairs = list(itertools.product(range(n), repeat=2))
+    tensor = {(s, t): tensor_mult(A, {s: ONE}, {t: ONE}) for s in pairs for t in pairs}
+    # actions of (sub)words on basis tensors repeat massively: table them too
+    tensor_act = functools.cache(
+        lambda w, st: act_on_tensor(A, {w: ONE}, A.basis(st[0]), A.basis(st[1])))
     failures: list[dict] = []
-    monomials = u_monomials(A.n, degree_bound)
-
-    for word in monomials:
-        for a in range(A.n):
-            for b in range(A.n):
-                # on A: x(a . b) = sum x1(a) . x2(b)
-                lhs = lie_word_act(A, word, A.mul_basis(a, b))
-                rhs = A.zero()
-                for (w1, w2), mult in shuffle_coproduct(word).items():
-                    term = A.mul(
-                        lie_word_act(A, w1, A.basis(a)),
-                        lie_word_act(A, w2, A.basis(b)),
-                    )
-                    rhs = rhs + term.scale(mult)
-                if lhs != rhs:
-                    failures.append(
-                        {"algebra": "A", "word": word, "pair": (a, b)}
-                    )
-                # on A^op: same with the reversed product
-                lhs = lie_word_act(A, word, A.mul_basis(b, a))
-                rhs = A.zero()
-                for (w1, w2), mult in shuffle_coproduct(word).items():
-                    term = A.mul(
-                        lie_word_act(A, w2, A.basis(b)),
-                        lie_word_act(A, w1, A.basis(a)),
-                    )
-                    rhs = rhs + term.scale(mult)
-                if lhs != rhs:
-                    failures.append(
-                        {"algebra": "A^op", "word": word, "pair": (a, b)}
-                    )
-
-    # on A^e: check on all pairs of basis tensors; actions of (sub)words on
-    # basis tensors repeat massively, so cache them for the sweep
-    pairs = [(p, q) for p in range(A.n) for q in range(A.n)]
-    act_cache: dict = {}
-
-    def act_basis_tensor(word: Word, p: int, q: int) -> Tensor:
-        key = (word, p, q)
-        hit = act_cache.get(key)
-        if hit is None:
-            hit = act_on_tensor(A, {word: ONE}, A.basis(p), A.basis(q))
-            act_cache[key] = hit
-        return hit
-
-    prod_cache = {
-        (pq, rs): tensor_mult(A, {pq: ONE}, {rs: ONE})
-        for pq in pairs
-        for rs in pairs
-    }
-    for word in monomials:
-        biparts = shuffle_coproduct(word)
-        for pq in pairs:
-            for rs in pairs:
-                lhs: Tensor = {}
-                for key, c in prod_cache[(pq, rs)].items():
-                    for key2, c2 in act_basis_tensor(word, *key).items():
-                        accumulate(lhs, key2, c * c2)
-                rhs: Tensor = {}
-                for (w1, w2), mult in biparts.items():
-                    t1 = act_basis_tensor(w1, *pq)
-                    if not t1:
-                        continue
-                    t2 = act_basis_tensor(w2, *rs)
-                    if not t2:
-                        continue
-                    for key, c in tensor_mult(A, t1, t2).items():
-                        accumulate(rhs, key, mult * c)
-                if lhs != rhs:
-                    failures.append(
-                        {"algebra": "A^e", "word": word, "pair": (pq, rs)}
-                    )
+    for keys, act, algebras in (
+        (range(n), lambda w, a: lie_word_on_basis(A, w, a).data, (("A", mul), ("A^op", op))),
+        (pairs, tensor_act, (("A^e", tensor),)),
+    ):
+        for word in u_monomials(n, degree_bound):
+            biparts = shuffle_coproduct(word)
+            for s, t in itertools.product(keys, repeat=2):
+                for name, prod in algebras:
+                    if not _law_holds(word, biparts, s, t, prod, act):
+                        failures.append({"algebra": name, "word": word, "pair": (s, t)})
     return failures
+
+
+def _law_holds(word: Word, biparts: dict, s, t, prod: dict, act) -> bool:
+    """The module-algebra law x(s t) = sum x1(s) x2(t) for the word x, with
+    biparts its shuffle coproduct, on basis elements s and t of an algebra
+    given by its products prod[s, t] and its actions act(word, s), both
+    {basis element: coefficient}."""
+    lhs: dict = {}
+    for k, c in prod[s, t].items():
+        for k2, c2 in act(word, k).items():
+            accumulate(lhs, k2, c * c2)
+    rhs: dict = {}
+    for (w1, w2), mult in biparts.items():
+        left = act(w1, s)
+        if not left:
+            continue
+        right = act(w2, t)
+        for k, c in left.items():
+            for k2, c2 in right.items():
+                terms = prod[k, k2]
+                if terms:
+                    c12 = mult * c * c2
+                    for k3, c3 in terms.items():
+                        accumulate(rhs, k3, c12 * c3)
+    return lhs == rhs

@@ -6,7 +6,9 @@ A module is given by three families of exact matrices indexed by the
 algebra basis: left action, right action, and Lie-type action.  The
 passage to an enveloping-algebra action sends the monomial (i, j, word)
 to left(i) . right(j) . lie(w_1) ... lie(w_k); the reverse passage reads
-the three families off the degree <= 1 monomials.
+the three families off the degree <= 1 monomials, once the action's
+products to degree 2 check out.  roundtrip_report sweeps the products of
+F(M) once, to its bound or 2, and reads both answers off that sweep.
 
 Module families, action matrices and of_element values are tuples of
 Fraction, but the axiom checks, the action's monomial matrices and its
@@ -254,9 +256,8 @@ class EnvAction:
     """A representation of the quasi-Poisson enveloping algebra, given by
     a matrix for each monomial.  Each monomial's integer form (see linalg),
     built lazily, is the one store: matrix() reads its Fractions off the
-    form.  The monomial-pair multiplicativity verdicts are cached too, and
-    taken on the forms: no Fraction is formed per pair.  Each bound's
-    failure list is kept as well.
+    form.  The multiplicativity verdicts are taken on the forms, so no
+    Fraction is formed per pair, and not kept: a caller sweeps once.
 
     A monomial that acts as zero is stored as the one zero form, and the
     check does no matrix work with it: if m1 or m2 acts as zero, then
@@ -281,8 +282,6 @@ class EnvAction:
         self._fn = matrix_fn
         self._zero: IntMatrix = (({},) * dim, 1)  # the form of the zero matrix
         self._forms: dict[QMonomial, IntMatrix] = {}
-        self._verdicts: dict[tuple[QMonomial, QMonomial], bool] = {}
-        self._failures: dict[int, list[tuple]] = {}
 
     def matrix(self, mono: QMonomial) -> Matrix:
         """Kept for perfbench.tracing, which wraps it (TRACED)."""
@@ -314,12 +313,8 @@ class EnvAction:
     def multiplicativity_failures(self, degree_bound: int) -> list[tuple]:
         """Monomial pairs (total degree <= bound) where composing matrices
         differs from acting by the product."""
-        found = self._failures.get(degree_bound)
-        if found is not None:
-            return list(found)
         A = self.algebra
         memo = A.caches["q_mono"]
-        verdicts = self._verdicts
         form = self._form
         zero = self._zero
         out = []
@@ -333,29 +328,25 @@ class EnvAction:
                 dead_products = self._dead_products(monos, degree_bound)
             skip = dead_products.get(m1[2])
             for m2 in monos[:upto[degree_bound - len(m1[2])]]:
-                pair = (m1, m2)
-                ok = verdicts.get(pair)
-                if ok is None:
-                    # read every form, m1's, m2's, then the product terms', even
-                    # where a factor is zero: a failing matrix_fn then fails at
-                    # the same monomial whatever acts as zero
-                    f1, f2 = form(m1), form(m2)
-                    composed = zero if f1 is zero or f2 is zero else int_mat_mul(f1, f2)
-                    if skip and m2[2] in skip:
-                        product = zero  # m1·m2 acts as zero: not formed
-                    else:
-                        entry = memo.get(pair)
-                        if entry is None:
-                            q_mono_mult(A, m1, m2)  # the one function that fills the memo
-                            entry = memo[pair]
-                        nums, den = entry
-                        live = {m: c for m, c in nums.items() if form(m) is not zero}
-                        product = self._combination(live, den) if live else zero
-                    ok = verdicts[pair] = composed == product
-                if not ok:
-                    out.append(pair)
-        self._failures[degree_bound] = out
-        return list(out)
+                # read every form, m1's, m2's, then the product terms', even
+                # where a factor is zero: a failing matrix_fn then fails at
+                # the same monomial whatever acts as zero
+                f1, f2 = form(m1), form(m2)
+                composed = zero if f1 is zero or f2 is zero else int_mat_mul(f1, f2)
+                if skip and m2[2] in skip:
+                    product = zero  # m1·m2 acts as zero: not formed
+                else:
+                    pair = (m1, m2)
+                    entry = memo.get(pair)
+                    if entry is None:
+                        q_mono_mult(A, m1, m2)  # the one function that fills the memo
+                        entry = memo[pair]
+                    nums, den = entry
+                    live = {m: c for m, c in nums.items() if form(m) is not zero}
+                    product = self._combination(live, den) if live else zero
+                if composed != product:
+                    out.append((m1, m2))
+        return out
 
     def _dead_products(self, monos: list, degree_bound: int) -> dict:
         """For each word alpha of monos, the words beta (of degree at most
@@ -396,10 +387,9 @@ def module_to_action(M: QuasiPoissonModule) -> EnvAction:
     return _ModuleAction(validate_quasi_poisson(M))
 
 
-def _read_module(action: EnvAction) -> QuasiPoissonModule:
-    """The three action families read off the degree <= 1 monomials, after
-    checking the action's products up to degree 2; not validated."""
-    bad = action.multiplicativity_failures(2)
+def _read_module(action: EnvAction, bad: list[tuple]) -> QuasiPoissonModule:
+    """The three action families read off the degree <= 1 monomials,
+    unvalidated; bad (the action's failures to degree 2) must be empty."""
     if bad:
         raise ActionError(f"action not multiplicative at {bad[:3]}")
     A = action.algebra
@@ -415,7 +405,7 @@ def action_to_module(action: EnvAction) -> QuasiPoissonModule:
     action must respect monomial products up to degree 2 (the degree-2
     products encode the generating relations).  Kept for perfbench.tracing,
     which wraps it (TRACED)."""
-    return validate_quasi_poisson(_read_module(action))
+    return validate_quasi_poisson(_read_module(action, action.multiplicativity_failures(2)))
 
 
 def roundtrip_report(
@@ -423,11 +413,16 @@ def roundtrip_report(
 ) -> dict:
     """Check both passages are mutually inverse on M, and that the induced
     action is associative on monomial pairs up to the bound."""
-    # before any work, the largest product degree formed: reading G(F(M))
-    # checks degree 2
-    check_degree(max(2, degree_bound), "product degree")
+    top = max(2, degree_bound)  # reading G(F(M)) checks degree 2
+    check_degree(top, "product degree")  # before any work
     action = module_to_action(M)
-    back = _read_module(action)
+    # one sweep; a sweep to degree d fails at its pairs of degree <= d
+    failures = action.multiplicativity_failures(top)
+
+    def up_to(d: int) -> list[tuple]:
+        return [p for p in failures if len(p[0][2]) + len(p[1][2]) <= d]
+
+    back = _read_module(action, up_to(2))
     gf_equal = M.equal_actions(back)
     # the axioms read only the forms, and module_to_action validated M's, so
     # G(F(M)) is validated only where it differs from M
@@ -439,7 +434,7 @@ def roundtrip_report(
     action2 = action if gf_equal else _ModuleAction(back)
     monos = env_monomials(A, degree_bound)
     fgf_mismatches = [m for m in monos if action._form(m) != action2._form(m)]
-    assoc_failures = action.multiplicativity_failures(degree_bound)
+    assoc_failures = up_to(degree_bound)
     return {
         "module_roundtrip_equal": gf_equal,
         "monomials_checked": len(monos),

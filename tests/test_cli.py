@@ -146,6 +146,55 @@ def test_mul_and_bracket(capsys):
     assert out.splitlines()[0] == "0"
 
 
+def _field_k(tmp_path) -> str:
+    """The 1-dimensional algebra k, basis (one,), zero bracket."""
+    doc = {"name": "k", "dim": 1, "basis": ["one"], "unit": ["1"],
+           "mul": [[0, 0, 0, "1"]], "bracket": []}
+    out = tmp_path / "k.alg"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return str(out)
+
+
+@pytest.mark.parametrize("x, y, product", [
+    ("2,", "3,", "6*one"),
+    ("2 ,", " -1/3, ", "-2/3*one"),
+    ("2,", "3*one", "6*one"),
+])
+def test_coordinates_in_dimension_one_take_a_trailing_comma(capsys, tmp_path, x, y, product):
+    code, out = run(capsys, "mul", _field_k(tmp_path), x, y)
+    assert code == 0
+    assert out.splitlines()[0] == product
+
+
+def test_coordinates_in_dimension_two_may_end_in_one_comma(capsys):
+    for x, y in (("1,0,", "0,1"), ("1,0", "0,1,"), ("1,0,", "0,1,")):
+        code, out = run(capsys, "mul", path("kxk.alg"), x, y)
+        assert code == 0
+        assert out.splitlines()[0] == "0"
+    code, out = run(capsys, "mul", path("kxk.alg"), "1,1,", "1/2,0,")
+    assert code == 0
+    assert out.splitlines()[0] == "1/2*e1"
+
+
+@pytest.mark.parametrize("algebra, x, start", [
+    ("k", ",", "malformed rational ''"),
+    ("k", "2,,", "expected 1 coordinates, got 2"),
+    ("k", "2", "unknown basis label '2'"),
+    ("kxk", ",", "expected 2 coordinates, got 1"),
+    ("kxk", "1,0,,", "expected 2 coordinates, got 3"),
+    ("kxk", "1,", "expected 2 coordinates, got 1"),
+    ("kxk", ",1", "malformed rational ''"),
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_malformed_coordinates_exit_2(capsys, tmp_path, algebra, x, start, as_json):
+    alg = _field_k(tmp_path) if algebra == "k" else path("kxk.alg")
+    y = "1," if algebra == "k" else "1,0"
+    code, out = run(capsys, *(["--json"] if as_json else []), "mul", alg, x, y)
+    assert code == 2
+    assert_error(out, as_json, start)
+    assert "Traceback" not in out
+
+
 def test_mul_bad_label(capsys):
     code, out = run(capsys, "mul", path("kxk.alg"), "e9", "e1")
     assert code == 2
@@ -236,7 +285,10 @@ def test_module_alg_degree_above_cap_fails_before_any_work(capsys, monkeypatch, 
     def forbidden(*args):
         raise AssertionError("module-alg acted by a word before checking its degree")
 
-    monkeypatch.setattr("poissonenv.pbw.lie_word_act", forbidden)
+    # the sweep acts through lie_word_on_basis on A and A^op, and through
+    # lie_word_act on A^e
+    for name in ("lie_word_on_basis", "lie_word_act"):
+        monkeypatch.setattr(f"poissonenv.pbw.{name}", forbidden)
     argv = ["module-alg", path("m2std.alg"), "--degree", "11"]
     code, out = run(capsys, *(["--json"] if as_json else []), *argv)
     assert code == 2
@@ -273,7 +325,8 @@ def test_cap_variable_above_ceiling_fails_before_any_work(
     def forbidden(*args):
         raise AssertionError("worked before reading the degree cap")
 
-    for name in (target, MATRIX_KERNEL):
+    # module-alg acts through lie_word_on_basis on A and A^op, before A^e
+    for name in (target, MATRIX_KERNEL, "poissonenv.pbw.lie_word_on_basis"):
         monkeypatch.setattr(name, forbidden)
     monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "12")
     argv = [path(a) if a.endswith((".alg", ".mod")) else a for a in argv]

@@ -675,6 +675,39 @@ def test_sweep_matches_the_sweep_without_skips(kxk, m2, trunc2, trunc2_skew):
                 assert expected == []
 
 
+def _up_to(pairs, degree):
+    return [p for p in pairs if len(p[0][2]) + len(p[1][2]) <= degree]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_roundtrip_report_sweeps_once(kxk, m2, trunc2, trunc2_skew, monkeypatch, bound):
+    sweep = EnvAction.multiplicativity_failures
+    calls = []
+
+    def counted(self, degree_bound):
+        calls.append(degree_bound)
+        return sweep(self, degree_bound)
+
+    monkeypatch.setattr(EnvAction, "multiplicativity_failures", counted)
+    for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items():
+        if name.startswith("m2") and bound == 3:
+            continue  # 1 to 2 s each; the sweep tests run m2std at degree 3
+        calls.clear()
+        report = roundtrip_report(M.algebra, M, bound)
+        # one sweep, to degree 2 at least, which reading G(F(M)) checks
+        assert calls == [max(2, bound)], name
+        assert report["associativity_failures"] == sweep(module_to_action(M), bound) == [], name
+
+
+def test_a_sweep_to_degree_3_lists_the_degree_2_failures_in_order(kxk, trunc2):
+    # roundtrip_report reads its degree-2 failures off the wider sweep
+    for name, (A, M, mono, change) in _corrupted_cases(kxk, trunc2).items():
+        wide = _corrupted(A, M, mono, change, []).multiplicativity_failures(3)
+        narrow = _corrupted(A, M, mono, change, []).multiplicativity_failures(2)
+        assert _up_to(wide, 2) == narrow, name
+        assert bool(narrow) == (name != "first made zero"), name
+
+
 def _corrupted(A, M, mono, change, asked):
     """The action of M, except that mono acts by change(its matrix); each
     monomial whose matrix is asked for is appended to asked."""
@@ -811,11 +844,6 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
     expected = {"mul": 81, "lincomb": 25, "q_mono_mult": 162}
     assert calls == {"mul": len(live) ** 2, "lincomb": with_live_terms,
                      "q_mono_mult": 90 + 81 - 9} == expected
-    # a second call with the same bound reads the stored list
-    found = action.multiplicativity_failures(2)
-    found.append("not stored")
-    assert action.multiplicativity_failures(2) == []
-    assert calls == expected
 
 
 def test_roundtrip_converts_each_module_once_and_builds_one_action(trunc2, monkeypatch):
@@ -861,7 +889,7 @@ def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatc
     back = QuasiPoissonModule(m2, M.dim, *(tuple(map(conjugate, fam))
                                            for fam in (M.left, M.right, M.lie)))
     assert quasi_violations(back) == []
-    monkeypatch.setattr(poisson_modules, "_read_module", lambda action: back)
+    monkeypatch.setattr(poisson_modules, "_read_module", lambda action, bad: back)
     report = roundtrip_report(m2, M, 2)
     first, second = _ModuleAction(M), _ModuleAction(back)
     differ = [m for m in env_monomials(m2, 2) if first.matrix(m) != second.matrix(m)]
@@ -881,7 +909,7 @@ def test_roundtrip_validates_a_differing_module_as_action_to_module_does(m2, mon
     )
     with pytest.raises(ActionError) as expected:
         poisson_modules.validate_quasi_poisson(back)
-    monkeypatch.setattr(poisson_modules, "_read_module", lambda action: back)
+    monkeypatch.setattr(poisson_modules, "_read_module", lambda action, bad: back)
     with pytest.raises(ActionError) as got:
         roundtrip_report(m2, M, 2)
     assert str(got.value) == str(expected.value)

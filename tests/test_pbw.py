@@ -172,3 +172,88 @@ def test_module_algebra_zero_bracket_degree_three(trunc2):
 
 def test_module_algebra_m2_degree_two(m2):
     assert module_algebra_failures(m2, 2) == []
+
+
+
+def _module_algebra_failures_reference(A, degree_bound):
+    """The module-algebra sweep as first written: the law spelled out for
+    A, for A^op, and for A (x) A^op, where tensor_mult multiplies the acted
+    tensors; the records come in the order module_algebra_failures keeps."""
+    from poissonenv.linalg import accumulate
+    from poissonenv.pbw import tensor_mult
+    from poissonenv.words import shuffle_coproduct
+
+    failures = []
+    monomials = u_monomials(A.n, degree_bound)
+    for word in monomials:
+        for a in range(A.n):
+            for b in range(A.n):
+                # on A: x(a . b) = sum x1(a) . x2(b)
+                lhs = lie_word_act(A, word, A.mul_basis(a, b))
+                rhs = A.zero()
+                for (w1, w2), mult in shuffle_coproduct(word).items():
+                    term = A.mul(lie_word_act(A, w1, A.basis(a)), lie_word_act(A, w2, A.basis(b)))
+                    rhs = rhs + term.scale(mult)
+                if lhs != rhs:
+                    failures.append({"algebra": "A", "word": word, "pair": (a, b)})
+                # on A^op: the same with the reversed product
+                lhs = lie_word_act(A, word, A.mul_basis(b, a))
+                rhs = A.zero()
+                for (w1, w2), mult in shuffle_coproduct(word).items():
+                    term = A.mul(lie_word_act(A, w2, A.basis(b)), lie_word_act(A, w1, A.basis(a)))
+                    rhs = rhs + term.scale(mult)
+                if lhs != rhs:
+                    failures.append({"algebra": "A^op", "word": word, "pair": (a, b)})
+
+    acts = {}
+
+    def act(word, p, q):
+        if (word, p, q) not in acts:
+            acts[word, p, q] = act_on_tensor(A, {word: ONE}, A.basis(p), A.basis(q))
+        return acts[word, p, q]
+
+    pairs = [(p, q) for p in range(A.n) for q in range(A.n)]
+    prods = {(pq, rs): tensor_mult(A, {pq: ONE}, {rs: ONE}) for pq in pairs for rs in pairs}
+    for word in monomials:
+        for pq in pairs:
+            for rs in pairs:
+                lhs = {}
+                for key, c in prods[pq, rs].items():
+                    for key2, c2 in act(word, *key).items():
+                        accumulate(lhs, key2, c * c2)
+                rhs = {}
+                for (w1, w2), mult in shuffle_coproduct(word).items():
+                    for key, c in tensor_mult(A, act(w1, *pq), act(w2, *rs)).items():
+                        accumulate(rhs, key, mult * c)
+                if lhs != rhs:
+                    failures.append({"algebra": "A^e", "word": word, "pair": (pq, rs)})
+    return failures
+
+
+def test_module_algebra_failures_match_the_reference(
+    kxk, m2, trunc2, field_k, ut2, ut2_zero, kxk_skew, trunc2_skew, m2_rebased
+):
+    from poissonenv.fileformat import load_bundled_algebra
+    from poissonenv.ncpa import NCPA
+
+    # the bad fixtures fail an axiom, so they are loaded without validation
+    bad = {name: NCPA(load_bundled_algebra(f"{name}.alg"))
+           for name in ("bad-leibniz", "bad-antisym", "bad-jacobi")}
+    cases = dict(bad, kxk=kxk, m2=m2, trunc2=trunc2, field_k=field_k, ut2=ut2,
+                 ut2_zero=ut2_zero, kxk_skew=kxk_skew, trunc2_skew=trunc2_skew,
+                 m2_rebased=m2_rebased)
+    counts, kinds = {}, {}
+    for name, A in cases.items():
+        for bound in range(3 if name.startswith("m2") else 4):
+            got = module_algebra_failures(A, bound)
+            assert got == _module_algebra_failures_reference(A, bound), (name, bound)
+            counts[name, bound] = len(got)
+            kinds[name, bound] = {f["algebra"] for f in got}
+    # so the order is compared across all three algebras
+    assert kinds["bad-leibniz", 3] == {"A", "A^op", "A^e"}
+    # the first cases on which the check fails at all
+    assert (counts["bad-leibniz", 2], counts["bad-leibniz", 3]) == (50, 79)
+    assert (counts["bad-antisym", 2], counts["bad-antisym", 3]) == (10, 15)
+    assert not any(n for (name, _), n in counts.items() if not name.startswith("bad-"))
+    assert counts["bad-jacobi", 3] == 0
+
