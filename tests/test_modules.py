@@ -675,10 +675,6 @@ def test_sweep_matches_the_sweep_without_skips(kxk, m2, trunc2, trunc2_skew):
                 assert expected == []
 
 
-def _up_to(pairs, degree):
-    return [p for p in pairs if len(p[0][2]) + len(p[1][2]) <= degree]
-
-
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
 def test_roundtrip_report_sweeps_once(kxk, m2, trunc2, trunc2_skew, monkeypatch, bound):
     sweep = EnvAction.multiplicativity_failures
@@ -704,7 +700,7 @@ def test_a_sweep_to_degree_3_lists_the_degree_2_failures_in_order(kxk, trunc2):
     for name, (A, M, mono, change) in _corrupted_cases(kxk, trunc2).items():
         wide = _corrupted(A, M, mono, change, []).multiplicativity_failures(3)
         narrow = _corrupted(A, M, mono, change, []).multiplicativity_failures(2)
-        assert _up_to(wide, 2) == narrow, name
+        assert [p for p in wide if len(p[0][2]) + len(p[1][2]) <= 2] == narrow, name
         assert bool(narrow) == (name != "first made zero"), name
 
 
