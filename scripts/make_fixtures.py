@@ -5,13 +5,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from poissonenv.fileformat import serialize_algebra, serialize_module
-from poissonenv.linalg import SparseVector, mat_identity, mat_zero
+from poissonenv.linalg import SparseVector, mat_from_rows
 from poissonenv.ncpa import AlgebraPresentation, standard_ncpa, validate_ncpa
 from poissonenv.poisson_modules import QuasiPoissonModule, regular_module
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "poissonenv" / "data"
-
-ONE = Fraction(1)
 
 
 def vec(n, entries):
@@ -105,10 +103,9 @@ def main():
     (DATA / "kxk-regular.mod").write_text(serialize_module(reg), "utf-8")
 
     # passes the quasi-Poisson axioms but not the product compatibility
-    proj = ((ONE, Fraction(0)), (Fraction(0), Fraction(0)))
-    bad = QuasiPoissonModule(
-        A, 2, reg.left, reg.right, (proj, mat_zero(2))
-    )
+    proj = mat_from_rows([{0: 1}, {}])
+    zero = mat_from_rows([{}, {}])
+    bad = QuasiPoissonModule(A, 2, reg.left, reg.right, (proj, zero))
     (DATA / "kxk-nonpoisson.mod").write_text(serialize_module(bad), "utf-8")
 
     for f in sorted(DATA.iterdir()):

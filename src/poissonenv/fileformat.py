@@ -17,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping
 
-from .linalg import SparseVector
+from .linalg import SparseVector, mat_from_rows
 from .ncpa import NCPA, AlgebraPresentation
 from .poisson_modules import QuasiPoissonModule
 
@@ -152,7 +152,7 @@ def _parse_matrix_list(entries, count: int, dim: int, tag: str) -> tuple:
     for idx, triples in enumerate(entries):
         if not isinstance(triples, list):
             raise FileFormatError(f"{tag}[{idx}] must be an array of triples")
-        grid = [[Fraction(0)] * dim for _ in range(dim)]
+        rows: list[dict] = [{} for _ in range(dim)]
         seen = set()
         for entry in triples:
             if not (isinstance(entry, list) and len(entry) == 3):
@@ -170,8 +170,8 @@ def _parse_matrix_list(entries, count: int, dim: int, tag: str) -> tuple:
             if (r, c) in seen:
                 raise FileFormatError(f"duplicate {tag}[{idx}] key ({r}, {c})")
             seen.add((r, c))
-            grid[r][c] = parse_rational(coeff)
-        out.append(tuple(tuple(row) for row in grid))
+            rows[r][c] = parse_rational(coeff)
+        out.append(mat_from_rows(rows))
     return tuple(out)
 
 
@@ -199,13 +199,11 @@ def serialize_module(M: QuasiPoissonModule) -> str:
 
     def matrices(fam) -> list:
         out = []
-        for mat in fam:
-            triples = []
-            for r, row in enumerate(mat):
-                for c, v in enumerate(row):
-                    if v:
-                        triples.append([r, c, format_rational(v)])
-            out.append(triples)
+        for rows, den in fam:
+            out.append([
+                [r, c, format_rational(Fraction(row[c], den))]
+                for r, row in enumerate(rows) for c in sorted(row)
+            ])
         return out
 
     doc = {

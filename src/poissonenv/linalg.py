@@ -1,23 +1,23 @@
 """Exact rational sparse vectors, echelon subspaces, and matrices.
 
-Everything is over Q; no floating point anywhere.  Vectors, subspaces and
-matrices hold fractions.Fraction entries at the public surface, but the
-arithmetic runs on integers in two kernels.  The one elimination kernel
-works on primitive integer rows: a vector's denominators are cleared on
-entry, and Fractions are formed again only on the way out, by _over
-(Subspace rows, remainders, express coefficients and the smash product's
-results).  A Subspace is built from an Echelon's integer rows, so it
-clears no denominators.  Echelon.add_data takes int data as it is; the
-ideal closure in truncation feeds it integer vectors from the smash
-product's integer kernel, and linear systems (solve_nullspace) are plain
-{index: value} rows.  The one matrix kernel works on a canonical integer
-form of a matrix (see "exact matrices" below).
-SparseVector, Subspace, the tuple matrices and their integer forms are not
-changed once built (by convention: SparseVector.data and a form's rows are
-plain dicts), while Echelon and TrackedEchelon are mutable accumulators.
-Nothing here is locked; the package runs in a single thread.  Subspaces
-are kept in reduced row echelon form, which makes subspace equality plain
-basis-list equality.
+Everything is over Q; no floating point anywhere.  Vectors and subspaces
+hold fractions.Fraction entries at the public surface, but the arithmetic
+runs on integers.  The one elimination kernel works on primitive integer
+rows: a vector's denominators are cleared on entry, and Fractions are
+formed again only on the way out, by _over (Subspace rows, remainders,
+express coefficients and the smash product's results).  A Subspace is
+built from an Echelon's integer rows, so it clears no denominators.
+Echelon.add_data takes int data as it is; the ideal closure in truncation
+feeds it integer vectors from the smash product's integer kernel, and
+linear systems (solve_nullspace) are plain {index: value} rows.  A matrix
+is held in one canonical integer form, sparse integer rows over one
+denominator (see "exact matrices" below), and mat_mul is its one product.
+SparseVector, Subspace and matrices are not changed once built (by
+convention: SparseVector.data and a matrix's rows are plain dicts), while
+Echelon and TrackedEchelon are mutable accumulators.  Nothing here is
+locked; the package runs in a single thread.  Subspaces are kept in
+reduced row echelon form, which makes subspace equality plain basis-list
+equality.
 """
 
 from __future__ import annotations
@@ -450,64 +450,62 @@ def complement_conditions(s: Subspace) -> list[SparseVector]:
 
 # -- exact matrices ------------------------------------------------------------
 #
-# A Matrix is a tuple of tuples of Fraction.  All products and combinations
-# go through one integer kernel over the form (rows, den): a tuple of sparse
-# {column: int} rows over one positive denominator, in lowest terms (the gcd
-# of den and every entry is 1, and the zero matrix has den 1).  That form is
-# canonical, so two matrices of one shape are equal exactly when their forms
-# are; mat_mul and mat_lincomb are thin Fraction exits over the kernel, as
-# smash.q_mult is over q_mult_scaled, and poisson_modules checks modules and
-# actions on the forms themselves.
+# A Matrix is the canonical form (rows, den) of a rational matrix: a tuple of
+# sparse {column: int} rows over one positive denominator, in lowest terms
+# (the gcd of den and every entry is 1, and the zero matrix has den 1).  Each
+# rational matrix has exactly one form, so two matrices of one shape are
+# equal exactly when their forms are.  Products and combinations stay
+# integral and walk only nonzero entries; the column count is not stored,
+# since every caller knows it.
 
-Matrix = tuple
-IntMatrix = tuple  # (rows: tuple[dict[int, int], ...], den: int)
+Matrix = tuple  # (rows: tuple[dict[int, int], ...], den: int)
 
 
-def mat_identity(m: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(m)) for i in range(m))
-
-
-def mat_zero(r: int, c: int | None = None) -> Matrix:
-    """Kept for scripts/make_fixtures.py."""
-    c = r if c is None else c
-    return tuple((ZERO,) * c for _ in range(r))
-
-
-def mat_shape(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
-
-
-def mat_from_columns(cols: Sequence[Mapping[int, Fraction]], rows: int) -> Matrix:
-    """The rows x len(cols) matrix whose j-th column is the sparse column
-    cols[j], a {row: value} dict."""
-    return tuple(tuple(col.get(r, ZERO) for col in cols) for r in range(rows))
-
-
-def int_matrix(a: Matrix) -> IntMatrix:
-    """The canonical integer form of a matrix of Fractions (or ints).
+def mat_from_rows(rows: Sequence[Mapping[int, Fraction]]) -> Matrix:
+    """The form of the matrix whose r-th row is the sparse row rows[r], a
+    {column: value} dict of Fractions or ints; zero values are dropped.
 
     den is the lcm of the entries' denominators, so no prime divides den
     and every scaled entry: the form is in lowest terms as built."""
-    den = lcm(*[x.denominator for row in a for x in row if x])
+    den = lcm(*[x.denominator for row in rows for x in row.values()])
     return tuple(
-        {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
-        for row in a
+        {j: x.numerator * (den // x.denominator) for j, x in row.items() if x} for row in rows
     ), den
 
 
-def frac_matrix(form: IntMatrix, cols: int) -> Matrix:
-    """The matrix of Fractions, with cols columns, of an integer form."""
-    rows, den = form
-    out = []
+def mat_from_columns(cols: Sequence[Mapping[int, Fraction]], rows: int) -> Matrix:
+    """The form of the rows x len(cols) matrix whose j-th column is the
+    sparse column cols[j], a {row: value} dict."""
+    out: list[dict] = [{} for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for r, x in col.items():
+            out[r][j] = x
+    return mat_from_rows(out)
+
+
+def mat_identity(m: int) -> Matrix:
+    return tuple({i: 1} for i in range(m)), 1
+
+
+def is_form(a, r: int, c: int) -> bool:
+    """True iff a is the canonical form of an r x c matrix."""
+    if not (isinstance(a, tuple) and len(a) == 2):
+        return False
+    rows, den = a
+    if not (isinstance(rows, tuple) and len(rows) == r and type(den) is int and den > 0):
+        return False
+    g = den
     for row in rows:
-        acc = [ZERO] * cols
+        if not isinstance(row, dict):
+            return False
         for j, v in row.items():
-            acc[j] = Fraction(v, den)
-        out.append(tuple(acc))
-    return tuple(out)
+            if not (type(j) is int and 0 <= j < c and type(v) is int and v):
+                return False
+            g = gcd(g, v)
+    return g == 1
 
 
-def _lowest(rows: list[dict[int, int]], den: int) -> IntMatrix:
+def _lowest(rows: list[dict[int, int]], den: int) -> Matrix:
     """The form of rows / den: divided by the gcd of den and every entry."""
     g = den
     for row in rows:
@@ -521,29 +519,34 @@ def _lowest(rows: list[dict[int, int]], den: int) -> IntMatrix:
     return tuple(rows), den
 
 
-def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The form of the product a . b; walks only nonzero entries."""
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a . b; walks only nonzero entries."""
     b_rows, db = b
     out = []
-    for row in a[0]:
-        if not row:  # empty, as most rows of a module's action matrices are
-            out.append(row)
-            continue
-        acc: dict[int, int] = {}
-        for k, x in row.items():
-            for j, y in b_rows[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: v for j, v in acc.items() if v})
+    try:
+        for row in a[0]:
+            if not row:  # empty, as most rows of a module's action matrices are
+                out.append(row)
+                continue
+            acc: dict[int, int] = {}
+            for k, x in row.items():
+                for j, y in b_rows[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: v for j, v in acc.items() if v})
+    except IndexError:
+        raise ValueError("matrix shape mismatch") from None
     return _lowest(out, a[1] * db)
 
 
-def int_mat_lincomb(pairs: Iterable[tuple[int, IntMatrix]], r: int, den: int = 1) -> IntMatrix:
-    """The form of (sum of c * m over pairs) / den, for integer coefficients
-    c, r-row forms m and den > 0."""
+def mat_lincomb(pairs: Iterable[tuple[int, Matrix]], r: int, den: int = 1) -> Matrix:
+    """(sum of c * m over pairs) / den, for integer coefficients c, r-row
+    matrices m and den > 0."""
     pairs = [(c, m) for c, m in pairs if c]
     s = lcm(*[d for _, (_, d) in pairs])
     acc: list[dict[int, int]] = [{} for _ in range(r)]
     for c, (rows, d) in pairs:
+        if len(rows) != r:
+            raise ValueError("matrix shape mismatch")
         if d != s:
             c *= s // d
         for out, row in zip(acc, rows):
@@ -552,100 +555,36 @@ def int_mat_lincomb(pairs: Iterable[tuple[int, IntMatrix]], r: int, den: int = 1
     return _lowest([{j: v for j, v in row.items() if v} if row else row for row in acc], s * den)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise ValueError("matrix shape mismatch")
-    return frac_matrix(int_mat_mul(int_matrix(a), int_matrix(b)), cb)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    """a - b; kept for standard_bimodule_to_poisson's Lie action."""
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    """Kept for the J-annihilation oracle, action_annihilates."""
-    return all(not x for row in a for x in row)
-
-
-def mat_lincomb(pairs: Iterable[tuple[Fraction, Matrix]], r: int, c: int | None = None) -> Matrix:
-    """Reached only by simple's second and third stages (_trace_radical, _poly_eval_matrix)."""
-    c = r if c is None else c
-    pairs = [(rat(coeff), m) for coeff, m in pairs]
-    for _, m in pairs:
-        if mat_shape(m) != (r, c):
-            raise ValueError("matrix shape mismatch")
-    s = lcm(*[coeff.denominator for coeff, _ in pairs])
-    form = int_mat_lincomb(
-        ((coeff.numerator * (s // coeff.denominator), int_matrix(m)) for coeff, m in pairs), r, s
-    )
-    return frac_matrix(form, c)
-
-
-def mat_apply(a: Matrix, v: SparseVector) -> SparseVector:
-    """Reached only by simple's second stage, on a nonzero radical."""
-    r, c = mat_shape(a)
-    if v.n != c:
-        raise ValueError("dimension mismatch")
-    data: dict[int, Fraction] = {}
-    for j, coeff in v.data.items():
-        for i in range(r):
-            x = a[i][j]
-            if x:
-                s = data.get(i, ZERO) + coeff * x
-                if s:
-                    data[i] = s
-                else:
-                    data.pop(i, None)
-    out = SparseVector(r)
-    out.data = data
-    return out
-
-
-def mat_flatten(a: Matrix) -> SparseVector:
-    """Row-major flattening: entry (r, c) goes to coordinate r*cols + c."""
-    rows, cols = mat_shape(a)
-    data = {}
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                data[i * cols + j] = x
-    out = SparseVector(rows * cols)
-    out.data = data
-    return out
-
-
-def mat_unflatten(v: SparseVector, rows: int, cols: int) -> Matrix:
-    if v.n != rows * cols:
-        raise ValueError("dimension mismatch")
-    grid = [[ZERO] * cols for _ in range(rows)]
-    for idx, x in v.data.items():
-        grid[idx // cols][idx % cols] = x
-    return tuple(tuple(row) for row in grid)
+def mat_numerators(a: Matrix, cols: int) -> dict[int, int]:
+    """The numerators of a flattened row-major: entry (r, c) goes to
+    coordinate r * cols + c."""
+    return {r * cols + c: v for r, row in enumerate(a[0]) for c, v in row.items()}
 
 
 def minimal_polynomial(a: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial of a square matrix, coefficients low to high."""
-    m, mc = mat_shape(a)
-    if m != mc:
-        raise ValueError("square matrix required")
+    """Monic minimal polynomial of a square matrix, coefficients low to high.
+
+    Each power a^t enters the echelon as its numerators, dens[t] * a^t, so
+    a combination found for the numerators of a^k is rescaled by
+    dens[t] / dens[k]."""
+    m = len(a[0])
     tracked = TrackedEchelon(m * m)
     power = mat_identity(m)
-    powers = [power]
+    dens = []
     k = 0
     while True:
-        flat = mat_flatten(power)
+        flat = SparseVector(m * m)
+        flat.data = mat_numerators(power, m)
         combo = tracked.express(flat)
         if combo is not None:
-            # a^k = sum combo[t] a^t, so minpoly = x^k - sum combo[t] x^t
-            coeffs = [-combo.get(t, ZERO) for t in range(k)]
+            # dens[k] a^k = sum combo[t] dens[t] a^t, so
+            # minpoly = x^k - sum (combo[t] dens[t] / dens[k]) x^t
+            coeffs = [-combo.get(t, ZERO) * dens[t] / power[1] for t in range(k)]
             coeffs.append(ONE)
             return coeffs
         tracked.insert(flat.data)
+        dens.append(power[1])
         power = mat_mul(power, a)
-        powers.append(power)
         k += 1
         if k > m * m + 1:  # cannot happen; minpoly degree <= m
             raise RuntimeError("minimal polynomial search failed to terminate")

@@ -21,17 +21,16 @@ from .linalg import (
     SparseVector,
     Subspace,
     ZERO,
+    _integral,
     accumulate,
     close_under,
     complement_conditions,
-    mat_apply,
-    mat_flatten,
     mat_from_columns,
+    mat_from_rows,
     mat_identity,
     mat_lincomb,
     mat_mul,
-    mat_shape,
-    mat_unflatten,
+    mat_numerators,
     minimal_polynomial,
     saturate_closure,
     solve_nullspace,
@@ -224,7 +223,7 @@ class NCPA:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
 
-    # -- multiplication operators as dense matrices --------------------------
+    # -- multiplication operators as matrices --------------------------------
 
     def _matrix(self, key, column) -> Matrix:
         """Matrix whose j-th column is column(j); cached under key."""
@@ -451,9 +450,15 @@ def _operator_algebra_basis(A: NCPA) -> list[Matrix]:
     gens = [mat_identity(n)] + _operator_matrices(A)
     ech = Echelon(n * n)
     return close_under(
-        lambda m: ech.add_data(mat_flatten(m).data), gens,
+        lambda m: ech.add_data(mat_numerators(m, n)), gens,
         [lambda b, g=g: mat_mul(g, b) for g in gens],
     )
+
+
+def _combination(coeffs: Mapping[int, Fraction], mats: Sequence[Matrix]) -> Matrix:
+    """sum of coeffs[k] * mats[k], for rational coefficients."""
+    nums, s = _integral(coeffs)
+    return mat_lincomb(((c, mats[k]) for k, c in nums.items()), len(mats[0][0]), s)
 
 
 def _trace_radical(basis: list[Matrix]) -> list[Matrix]:
@@ -465,53 +470,51 @@ def _trace_radical(basis: list[Matrix]) -> list[Matrix]:
     for t in range(e):
         data = {}
         for s in range(e):
-            prod = mat_mul(basis[s], basis[t])
-            tr = sum((prod[i][i] for i in range(len(prod))), ZERO)
+            prod, den = mat_mul(basis[s], basis[t])
+            tr = Fraction(sum(row.get(i, 0) for i, row in enumerate(prod)), den)
             if tr:
                 data[s] = tr
         rows.append(data)
     sol = solve_nullspace(rows, e)
-    size = len(basis[0])
-    return [
-        mat_lincomb([(c, basis[s]) for s, c in coeffs.items()], size)
-        for coeffs in sol.rows
-    ]
+    return [_combination(coeffs.data, basis) for coeffs in sol.rows]
 
 
 def _centralizer_basis(A: NCPA) -> list[Matrix]:
     """Matrices commuting with every multiplication/bracket operator."""
     n = A.n
-    ops = _operator_matrices(A)
     rows = []
-    # unknown f with entries f[r][c] at coordinate r*n + c; conditions fM = Mf
-    for M in ops:
+    # unknown f with entries f[r][c] at coordinate r*n + c; conditions fM = Mf,
+    # scaled by M's denominator
+    for M, _ in _operator_matrices(A):
         for r in range(n):
             for c in range(n):
                 data = {}
                 for k in range(n):
-                    accumulate(data, r * n + k, M[k][c])
-                    accumulate(data, k * n + c, -M[r][k])
+                    accumulate(data, r * n + k, M[k].get(c, 0))
+                    accumulate(data, k * n + c, -M[r].get(k, 0))
                 rows.append(data)
     sol = solve_nullspace(rows, n * n)
-    return [mat_unflatten(v, n, n) for v in sol.rows]
+    out = []
+    for v in sol.rows:
+        grid: list[dict] = [{} for _ in range(n)]
+        for idx, x in v.data.items():
+            grid[idx // n][idx % n] = x
+        out.append(mat_from_rows(grid))
+    return out
 
 
 def _is_scalar_matrix(m: Matrix) -> bool:
-    n = len(m)
-    d = m[0][0]
-    return all(m[i][j] == (d if i == j else ZERO) for i in range(n) for j in range(n))
+    rows = m[0]
+    d = rows[0].get(0)
+    return all(row == ({i: d} if d else {}) for i, row in enumerate(rows))
 
 
 def _poly_eval_matrix(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
     """Reached by simple's third stage, on a reducible minimal polynomial."""
-    n = len(m)
-    pairs = []
-    power = mat_identity(n)
-    for c in coeffs:
-        if c:
-            pairs.append((c, power))
-        power = mat_mul(power, m)
-    return mat_lincomb(pairs, n)
+    powers = [mat_identity(len(m[0]))]
+    for _ in coeffs[1:]:
+        powers.append(mat_mul(powers[-1], m))
+    return _combination(dict(enumerate(coeffs)), powers)
 
 
 def _rational_factors(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -530,7 +533,7 @@ def _rational_factors(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
 
 def _matrix_kernel(m: Matrix) -> Subspace:
     """Reached by simple's third stage, on a reducible minimal polynomial."""
-    return solve_nullspace(({j: x for j, x in enumerate(row) if x} for row in m), mat_shape(m)[1])
+    return solve_nullspace(m[0], len(m[0]))
 
 
 def is_poisson_simple(A: NCPA) -> SimplicityReport:
@@ -559,7 +562,10 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
     algebra_basis = _operator_algebra_basis(A)
     radical = _trace_radical(algebra_basis)
     if radical:
-        images = [mat_apply(r, A.basis(j)) for r in radical for j in range(n)]
+        images = [  # column j of each radical element: its image of basis j
+            SparseVector(n, {i: Fraction(row[j], den) for i, row in enumerate(rows) if j in row})
+            for rows, den in radical for j in range(n)
+        ]
         closure = poisson_ideal_closure(A, images, "two_sided")
         if 0 < closure.rank < n:
             return SimplicityReport(False, closure)

@@ -10,38 +10,33 @@ the three families off the degree <= 1 monomials, once the action's
 products to degree 2 check out.  roundtrip_report sweeps the products of
 F(M) once, to its bound or 2, and reads both answers off that sweep.
 
-Module families, action matrices and of_element values are tuples of
-Fraction, but the axiom checks, the action's monomial matrices and its
-multiplicativity check run on linalg's canonical integer forms: a module
-converts its families once (forms), products and combinations stay
-integral, and two matrices are equal exactly when their forms are.  A
-monomial pair is checked against the smash product's memo entry
-(numerators, denominator) as it stands, so no Fraction is formed per pair.
+Module families, action matrices and of_element values are linalg
+Matrices: canonical integer forms, sparse integer rows over one
+denominator.  The axiom checks, the action's monomial matrices and its
+multiplicativity check multiply and combine them as they are, and two
+matrices are equal exactly when their forms are.  A monomial pair is
+checked against the smash product's memo entry (numerators, denominator)
+as it stands, so no Fraction is formed per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .limits import check_degree
 from .linalg import (
-    IntMatrix,
     Matrix,
     SparseVector,
     Subspace,
     _integral,
     add_terms,
-    frac_matrix,
-    int_mat_lincomb,
-    int_mat_mul,
-    int_matrix,
+    is_form,
     mat_from_columns,
     mat_identity,
-    mat_is_zero,
-    mat_shape,
-    mat_sub,
+    mat_lincomb,
+    mat_mul,
     solve_nullspace,
 )
 from .ncpa import NCPA, is_standard, poisson_ideal_closure
@@ -71,19 +66,14 @@ class QuasiPoissonModule:
             raise ModuleShapeError("need one matrix per basis element")
         for fam in (self.left, self.right, self.lie):
             for m in fam:
-                if mat_shape(m) != (self.dim, self.dim):
+                if not is_form(m, self.dim, self.dim):
                     raise ModuleShapeError(
-                        f"matrix shape {mat_shape(m)} != {(self.dim, self.dim)}"
+                        f"matrix is not the canonical form of a {self.dim}x{self.dim} matrix"
                     )
 
-    @cached_property
-    def forms(self) -> tuple[tuple[IntMatrix, ...], ...]:
-        """The integer forms of left, right and lie, converted once; the
-        module is frozen, so they never go stale."""
-        return tuple(tuple(int_matrix(m) for m in fam) for fam in (self.left, self.right, self.lie))
-
     def equal_actions(self, other: "QuasiPoissonModule") -> bool:
-        return self.dim == other.dim and self.forms == other.forms
+        return self.dim == other.dim and (self.left, self.right, self.lie) == (
+            other.left, other.right, other.lie)
 
 
 # -- constructions -------------------------------------------------------------
@@ -138,8 +128,8 @@ def standard_bimodule_to_poisson(
     modules for module morphisms (ROADMAP item 10)."""
     if not is_standard(A):
         raise ValueError("bracket is not the commutator of the product")
-    dim = mat_shape(left[0])[0]
-    lie = tuple(mat_sub(l, r) for l, r in zip(left, right))
+    dim = len(left[0][0])
+    lie = tuple(mat_lincomb(((1, l), (-1, r)), dim) for l, r in zip(left, right))
     return QuasiPoissonModule(A, dim, tuple(left), tuple(right), lie)
 
 
@@ -177,27 +167,26 @@ def quotient_module(A: NCPA, ideal: Subspace) -> QuasiPoissonModule:
 
 # -- validation ------------------------------------------------------------------
 #
-# The axioms are checked on the module's forms; two forms are equal exactly
-# when their matrices are.
+# Two matrices are equal exactly when their forms are.
 
-def _of(family: Sequence[IntMatrix], x: SparseVector, dim: int, *extra: IntMatrix) -> IntMatrix:
-    """The form of sum_i x_i * family[i], plus each form in extra."""
+def _of(family: Sequence[Matrix], x: SparseVector, dim: int, *extra: Matrix) -> Matrix:
+    """sum_i x_i * family[i], plus each matrix in extra."""
     nums, s = _integral(x.data)
     pairs = [(c, family[i]) for i, c in nums.items()]
     pairs += [(s, m) for m in extra]
-    return int_mat_lincomb(pairs, dim, s)
+    return mat_lincomb(pairs, dim, s)
 
 
 def quasi_violations(M: QuasiPoissonModule) -> list[dict]:
     """Bimodule axioms plus the three quasi-Poisson compatibilities,
     checked on basis pairs."""
-    L, R, Z = M.forms
+    L, R, Z = M.left, M.right, M.lie
     A = M.algebra
     n = A.n
     dim = M.dim
-    mul = int_mat_mul
+    mul = mat_mul
     out: list[dict] = []
-    ident = int_matrix(mat_identity(dim))
+    ident = mat_identity(dim)
 
     if _of(L, A.unit, dim) != ident:
         out.append({"axiom": "unit-left", "indices": ()})
@@ -221,7 +210,7 @@ def quasi_violations(M: QuasiPoissonModule) -> list[dict]:
             if mul(Z[i], R[j]) != _of(R, bra, dim, mul(R[j], Z[i])):
                 out.append({"axiom": "lie-right", "indices": (i, j)})
             # {{a,b}, m}* = {a,{b,m}*}* - {b,{a,m}*}*
-            rhs = int_mat_lincomb(((1, mul(Z[i], Z[j])), (-1, mul(Z[j], Z[i]))), dim)
+            rhs = mat_lincomb(((1, mul(Z[i], Z[j])), (-1, mul(Z[j], Z[i]))), dim)
             if _of(Z, bra, dim) != rhs:
                 out.append({"axiom": "lie-module", "indices": (i, j)})
     return out
@@ -230,14 +219,12 @@ def quasi_violations(M: QuasiPoissonModule) -> list[dict]:
 def poisson_violations(M: QuasiPoissonModule) -> list[dict]:
     """Quasi-Poisson axioms plus {ab, m}* = a.{b,m}* + {a,m}*.b."""
     out = quasi_violations(M)
-    L, R, Z = M.forms
+    L, R, Z = M.left, M.right, M.lie
     A = M.algebra
     dim = M.dim
     for i in range(A.n):
         for j in range(A.n):
-            rhs = int_mat_lincomb(
-                ((1, int_mat_mul(L[i], Z[j])), (1, int_mat_mul(R[j], Z[i]))), dim
-            )
+            rhs = mat_lincomb(((1, mat_mul(L[i], Z[j])), (1, mat_mul(R[j], Z[i]))), dim)
             if _of(Z, A.mul_basis(i, j), dim) != rhs:
                 out.append({"axiom": "product-compat", "indices": (i, j)})
     return out
@@ -254,9 +241,8 @@ def validate_quasi_poisson(M: QuasiPoissonModule) -> QuasiPoissonModule:
 
 class EnvAction:
     """A representation of the quasi-Poisson enveloping algebra, given by
-    a matrix for each monomial.  Each monomial's integer form (see linalg),
-    built lazily, is the one store: matrix() reads its Fractions off the
-    form.  The multiplicativity verdicts are taken on the forms, so no
+    a matrix for each monomial, built lazily and stored once per monomial.
+    The multiplicativity verdicts are taken on those matrices, so no
     Fraction is formed per pair, and not kept: a caller sweeps once.
 
     A monomial that acts as zero is stored as the one zero form, and the
@@ -280,14 +266,15 @@ class EnvAction:
         self.algebra = algebra
         self.dim = dim
         self._fn = matrix_fn
-        self._zero: IntMatrix = (({},) * dim, 1)  # the form of the zero matrix
-        self._forms: dict[QMonomial, IntMatrix] = {}
+        self._zero: Matrix = (({},) * dim, 1)  # the zero matrix
+        self._forms: dict[QMonomial, Matrix] = {}
 
     def matrix(self, mono: QMonomial) -> Matrix:
-        """Kept for perfbench.tracing, which wraps it (TRACED)."""
-        return frac_matrix(self._form(mono), self.dim)
+        """The matrix of mono.  The sweep reads _form instead, since
+        perfbench.tracing wraps this one (TRACED)."""
+        return self._form(mono)
 
-    def _form(self, mono: QMonomial) -> IntMatrix:
+    def _form(self, mono: QMonomial) -> Matrix:
         hit = self._forms.get(mono)
         if hit is None:
             hit = self._new_form(mono)
@@ -296,19 +283,19 @@ class EnvAction:
             self._forms[mono] = hit
         return hit
 
-    def _new_form(self, mono: QMonomial) -> IntMatrix:
+    def _new_form(self, mono: QMonomial) -> Matrix:
         """Kept for actions given by a matrix_fn, as the tests build them."""
         out = self._fn(mono)
-        if mat_shape(out) != (self.dim, self.dim):
+        if not is_form(out, self.dim, self.dim):
             raise ModuleShapeError("action matrix has wrong shape")
-        return int_matrix(out)
+        return out
 
-    def _combination(self, nums: dict, den: int) -> IntMatrix:
-        """The form of the action of sum nums[m] * m / den."""
-        return int_mat_lincomb(((c, self._form(m)) for m, c in nums.items()), self.dim, den)
+    def _combination(self, nums: dict, den: int) -> Matrix:
+        """The action of sum nums[m] * m / den."""
+        return mat_lincomb(((c, self._form(m)) for m, c in nums.items()), self.dim, den)
 
     def of_element(self, x: QElement) -> Matrix:
-        return frac_matrix(self._combination(*_integral(x)), self.dim)
+        return self._combination(*_integral(x))
 
     def multiplicativity_failures(self, degree_bound: int) -> list[tuple]:
         """Monomial pairs (total degree <= bound) where composing matrices
@@ -332,15 +319,13 @@ class EnvAction:
                 # where a factor is zero: a failing matrix_fn then fails at
                 # the same monomial whatever acts as zero
                 f1, f2 = form(m1), form(m2)
-                composed = zero if f1 is zero or f2 is zero else int_mat_mul(f1, f2)
+                composed = zero if f1 is zero or f2 is zero else mat_mul(f1, f2)
                 if skip and m2[2] in skip:
                     product = zero  # m1·m2 acts as zero: not formed
                 else:
-                    pair = (m1, m2)
-                    entry = memo.get(pair)
+                    entry = memo.get((m1, m2))
                     if entry is None:
-                        q_mono_mult(A, m1, m2)  # the one function that fills the memo
-                        entry = memo[pair]
+                        entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
                     nums, den = entry
                     live = {m: c for m, c in nums.items() if form(m) is not zero}
                     product = self._combination(live, den) if live else zero
@@ -367,18 +352,18 @@ class EnvAction:
 
 class _ModuleAction(EnvAction):
     """The action of a module: monomial (i, j, word) acts by
-    left(i) . right(j) . lie(w_1) ... lie(w_k).  Its integer form is built
-    from that of (i, j, word[:-1]) and the module's forms."""
+    left(i) . right(j) . lie(w_1) ... lie(w_k).  Its matrix is built from
+    that of (i, j, word[:-1]) and the module's families."""
 
     def __init__(self, M: QuasiPoissonModule):
         super().__init__(M.algebra, M.dim, None)  # _new_form is overridden
-        self._left, self._right, self._lie = M.forms
+        self._left, self._right, self._lie = M.left, M.right, M.lie
 
-    def _new_form(self, mono: QMonomial) -> IntMatrix:
+    def _new_form(self, mono: QMonomial) -> Matrix:
         i, j, word = mono
         if not word:
-            return int_mat_mul(self._left[i], self._right[j])
-        return int_mat_mul(self._form((i, j, word[:-1])), self._lie[word[-1]])
+            return mat_mul(self._left[i], self._right[j])
+        return mat_mul(self._form((i, j, word[:-1])), self._lie[word[-1]])
 
 
 def module_to_action(M: QuasiPoissonModule) -> EnvAction:
@@ -424,8 +409,8 @@ def roundtrip_report(
 
     back = _read_module(action, up_to(2))
     gf_equal = M.equal_actions(back)
-    # the axioms read only the forms, and module_to_action validated M's, so
-    # G(F(M)) is validated only where it differs from M
+    # the axioms read only the families, and module_to_action validated M's,
+    # so G(F(M)) is validated only where it differs from M
     if not gf_equal:
         validate_quasi_poisson(back)
 
@@ -447,7 +432,7 @@ def roundtrip_report(
 def action_annihilates(action: EnvAction, gens) -> bool:
     """True iff every generator acts as zero; the oracle behind
     j_annihilation_check."""
-    return all(mat_is_zero(action.of_element(g)) for g in gens.gens)
+    return all(not any(action.of_element(g)[0]) for g in gens.gens)
 
 
 def j_annihilation_check(A: NCPA, M: QuasiPoissonModule) -> bool:
@@ -462,11 +447,13 @@ def annihilator(A: NCPA, M: QuasiPoissonModule) -> Subspace:
     ideal, which is re-checked here.  Kept for module morphisms (ROADMAP
     item 10)."""
     n = A.n
-    rows = (
-        {i: fam[i][r][c] for i in range(n) if fam[i][r][c]}
-        for r in range(M.dim) for c in range(M.dim) for fam in (M.left, M.right)
-    )
-    ann = solve_nullspace(rows, n)
+    rows: dict = {}  # one row per entry (side, r, c): sum_i x_i * fam[i][r][c] = 0
+    for side, fam in enumerate((M.left, M.right)):
+        for i, (mat, den) in enumerate(fam):
+            for r, row in enumerate(mat):
+                for c, v in row.items():
+                    rows.setdefault((side, r, c), {})[i] = Fraction(v, den)
+    ann = solve_nullspace(rows.values(), n)
     closed = poisson_ideal_closure(A, ann.rows, "two_sided")
     if closed != ann:
         raise RuntimeError("annihilator failed its Poisson-ideal closure check")

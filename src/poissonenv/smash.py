@@ -15,9 +15,9 @@ denominator): integer numerators over one positive denominator, in lowest
 terms.  q_mult_scaled multiplies elements with integer coefficients over
 the lcm of the denominators it meets, and returns that lcm beside the
 integer result; the ideal closure uses only spans, so it never divides.
-Fractions are formed only at the public exits: q_mono_mult and q_mult
-return new dicts of Fraction coefficients, with one division per
-coefficient.
+q_mono_mult returns the memo entry itself, and q_mult is the one exit
+that forms Fractions: it returns a new dict of Fraction coefficients, with
+one division per coefficient.
 
 The word work of a monomial product depends on the two words alone, and
 most word pairs recur with many slot pairs (the 2,268 monomial pairs that
@@ -170,9 +170,11 @@ def tail_words(A: NCPA, alpha, beta) -> set:
     return {gamma for _, rights in plan for _, (tail, _) in rights for gamma in tail}
 
 
-def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
-    """Product of two basis monomials, as a new dict.  Memoized per algebra
-    as (numerators, denominator): integers in lowest terms.
+def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> tuple[dict, int]:
+    """Product of two basis monomials, as its memo entry (numerators,
+    denominator): integers in lowest terms, memoized per algebra.  The
+    entry is shared, so callers must not change it; q_mult of one-term
+    elements gives the product as a new dict of Fractions.
 
     Walks the word pair's plan (_plan) and multiplies the slot factors of
     each part by its integer tail.  Dropping a part w1 or w2 whose Lie
@@ -184,7 +186,7 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
     cache = A.caches["q_mono"]
     hit = cache.get((m1, m2))
     if hit is not None:
-        return _over(*hit)
+        return hit
     i1, j1, alpha = m1
     i2, j2, beta = m2
     if (i1 is None and i2 is None) or (j1 is None and j2 is None):
@@ -204,7 +206,7 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
                 terms.append((left, right, tail))
     if not terms:  # most products of basis monomials are zero
         cache[(m1, m2)] = _ZERO_TERMS
-        return {}
+        return _ZERO_TERMS
     # every term is brought over the common denominator den
     den = lcm(*[ld * rd * td for (_, ld), (_, rd), (_, td) in terms])
     nums: dict = {}
@@ -225,7 +227,7 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> QElement:
         den //= g
         nums = {mono: v // g for mono, v in nums.items()}
     entry = cache[(m1, m2)] = (nums, den) if nums else _ZERO_TERMS
-    return _over(*entry)
+    return entry
 
 
 def q_mult_scaled(A: NCPA, x: dict, y: dict) -> tuple[dict, int]:
@@ -238,8 +240,7 @@ def q_mult_scaled(A: NCPA, x: dict, y: dict) -> tuple[dict, int]:
         for m2, c2 in y.items():
             entry = cache.get((m1, m2))
             if entry is None:
-                q_mono_mult(A, m1, m2)  # the one function that fills the memo
-                entry = cache[(m1, m2)]
+                entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
             if entry[0]:
                 pairs.append((c1 * c2, entry))
     s = lcm(*[den for _, (_, den) in pairs])

@@ -4,12 +4,44 @@ from fractions import Fraction
 import pytest
 
 from poissonenv.fileformat import load_bundled_algebra
-from poissonenv.linalg import SparseVector
+from poissonenv.linalg import SparseVector, mat_from_rows
 from poissonenv.ncpa import AlgebraPresentation, NCPA, standard_ncpa, validate_ncpa
 
 
 def vec(n, entries) -> SparseVector:
     return SparseVector(n, {i: Fraction(c) for i, c in entries.items()})
+
+
+# Dense Fraction grids, for references that multiply and combine matrices
+# independently of linalg's kernel.
+
+def dense(m, cols=None) -> tuple:
+    """The tuple-of-tuples Fraction grid of a Matrix with cols columns
+    (default: square)."""
+    rows, den = m
+    cols = len(rows) if cols is None else cols
+    return tuple(tuple(Fraction(row.get(j, 0), den) for j in range(cols)) for row in rows)
+
+
+def grid_form(grid):
+    """The Matrix of a dense grid of rationals."""
+    return mat_from_rows([dict(enumerate(row)) for row in grid])
+
+
+def mono_product(A, m1, m2) -> dict:
+    """The product of two basis monomials as a new dict of Fractions: q_mult
+    of one-term elements (q_mono_mult returns its integer memo entry)."""
+    from poissonenv.smash import q_mult
+
+    return q_mult(A, {m1: Fraction(1)}, {m2: Fraction(1)})
+
+
+def zero_matrix(dim: int):
+    return mat_from_rows([{}] * dim)
+
+
+def is_zero(m) -> bool:
+    return not any(m[0])
 
 
 @pytest.fixture(scope="session")

@@ -307,15 +307,15 @@ def test_module_alg_obeys_the_configured_cap(capsys, monkeypatch):
     assert out.splitlines()[0] == "error: degree 3 exceeds cap 2"
 
 
-# Every matrix product goes through the integer kernel: the module action and
-# the axiom checks call it directly, and linalg's Fraction exits (mat_mul,
-# mat_lincomb) call it behind every binding of theirs.
-MATRIX_KERNEL = "poissonenv.linalg.int_mat_mul"
+# Every matrix product goes through linalg.mat_mul, the one matrix kernel: the
+# module action and the axiom checks call it through poisson_modules' binding,
+# and simple's stages and minimal_polynomial through linalg's and ncpa's.
+MATRIX_KERNEL = "poissonenv.linalg.mat_mul"
 
 
 @pytest.mark.parametrize("argv, target", [
     (["roundtrip", "kxk.alg", "kxk-regular.mod", "--degree", "11"],
-     "poissonenv.poisson_modules.int_mat_mul"),
+     "poissonenv.poisson_modules.mat_mul"),
     (["module-alg", "kxk.alg", "--degree", "11"], "poissonenv.pbw.lie_word_act"),
 ])
 @pytest.mark.parametrize("as_json", [False, True])
@@ -346,7 +346,7 @@ def test_roundtrip_degree_above_cap_fails_before_any_work(capsys, monkeypatch, a
     def forbidden(*args):
         raise AssertionError("roundtrip multiplied matrices before checking its degree")
 
-    for name in ("poissonenv.poisson_modules.int_mat_mul", MATRIX_KERNEL):
+    for name in ("poissonenv.poisson_modules.mat_mul", MATRIX_KERNEL):
         monkeypatch.setattr(name, forbidden)
     argv = ["roundtrip", path("kxk.alg"), path("kxk-regular.mod"), "--degree", "9"]
     code, out = run(capsys, *(["--json"] if as_json else []), *argv)

@@ -131,3 +131,43 @@ def test_bundled_violation_fixtures_parse():
     for name in ("bad-antisym.alg", "bad-jacobi.alg", "bad-leibniz.alg"):
         pres = load_bundled_algebra(name)
         assert pres.dim >= 2
+
+
+def test_module_triples_in_any_order_give_the_same_form_and_bytes(m2):
+    import json
+
+    from poissonenv.linalg import is_form
+    from poissonenv.poisson_modules import tensor_square_module
+
+    M = tensor_square_module(m2)  # a nonzero bracket: every family has entries
+    text = serialize_module(M)
+    doc = json.loads(text)
+    for fam in ("left", "right", "lie"):
+        for triples in doc[fam]:
+            triples.reverse()
+            for r in range(M.dim):  # explicit zeros, unreduced, are dropped
+                if not any(t[:2] == [r, r] for t in triples):
+                    triples.append([r, r, "0/3"])
+    back = parse_module_file(json.dumps(doc), m2)
+    assert all(is_form(m, M.dim, M.dim) for fam in (back.left, back.right, back.lie) for m in fam)
+    assert back.equal_actions(M)
+    # rows and then columns in ascending order, whatever order the file had
+    assert serialize_module(back) == text
+
+
+def test_make_fixtures_reproduces_every_bundled_file(tmp_path, monkeypatch, capsys):
+    import importlib.util
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "DATA", tmp_path)
+    make_fixtures.main()
+    capsys.readouterr()
+    bundled = bundled_path("kxk.alg").parent
+    made = sorted(p.name for p in tmp_path.iterdir())
+    assert made == sorted(p.name for p in bundled.iterdir() if p.suffix in (".alg", ".mod"))
+    for name in made:
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name

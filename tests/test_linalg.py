@@ -12,17 +12,14 @@ from poissonenv.linalg import (
     Subspace,
     TrackedEchelon,
     complement_conditions,
-    frac_matrix,
-    int_mat_lincomb,
-    int_mat_mul,
-    int_matrix,
+    is_form,
     join_and_reduce,
-    mat_apply,
+    mat_from_columns,
+    mat_from_rows,
     mat_identity,
     mat_lincomb,
     mat_mul,
-    mat_shape,
-    mat_zero,
+    mat_numerators,
     minimal_polynomial,
     rat,
     reduced_rows,
@@ -168,20 +165,73 @@ def test_express_not_in_span():
 
 def test_matrix_helpers():
     ident = mat_identity(3)
+    assert ident == (({0: 1}, {1: 1}, {2: 1}), 1)
     assert mat_mul(ident, ident) == ident
-    v = sv(1, 2, 3)
-    assert mat_apply(ident, v) == v
+    assert mat_from_rows([{0: ONE}, {1: Fraction(2, 2), 0: 0}, {2: 1}]) == ident
+    assert mat_from_columns([{0: 1}, {1: 1}, {2: ONE}], 3) == ident
+    half = mat_from_rows([{1: Fraction(1, 2)}, {0: 3}])
+    assert half == (({1: 1}, {0: 6}), 2)
+    assert mat_from_columns([{1: 3}, {0: Fraction(1, 2)}], 2) == half
+    assert mat_numerators(half, 2) == {1: 1, 2: 6}
+    assert is_form(ident, 3, 3) and is_form(half, 2, 2) and is_form(((), 1), 0, 0)
+    for bad, r, c in (
+        (ident, 3, 2),  # an entry in column 2
+        (ident, 2, 3),  # three rows
+        ((({0: 2}, {}), 2), 2, 2),  # not in lowest terms
+        ((({}, {}), 3), 2, 2),  # the zero matrix has den 1
+        ((({0: 1}, {}), -1), 2, 2),  # negative denominator
+        ((({0: 0}, {}), 1), 2, 2),  # a stored zero
+        ((({0: ONE}, {}), 1), 2, 2),  # a Fraction entry
+        (((ONE, ZERO), (ZERO, ONE)), 2, 2),  # a dense Fraction grid
+        (([{0: 1}, {1: 1}], 1), 2, 2),  # rows in a list
+    ):
+        assert not is_form(bad, r, c), bad
 
 
 def test_minimal_polynomial_diagonal():
-    m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2)))
+    m = mat_from_rows([{0: 1}, {1: 2}])
     # (x-1)(x-2) = 2 - 3x + x^2
     assert minimal_polynomial(m) == [Fraction(2), Fraction(-3), Fraction(1)]
 
 
 def test_minimal_polynomial_scalar():
-    m = ((Fraction(5), Fraction(0)), (Fraction(0), Fraction(5)))
+    m = mat_from_rows([{0: 5}, {1: 5}])
     assert minimal_polynomial(m) == [Fraction(-5), Fraction(1)]
+
+
+def test_minimal_polynomial_of_fractional_matrices():
+    # the powers' denominators differ (1, 30, 900, ...), and the
+    # coefficients must come out exact all the same
+    F = Fraction
+    cases = [
+        # eigenvalues 1/2 and 1/5: (x - 1/2)(x - 1/5)
+        ([{0: F(1, 2), 1: F(1, 3)}, {1: F(1, 5)}], [F(1, 10), F(-7, 10), ONE]),
+        # nilpotent: x^2
+        ([{1: F(1, 3)}, {}], [ZERO, ZERO, ONE]),
+        # diag(1/2, 1/2, 1/3): (x - 1/2)(x - 1/3)
+        ([{0: F(1, 2)}, {1: F(1, 2)}, {2: F(1, 3)}], [F(1, 6), F(-5, 6), ONE]),
+        # a Jordan block at 2/3: (x - 2/3)^2
+        ([{0: F(2, 3), 1: 1}, {1: F(2, 3)}], [F(4, 9), F(-4, 3), ONE]),
+        # scalar 3/4
+        ([{0: F(3, 4)}, {1: F(3, 4)}], [F(-3, 4), ONE]),
+    ]
+    for rows, want in cases:
+        assert minimal_polynomial(mat_from_rows(rows)) == want, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_minimal_polynomial_annihilates_and_is_monic(n, data):
+    grid = data.draw(sparse_matrices(n, n))
+    coeffs = minimal_polynomial(_form(grid))
+    assert coeffs[-1] == 1 and 2 <= len(coeffs) <= n + 1
+    # p(grid) = 0, evaluated on dense Fraction grids
+    acc = _dense_zero(n, n)
+    power = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    for c in coeffs:
+        acc = _dense_mat_lincomb([(ONE, acc), (c, power)], n, n)
+        power = _dense_mat_mul(power, grid)
+    assert acc == _dense_zero(n, n)
 
 
 small_fractions = st.fractions(
@@ -527,13 +577,14 @@ def test_reduced_rows_leaves_the_triangular_rows_as_they_are():
     assert reduced_rows(reduced) == reduced
 
 
-# Dense reference kernels: every product and combination term, zero or not,
-# as mat_mul and mat_lincomb computed them before they skipped zero entries.
+# Dense reference kernels over tuple grids of Fractions: every product and
+# combination term, zero or not, as the kernels computed them before they
+# moved to sparse integer forms.
+def _dense_zero(r, c):
+    return tuple((ZERO,) * c for _ in range(r))
+
+
 def _dense_mat_mul(a, b):
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise ValueError("matrix shape mismatch")
     bt = tuple(zip(*b)) if b else ()
     return tuple(
         tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt)
@@ -541,40 +592,37 @@ def _dense_mat_mul(a, b):
     )
 
 
-def _dense_mat_lincomb(pairs, r, c=None):
-    acc = None
+def _dense_mat_lincomb(pairs, r, c):
+    acc = _dense_zero(r, c)
     for coeff, m in pairs:
-        term = tuple(tuple(rat(coeff) * x for x in row) for row in m)
-        acc = term if acc is None else tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(acc, term)
+        acc = tuple(
+            tuple(x + rat(coeff) * y for x, y in zip(ra, rb)) for ra, rb in zip(acc, m)
         )
-    return acc if acc is not None else mat_zero(r, c)
+    return acc
 
 
-def _is_fraction_matrix(m, r, c):
-    return (
-        type(m) is tuple
-        and mat_shape(m) == (r, c)
-        and all(type(row) is tuple for row in m)
-        and all(type(x) is Fraction for row in m for x in row)
-    )
+def _form(grid):
+    return mat_from_rows([dict(enumerate(row)) for row in grid])
 
 
-def _assert_canonical_form(m, r, c, scale):
-    """int_matrix(m) is in lowest terms, converts back to m, and equals the
-    form of another matrix exactly when that matrix equals m; scale != 0."""
-    form = int_matrix(m)
+def _dense(m, c):
+    rows, den = m
+    return tuple(tuple(Fraction(row.get(j, 0), den) for j in range(c)) for row in rows)
+
+
+def _assert_canonical_form(grid, r, c, scale):
+    """The form of the grid is in lowest terms, converts back to the grid,
+    and equals the form of another grid exactly when that grid equals this
+    one; scale != 0."""
+    form = _form(grid)
+    assert is_form(form, r, c)
     rows, den = form
-    assert len(rows) == r and den > 0
-    assert all(v and 0 <= j < c for row in rows for j, v in row.items())
     assert gcd(den, *(v for row in rows for v in row.values())) == 1
-    back = frac_matrix(form, c)
-    assert back == m
-    assert _is_fraction_matrix(back, r, c)
-    scaled = tuple(tuple(scale * x for x in row) for row in m)
-    negated = tuple(tuple(-x for x in row) for row in m)
-    for other in (m, scaled, negated, mat_zero(r, c)):
-        assert (int_matrix(other) == form) == (other == m)
+    assert _dense(form, c) == grid
+    scaled = tuple(tuple(scale * x for x in row) for row in grid)
+    negated = tuple(tuple(-x for x in row) for row in grid)
+    for other in (grid, scaled, negated, _dense_zero(r, c)):
+        assert (_form(other) == form) == (other == grid)
 
 
 sparse_entries = st.one_of(st.just(ZERO), st.just(ZERO), small_fractions)
@@ -584,8 +632,9 @@ dims = st.integers(min_value=1, max_value=4)
 
 @st.composite
 def sparse_matrices(draw, r, c):
+    """A dense r x c grid of Fractions, often sparse, sometimes zero."""
     if draw(st.integers(min_value=0, max_value=4)) == 0:
-        return mat_zero(r, c)
+        return _dense_zero(r, c)
     return tuple(tuple(draw(sparse_entries) for _ in range(c)) for _ in range(r))
 
 
@@ -594,51 +643,50 @@ def sparse_matrices(draw, r, c):
 def test_mat_mul_matches_dense_reference(r, k, c, data):
     a = data.draw(sparse_matrices(r, k))
     b = data.draw(sparse_matrices(k, c))
-    got = mat_mul(a, b)
-    assert got == _dense_mat_mul(a, b)
-    assert _is_fraction_matrix(got, r, c)
+    got = mat_mul(_form(a), _form(b))
+    assert is_form(got, r, c)
     # the kernel's product is the canonical form of the reference product
-    assert int_mat_mul(int_matrix(a), int_matrix(b)) == int_matrix(got)
+    assert _dense(got, c) == _dense_mat_mul(a, b)
+    assert got == _form(_dense_mat_mul(a, b))
     scale = data.draw(nonzero_fractions)
-    for m, rows, cols in ((a, r, k), (b, k, c), (got, r, c)):
+    for m, rows, cols in ((a, r, k), (b, k, c), (_dense(got, c), r, c)):
         _assert_canonical_form(m, rows, cols, scale)
 
 
 @settings(max_examples=100, deadline=None)
 @given(dims, dims, st.data())
 def test_mat_lincomb_matches_dense_reference(r, c, data):
-    coeffs = st.one_of(st.integers(min_value=-3, max_value=3), small_fractions)
     count = data.draw(st.integers(min_value=0, max_value=4))
     pairs = [
-        (data.draw(coeffs), data.draw(sparse_matrices(r, c))) for _ in range(count)
+        (data.draw(st.integers(min_value=-3, max_value=3)), data.draw(sparse_matrices(r, c)))
+        for _ in range(count)
     ]
-    got = mat_lincomb(iter(pairs), r, c)
-    assert got == _dense_mat_lincomb(pairs, r, c)
-    assert _is_fraction_matrix(got, r, c)
     # over integer coefficients and a denominator, the kernel gives the
-    # canonical form of the same combination
+    # canonical form of the combination
     den = data.draw(st.integers(min_value=1, max_value=6))
-    int_pairs = [(rat(coeff).numerator, m) for coeff, m in pairs]
-    want = _dense_mat_lincomb(
-        [(Fraction(coeff, den), m) for coeff, m in int_pairs], r, c
-    )
-    assert int_mat_lincomb(
-        ((coeff, int_matrix(m)) for coeff, m in int_pairs), r, den
-    ) == int_matrix(want)
-    _assert_canonical_form(got, r, c, data.draw(nonzero_fractions))
-    if r == c:
-        assert mat_lincomb(iter(pairs), r) == got
+    got = mat_lincomb(((coeff, _form(m)) for coeff, m in pairs), r, den)
+    want = _dense_mat_lincomb([(Fraction(coeff, den), m) for coeff, m in pairs], r, c)
+    assert is_form(got, r, c)
+    assert _dense(got, c) == want
+    assert got == _form(want)
+    _assert_canonical_form(want, r, c, data.draw(nonzero_fractions))
 
 
 def test_mat_lincomb_empty_is_zero_matrix():
-    assert mat_lincomb([], 2, 3) == mat_zero(2, 3)
-    assert mat_lincomb([], 3) == mat_zero(3)
+    zero = (({}, {}), 1)
+    assert mat_lincomb([], 2) == zero
+    assert mat_lincomb([], 2, 5) == zero
+    assert mat_lincomb([(0, mat_identity(2))], 2) == zero
+    # terms that cancel leave the zero matrix over den 1, not over 3
+    half = mat_from_rows([{0: Fraction(1, 2)}, {1: 1}])
+    assert mat_lincomb([(1, half), (-1, half)], 2, 3) == zero
 
 
 def test_matrix_kernels_reject_shape_mismatch():
+    wide = mat_from_rows([{2: 1}, {}])  # 2 x 3, with an entry in column 2
     with pytest.raises(ValueError, match="matrix shape mismatch"):
-        mat_mul(mat_zero(2, 3), mat_zero(2, 3))
+        mat_mul(wide, mat_identity(2))
     with pytest.raises(ValueError, match="matrix shape mismatch"):
-        mat_mul(mat_identity(1), mat_zero(2, 1))
+        mat_mul(mat_identity(2), mat_from_rows([{0: 1}]))
     with pytest.raises(ValueError, match="matrix shape mismatch"):
-        mat_lincomb([(1, mat_identity(2))], 2, 3)
+        mat_lincomb([(1, mat_identity(2))], 3)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from poissonenv.linalg import SparseVector, mat_identity, mat_is_zero, mat_mul, mat_zero
+from poissonenv.linalg import SparseVector, is_form, mat_from_rows, mat_identity, mat_lincomb, mat_mul
 from poissonenv.ncpa import NCPA, poisson_ideal_closure, regular_poisson_structures
 from poissonenv.pbw import u_monomials
 from poissonenv.poisson_modules import (
@@ -22,7 +22,7 @@ from poissonenv.poisson_modules import (
     standard_bimodule_to_poisson,
     tensor_square_module,
 )
-from conftest import vec
+from conftest import dense, grid_form, is_zero, vec, zero_matrix
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -32,8 +32,8 @@ def projection_twist_module(A):
     """Regular bimodule of K x K with the Lie slot acting by the first
     idempotent projection: quasi-Poisson but not Poisson."""
     reg = regular_module(A)
-    proj = ((ONE, ZERO), (ZERO, ZERO))
-    return QuasiPoissonModule(A, 2, reg.left, reg.right, (proj, mat_zero(2)))
+    proj = mat_from_rows([{0: 1}, {}])
+    return QuasiPoissonModule(A, 2, reg.left, reg.right, (proj, zero_matrix(2)))
 
 
 def test_regular_modules_are_poisson(kxk, m2, trunc2, ut2):
@@ -45,7 +45,7 @@ def test_regular_modules_are_poisson(kxk, m2, trunc2, ut2):
 
 def test_zero_lie_bimodule_over_zero_bracket(kxk):
     reg = regular_module(kxk)
-    M = QuasiPoissonModule(kxk, 2, reg.left, reg.right, (mat_zero(2), mat_zero(2)))
+    M = QuasiPoissonModule(kxk, 2, reg.left, reg.right, (zero_matrix(2), zero_matrix(2)))
     assert poisson_violations(M) == []
 
 
@@ -59,7 +59,7 @@ def test_tensor_square_quasi_always(kxk, m2, trunc2):
 def test_tensor_square_zero_bracket_is_poisson(kxk, trunc2):
     for A in (kxk, trunc2):
         M = tensor_square_module(A)
-        assert all(mat_is_zero(m) for m in M.lie)
+        assert all(is_zero(m) for m in M.lie)
         assert poisson_violations(M) == []
 
 
@@ -120,17 +120,15 @@ def test_action_matrix_examples(kxk):
     action = module_to_action(M)
     # (e1 (x) e2 # 1) . e1 = e1 e1 e2 = 0
     m = action.matrix((0, 1, ()))
-    assert mat_is_zero(m)  # e1 . x . e2 = 0 on the commutative kxk
-    from poissonenv.linalg import mat_apply
-    assert mat_apply(m, kxk.basis(0)).is_zero()
-    # (e1 (x) e1 # 1) . e1 = e1
-    m2_ = action.matrix((0, 0, ()))
-    assert mat_apply(m2_, kxk.basis(0)) == kxk.basis(0)
+    assert m == zero_matrix(2)  # e1 . x . e2 = 0 on the commutative kxk
+    # (e1 (x) e1 # 1) . e1 = e1, and e2 goes to 0
+    assert action.matrix((0, 0, ())) == (({0: 1}, {}), 1)
+    assert dense(action.matrix((0, 0, ()))) == ((ONE, ZERO), (ZERO, ZERO))
 
 
 def test_action_zero_bracket_positive_degree(kxk):
     action = module_to_action(regular_module(kxk))
-    assert mat_is_zero(action.matrix((0, 0, (1,))))
+    assert is_zero(action.matrix((0, 0, (1,))))
 
 
 def test_action_matrices_match_the_product_formula(m2):
@@ -215,7 +213,7 @@ def test_module_to_action_requires_quasi(kxk):
     # break the bimodule: left action of e1 replaced by a non-multiplicative map
     broken = QuasiPoissonModule(
         kxk, 2,
-        (((ONE, ONE), (ZERO, ONE)), reg.left[1]),
+        (grid_form(((1, 1), (0, 1))), reg.left[1]),
         reg.right, reg.lie,
     )
     with pytest.raises(ActionError):
@@ -260,7 +258,8 @@ def test_annihilator_quotient_module(kxk):
 
 
 def test_annihilator_zero_dim_module(kxk):
-    M = QuasiPoissonModule(kxk, 0, ((), ()), ((), ()), ((), ()))
+    empty = mat_from_rows([])
+    M = QuasiPoissonModule(kxk, 0, (empty, empty), (empty, empty), (empty, empty))
     assert annihilator(kxk, M).rank == 2
 
 
@@ -296,7 +295,7 @@ def test_morphism_compatibility_between_modules(kxk):
     M = regular_module(kxk)
     ideal = poisson_ideal_closure(kxk, [kxk.basis(0)])
     N = quotient_module(kxk, ideal)
-    f = ((Fraction(0), ONE),)  # sends e1 to 0 and e2 to the coset rep
+    f = mat_from_rows([{1: 1}])  # sends e1 to 0 and e2 to the coset rep
     for fam_m, fam_n in ((M.left, N.left), (M.right, N.right), (M.lie, N.lie)):
         for i in range(2):
             assert mat_mul(f, fam_m[i]) == mat_mul(fam_n[i], f)
@@ -334,6 +333,13 @@ def test_poisson_simplicity_annihilator_link(kxk, m2):
 # ran before the checks moved to integer forms, over dense Fraction matrices
 # multiplied and combined here, independently of linalg's kernel.
 
+def _fident(dim):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim))
+
+
+def _dense_families(M):
+    return tuple(tuple(map(dense, fam)) for fam in (M.left, M.right, M.lie))
+
 def _fmul(a, b):
     cols = tuple(zip(*b))
     return tuple(
@@ -360,7 +366,7 @@ def _fsub(a, b):
 
 
 def _ref_multiplicativity_failures(action, degree_bound):
-    from poissonenv.smash import q_mono_mult
+    from poissonenv.smash import q_mult
     from poissonenv.truncation import env_monomials
 
     A = action.algebra
@@ -370,9 +376,10 @@ def _ref_multiplicativity_failures(action, degree_bound):
         for m2 in monos:
             if len(m1[2]) + len(m2[2]) > degree_bound:
                 continue
-            composed = _fmul(action.matrix(m1), action.matrix(m2))
+            composed = _fmul(dense(action.matrix(m1)), dense(action.matrix(m2)))
             direct = _fcomb(
-                ((c, action.matrix(m)) for m, c in q_mono_mult(A, m1, m2).items()), action.dim
+                ((c, dense(action.matrix(m))) for m, c in q_mult(A, {m1: ONE}, {m2: ONE}).items()),
+                action.dim,
             )
             if composed != direct:
                 out.append((m1, m2))
@@ -383,35 +390,36 @@ def _ref_quasi_violations(M):
     A = M.algebra
     n = A.n
     out = []
-    ident = mat_identity(M.dim)
+    ident = _fident(M.dim)
+    L, R, Z = _dense_families(M)
 
     def of(fam, x):
         return _fcomb(((c, fam[i]) for i, c in x.data.items()), M.dim)
 
-    if of(M.left, A.unit) != ident:
+    if of(L, A.unit) != ident:
         out.append({"axiom": "unit-left", "indices": ()})
-    if of(M.right, A.unit) != ident:
+    if of(R, A.unit) != ident:
         out.append({"axiom": "unit-right", "indices": ()})
     for i in range(n):
         for j in range(n):
             prod = A.mul_basis(i, j)
-            if _fmul(M.left[i], M.left[j]) != of(M.left, prod):
+            if _fmul(L[i], L[j]) != of(L, prod):
                 out.append({"axiom": "left-action", "indices": (i, j)})
-            if _fmul(M.right[j], M.right[i]) != of(M.right, prod):
+            if _fmul(R[j], R[i]) != of(R, prod):
                 out.append({"axiom": "right-action", "indices": (i, j)})
-            if _fmul(M.left[i], M.right[j]) != _fmul(M.right[j], M.left[i]):
+            if _fmul(L[i], R[j]) != _fmul(R[j], L[i]):
                 out.append({"axiom": "bimodule-commute", "indices": (i, j)})
             bra = A.bracket_basis(i, j)
-            lhs = _fmul(M.lie[i], M.left[j])
-            rhs = _fadd(of(M.left, bra), _fmul(M.left[j], M.lie[i]))
+            lhs = _fmul(Z[i], L[j])
+            rhs = _fadd(of(L, bra), _fmul(L[j], Z[i]))
             if lhs != rhs:
                 out.append({"axiom": "lie-left", "indices": (i, j)})
-            lhs = _fmul(M.lie[i], M.right[j])
-            rhs = _fadd(of(M.right, bra), _fmul(M.right[j], M.lie[i]))
+            lhs = _fmul(Z[i], R[j])
+            rhs = _fadd(of(R, bra), _fmul(R[j], Z[i]))
             if lhs != rhs:
                 out.append({"axiom": "lie-right", "indices": (i, j)})
-            lhs = of(M.lie, bra)
-            rhs = _fsub(_fmul(M.lie[i], M.lie[j]), _fmul(M.lie[j], M.lie[i]))
+            lhs = of(Z, bra)
+            rhs = _fsub(_fmul(Z[i], Z[j]), _fmul(Z[j], Z[i]))
             if lhs != rhs:
                 out.append({"axiom": "lie-module", "indices": (i, j)})
     return out
@@ -420,10 +428,11 @@ def _ref_quasi_violations(M):
 def _ref_poisson_violations(M):
     out = _ref_quasi_violations(M)
     A = M.algebra
+    L, R, Z = _dense_families(M)
     for i in range(A.n):
         for j in range(A.n):
-            lhs = _fcomb(((c, M.lie[k]) for k, c in A.mul_basis(i, j).data.items()), M.dim)
-            rhs = _fadd(_fmul(M.left[i], M.lie[j]), _fmul(M.right[j], M.lie[i]))
+            lhs = _fcomb(((c, Z[k]) for k, c in A.mul_basis(i, j).data.items()), M.dim)
+            rhs = _fadd(_fmul(L[i], Z[j]), _fmul(R[j], Z[i]))
             if lhs != rhs:
                 out.append({"axiom": "product-compat", "indices": (i, j)})
     return out
@@ -432,12 +441,14 @@ def _ref_poisson_violations(M):
 def _product_formula_action(M):
     """The action monomial (i, j, word) would have, left(i) . right(j) .
     lie(w_1) ... lie(w_k), built from dense Fraction matrices on request."""
+    L, R, Z = _dense_families(M)
+
     def fn(mono):
         i, j, word = mono
-        acc = _fmul(M.left[i], M.right[j])
+        acc = _fmul(L[i], R[j])
         for letter in word:
-            acc = _fmul(acc, M.lie[letter])
-        return acc
+            acc = _fmul(acc, Z[letter])
+        return grid_form(acc)
 
     return EnvAction(M.algebra, M.dim, fn)
 
@@ -445,9 +456,9 @@ def _product_formula_action(M):
 def _fractional_break(M):
     """M with 1/3 added at entry (0, 1) of left(0) and -2/5 at (1, 0) of lie(1)."""
     def bumped(m, r, c, x):
-        return tuple(
+        return grid_form(
             tuple(y + x if (s, t) == (r, c) else y for t, y in enumerate(row))
-            for s, row in enumerate(m)
+            for s, row in enumerate(dense(m))
         )
 
     left = (bumped(M.left[0], 0, 1, Fraction(1, 3)),) + M.left[1:]
@@ -551,12 +562,8 @@ def _ref_twisted_lie(A, table):
     return tuple(lie)
 
 
-def _families_of(M):
-    return M.left, M.right, M.lie
-
-
-def _all_fractions(families):
-    return all(type(x) is Fraction for fam in families for m in fam for row in m for x in row)
+def _all_canonical(M):
+    return all(is_form(m, M.dim, M.dim) for fam in (M.left, M.right, M.lie) for m in fam)
 
 
 def test_constructions_match_the_dense_grid_references(kxk, m2, trunc2, ut2, kxk_skew, trunc2_skew):
@@ -564,8 +571,8 @@ def test_constructions_match_the_dense_grid_references(kxk, m2, trunc2, ut2, kxk
 
     for A in (kxk, m2, trunc2, ut2, kxk_skew, trunc2_skew):
         M = tensor_square_module(A)
-        assert _families_of(M) == _ref_tensor_square(A)
-        assert _all_fractions(_families_of(M))
+        assert _dense_families(M) == _ref_tensor_square(A)
+        assert _all_canonical(M)
 
         ideals = [join_and_reduce([], A.n)]
         for p in range(A.n):
@@ -575,8 +582,8 @@ def test_constructions_match_the_dense_grid_references(kxk, m2, trunc2, ut2, kxk
         for ideal in ideals:
             M = quotient_module(A, ideal)
             assert M.dim == A.n - ideal.rank
-            assert _families_of(M) == _ref_quotient(A, ideal)
-            assert _all_fractions(_families_of(M))
+            assert _dense_families(M) == _ref_quotient(A, ideal)
+            assert _all_canonical(M)
 
         structures = regular_poisson_structures(A)
         psis = [SparseVector(A.n * A.n)]
@@ -584,8 +591,8 @@ def test_constructions_match_the_dense_grid_references(kxk, m2, trunc2, ut2, kxk
         for psi in psis:
             table = structures.star_bracket_table(psi)
             M = regular_module(A, table)
-            assert M.lie == _ref_twisted_lie(A, table)
-            assert _all_fractions(_families_of(M))
+            assert _dense_families(M)[2] == _ref_twisted_lie(A, table)
+            assert _all_canonical(M)
 
 
 def test_tensor_square_lie_adds_both_legs_into_one_entry(m2):
@@ -602,7 +609,7 @@ def test_tensor_square_lie_adds_both_legs_into_one_entry(m2):
     for i, b, c in shared:
         src = b * n + c
         both = m2.bracket_basis(i, b).get(b) + m2.bracket_basis(i, c).get(c)
-        assert lie[i][src][src] == both
+        assert dense(lie[i])[src][src] == both
 
 
 def test_action_matrix_of_wrong_shape_is_rejected(kxk):
@@ -620,26 +627,23 @@ def test_action_matrix_of_wrong_shape_is_rejected(kxk):
 # memo entry, on the action's own forms.
 
 def _sweep_without_skips(action, degree_bound):
-    from poissonenv.linalg import int_mat_lincomb, int_mat_mul
     from poissonenv.smash import q_mono_mult
     from poissonenv.truncation import env_monomials
 
     A = action.algebra
-    memo = A.caches["q_mono"]
-    zero = (({},) * action.dim, 1)
+    zero = zero_matrix(action.dim)
     out = []
     monos = env_monomials(A, degree_bound)
     for m1 in monos:
         for m2 in monos:
             if len(m1[2]) + len(m2[2]) > degree_bound:
                 continue
-            q_mono_mult(A, m1, m2)
-            nums, den = memo[(m1, m2)]
-            composed = int_mat_mul(action._form(m1), action._form(m2))
+            nums, den = q_mono_mult(A, m1, m2)
+            composed = mat_mul(action._form(m1), action._form(m2))
             product = zero
             if nums:
                 pairs = ((c, action._form(m)) for m, c in nums.items())
-                product = int_mat_lincomb(pairs, action.dim, den)
+                product = mat_lincomb(pairs, action.dim, den)
             if composed != product:
                 out.append((m1, m2))
     return out
@@ -723,18 +727,19 @@ def _corrupted_cases(kxk, trunc2) -> dict:
     good = module_to_action(M)
     dead = (0, 0, (1,))  # a nonempty word: zero bracket, so it acts as zero
     live = (1, 0, ())  # left(x1) . right(1)
-    assert mat_is_zero(good.matrix(dead)) and not mat_is_zero(good.matrix(live))
+    assert is_zero(good.matrix(dead)) and not is_zero(good.matrix(live))
     identity = mat_identity(M.dim)
     return {
         "zero made nonzero": (trunc2, M, dead, lambda m: identity),
-        "live made zero": (trunc2, M, live, lambda m: mat_zero(M.dim)),
+        "live made zero": (trunc2, M, live, lambda m: zero_matrix(M.dim)),
         "live scaled": (
-            trunc2, M, live, lambda m: tuple(tuple(x * Fraction(3, 2) for x in row) for row in m)
+            trunc2, M, live,
+            lambda m: grid_form(tuple(x * Fraction(3, 2) for x in row) for row in dense(m)),
         ),
         # the first monomial swept, whose products with e2's monomials are
         # zero, so the later forms are not read through its product terms;
         # the idempotent e1 (x) e1 acting as zero keeps the action multiplicative
-        "first made zero": (kxk, tensor_square_module(kxk), (0, 0, ()), lambda m: mat_zero(4)),
+        "first made zero": (kxk, tensor_square_module(kxk), (0, 0, ()), lambda m: zero_matrix(4)),
         # the word (1, 1) is no longer dead, so (1,) times (1,) must be formed;
         # at bound 3 the words of degree 3 stay dead
         "dead degree-2 word made live": (trunc2, M, (0, 0, (1, 1)), lambda m: identity),
@@ -777,7 +782,8 @@ def _unformed_products(action, bound) -> list:
         if len(m1[2]) + len(m2[2]) <= bound and (m1, m2) not in A.caches["q_mono"]
     ]
     for m1, m2 in unformed:
-        assert all(mat_is_zero(action.matrix(m)) for m in q_mono_mult(A, m1, m2)), (m1, m2)
+        nums, _ = q_mono_mult(A, m1, m2)
+        assert all(is_zero(action.matrix(m)) for m in nums), (m1, m2)
     return unformed
 
 
@@ -812,7 +818,7 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
 
     action = _ModuleAction(tensor_square_module(_fresh(trunc2)))
     monos = env_monomials(trunc2, 2)
-    live = [m for m in monos if not mat_is_zero(action.matrix(m))]  # builds every form
+    live = [m for m in monos if not is_zero(action.matrix(m))]  # builds every form
     assert (len(monos), len(live)) == (90, 9)
     assert all(not m[2] for m in live)  # the zero bracket kills every nonempty word
     calls = {"mul": 0, "lincomb": 0, "q_mono_mult": 0}
@@ -823,7 +829,7 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
             return fn(*args)
         return wrapped
 
-    for name, attr in (("mul", "int_mat_mul"), ("lincomb", "int_mat_lincomb"),
+    for name, attr in (("mul", "mat_mul"), ("lincomb", "mat_lincomb"),
                        ("q_mono_mult", "q_mono_mult")):
         monkeypatch.setattr(poisson_modules, attr, counting(name, getattr(poisson_modules, attr)))
     assert action.multiplicativity_failures(2) == []
@@ -832,7 +838,7 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
     # row or between degree-0 monomials: only there is the tail word () met
     fresh = _fresh(trunc2)
     with_live_terms = sum(
-        any(m in live for m in q_mono_mult(fresh, m1, m2))
+        any(m in live for m in q_mono_mult(fresh, m1, m2)[0])
         for m1 in monos
         for m2 in monos
         if len(m1[2]) + len(m2[2]) <= 2
@@ -842,30 +848,31 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
                      "q_mono_mult": 90 + 81 - 9} == expected
 
 
-def test_roundtrip_converts_each_module_once_and_builds_one_action(trunc2, monkeypatch):
-    from poissonenv import poisson_modules
+def test_roundtrip_converts_no_matrix_and_builds_one_action(trunc2, monkeypatch):
+    from poissonenv import linalg
     from poissonenv.poisson_modules import _ModuleAction
 
     M = tensor_square_module(trunc2)
-    calls = {"int_matrix": 0, "_new_form": 0}
-    int_matrix, new_form = poisson_modules.int_matrix, _ModuleAction._new_form
+    calls = {"mat_from_rows": 0, "_new_form": 0}
+    from_rows, new_form = linalg.mat_from_rows, _ModuleAction._new_form
 
-    def counted_int_matrix(*args):
-        calls["int_matrix"] += 1
-        return int_matrix(*args)
+    def counted_from_rows(*args):
+        calls["mat_from_rows"] += 1
+        return from_rows(*args)
 
     def counted_new_form(self, mono):
         calls["_new_form"] += 1
         return new_form(self, mono)
 
-    monkeypatch.setattr(poisson_modules, "int_matrix", counted_int_matrix)
+    # every matrix built from rational entries goes through mat_from_rows,
+    # mat_from_columns included
+    monkeypatch.setattr(linalg, "mat_from_rows", counted_from_rows)
     monkeypatch.setattr(_ModuleAction, "_new_form", counted_new_form)
     report = roundtrip_report(trunc2, M, 2)
     assert report["ok"] and report["monomials_checked"] == 90
-    # nine family matrices per module, M and G(F(M)), and one identity for
-    # validating M alone, since G(F(M)) = M; one form per monomial of F(M),
-    # which F(G(F(M))) is
-    assert calls == {"int_matrix": 19, "_new_form": 90}
+    # the families are multiplied as they are, and G(F(M)) = M, so F(G(F(M)))
+    # is F(M): one matrix per monomial of F(M)
+    assert calls == {"mat_from_rows": 0, "_new_form": 90}
 
 
 def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatch):
@@ -879,8 +886,8 @@ def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatc
     scale = [Fraction(k + 1) for k in range(M.dim)]
 
     def conjugate(m):
-        return tuple(tuple(x * scale[c] / scale[r] for c, x in enumerate(row))
-                     for r, row in enumerate(m))
+        return grid_form(tuple(x * scale[c] / scale[r] for c, x in enumerate(row))
+                         for r, row in enumerate(dense(m)))
 
     back = QuasiPoissonModule(m2, M.dim, *(tuple(map(conjugate, fam))
                                            for fam in (M.left, M.right, M.lie)))
@@ -901,7 +908,7 @@ def test_roundtrip_validates_a_differing_module_as_action_to_module_does(m2, mon
     M = regular_module(m2)
     back = QuasiPoissonModule(  # the Lie action doubled: not quasi-Poisson
         m2, M.dim, M.left, M.right,
-        tuple(tuple(tuple(2 * x for x in row) for row in m) for m in M.lie),
+        tuple(mat_lincomb(((2, m),), M.dim) for m in M.lie),
     )
     with pytest.raises(ActionError) as expected:
         poisson_modules.validate_quasi_poisson(back)
@@ -917,19 +924,34 @@ def test_roundtrip_validates_a_differing_module_as_action_to_module_does(m2, mon
 def test_equal_actions_sees_one_changed_entry(m2):
     M = regular_module(m2)
     lie = list(M.lie)
-    rows = [list(row) for row in lie[1]]
+    rows = [list(row) for row in dense(lie[1])]
     rows[0][1] += 1
-    lie[1] = tuple(tuple(row) for row in rows)
+    lie[1] = grid_form(rows)
     other = QuasiPoissonModule(m2, M.dim, M.left, M.right, tuple(lie))
     assert M.equal_actions(regular_module(m2))
     assert not M.equal_actions(other) and not other.equal_actions(M)
+
+
+def test_module_rejects_what_is_not_a_canonical_form(kxk):
+    reg = regular_module(kxk)
+    for bad in (
+        ((ONE, ZERO), (ZERO, ZERO)),  # a dense Fraction grid
+        (({0: 2}, {}), 2),  # not in lowest terms
+        (({0: 1}, {}, {}), 1),  # three rows
+        (({2: 1}, {}), 1),  # column 2 of a 2x2 matrix
+        (({0: ONE}, {}), 1),  # a Fraction entry
+    ):
+        with pytest.raises(ModuleShapeError, match="canonical form of a 2x2 matrix"):
+            QuasiPoissonModule(kxk, 2, reg.left, reg.right, (bad, reg.lie[1]))
+    with pytest.raises(ModuleShapeError, match="one matrix per basis element"):
+        QuasiPoissonModule(kxk, 2, reg.left, reg.right, reg.lie[:1])
 
 
 def test_modules_are_frozen(kxk):
     from dataclasses import FrozenInstanceError
 
     M = regular_module(kxk)
-    forms = M.forms
+    lie = M.lie
     with pytest.raises(FrozenInstanceError):
         M.lie = M.left
-    assert M.forms is forms
+    assert M.lie is lie

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from poissonenv.fileformat import load_bundled_algebra
-from poissonenv.linalg import SparseVector, mat_unflatten, mat_apply
+from poissonenv.linalg import SparseVector
 from poissonenv.ncpa import (
     AlgebraPresentation,
     NcpaValidationError,
@@ -260,9 +260,12 @@ def test_derivations_m2_inner(m2):
     assert ders.rank == 3
     # each basis solution really is a derivation on basis pairs
     for flat in ders.rows:
-        mat = mat_unflatten(flat, 4, 4)
-        def psi(x):
-            return mat_apply(mat, x)
+        def psi(x):  # the matrix with entry (r, c) at coordinate r*4 + c
+            out = {}
+            for idx, v in flat.data.items():
+                r, c = divmod(idx, 4)
+                out[r] = out.get(r, 0) + v * x.get(c)
+            return SparseVector(4, out)
         for i in range(4):
             for j in range(4):
                 prod = m2.mul_basis(i, j)

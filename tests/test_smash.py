@@ -24,7 +24,7 @@ from poissonenv.smash import (
 )
 from poissonenv.truncation import ideal_j_gens, truncated_ideal_span
 
-from conftest import reference_embed, reference_identity, vec
+from conftest import mono_product, reference_embed, reference_identity, vec
 
 ONE = Fraction(1)
 
@@ -140,8 +140,8 @@ def test_associativity_exhaustive_kxk(kxk):
         if len(m1[2]) + len(m2_[2]) + len(m3[2]) > 3:
             continue
         checked += 1
-        lhs = q_mult(kxk, q_mono_mult(kxk, m1, m2_), {m3: ONE})
-        rhs = q_mult(kxk, {m1: ONE}, q_mono_mult(kxk, m2_, m3))
+        lhs = q_mult(kxk, mono_product(kxk, m1, m2_), {m3: ONE})
+        rhs = q_mult(kxk, {m1: ONE}, mono_product(kxk, m2_, m3))
         assert lhs == rhs, (m1, m2_, m3)
     assert checked > 5000
 
@@ -151,8 +151,8 @@ def test_associativity_random_m2(m2):
     monos = [(i, j, w) for w in u_monomials(4, 2) for i in range(4) for j in range(4)]
     for _ in range(200):
         a, b, c = (rng.choice(monos) for _ in range(3))
-        lhs = q_mult(m2, q_mono_mult(m2, a, b), {c: ONE})
-        rhs = q_mult(m2, {a: ONE}, q_mono_mult(m2, b, c))
+        lhs = q_mult(m2, mono_product(m2, a, b), {c: ONE})
+        rhs = q_mult(m2, {a: ONE}, mono_product(m2, b, c))
         assert lhs == rhs, (a, b, c)
 
 
@@ -187,7 +187,7 @@ def test_zero_bracket_componentwise_oracle(trunc2):
     ]
     for _ in range(200):
         m1, m2_ = rng.choice(monos), rng.choice(monos)
-        assert q_mono_mult(trunc2, m1, m2_) == componentwise_product(trunc2, m1, m2_)
+        assert mono_product(trunc2, m1, m2_) == componentwise_product(trunc2, m1, m2_)
 
 
 def test_filtration_degree_bound(m2):
@@ -195,7 +195,7 @@ def test_filtration_degree_bound(m2):
     monos = [(i, j, w) for w in u_monomials(4, 2) for i in range(4) for j in range(4)]
     for _ in range(100):
         m1, m2_ = rng.choice(monos), rng.choice(monos)
-        prod = q_mono_mult(m2, m1, m2_)
+        prod = mono_product(m2, m1, m2_)
         if prod:
             assert max(len(m[2]) for m in prod) <= len(m1[2]) + len(m2_[2])
 
@@ -263,7 +263,8 @@ def test_q_mono_mult_matches_direct_formula(name, request):
     for m1 in monos:
         for m2 in monos:
             if len(m1[2]) + len(m2[2]) <= 2:
-                assert q_mono_mult(A, m1, m2) == _direct_q_mono_mult(A, m1, m2), (m1, m2)
+                assert mono_product(A, m1, m2) == _direct_q_mono_mult(A, m1, m2), (m1, m2)
+                assert q_mono_mult(A, m1, m2) is A.caches["q_mono"][(m1, m2)]
 
 
 @st.composite
@@ -291,7 +292,7 @@ def test_q_mono_mult_matches_direct_formula_to_degree_4(name, request, data):
     # equal terms in equal order, None slots included
     A = request.getfixturevalue(name)
     m1, m2_ = data.draw(_monomial_pairs(A.n))
-    got = q_mono_mult(A, m1, m2_)
+    got = mono_product(A, m1, m2_)
     assert list(got.items()) == list(_direct_q_mono_mult(A, m1, m2_).items()), (m1, m2_)
     assert all(type(c) is Fraction for c in got.values())
 
@@ -373,7 +374,7 @@ def test_plan_and_tail_entries_are_tuples_never_mutated():
     got.clear()
     for m1 in x:
         for m2_ in y:
-            q_mono_mult(A, m1, m2_)[m1] = Fraction(99)
+            mono_product(A, m1, m2_)[m1] = Fraction(99)
     q_mult(A, y, x)
     assert {k: plans[k] for k in frozen} == frozen
 
@@ -466,8 +467,9 @@ def _fraction_q_mult(A, x, y):
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             c = c1 * c2
-            for mono, d in q_mono_mult(A, m1, m2).items():
-                s = out.get(mono, Fraction(0)) + c * d
+            nums, den = q_mono_mult(A, m1, m2)
+            for mono, v in nums.items():
+                s = out.get(mono, Fraction(0)) + c * Fraction(v, den)
                 if s:
                     out[mono] = s
                 else:
@@ -501,19 +503,26 @@ def test_q_mult_matches_fraction_loop(name, request, data):
     assert all(type(c) is Fraction for c in got.values())
 
 
-def test_q_mono_mult_hit_is_a_new_dict():
+def test_q_mono_mult_returns_its_memo_entry_and_q_mult_a_new_dict():
     # a fresh algebra, so that the first call is a miss
     A = validate_ncpa(load_bundled_algebra("m2std.alg"))
+    memo = A.caches["q_mono"]
     m1, m2_ = (1, 2, (3,)), (2, 1, (1,))
-    assert (m1, m2_) not in A.caches["q_mono"]
+    assert (m1, m2_) not in memo
     miss = q_mono_mult(A, m1, m2_)
-    frozen = copy.deepcopy(A.caches["q_mono"][(m1, m2_)])
-    hit = q_mono_mult(A, m1, m2_)
-    assert hit == miss and hit is not miss and miss
-    hit.clear()
-    miss[m1] = Fraction(99)
-    assert q_mono_mult(A, m1, m2_) == _direct_q_mono_mult(A, m1, m2_)
-    assert A.caches["q_mono"][(m1, m2_)] == frozen
+    assert miss is memo[(m1, m2_)] and miss[0]
+    assert q_mono_mult(A, m1, m2_) is miss  # a hit
+    zero = ((0, 0, ()), (3, 3, ()))  # E11 E22 = 0 in the left slot
+    assert q_mono_mult(A, *zero) == ({}, 1) and q_mono_mult(A, *zero) is memo[zero]
+    frozen = copy.deepcopy(miss)
+    # q_mult of one-term elements gives the product as a new dict of
+    # Fractions, which may be changed without touching the memo
+    product = mono_product(A, m1, m2_)
+    assert product == _direct_q_mono_mult(A, m1, m2_)
+    assert product is not mono_product(A, m1, m2_)
+    product.clear()
+    assert mono_product(A, m1, m2_) == _direct_q_mono_mult(A, m1, m2_)
+    assert memo[(m1, m2_)] == frozen
 
 
 @pytest.mark.parametrize("name", ["kxk_skew", "trunc2_skew", "m2"])

@@ -35,3 +35,50 @@ def test_tracer_wraps_every_traced_name_and_restores_every_binding():
                 owner = getattr(modules[layer], owner_name) if owner_name else modules[layer]
                 assert hasattr(vars(owner)[attr], "__wrapped__"), f"{layer}.{qual}"
     assert bindings() == before
+
+
+def test_traced_mat_mul_counts_every_kernel_product(tmp_path, monkeypatch, capsys):
+    # mat_mul is the one matrix kernel, so the traced name sees every product
+    # of a roundtrip job: as many as a plain wrapper on every binding counts
+    import time
+
+    import poissonenv
+    from perfbench import tracing
+    from poissonenv import cli, linalg
+    from poissonenv.fileformat import bundled_path, load_bundled_algebra, serialize_module
+    from poissonenv.ncpa import validate_ncpa
+    from poissonenv.poisson_modules import tensor_square_module
+
+    trunc2 = validate_ncpa(load_bundled_algebra("trunc2-n2.alg"))
+    square = tmp_path / "trunc2-n2-square.mod"
+    square.write_text(serialize_module(tensor_square_module(trunc2)), encoding="utf-8")
+    argv = ["--json", "roundtrip", str(bundled_path("trunc2-n2.alg")), str(square),
+            "--degree", "2"]
+
+    original = linalg.mat_mul
+    products = []
+
+    def counted(*args):
+        products.append(1)
+        return original(*args)
+
+    modules = [poissonenv] + [
+        importlib.import_module(f"poissonenv.{m.name}")
+        for m in pkgutil.iter_modules(poissonenv.__path__)
+    ]
+    with monkeypatch.context() as patch:
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    patch.setattr(module, key, counted)
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        tracer.start_job(1)
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        metrics = tracing.layer_metrics(tracer, time.perf_counter() - start)
+    capsys.readouterr()
+    assert metrics["linalg.mat_mul.calls"] == len(products) == 261
