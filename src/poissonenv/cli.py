@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -349,7 +350,12 @@ def _degree(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and reused for the rest of the
+    process.  It holds each subcommand's handler by name, not as a function:
+    `_run` looks the name up in this module at call time, so a handler
+    rebound after the first build is still the one that runs."""
     parser = argparse.ArgumentParser(
         prog="poissonenv",
         description="Exact computation in quasi-Poisson enveloping algebras "
@@ -360,61 +366,61 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the NCPA axioms of an algebra file")
     p.add_argument("algebra")
-    p.set_defaults(handler=cmd_validate)
+    p.set_defaults(handler="cmd_validate")
 
     p = sub.add_parser("std", help="attach the commutator bracket and emit the file")
     p.add_argument("algebra")
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_std)
+    p.set_defaults(handler="cmd_std")
 
     for op in ("mul", "bracket"):
         p = sub.add_parser(op, help=f"{op} of two elements")
         p.add_argument("algebra")
         p.add_argument("x")
         p.add_argument("y")
-        p.set_defaults(handler=cmd_mul, op=op)
+        p.set_defaults(handler="cmd_mul", op=op)
 
     p = sub.add_parser("q-mul", help="product in the quasi-Poisson enveloping algebra")
     p.add_argument("algebra")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(handler=cmd_q_mul)
+    p.set_defaults(handler="cmd_q_mul")
 
     p = sub.add_parser("relations", help="verify the embedding generator relations")
     p.add_argument("algebra")
-    p.set_defaults(handler=cmd_relations)
+    p.set_defaults(handler="cmd_relations")
 
     p = sub.add_parser("module-alg", help="verify the module-algebra law")
     p.add_argument("algebra")
     p.add_argument("--degree", type=_degree, default=2)
-    p.set_defaults(handler=cmd_module_alg)
+    p.set_defaults(handler="cmd_module_alg")
 
     p = sub.add_parser("env-dim", help="truncated quotient dimensions")
     p.add_argument("algebra")
     p.add_argument("--ideal", default="J", choices=["J", "I", "OH", "J+I"])
     p.add_argument("--degree", type=_degree, default=2)
     p.add_argument("--saturate", type=_degree, default=None)
-    p.set_defaults(handler=cmd_env_dim)
+    p.set_defaults(handler="cmd_env_dim")
 
     p = sub.add_parser("simple", help="decide Poisson-simplicity")
     p.add_argument("algebra")
-    p.set_defaults(handler=cmd_simple)
+    p.set_defaults(handler="cmd_simple")
 
     p = sub.add_parser("derivations", help="Poisson derivation spaces")
     p.add_argument("algebra")
-    p.set_defaults(handler=cmd_derivations)
+    p.set_defaults(handler="cmd_derivations")
 
     p = sub.add_parser("module-check", help="validate a module file")
     p.add_argument("algebra")
     p.add_argument("module")
     p.add_argument("--poisson", action="store_true")
-    p.set_defaults(handler=cmd_module_check)
+    p.set_defaults(handler="cmd_module_check")
 
     p = sub.add_parser("roundtrip", help="module/action roundtrip checks")
     p.add_argument("algebra")
     p.add_argument("module")
     p.add_argument("--degree", type=_degree, default=2)
-    p.set_defaults(handler=cmd_roundtrip)
+    p.set_defaults(handler="cmd_roundtrip")
 
     return parser
 
@@ -427,7 +433,7 @@ def run_command(argv) -> Report:
 def _run(args: argparse.Namespace, argv) -> Report:
     t0 = time.perf_counter()
     try:
-        findings, output = args.handler(args)
+        findings, output = globals()[args.handler](args)
         status = "fail" if any(
             f.get("kind") == "violation" for f in findings
         ) else "pass"
@@ -455,8 +461,6 @@ def _run(args: argparse.Namespace, argv) -> Report:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        # no local keeps the parser: its reference cycles would wait for a
-        # full collection while the job runs
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2

@@ -488,32 +488,76 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
         run_command(["relations", path("kxk.alg")])
 
 
-def test_parser_is_freed_before_the_job_runs(monkeypatch, capsys):
-    # a parser kept alive through the job leaves its reference cycles for a
-    # full collection to find while the job allocates
+def test_parser_is_built_once_and_leaves_no_argparse_garbage(capsys):
+    # the parser lives for the process, so a job leaves none of its
+    # reference cycles for a full collection to find
     import gc
-    import weakref
 
     import poissonenv.cli as cli
 
-    build, run_job = cli.build_parser, cli._run
-    parsers, alive = [], []
+    kxk = path("kxk.alg")
+    assert main(["validate", kxk]) == 0
+    parser = cli.build_parser()
+    assert main(["validate", kxk]) == 0
+    assert cli.build_parser() is parser
 
-    def recording_build_parser():
-        parser = build()
-        parsers.append(weakref.ref(parser))
-        return parser
-
-    def collecting_run(args, argv):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        assert main(["--json", "validate", kxk]) == 0
         gc.collect()
-        alive.append(parsers[0]() is not None)
-        return run_job(args, argv)
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
 
-    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
-    monkeypatch.setattr(cli, "_run", collecting_run)
-    code, out = run(capsys, "validate", path("kxk.alg"))
-    assert code == 0
-    assert alive == [False]
+
+def test_reused_parser_leaks_no_state_between_calls(monkeypatch, capsys):
+    import re
+
+    import poissonenv.cli as cli
+
+    kxk = path("kxk.alg")
+
+    def call(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        out = re.sub(r"\([0-9.e-]+s\)", "(Ts)", captured.out)
+        out = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": T', out)
+        return code, out, captured.err
+
+    assert call("mul", kxk, "e1+2*e2", "e1+e2") == (0, "e1 + 2*e2\nstatus: pass (Ts)\n", "")
+    assert call("bracket", kxk, "e1+2*e2", "e1+e2") == (0, "0\nstatus: pass (Ts)\n", "")
+
+    report = {
+        "command": ["--json", "validate", kxk],
+        "status": "pass",
+        "findings": [],
+        "output": ["valid NCPA 'kxk' (dim 2)"],
+        "elapsed": 0,
+    }
+    text = json.dumps(report, indent=2).replace('"elapsed": 0', '"elapsed": T')
+    assert call("--json", "validate", kxk) == (0, text + "\n", "")
+    assert call("validate", kxk) == (0, "valid NCPA 'kxk' (dim 2)\nstatus: pass (Ts)\n", "")
+
+    code, out, err = call("env-dim", kxk, "--degree", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: poissonenv env-dim ")
+    assert err.splitlines()[-1] == (
+        "poissonenv env-dim: error: argument --degree: must be >= 0, got -1")
+    assert call("env-dim", kxk, "--degree", "1") == (
+        0, "d=0: 4 (stable)\nd=1: 6 (stable)\nstatus: pass (Ts)\n", "")
+
+    assert run_command(["bracket", kxk, "e1+2*e2", "e1+e2"]).output == ["0"]
+    assert call("mul", kxk, "e1+2*e2", "e1+e2") == (0, "e1 + 2*e2\nstatus: pass (Ts)\n", "")
+    assert run_command(["mul", kxk, "e1+2*e2", "e1+e2"]).output == ["e1 + 2*e2"]
+    assert call("bracket", kxk, "e1+2*e2", "e1+e2") == (0, "0\nstatus: pass (Ts)\n", "")
+
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: ([], ["patched"]))
+    assert call("validate", kxk) == (0, "patched\nstatus: pass (Ts)\n", "")
+    assert run_command(["validate", kxk]).output == ["patched"]
 
 
 def test_simple_true(capsys):
