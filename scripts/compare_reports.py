@@ -188,6 +188,10 @@ def jobs() -> list[list[str]]:
     # reducible minimal polynomial) find them
     for path in (DUAL, KXK_UNIT):
         out += [[cmd, path] for cmd in ("validate", "simple", "derivations")]
+    # an invalid algebra loaded by a command other than validate: exit 2 with
+    # the axiom summary, which bad-jacobi's violations overflow
+    for name, (x, y) in zip(BAD, (("e1", "e2"), ("x", "y"), ("e1", "e2"))):
+        out += [["env-dim", alg(name)], ["simple", alg(name)], ["mul", alg(name), x, y]]
     return out
 
 

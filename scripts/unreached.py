@@ -35,6 +35,8 @@ def main() -> int:
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(tmp)
+        # write_inputs validates through the CLI, which caches its parser
+        cli.build_parser.cache_clear()
         for argv in jobs():
             with contextlib.redirect_stdout(io.StringIO()):
                 sys.setprofile(profile)

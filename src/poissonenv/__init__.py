@@ -19,6 +19,7 @@ from .ncpa import (
     axiom_violations,
     center,
     is_poisson_simple,
+    poisson_center,
     poisson_ideal_closure,
     regular_poisson_structures,
     standard_ncpa,

@@ -443,11 +443,6 @@ def solve_nullspace(rows: Iterable[Mapping[int, Fraction]], dim: int) -> Subspac
     return basis.to_subspace()
 
 
-def complement_conditions(s: Subspace) -> list[SparseVector]:
-    """Basis of {w : w . b = 0 for all b in s}; v in s iff all w . v = 0."""
-    return list(solve_nullspace([r.data for r in s.rows], s.ambient_dim).rows)
-
-
 # -- exact matrices ------------------------------------------------------------
 #
 # A Matrix is the canonical form (rows, den) of a rational matrix: a tuple of

@@ -24,7 +24,6 @@ from .linalg import (
     _integral,
     accumulate,
     close_under,
-    complement_conditions,
     mat_from_columns,
     mat_from_rows,
     mat_identity,
@@ -205,23 +204,7 @@ class NCPA:
         return not self._bracket
 
     def format_element(self, x: SparseVector) -> str:
-        if x.is_zero():
-            return "0"
-        parts = []
-        for i in x.support():
-            c = x.get(i)
-            label = self.labels[i]
-            if c == 1:
-                term = label
-            elif c == -1:
-                term = f"-{label}"
-            else:
-                term = f"{c}*{label}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return format_terms((x.get(i), self.labels[i]) for i in x.support())
 
     # -- multiplication operators as matrices --------------------------------
 
@@ -243,6 +226,16 @@ class NCPA:
 
     def __repr__(self) -> str:
         return f"NCPA({self.name!r}, dim={self.n})"
+
+
+def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """The sum of the (coefficient, body) terms as text: c*body, with a
+    coefficient of 1 or -1 left out and a negative term subtracted; "0"
+    when there is none."""
+    parts = [body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}" for c, body in terms]
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in parts[1:])
 
 
 # -- validation ---------------------------------------------------------------
@@ -386,45 +379,50 @@ def is_standard(A: NCPA) -> bool:
 
 # -- structural analysis -------------------------------------------------------
 
-def center(A: NCPA) -> Subspace:
-    """Solutions of v*b = b*v for every basis element b."""
+def _central_rows(A: NCPA, tables: Sequence) -> list[dict[int, Fraction]]:
+    """Rows of sum_i z_i * table(i, j) = 0 over the coordinates of an
+    unknown z, for tables mapping basis index pairs to vectors: one row per
+    table, basis index j and coordinate of the value.  Empty rows are left
+    out."""
     n = A.n
     rows = []
-    for j in range(n):
-        for k in range(n):
-            data = {}
+    for table in tables:
+        for j in range(n):
+            block: list[dict[int, Fraction]] = [{} for _ in range(n)]
             for i in range(n):
-                c = A.mul_basis(i, j).get(k) - A.mul_basis(j, i).get(k)
-                if c:
-                    data[i] = c
-            rows.append(data)
-    return solve_nullspace(rows, n)
+                for k, c in table(i, j).data.items():
+                    block[k][i] = c
+            rows += [row for row in block if row]
+    return rows
 
 
-def _side_operators(A: NCPA, side: str):
-    ops = []
-    for i in range(A.n):
-        b = A.basis(i)
-        ops.append(lambda v, b=b: A.bracket(b, v))
-    if side in ("left", "two_sided"):
-        for i in range(A.n):
-            b = A.basis(i)
-            ops.append(lambda v, b=b: A.mul(b, v))
-    if side in ("right", "two_sided"):
-        for i in range(A.n):
-            b = A.basis(i)
-            ops.append(lambda v, b=b: A.mul(v, b))
-    return ops
+def _commutator(A: NCPA):
+    return lambda i, j: A.mul_basis(i, j) - A.mul_basis(j, i)
 
 
-def poisson_ideal_closure(
-    A: NCPA, seed: Iterable[SparseVector], side: str = "two_sided"
-) -> Subspace:
-    """Smallest subspace containing seed, closed under the bracket with all
-    of the algebra and under the requested one- or two-sided products."""
-    if side not in ("left", "right", "two_sided"):
-        raise ValueError(f"unknown side {side!r}")
-    return saturate_closure(seed, _side_operators(A, side), A.n)
+def center(A: NCPA) -> Subspace:
+    """Solutions of v*b = b*v for every basis element b.
+
+    Public although no command reads it: it is the associative center that
+    regular_poisson_structures constrains psi to (through the same rows),
+    and poisson_center equals it when the bracket is zero."""
+    return solve_nullspace(_central_rows(A, [_commutator(A)]), A.n)
+
+
+def poisson_center(A: NCPA) -> Subspace:
+    """The Poisson center Z_P(A): solutions of v*b = b*v and {v, b} = 0 for
+    every basis element b."""
+    return solve_nullspace(_central_rows(A, [_commutator(A), A.bracket_basis]), A.n)
+
+
+def poisson_ideal_closure(A: NCPA, seed: Iterable[SparseVector]) -> Subspace:
+    """Smallest subspace containing seed and closed under the bracket with,
+    and the products on either side by, every element of the algebra."""
+    basis = [A.basis(i) for i in range(A.n)]
+    ops = [lambda v, b=b: A.bracket(b, v) for b in basis]
+    ops += [lambda v, b=b: A.mul(b, v) for b in basis]
+    ops += [lambda v, b=b: A.mul(v, b) for b in basis]
+    return saturate_closure(seed, ops, A.n)
 
 
 @dataclass
@@ -480,22 +478,24 @@ def _trace_radical(basis: list[Matrix]) -> list[Matrix]:
 
 
 def _centralizer_basis(A: NCPA) -> list[Matrix]:
-    """Matrices commuting with every multiplication/bracket operator."""
+    """Basis of the matrices commuting with every multiplication and bracket
+    operator: the reduced echelon basis, over the n^2 entries (f[r][c] at
+    r*n + c), of the L_z for z in the Poisson center.
+
+    These matrices are End(A) for A as a module over P^e, and they are
+    exactly the L_z.  If c commutes with every L_x and R_x, then
+    c(x) = c(1*x) = c(1)*x and c(x) = c(x*1) = x*c(1), so c = L_z with
+    z = c(1) central; commuting with ad_a gives {a, z} = c({a, 1}) = 0.
+    Conversely, for z in Z_P(A), L_z commutes with L_x and R_x by
+    associativity and centrality, and with ad_a by the Leibniz rule:
+    {a, z*y} = {a, z}*y + z*{a, y} = z*{a, y}.  The reduced form is unique,
+    so the basis does not depend on how the span was found."""
     n = A.n
-    rows = []
-    # unknown f with entries f[r][c] at coordinate r*n + c; conditions fM = Mf,
-    # scaled by M's denominator
-    for M, _ in _operator_matrices(A):
-        for r in range(n):
-            for c in range(n):
-                data = {}
-                for k in range(n):
-                    accumulate(data, r * n + k, M[k].get(c, 0))
-                    accumulate(data, k * n + c, -M[r].get(k, 0))
-                rows.append(data)
-    sol = solve_nullspace(rows, n * n)
+    ech = Echelon(n * n)
+    for z in poisson_center(A).rows:
+        ech.add_data({r * n + c: x for c in range(n) for r, x in A.mul(z, A.basis(c)).items()})
     out = []
-    for v in sol.rows:
+    for v in ech.to_subspace().rows:
         grid: list[dict] = [{} for _ in range(n)]
         for idx, x in v.data.items():
             grid[idx // n][idx % n] = x
@@ -542,12 +542,16 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
     Three stages, each returning a closure-verified proper ideal when it
     finds one: (1) saturated closures of a spanning probe set (all basis
     vectors and all basis pair sums); (2) the radical of the operator
-    algebra generated by multiplications and brackets (a nonzero radical
-    maps A onto a proper invariant subspace); (3) kernels of rational
-    minimal-polynomial factors of operator-centralizer elements.  Stage 1
-    alone can miss ideals positioned askew to the basis; stages 2-3 catch
-    those at desk scale, though exotic division-algebra centralizers with
-    no splitting basis element would still go undetected.
+    algebra O generated by multiplications and brackets (a nonzero radical
+    maps A onto a proper invariant subspace); (3) the Poisson center.
+    Poisson ideals are the O-submodules of A, and the matrices commuting
+    with O are the L_z for z in Z_P(A) (_centralizer_basis), so the kernel
+    of f(L_z), for a rational factor f of L_z's minimal polynomial, is a
+    Poisson ideal.  Stage 3 tries the L_z of a basis of Z_P(A).  Stage 1
+    alone can miss ideals positioned askew to the basis.  Once stage 2 has
+    found no radical, A is simple iff Z_P(A) is a field; stage 3 still
+    misses a Z_P(A) that is not a field but whose basis elements all have
+    irreducible minimal polynomials.
     """
     n = A.n
     probes = [A.basis(i) for i in range(n)]
@@ -555,7 +559,7 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
         for j in range(i + 1, n):
             probes.append(A.basis(i) + A.basis(j))
     for v in probes:
-        closure = poisson_ideal_closure(A, [v], "two_sided")
+        closure = poisson_ideal_closure(A, [v])
         if 0 < closure.rank < n:
             return SimplicityReport(False, closure)
 
@@ -566,7 +570,7 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
             SparseVector(n, {i: Fraction(row[j], den) for i, row in enumerate(rows) if j in row})
             for rows, den in radical for j in range(n)
         ]
-        closure = poisson_ideal_closure(A, images, "two_sided")
+        closure = poisson_ideal_closure(A, images)
         if 0 < closure.rank < n:
             return SimplicityReport(False, closure)
 
@@ -580,7 +584,7 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
         for fac in factors:
             kernel = _matrix_kernel(_poly_eval_matrix(fac, f))
             if 0 < kernel.rank < n:
-                closure = poisson_ideal_closure(A, kernel.rows, "two_sided")
+                closure = poisson_ideal_closure(A, kernel.rows)
                 if 0 < closure.rank < n:
                     return SimplicityReport(False, closure)
     return SimplicityReport(True, None)
@@ -644,23 +648,11 @@ def regular_poisson_structures(A: NCPA) -> RegularStructures:
     n = A.n
     rows = _derivation_rows(A)
     derivations = solve_nullspace(rows, n * n)
-    # psi(v_j) must lie in the center
-    conds = complement_conditions(center(A))
-    for j in range(n):
-        for w in conds:
-            rows.append({k * n + j: c for k, c in w.data.items()})
-    # psi(v_a) [v_b, v_c] = 0 over basis triples
-    for b in range(n):
-        for c in range(n):
-            kappa = A.mul_basis(b, c) - A.mul_basis(c, b)
-            if kappa.is_zero():
-                continue
-            for a in range(n):
-                for t in range(n):
-                    data = {}
-                    for p in range(n):
-                        coeff = A.mul(A.basis(p), kappa).get(t)
-                        if coeff:
-                            data[p * n + a] = coeff
-                    rows.append(data)
+    # each column psi(v_j) must lie in the center and multiply every
+    # commutator [v_b, v_c] to zero: those rows, on column j of psi
+    commutator = _commutator(A)
+    kills = [lambda i, c, b=b: A.mul(A.basis(i), commutator(b, c)) for b in range(n)]
+    for row in _central_rows(A, [commutator, *kills]):
+        for j in range(n):
+            rows.append({k * n + j: x for k, x in row.items()})
     return RegularStructures(derivations, solve_nullspace(rows, n * n), A)

@@ -454,7 +454,7 @@ def annihilator(A: NCPA, M: QuasiPoissonModule) -> Subspace:
                 for c, v in row.items():
                     rows.setdefault((side, r, c), {})[i] = Fraction(v, den)
     ann = solve_nullspace(rows.values(), n)
-    closed = poisson_ideal_closure(A, ann.rows, "two_sided")
+    closed = poisson_ideal_closure(A, ann.rows)
     if closed != ann:
         raise RuntimeError("annihilator failed its Poisson-ideal closure check")
     return ann

@@ -49,7 +49,7 @@ from math import gcd, lcm
 
 from .limits import check_degree
 from .linalg import ONE, SparseVector, _integral, _over, accumulate, add_terms, sub_terms
-from .ncpa import NCPA
+from .ncpa import NCPA, format_terms
 from .pbw import lie_word_on_basis, straighten
 from .words import ordered_partitions, subword
 
@@ -315,20 +315,7 @@ def generator_relation_failures(A: NCPA) -> list[dict]:
 
 def format_q_element(A: NCPA, x: QElement) -> str:
     """Round-trippable text form: coeff*ilabel:jlabel:w1.w2 terms."""
-    if not x:
-        return "0"
-    parts = []
-    for m in sorted(x, key=q_term_key):
-        i, j, word = m
-        c = x[m]
-        body = f"{A.labels[i]}:{A.labels[j]}:" + ".".join(A.labels[t] for t in word)
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{c}*{body}")
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return format_terms(
+        (x[m], f"{A.labels[m[0]]}:{A.labels[m[1]]}:" + ".".join(A.labels[t] for t in m[2]))
+        for m in sorted(x, key=q_term_key)
+    )

@@ -11,7 +11,6 @@ from poissonenv.linalg import (
     SparseVector,
     Subspace,
     TrackedEchelon,
-    complement_conditions,
     is_form,
     join_and_reduce,
     mat_from_columns,
@@ -143,18 +142,6 @@ def test_solve_nullspace():
     assert s.contains(sv(1, -1, 0))
     assert s.contains(sv(0, 0, 1))
     assert not s.contains(sv(1, 1, 0))
-
-
-def test_complement_conditions():
-    s = join_and_reduce([sv(1, 1)], 2)
-    conds = complement_conditions(s)
-    assert len(conds) == 1
-    def dot(w, v):
-        return sum(c * v.get(i) for i, c in w.items())
-
-    for v in [sv(1, 1), sv(2, 2)]:
-        assert all(dot(w, v) == 0 for w in conds)
-    assert any(dot(w, sv(1, 0)) != 0 for w in conds)
 
 
 def test_express_not_in_span():
@@ -453,10 +440,6 @@ def test_elimination_matches_fraction_reference(case):
     null = solve_nullspace([v.data for v in vecs], dim)
     assert _as_pairs(null) == _ref_nullspace(vecs, dim)
     assert _rows_are_fractions(null)
-
-    conditions = complement_conditions(s)
-    assert [w.data for w in conditions] == [row for _, row in _ref_nullspace(s.rows, dim)]
-    assert _all_fractions(x for w in conditions for x in w.data.values())
 
     found = express(vecs, target)
     assert found == _ref_express(vecs, target)

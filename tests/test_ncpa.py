@@ -3,15 +3,19 @@ from fractions import Fraction
 import pytest
 
 from poissonenv.fileformat import load_bundled_algebra
-from poissonenv.linalg import SparseVector
+from poissonenv.linalg import SparseVector, accumulate, mat_from_rows, solve_nullspace
 from poissonenv.ncpa import (
     AlgebraPresentation,
     NcpaValidationError,
     PresentationError,
+    _centralizer_basis,
+    _derivation_rows,
+    _operator_matrices,
     axiom_violations,
     center,
     is_poisson_simple,
     is_standard,
+    poisson_center,
     poisson_ideal_closure,
     regular_poisson_structures,
     standard_ncpa,
@@ -22,6 +26,44 @@ from poissonenv.ncpa import (
 from conftest import vec
 
 FIXTURES = ["kxk", "m2", "trunc2", "m2_rebased", "ut2", "trunc2_skew", "trunc2_skew7"]
+# every algebra of conftest
+ALGEBRAS = FIXTURES + ["field_k", "ut2_zero", "kxk_skew"]
+
+
+def matrix_units(k: int, upper: bool) -> AlgebraPresentation:
+    """M_k, or T_k (the upper-triangular k x k matrices) when upper, on the
+    matrix units E_rc in row-major order."""
+    pairs = [(r, c) for r in range(k) for c in range(k) if r <= c or not upper]
+    index = {rc: t for t, rc in enumerate(pairs)}
+    n = len(pairs)
+    mul = {(index[r, c], index[c, d]): vec(n, {index[r, d]: 1})
+           for r, c in pairs for d in range(k) if (c, d) in index}
+    return AlgebraPresentation(f"{'T' if upper else 'M'}_{k}", n,
+                               [f"E{r + 1}{c + 1}" for r, c in pairs],
+                               vec(n, {index[r, r]: 1 for r in range(k)}), mul, {})
+
+
+@pytest.fixture(scope="module")
+def m3():
+    return standard_ncpa(matrix_units(3, upper=False))
+
+
+@pytest.fixture(scope="module")
+def t3():
+    return standard_ncpa(matrix_units(3, upper=True))
+
+
+@pytest.fixture(scope="module")
+def xy_bracket():
+    """k[x, y]/(x^2, y^2) on (1, x, y, xy) with {x, y} = xy: commutative,
+    so its center is all of it, but only 1 and xy are Poisson-central."""
+    one, x, y, xy = (vec(4, {a: 1}) for a in range(4))
+    mul = {(0, b): v for b, v in enumerate((one, x, y, xy))}
+    mul |= {(b, 0): v for b, v in enumerate((one, x, y, xy))}
+    mul |= {(1, 2): xy, (2, 1): xy}
+    bracket = {(1, 2): xy, (2, 1): xy.scale(-1)}
+    return validate_ncpa(AlgebraPresentation("xy-bracket", 4, ["1", "x", "y", "xy"],
+                                             one, mul, bracket))
 
 
 def test_bundled_algebras_validate(kxk, m2, trunc2):
@@ -132,6 +174,53 @@ def test_center_contains_unit(kxk, m2, trunc2, ut2):
         assert center(A).contains(A.unit)
 
 
+@pytest.mark.parametrize("name", ALGEBRAS + ["m3", "t3", "xy_bracket"])
+def test_poisson_center_is_central_and_lie_central(name, request):
+    A = request.getfixturevalue(name)
+    z = poisson_center(A)
+    assert z.contains(A.unit)
+    for row in z.rows:
+        for i in range(A.n):
+            assert A.mul(row, A.basis(i)) == A.mul(A.basis(i), row)
+            assert A.bracket(row, A.basis(i)).is_zero()
+    if A.has_zero_bracket:
+        assert z == center(A)
+
+
+def test_poisson_center_ranks(kxk, m2, trunc2, m3, t3, xy_bracket):
+    ranks = {A.name: poisson_center(A).rank for A in (kxk, m2, trunc2, m3, t3, xy_bracket)}
+    assert ranks == {"kxk": 2, "m2std": 1, "trunc2-n2": 3, "M_3": 1, "T_3": 1, "xy-bracket": 2}
+    assert center(xy_bracket).rank == 4
+
+
+def _centralizer_reference(A):
+    """The matrices f commuting with every multiplication and bracket
+    operator M, solved for over their n^2 entries (f[r][c] at r*n + c)."""
+    n = A.n
+    rows = []
+    for M, _ in _operator_matrices(A):
+        for r in range(n):
+            for c in range(n):
+                data = {}
+                for k in range(n):
+                    accumulate(data, r * n + k, M[k].get(c, 0))
+                    accumulate(data, k * n + c, -M[r].get(k, 0))
+                rows.append(data)
+    out = []
+    for v in solve_nullspace(rows, n * n).rows:
+        grid = [{} for _ in range(n)]
+        for idx, x in v.data.items():
+            grid[idx // n][idx % n] = x
+        out.append(mat_from_rows(grid))
+    return out
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + ["m3", "t3", "xy_bracket"])
+def test_centralizer_basis_matches_the_full_solve(name, request):
+    A = request.getfixturevalue(name)
+    assert _centralizer_basis(A) == _centralizer_reference(A)
+
+
 def test_unit_is_lie_central(kxk, m2, trunc2, ut2):
     # forced by the Leibniz rule in any validated algebra
     for A in (kxk, m2, trunc2, ut2):
@@ -162,15 +251,6 @@ def test_ideal_closure_is_closed(m2, trunc2):
                 assert s.contains(A.mul(A.basis(i), row))
                 assert s.contains(A.mul(row, A.basis(i)))
                 assert s.contains(A.bracket(A.basis(i), row))
-
-
-def test_one_sided_closures(ut2):
-    # left ideal generated by E12 inside upper-triangular matrices
-    left = poisson_ideal_closure(ut2, [ut2.basis(1)], "left")
-    right = poisson_ideal_closure(ut2, [ut2.basis(1)], "right")
-    assert left.rank == 1 and right.rank == 1
-    with pytest.raises(ValueError):
-        poisson_ideal_closure(ut2, [ut2.basis(1)], "sideways")
 
 
 def test_simplicity_kxk_false_with_witness(kxk):
@@ -295,6 +375,32 @@ def test_regular_structures_trunc2_nontrivial(trunc2):
     structures = regular_poisson_structures(trunc2)
     assert structures.derivations.rank == 4
     assert structures.space.rank == 4
+
+
+def _regular_structures_reference(A):
+    """derivations and space of regular_poisson_structures, with psi(v_j)
+    kept in the center by the rows that annihilate the center's basis."""
+    n = A.n
+    rows = _derivation_rows(A)
+    derivations = solve_nullspace(rows, n * n)
+    for w in solve_nullspace([r.data for r in center(A).rows], n).rows:
+        for j in range(n):
+            rows.append({k * n + j: c for k, c in w.data.items()})
+    for b in range(n):
+        for c in range(n):
+            kappa = A.mul_basis(b, c) - A.mul_basis(c, b)
+            for a in range(n):
+                for t in range(n):
+                    rows.append({p * n + a: x for p in range(n)
+                                 if (x := A.mul(A.basis(p), kappa).get(t))})
+    return derivations, solve_nullspace(rows, n * n)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
+def test_regular_structures_match_the_center_annihilator_route(name, request):
+    A = request.getfixturevalue(name)
+    structures = regular_poisson_structures(A)
+    assert (structures.derivations, structures.space) == _regular_structures_reference(A)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
