@@ -595,19 +595,27 @@ def is_poisson_simple(A: NCPA) -> SimplicityReport:
 def _derivation_rows(A: NCPA) -> list[dict[int, Fraction]]:
     """Rows of psi(v_i . v_j) = psi(v_i) . v_j + v_i . psi(v_j) over the
     unknown matrix psi, flattened row-major (psi[r][c] at r*n + c), for the
-    product and then for the bracket."""
+    product and then for the bracket.  Row t of (i, j) takes the terms
+    -table(p, j)[t] at p*n + i and -table(i, p)[t] at p*n + j for p in
+    order; only the nonzero ones are walked, since adding a zero leaves a
+    row (and its key order) as it is."""
     n = A.n
     rows = []
     for table_basis, i in itertools.product((A.mul_basis, A.bracket_basis), range(n)):
         for j in range(n):
+            terms: list[list] = [[] for _ in range(n)]  # per t: (key, coefficient)
+            for p in range(n):
+                for t, c in table_basis(p, j).data.items():
+                    terms[t].append((p * n + i, -c))
+                for t, c in table_basis(i, p).data.items():
+                    terms[t].append((p * n + j, -c))
             prod = table_basis(i, j)
             for t in range(n):
                 data: dict[int, Fraction] = {}
                 for k, c in prod.data.items():
                     accumulate(data, t * n + k, c)
-                for p in range(n):
-                    accumulate(data, p * n + i, -table_basis(p, j).get(t))
-                    accumulate(data, p * n + j, -table_basis(i, p).get(t))
+                for key, c in terms[t]:
+                    accumulate(data, key, c)
                 rows.append(data)
     return rows
 

@@ -7,8 +7,11 @@ algebra basis: left action, right action, and Lie-type action.  The
 passage to an enveloping-algebra action sends the monomial (i, j, word)
 to left(i) . right(j) . lie(w_1) ... lie(w_k); the reverse passage reads
 the three families off the degree <= 1 monomials, once the action's
-products to degree 2 check out.  roundtrip_report sweeps the products of
-F(M) once, to its bound or 2, and reads both answers off that sweep.
+products to degree 2 check out.  roundtrip_report checks the products of
+F(M) once, to its bound or 2, and reads both answers off that check: the
+products with the generators decide whether any pair fails
+(EnvAction.generators_multiply), and only an action that fails is swept
+pair by pair, for the list (EnvAction.multiplicativity_failures).
 
 Module families, action matrices and of_element values are linalg
 Matrices: canonical integer forms, sparse integer rows over one
@@ -40,7 +43,7 @@ from .linalg import (
     solve_nullspace,
 )
 from .ncpa import NCPA, is_standard, poisson_ideal_closure
-from .smash import QElement, QMonomial, embed, q_mono_mult, tail_words
+from .smash import GENERATOR_TERM, QElement, QMonomial, embed, q_mono_mult, tail_words
 from .truncation import env_monomials, ideal_j_gens
 
 
@@ -243,22 +246,23 @@ class EnvAction:
     """A representation of the quasi-Poisson enveloping algebra, given by
     a matrix for each monomial, built lazily and stored once per monomial.
     The multiplicativity verdicts are taken on those matrices, so no
-    Fraction is formed per pair, and not kept: a caller sweeps once.
+    Fraction is formed per pair, and not kept: a caller checks once.
 
-    A monomial that acts as zero is stored as the one zero form, and the
-    check does no matrix work with it: if m1 or m2 acts as zero, then
+    A monomial that acts as zero is stored as the one zero form, and
+    neither check (generators_multiply, multiplicativity_failures) does
+    matrix work with it: if m1 or m2 acts as zero, then
     F(m1)·F(m2) is zero, since a zero factor gives a zero product; and the
     terms of m1·m2 that act as zero are dropped, since they add nothing to
     F(m1·m2).  Each rational matrix has exactly one form, so every verdict
     is the one the full products give.
 
-    Nor does it form a product that can only act as zero.  Call a word
+    Nor does either form a product that can only act as zero.  Call a word
     dead when all n² monomials (p, q, word) act as zero.  Every term of
     m1·m2 has one of the tail words of the word pair of m1 and m2 as its
     word (smash.tail_words), whatever the slots; if all of them are dead,
     every term acts as zero, so F(m1·m2) = 0 and the verdict is
     F(m1)·F(m2) == 0, with no product formed and no memo entry made.  The
-    dead words are read after the first row of the sweep, which reads
+    full sweep reads the dead words after its first row, which reads
     every monomial's form, in the order a sweep without skips reads them;
     when no word is dead, a pair costs one test of an empty skip more."""
 
@@ -268,9 +272,10 @@ class EnvAction:
         self._fn = matrix_fn
         self._zero: Matrix = (({},) * dim, 1)  # the zero matrix
         self._forms: dict[QMonomial, Matrix] = {}
+        self._generators: dict[str, tuple] | None = None
 
     def matrix(self, mono: QMonomial) -> Matrix:
-        """The matrix of mono.  The sweep reads _form instead, since
+        """The matrix of mono.  The checks read _form instead, since
         perfbench.tracing wraps this one (TRACED)."""
         return self._form(mono)
 
@@ -297,15 +302,111 @@ class EnvAction:
     def of_element(self, x: QElement) -> Matrix:
         return self._combination(*_integral(x))
 
+    def _generator_forms(self) -> dict[str, tuple]:
+        """{kind: (F(G_0), ..., F(G_{n-1}))} for the kinds i, k and j of
+        GENERATOR_TERM, where G_p is the generator kind(e_p) expanded over
+        the unit (smash.embed).  Built once: the generator check multiplies
+        by them and _read_module reads the module's families off them."""
+        if self._generators is None:
+            A = self.algebra
+            self._generators = {
+                kind: tuple(self.of_element(embed(A, kind, A.basis(p))) for p in range(A.n))
+                for kind in GENERATOR_TERM
+            }
+        return self._generators
+
+    def generators_multiply(self, degree_bound: int) -> bool:
+        """True iff multiplicativity_failures(degree_bound) is empty, decided
+        on the products with the 3n generators alone: F(m·g) == F(m)·F(g)
+        for every monomial m and every one-term generator g = i(e_p), k(e_q)
+        or j(e_a) (GENERATOR_TERM) with deg m + deg g <= degree_bound, F(g)
+        being the action of the expanded generator (_generator_forms).
+
+        Write d for the bound, G for a generator expanded over the unit
+        (I_p, K_q, J_a), and read every product as the implemented one
+        (q_mono_mult, extended bilinearly).  A product with a one-term
+        generator equals the product with G term by term (smash's module
+        docstring), so the check is F(m·G) == F(m)·F(G), and F is linear, so
+        it gives F(x·G) = F(x)·F(G) for every combination x of monomials of
+        degree <= d - deg G.  A product of monomials has no term of degree
+        above the sum of theirs (straightening never raises the degree).
+
+        Only if: G is a combination of monomials of the degree of g, so
+        F(m·G) is the same combination of the F(m·m') = F(m)·F(m'), which
+        is F(m)·F(G), when every pair of total degree <= d holds.
+
+        If: two identities of the implemented product, which
+        test_monomials_are_products_of_the_generators checks.  First,
+        (p, q, ()) = I_p·K_q.  Second, (p, q, w) = (p, q, w')·J_a for a
+        nonempty PBW word w = w' a: the unit slots of J_a keep e_p and e_q
+        (1·x = x·1 = x), every part that brackets a letter into them is zero
+        (ad_u(1) = 0 for a nonempty word u), and w' followed by a straightens
+        to itself, w being non-decreasing.  Now show F(m1·m2) = F(m1)·F(m2)
+        for m2 = (p, q, w) and deg m1 + |w| <= d, by induction on r = |w|.
+          r = 0: m1·m2 = (m1·I_p)·K_q, and m1·I_p has degree <= deg m1, so
+          the check gives F(m1·m2) = F(m1·I_p)·F(K_q) = F(m1)·F(I_p)·F(K_q);
+          and F(I_p)·F(K_q) = F(I_p·K_q) = F(m2), by the check on the
+          degree-0 monomials of I_p.
+          r > 0: with m' = (p, q, w'), m1·m2 = (m1·m')·J_a, and m1·m' has
+          degree <= d - 1, so F(m1·m2) = F(m1·m')·F(J_a), which is
+          F(m1)·F(m')·F(J_a) by the case r - 1 and F(m1)·F(m2) by the check
+          on m' and J_a.
+        Associativity of the implemented product, used twice above, is the
+        one assumption; test_associativity_exhaustive_kxk and
+        test_associativity_random_m2 check it.
+
+        Every monomial's form is built first, in env_monomials order, and
+        a pair does no matrix work with a zero factor, as in the full sweep.
+        Nor is a product formed that can only act as zero: a pair is skipped
+        when a factor acts as zero and every tail word of its word pair
+        (smash.tail_words) is dead, for then both sides are zero.  That is
+        decided once per word pair, and only when some word is dead; where
+        the generator or the word acts as zero, the word's n² pairs are
+        skipped at once."""
+        A = self.algebra
+        zero = self._zero
+        monos = env_monomials(A, degree_bound)
+        rows: dict = {}  # word -> [(monomial, form)], in env_monomials order
+        for m in monos:
+            rows.setdefault(m[2], []).append((m, self._form(m)))
+        dead = self._dead_words(monos)
+        form = self._forms.__getitem__
+        skips: dict = {}  # word pair -> every tail word is dead
+        by_kind = self._generator_forms()
+        for kind, make in GENERATOR_TERM.items():
+            for p, fg in enumerate(by_kind[kind]):
+                g, g_zero = make(p), not any(fg[0])
+                for alpha, row in rows.items():
+                    if len(alpha) + len(g[2]) > degree_bound:
+                        break  # the words run by degree
+                    key = (alpha, g[2])
+                    skip = skips.get(key)
+                    if skip is None:
+                        skip = skips[key] = bool(dead) and tail_words(A, *key) <= dead
+                    if skip and (g_zero or alpha in dead):
+                        continue  # a zero factor in every pair of the row
+                    for m, f in row:
+                        if f is zero or g_zero:
+                            if skip:
+                                continue
+                            composed = zero
+                        else:
+                            composed = mat_mul(f, fg)
+                        if composed != self._of_product(m, g, form):
+                            return False
+        return True
+
     def multiplicativity_failures(self, degree_bound: int) -> list[tuple]:
         """Monomial pairs (total degree <= bound) where composing matrices
-        differs from acting by the product."""
-        A = self.algebra
-        memo = A.caches["q_mono"]
+        differs from acting by the product, in sweep order.  The callers run
+        it only when generators_multiply fails, to list the failures, so no
+        CLI job reaches it (a validated module's action multiplies); it is
+        kept as that lister and as the reference the generator check is
+        tested against, and perfbench.tracing wraps it (TRACED)."""
         form = self._form
         zero = self._zero
         out = []
-        monos = env_monomials(A, degree_bound)
+        monos = env_monomials(self.algebra, degree_bound)
         # monomials of degree <= d form a prefix of monos, upto[d] long
         upto = [sum(len(m[2]) <= d for m in monos) for d in range(degree_bound + 1)]
         dead_products: dict = {}
@@ -323,24 +424,39 @@ class EnvAction:
                 if skip and m2[2] in skip:
                     product = zero  # m1·m2 acts as zero: not formed
                 else:
-                    entry = memo.get((m1, m2))
-                    if entry is None:
-                        entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
-                    nums, den = entry
-                    live = {m: c for m, c in nums.items() if form(m) is not zero}
-                    product = self._combination(live, den) if live else zero
+                    product = self._of_product(m1, m2, form)
                 if composed != product:
                     out.append((m1, m2))
         return out
 
+    def _of_product(self, m1: QMonomial, m2: QMonomial, form: Callable) -> Matrix:
+        """The action of m1·m2, read off its q_mono memo entry as it stands;
+        the terms that act as zero (form reads their forms) are dropped."""
+        A = self.algebra
+        entry = A.caches["q_mono"].get((m1, m2))
+        if entry is None:
+            entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
+        nums, den = entry
+        live = {m: c for m, c in nums.items() if form(m) is not self._zero}
+        return self._combination(live, den) if live else self._zero
+
+    def _dead_words(self, monos: list) -> set:
+        """The words of monos whose n² monomials all act as zero; reads
+        their forms, built already."""
+        return {m[2] for m in monos}.difference(
+            m[2] for m in monos if self._form(m) is not self._zero)
+
     def _dead_products(self, monos: list, degree_bound: int) -> dict:
         """For each word alpha of monos, the words beta (of degree at most
         degree_bound - len(alpha)) whose tail words with alpha are all dead;
-        empty when no word is dead.  Reads only forms already built."""
-        words = list(dict.fromkeys(m[2] for m in monos))
-        dead = set(words).difference(m[2] for m in monos if self._form(m) is not self._zero)
+        empty when no word is dead.  Reads only forms already built.  Kept
+        for the full sweep, which no CLI job reaches (see
+        multiplicativity_failures): without it the sweep of a failing action
+        would form every product that can only act as zero."""
+        dead = self._dead_words(monos)
         if not dead:
             return {}
+        words = list(dict.fromkeys(m[2] for m in monos))
         out: dict = {}
         for alpha in words:
             for beta in words:
@@ -372,17 +488,21 @@ def module_to_action(M: QuasiPoissonModule) -> EnvAction:
     return _ModuleAction(validate_quasi_poisson(M))
 
 
+def _failures(action: EnvAction, degree_bound: int) -> list[tuple]:
+    """The action's failing monomial pairs to the bound, in sweep order:
+    none when its generators multiply, else the full sweep's list."""
+    if action.generators_multiply(degree_bound):
+        return []
+    return action.multiplicativity_failures(degree_bound)
+
+
 def _read_module(action: EnvAction, bad: list[tuple]) -> QuasiPoissonModule:
-    """The three action families read off the degree <= 1 monomials,
+    """The three action families, the actions of i(e_p), k(e_p) and j(e_p),
     unvalidated; bad (the action's failures to degree 2) must be empty."""
     if bad:
         raise ActionError(f"action not multiplicative at {bad[:3]}")
-    A = action.algebra
-    left, right, lie = (
-        tuple(action.of_element(embed(A, kind, A.basis(p))) for p in range(A.n))
-        for kind in "ikj"
-    )
-    return QuasiPoissonModule(A, action.dim, left, right, lie)
+    left, right, lie = action._generator_forms().values()
+    return QuasiPoissonModule(action.algebra, action.dim, left, right, lie)
 
 
 def action_to_module(action: EnvAction) -> QuasiPoissonModule:
@@ -390,7 +510,7 @@ def action_to_module(action: EnvAction) -> QuasiPoissonModule:
     action must respect monomial products up to degree 2 (the degree-2
     products encode the generating relations).  Kept for perfbench.tracing,
     which wraps it (TRACED)."""
-    return validate_quasi_poisson(_read_module(action, action.multiplicativity_failures(2)))
+    return validate_quasi_poisson(_read_module(action, _failures(action, 2)))
 
 
 def roundtrip_report(
@@ -401,8 +521,8 @@ def roundtrip_report(
     top = max(2, degree_bound)  # reading G(F(M)) checks degree 2
     check_degree(top, "product degree")  # before any work
     action = module_to_action(M)
-    # one sweep; a sweep to degree d fails at its pairs of degree <= d
-    failures = action.multiplicativity_failures(top)
+    # one check; a sweep to degree d fails at its pairs of degree <= d
+    failures = _failures(action, top)
 
     def up_to(d: int) -> list[tuple]:
         return [p for p in failures if len(p[0][2]) + len(p[1][2]) <= d]

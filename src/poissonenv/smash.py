@@ -20,9 +20,10 @@ that forms Fractions: it returns a new dict of Fraction coefficients, with
 one division per coefficient.
 
 The word work of a monomial product depends on the two words alone, and
-most word pairs recur with many slot pairs (the 2,268 monomial pairs that
-the trunc2-n2 tensor-square roundtrip checks share 28 word pairs, whose
-plans it reads; it forms only 162 of the products, see EnvAction).  So it
+most word pairs recur with many slot pairs (the 648 pairs of a monomial
+and a generator that the trunc2-n2 tensor-square roundtrip checks share 22
+word pairs, whose plans it reads; it forms only 54 of the products, see
+EnvAction.generators_multiply).  So it
 is done once per word pair and memoized per algebra: the plan ("q_plan")
 lists the ordered tripartitions of the left word, each with its
 straightened word slot as integers, and the degree cap is read when a plan
@@ -99,7 +100,7 @@ def embed(A: NCPA, kind: str, a: SparseVector) -> QElement:
 
 
 # (numerators, denominator) of zero, shared by every memo entry that is zero
-# (56 of the 162 q_mono entries of the trunc2-n2 tensor-square roundtrip, 72
+# (24 of the 54 q_mono entries of the trunc2-n2 tensor-square roundtrip, 72
 # of the 427 of env-dim trunc2-n2 J <= 2), so that none holds a tuple and a
 # dict of its own.  Memo entries are never mutated.
 _ZERO_TERMS = ({}, 1)

@@ -681,48 +681,63 @@ def test_sweep_matches_the_sweep_without_skips(kxk, m2, trunc2, trunc2_skew):
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
 def test_roundtrip_report_sweeps_once(kxk, m2, trunc2, trunc2_skew, monkeypatch, bound):
-    sweep = EnvAction.multiplicativity_failures
+    sweep, check = EnvAction.multiplicativity_failures, EnvAction.generators_multiply
     calls = []
 
-    def counted(self, degree_bound):
-        calls.append(degree_bound)
-        return sweep(self, degree_bound)
+    def counted(name, fn):
+        def wrapped(self, degree_bound):
+            calls.append((name, degree_bound))
+            return fn(self, degree_bound)
+        return wrapped
 
-    monkeypatch.setattr(EnvAction, "multiplicativity_failures", counted)
+    monkeypatch.setattr(EnvAction, "multiplicativity_failures", counted("sweep", sweep))
+    monkeypatch.setattr(EnvAction, "generators_multiply", counted("generators", check))
     for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items():
         if name.startswith("m2") and bound == 3:
-            continue  # 1 to 2 s each; the sweep tests run m2std at degree 3
+            continue  # the reference sweep below; the sweep tests run m2std at degree 3
         calls.clear()
         report = roundtrip_report(M.algebra, M, bound)
-        # one sweep, to degree 2 at least, which reading G(F(M)) checks
-        assert calls == [max(2, bound)], name
+        # one generator check, to degree 2 at least, which reading G(F(M))
+        # checks; it passes, so no full sweep
+        assert calls == [("generators", max(2, bound))], name
         assert report["associativity_failures"] == sweep(module_to_action(M), bound) == [], name
+    # a failing action gets one generator check and then one full sweep, to
+    # list its failures
+    for name, (A, M, monos, change) in _corrupted_cases(kxk, trunc2).items():
+        if _fails(name, 2):
+            calls.clear()
+            with pytest.raises(ActionError, match="action not multiplicative"):
+                action_to_module(_corrupted(A, M, monos, change, []))
+            assert calls == [("generators", 2), ("sweep", 2)], name
 
 
 def test_a_sweep_to_degree_3_lists_the_degree_2_failures_in_order(kxk, trunc2):
     # roundtrip_report reads its degree-2 failures off the wider sweep
-    for name, (A, M, mono, change) in _corrupted_cases(kxk, trunc2).items():
-        wide = _corrupted(A, M, mono, change, []).multiplicativity_failures(3)
-        narrow = _corrupted(A, M, mono, change, []).multiplicativity_failures(2)
+    for name, (A, M, monos, change) in _corrupted_cases(kxk, trunc2).items():
+        wide = _corrupted(A, M, monos, change, []).multiplicativity_failures(3)
+        narrow = _corrupted(A, M, monos, change, []).multiplicativity_failures(2)
         assert [p for p in wide if len(p[0][2]) + len(p[1][2]) <= 2] == narrow, name
-        assert bool(narrow) == (name != "first made zero"), name
+        assert (bool(narrow), bool(wide)) == (_fails(name, 2), _fails(name, 3)), name
 
 
-def _corrupted(A, M, mono, change, asked):
-    """The action of M, except that mono acts by change(its matrix); each
-    monomial whose matrix is asked for is appended to asked."""
+def _corrupted(A, M, monos, change, asked):
+    """The action of M, except that each monomial in monos acts by
+    change(its matrix); each monomial whose matrix is asked for is appended
+    to asked."""
     good = module_to_action(M)
 
     def fn(m):
         asked.append(m)
         out = good.matrix(m)
-        return change(out) if m == mono else out
+        return change(out) if m in monos else out
 
     return EnvAction(A, M.dim, fn)
 
 
 def _corrupted_cases(kxk, trunc2) -> dict:
-    """name -> (algebra, module, monomial, change) for _corrupted."""
+    """name -> (algebra, module, monomials, change) for _corrupted."""
+    from poissonenv.truncation import env_monomials
+
     M = tensor_square_module(trunc2)
     good = module_to_action(M)
     dead = (0, 0, (1,))  # a nonempty word: zero bracket, so it acts as zero
@@ -730,35 +745,84 @@ def _corrupted_cases(kxk, trunc2) -> dict:
     assert is_zero(good.matrix(dead)) and not is_zero(good.matrix(live))
     identity = mat_identity(M.dim)
     return {
-        "zero made nonzero": (trunc2, M, dead, lambda m: identity),
-        "live made zero": (trunc2, M, live, lambda m: zero_matrix(M.dim)),
+        "zero made nonzero": (trunc2, M, {dead}, lambda m: identity),
+        "live made zero": (trunc2, M, {live}, lambda m: zero_matrix(M.dim)),
         "live scaled": (
-            trunc2, M, live,
+            trunc2, M, {live},
             lambda m: grid_form(tuple(x * Fraction(3, 2) for x in row) for row in dense(m)),
         ),
         # the first monomial swept, whose products with e2's monomials are
         # zero, so the later forms are not read through its product terms;
         # the idempotent e1 (x) e1 acting as zero keeps the action multiplicative
-        "first made zero": (kxk, tensor_square_module(kxk), (0, 0, ()), lambda m: zero_matrix(4)),
+        "first made zero": (kxk, tensor_square_module(kxk), {(0, 0, ())}, lambda m: zero_matrix(4)),
         # the word (1, 1) is no longer dead, so (1,) times (1,) must be formed;
         # at bound 3 the words of degree 3 stay dead
-        "dead degree-2 word made live": (trunc2, M, (0, 0, (1, 1)), lambda m: identity),
+        "dead degree-2 word made live": (trunc2, M, {(0, 0, (1, 1))}, lambda m: identity),
+        # a monomial of degree 3: no pair of degree <= 2 meets it, and (1, 1)
+        # times (1,), both acting as zero, has it as its one term
+        "dead degree-3 word made live": (trunc2, M, {(0, 0, (1, 1, 1))}, lambda m: identity),
+        # lie(x1) = 1 makes a quasi-Poisson module, whose words of degree 2
+        # are made zero: only the products (p, q, (1,)) j(x1), both factors
+        # nonzero and every tail word dead, fail, so only a check that
+        # multiplies by j(e_a) and forms such products sees it
+        "lie(x1) = 1, degree-2 words made zero": (
+            trunc2, QuasiPoissonModule(trunc2, M.dim, M.left, M.right,
+                                       (zero_matrix(M.dim), identity, zero_matrix(M.dim))),
+            {m for m in env_monomials(trunc2, 3) if len(m[2]) >= 2}, lambda m: zero_matrix(M.dim),
+        ),
     }
 
 
+def _fails(name, bound) -> bool:
+    """Whether the corrupted action named in _corrupted_cases fails a
+    multiplicativity check to the bound (2 or 3)."""
+    return {"first made zero": False, "dead degree-3 word made live": bound == 3}.get(name, True)
+
+
 def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2):
-    for name, (A, M, mono, change) in _corrupted_cases(kxk, trunc2).items():
+    for name, (A, M, monos, change) in _corrupted_cases(kxk, trunc2).items():
         for bound in (2, 3):
             asked, asked_without_skips = [], []
-            got = _corrupted(A, M, mono, change, asked).multiplicativity_failures(bound)
+            got = _corrupted(A, M, monos, change, asked).multiplicativity_failures(bound)
             expected = _sweep_without_skips(
-                _corrupted(A, M, mono, change, asked_without_skips), bound
+                _corrupted(A, M, monos, change, asked_without_skips), bound
             )
             assert got == expected, (name, bound)
-            assert bool(got) == (name != "first made zero"), (name, bound)
+            assert bool(got) == _fails(name, bound), (name, bound)
             # matrices are asked for in the same order, so a matrix_fn that
             # raises does so at the same monomial
             assert asked == asked_without_skips, (name, bound)
+
+
+def test_generator_check_agrees_with_the_full_sweep(kxk, m2, trunc2, trunc2_skew):
+    # the check passes exactly when the full sweep finds nothing, and the
+    # callers' list is the full sweep's, in its order
+    from poissonenv.poisson_modules import _ModuleAction, _failures
+
+    actions = {name: lambda M=M: _ModuleAction(M)
+               for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items()}
+    corrupted = _corrupted_cases(kxk, trunc2)
+    actions |= {name: lambda case=case: _corrupted(*case, []) for name, case in corrupted.items()}
+    for name, action in actions.items():
+        for bound in (2, 3):
+            full = action().multiplicativity_failures(bound)
+            assert action().generators_multiply(bound) == (not full), (name, bound)
+            assert _failures(action(), bound) == full, (name, bound)
+            assert bool(full) == (name in corrupted and _fails(name, bound)), (name, bound)
+
+
+def test_generator_check_skips_only_products_that_act_as_zero(trunc2):
+    # trunc2-n2's square: only the 9 degree-0 monomials act as nonzero, and
+    # every j(e_a) acts as zero, so the check forms the products of those 9
+    # with the 6 generators i(e_p), k(e_q), and no other
+    from poissonenv.poisson_modules import _ModuleAction
+
+    A = _fresh(trunc2)
+    assert _ModuleAction(tensor_square_module(A)).generators_multiply(2)
+    formed = set(A.caches["q_mono"])
+    assert len(formed) == 54
+    assert {(m[2], g) for m, g in formed} == {((), (p, None, ())) for p in range(3)} | {
+        ((), (None, q, ())) for q in range(3)}
 
 
 def _fresh(A):
@@ -795,9 +859,9 @@ def test_sweep_skips_only_products_that_act_as_zero(kxk, m2, trunc2, trunc2_skew
         for bound in (2, 3):
             fresh = QuasiPoissonModule(_fresh(M.algebra), M.dim, M.left, M.right, M.lie)
             unformed[name, bound] = _unformed_products(_ModuleAction(fresh), bound)
-    for name, (A, M, mono, change) in _corrupted_cases(kxk, trunc2).items():
+    for name, (A, M, monos, change) in _corrupted_cases(kxk, trunc2).items():
         for bound in (2, 3):
-            action = _corrupted(_fresh(A), M, mono, change, [])
+            action = _corrupted(_fresh(A), M, monos, change, [])
             unformed[name, bound] = _unformed_products(action, bound)
     # the zero bracket makes every nonempty word dead: all but the first row
     # and the products of degree-0 monomials are left unformed

@@ -396,6 +396,34 @@ def _regular_structures_reference(A):
     return derivations, solve_nullspace(rows, n * n)
 
 
+def _derivation_rows_reference(A):
+    """_derivation_rows as it was written first: one accumulate per (p, t)
+    of every basis pair and table, zero coefficients included."""
+    n = A.n
+    rows = []
+    for table_basis in (A.mul_basis, A.bracket_basis):
+        for i in range(n):
+            for j in range(n):
+                prod = table_basis(i, j)
+                for t in range(n):
+                    data = {}
+                    for k, c in prod.data.items():
+                        accumulate(data, t * n + k, c)
+                    for p in range(n):
+                        accumulate(data, p * n + i, -table_basis(p, j).get(t))
+                        accumulate(data, p * n + j, -table_basis(i, p).get(t))
+                    rows.append(data)
+    return rows
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket", "m3"])
+def test_derivation_rows_match_the_dense_enumeration(name, request):
+    A = request.getfixturevalue(name)
+    # the same rows in the same order, each with its keys in the same order
+    assert [list(row.items()) for row in _derivation_rows(A)] == [
+        list(row.items()) for row in _derivation_rows_reference(A)]
+
+
 @pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
 def test_regular_structures_match_the_center_annihilator_route(name, request):
     A = request.getfixturevalue(name)

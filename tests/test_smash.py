@@ -156,6 +156,23 @@ def test_associativity_random_m2(m2):
         assert lhs == rhs, (a, b, c)
 
 
+@pytest.mark.parametrize("name", ["kxk_skew", "m2", "ut2", "trunc2_skew"])
+def test_monomials_are_products_of_the_generators(name, request):
+    # the two identities the generator check's proof uses
+    # (EnvAction.generators_multiply): (p, q, ()) = i(e_p) k(e_q), and
+    # (p, q, w) = (p, q, w') j(e_a) for a PBW word w = w' a, with the
+    # generators expanded over the unit, which is not a basis vector in the
+    # skew bases
+    A = request.getfixturevalue(name)
+    for p in range(A.n):
+        for q in range(A.n):
+            ip, kq = embed(A, "i", A.basis(p)), embed(A, "k", A.basis(q))
+            assert q_mult(A, ip, kq) == {(p, q, ()): ONE}
+            for w in u_monomials(A.n, 3)[1:]:
+                ja = embed(A, "j", A.basis(w[-1]))
+                assert q_mult(A, {(p, q, w[:-1]): ONE}, ja) == {(p, q, w): ONE}, (p, q, w)
+
+
 def test_bilinearity(m2):
     x = {(0, 1, (1,)): Fraction(2), (2, 3, ()): Fraction(-1, 3)}
     y = {(1, 0, (0, 2)): Fraction(5)}
@@ -409,9 +426,10 @@ def test_degree_cap_is_read_once_per_plan_or_straighten_miss(monkeypatch):
     reads = _count_cap_reads(monkeypatch)
     report = roundtrip_report(A, M, 2)
     assert report["module_roundtrip_equal"] and not report["associativity_failures"]
-    # the first row's products and those of degree-0 monomials; the sweep
-    # does not form the others, which can only act as zero
-    assert len(A.caches["q_mono"]) == 162
+    # the products of the 9 degree-0 monomials with the 6 generators i(e_p)
+    # and k(e_q); the generator check does not form the others, which can
+    # only act as zero
+    assert len(A.caches["q_mono"]) == 54
     # the roundtrip's own check and the ordered_partitions misses, which are
     # memoized per process, are the constant
     assert 0 < len(reads) <= len(A.caches["q_plan"]) + len(A.caches["straighten"]) + 4
