@@ -36,7 +36,12 @@ basis (1, 1 + x) and k x k in the basis (1, e1 + 2 e2) are written there
 too: neither is Poisson-simple, but no basis vector or sum of two
 generates a proper ideal, so `simple` finds one only in its second stage
 (the radical, for the dual numbers) or in the kernel branch of its third
-(a reducible minimal polynomial, for k x k).  Every command has a job;
+(a reducible minimal polynomial, for k x k).  k[x, y]/(x^2, y^2) with
+{x, y} = xy and its regular module are written there too: 1 and xy are
+central letters beside the non-central x and y, so its `env-dim` and
+`roundtrip` jobs build smash plans that leave central letters out of the
+bracket slots, and straighten words by sorting them where only one
+distinct letter is not central.  Every command has a job;
 `std` runs with and without `--out`, and `module-alg` runs on zero
 brackets (kxk, the skew basis) and on a nonzero one (m2std in both
 bases).  Jobs run in-process, one after another; each loads a fresh
@@ -73,6 +78,9 @@ QSQRT2 = f"{TMP}/qsqrt2.alg"
 DUAL = f"{TMP}/dual-numbers.alg"
 # k x k in the basis (1, e1 + 2 e2)
 KXK_UNIT = f"{TMP}/kxk-unit.alg"
+# k[x, y]/(x^2, y^2) on (1, x, y, xy) with {x, y} = xy: 1 and xy are
+# central letters, x and y are not
+XY = f"{TMP}/xy-bracket.alg"
 # --degree per fixture for each ideal; m2std J also runs to degrees 2 and 3 (jobs()).
 ENV_DIM_DEGREE = {"kxk": 3, "trunc2-n2": 2, "m2std": 1}
 
@@ -191,6 +199,11 @@ def jobs() -> list[list[str]]:
     # reducible minimal polynomial) find them
     for path in (DUAL, KXK_UNIT):
         out += [[cmd, path] for cmd in ("validate", "simple", "derivations")]
+    # central letters beside non-central ones: plans leave 1 and xy out of
+    # the bracket slots, and straighten sorts words in which only x or only
+    # y is not central
+    out.append(["env-dim", XY, "--ideal", "J", "--degree", "3"])
+    out.append(["roundtrip", XY, f"{TMP}/xy-bracket-regular.mod", "--degree", "3"])
     # an invalid algebra loaded by a command other than validate: exit 2 with
     # the axiom summary, which bad-jacobi's violations overflow
     for name, (x, y) in zip(BAD, (("e1", "e2"), ("x", "y"), ("e1", "e2"))):
@@ -237,6 +250,16 @@ def write_inputs(tmp: str) -> None:
     )
     kxk_unit = rebase(algebras["kxk"], [[1, 1], [1, 2]])
     Path(tmp, "kxk-unit.alg").write_text(serialize_algebra(kxk_unit), encoding="utf-8")
+    one, x, y, xy = (SparseVector(4, {a: 1}) for a in range(4))
+    mul = {(0, b): v for b, v in enumerate((one, x, y, xy))}
+    mul |= {(b, 0): v for b, v in enumerate((one, x, y, xy))}
+    mul |= {(1, 2): xy, (2, 1): xy}
+    xy_bracket = AlgebraPresentation("xy-bracket", 4, ["1", "x", "y", "xy"], one, mul,
+                                     {(1, 2): xy, (2, 1): xy.scale(-1)})
+    Path(tmp, "xy-bracket.alg").write_text(serialize_algebra(xy_bracket), encoding="utf-8")
+    Path(tmp, "xy-bracket-regular.mod").write_text(
+        serialize_module(regular_module(validate_ncpa(xy_bracket))), encoding="utf-8"
+    )
 
 
 def run_jobs(repo: Path) -> list[dict]:

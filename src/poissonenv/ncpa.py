@@ -10,6 +10,7 @@ doubles as the total order used by all later PBW constructions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,9 +136,11 @@ class NCPA:
     checked algebra whose basis holds the unit (env-dim runs its ideal
     closure there; the copy has caches of its own).  Instances carry memo
     caches for the PBW layer ("straighten", "lie_word"), the smash product
-    ("q_mono", its slot factors "q_factor" and the word-pair plans
-    "q_plan", which hold the integer straightened tails), the ideal slices
-    ("ideal_slice") and the operator matrices ("ops").  Cached values are
+    ("q_mono", its slot factors "q_factor", the word-pair plans "q_plan",
+    which hold the integer straightened tails, and each word's live
+    bipartitions "q_split", from which the plans are built), the ideal
+    slices ("ideal_slice") and the operator matrices ("ops"), and the
+    bracket-central basis letters (bracket_central).  Cached values are
     immutable, except the leveled ideal closures under "ideal_slice", which
     later calls extend to wider windows.
     """
@@ -159,6 +162,7 @@ class NCPA:
             "q_mono": {},
             "q_factor": {},
             "q_plan": {},
+            "q_split": {},
             "ideal_slice": {},
             "ops": {},
         }
@@ -202,6 +206,18 @@ class NCPA:
     @property
     def has_zero_bracket(self) -> bool:
         return not self._bracket
+
+    @functools.cached_property
+    def bracket_central(self) -> tuple[bool, ...]:
+        """Per basis index a, whether v_a is central for the bracket:
+        {v_a, v_b} = {v_b, v_a} = 0 for every b.  The two sides agree by
+        antisymmetry; reading both keeps the rules that use the flags exact
+        on an algebra that was not validated.  The unit, when it is a basis
+        vector, always is.  Computed once per algebra, and the one source of
+        the central letters of the smash plans (smash._splits), of
+        straighten's sorted rule and of the ideal closure's central rule."""
+        acting = {a for ab, v in self._bracket.items() if v.data for a in ab}
+        return tuple(a not in acting for a in range(self.n))
 
     def format_element(self, x: SparseVector) -> str:
         return format_terms((x.get(i), self.labels[i]) for i in x.support())

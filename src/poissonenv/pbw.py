@@ -34,16 +34,28 @@ def straighten(A: NCPA, word: Word) -> UElement:
     v_a v_b + {v_b, v_a}; bracket terms drop the degree and swaps drop the
     inversion count, so the rewriting terminates, and the result does not
     depend on the strategy.  Memoized per algebra.
+
+    The sorted rule: a word in which at most one distinct letter is not
+    central (NCPA.bracket_central) straightens to its sorted self with
+    coefficient 1.  Each descent v_b v_a has b != a, so one of the two
+    letters is central and {v_b, v_a} = 0; every step of the rewriting
+    is then a bare swap, and the swaps of adjacent descents end at the
+    sorted word.  Every word the rewriting meets is checked for the rule
+    first, so such words are cached with no rewriting.
     """
     cache = A.caches["straighten"]
     hit = cache.get(word)
     if hit is not None:
         return hit
     check_degree(len(word), "word degree")  # on a miss only, as smash plans do
+    central = A.bracket_central
     stack = [word]
     while stack:
         w = stack.pop()
         if w in cache:
+            continue
+        if len({a for a in w if not central[a]}) <= 1:
+            cache[w] = {tuple(sorted(w)): ONE}
             continue
         pos = _first_descent(w)
         if pos is None:

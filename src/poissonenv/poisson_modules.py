@@ -479,7 +479,10 @@ class _ModuleAction(EnvAction):
         i, j, word = mono
         if not word:
             return mat_mul(self._left[i], self._right[j])
-        return mat_mul(self._form((i, j, word[:-1])), self._lie[word[-1]])
+        prefix, lie = self._form((i, j, word[:-1])), self._lie[word[-1]]
+        if prefix is self._zero or not any(lie[0]):  # a zero factor: no product
+            return self._zero
+        return mat_mul(prefix, lie)
 
 
 def module_to_action(M: QuasiPoissonModule) -> EnvAction:

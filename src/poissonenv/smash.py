@@ -23,14 +23,19 @@ The word work of a monomial product depends on the two words alone, and
 most word pairs recur with many slot pairs (the 648 pairs of a monomial
 and a generator that the trunc2-n2 tensor-square roundtrip checks share 22
 word pairs, whose plans it reads; it forms only 54 of the products, see
-EnvAction.generators_multiply).  So it
-is done once per word pair and memoized per algebra: the plan ("q_plan")
-lists the ordered tripartitions of the left word, each with its
-straightened word slot as integers, and the degree cap is read when a plan
-is built.  A plan leaves out every part whose Lie word acts as zero on
-the whole basis, which gives a zero factor for any slot (see q_mono_mult);
-with a zero bracket only the part that passes every letter through is
-left.
+EnvAction.generators_multiply).  So it is done once per word pair and
+memoized per algebra: the plan ("q_plan") lists the ordered tripartitions
+of the left word, each with its straightened word slot as integers, and
+the degree cap is read when a plan is built.  A plan leaves out every part
+whose Lie word acts as zero on the whole basis, which gives a zero factor
+for any slot (see q_mono_mult).  Plans are assembled from a second memo
+per algebra, each word's live bipartitions ("q_split", see _splits), so a
+word is enumerated and its subwords tested once, not once per plan.  A
+central letter (one whose bracket with every basis vector is zero,
+NCPA.bracket_central) never brackets into a slot, since a Lie word that
+holds one acts as zero, so only the other letters are enumerated; with a
+zero bracket every letter is central, and only the part that passes every
+letter through is left.
 
 An algebra slot may also hold None, which stands for the unit 1 of A
 without expanding it over the basis.  This is how the three generators
@@ -127,37 +132,53 @@ def _factor(A: NCPA, outer, word, inner, left: bool) -> tuple[dict, int]:
     return hit
 
 
+def _splits(A: NCPA, word) -> tuple:
+    """The live bipartitions of word: the pairs (w, rest) of the ordered
+    partitions of its positions into two blocks, in their order
+    (words.ordered_partitions), whose Lie word w acts on some basis vector
+    (the empty word is the identity).  Memoized per algebra under
+    "q_split", so each word is enumerated and tested once, whatever the
+    plans that read it.
+
+    A central letter (NCPA.bracket_central) always goes to rest: a Lie word
+    that holds one acts as zero, since {v_c, x} = 0 for every x kills the
+    nested bracket at that letter whatever lies inside it.  So only the
+    other positions are enumerated.  The central positions are digits
+    fixed at "rest" in the base-2 counter of ordered_partitions, and
+    dropping equal digits from every number leaves their order as it was;
+    the bipartitions left out are exactly those whose w holds a central
+    letter, all dead."""
+    cache = A.caches["q_split"]
+    hit = cache.get(word)
+    if hit is None:
+        central = A.bracket_central
+        free = [t for t, a in enumerate(word) if not central[a]]
+        hit = []
+        for part, _ in ordered_partitions(len(free), 2):
+            taken = [free[t] for t in part]  # increasing, as part is
+            w = subword(word, taken)
+            if not w or any(lie_word_on_basis(A, w, b).data for b in range(A.n)):
+                hit.append((w, tuple(a for t, a in enumerate(word) if t not in taken)))
+        hit = cache[word] = tuple(hit)
+    return hit
+
+
 def _plan(A: NCPA, alpha, beta) -> tuple:
     """The plan of the word pair (alpha, beta): the ordered tripartitions
     of alpha as ((w1, ((w2, tail), ...)), ...), where w1 brackets into the
     left slot, w2 into the opposite slot, and tail is the straightened
     word of the leftover letters followed by beta, as (numerators,
     denominator), in the order of the terms of q_mono_mult.  Parts whose
-    Lie word kills every basis vector are left out (see q_mono_mult).
-    Stored under "q_plan"; the degree cap is read here, once per word
-    pair."""
+    Lie word kills every basis vector are left out (see q_mono_mult): the
+    plan is read off the live bipartitions of alpha and of each w1's
+    leftover word (_splits).  Stored under "q_plan"; the degree cap is
+    read here, once per word pair."""
     check_degree(len(alpha) + len(beta), "product degree")
-    live: dict = {(): True}  # the empty word is the identity
-
-    def acts(w) -> bool:
-        hit = live.get(w)
-        if hit is None:
-            hit = live[w] = any(lie_word_on_basis(A, w, b).data for b in range(A.n))
-        return hit
-
-    plan = []
-    for part1, rest in ordered_partitions(len(alpha), 2):
-        w1 = subword(alpha, part1)
-        if acts(w1):
-            remainder = subword(alpha, rest)
-            rights = []
-            for part2, part3 in ordered_partitions(len(remainder), 2):
-                w2 = subword(remainder, part2)
-                if acts(w2):
-                    tail = _integral(straighten(A, subword(remainder, part3) + beta))
-                    rights.append((w2, tail))
-            plan.append((w1, tuple(rights)))
-    plan = A.caches["q_plan"][(alpha, beta)] = tuple(plan)
+    plan = A.caches["q_plan"][(alpha, beta)] = tuple(
+        (w1, tuple((w2, _integral(straighten(A, rest + beta)))
+                   for w2, rest in _splits(A, remainder)))
+        for w1, remainder in _splits(A, alpha)
+    )
     return plan
 
 

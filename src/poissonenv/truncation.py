@@ -66,17 +66,18 @@ hold exactly; w is kept at level B-2, so its j images lie in T_{B-1}.
   of T_{B-2}.  A right-made v = w j(d) gives j(a) v = (j(a) w) j(d), a
   combination of right j(d) images of kept vectors plus T_{B-1}.
 
-The central rule.  j(a) is central when {v_a, A} = 0, and i(a), k(a) are
-when v_a also commutes with A.  Proof: the commutators i({a,b}), k({a,b})
-and j({a,b}) of j(a) with i(b), k(b), j(b) then vanish, and so do i([a,b])
-and -k([a,b]) (i(a) with i(b), k(a) with k(b); i and k always commute),
-while the generators' products span the algebra.  A central g has
-g v = v g, so only v g is formed: at level 0 for central i(a) and k(a), and
-above it for central j(a), since the ordered rule admits j(a) * v only for v
-made at level 0 or left-made, and forms v * j(a) for those at every a.  The
-vector kept is then right-made, and the proof above holds as it stands:
-where it takes j(c) x in U_B for c < a, a central c gives j(c) x = x j(c),
-a right product of a kept vector.
+The central rule.  j(a) is central when {v_a, A} = 0 (the algebra's
+bracket_central flags, which the smash plans and straighten read too), and
+i(a), k(a) are when v_a also commutes with A.  Proof: the commutators
+i({a,b}), k({a,b}) and j({a,b}) of j(a) with i(b), k(b), j(b) then vanish,
+and so do i([a,b]) and -k([a,b]) (i(a) with i(b), k(a) with k(b); i and k
+always commute), while the generators' products span the algebra.  A
+central g has g v = v g, so only v g is formed: at level 0 for central i(a)
+and k(a), and above it for central j(a), since the ordered rule admits
+j(a) * v only for v made at level 0 or left-made, and forms v * j(a) for
+those at every a.  The vector kept is then right-made, and the proof above
+holds as it stands: where it takes j(c) x in U_B for c < a, a central c
+gives j(c) x = x j(c), a right product of a kept vector.
 
 Rows are kept in descending term order, each pivot at its row's largest
 monomial, so those with pivots in the low block lie in it and span the
@@ -224,8 +225,7 @@ class _LeveledClosure:
         i, k, j = (GENERATOR_TERM[kind] for kind in "ikj")
         # the central generators, by basis index (see the module docstring)
         basis = range(A.n)
-        self.j_central = tuple(
-            all(A.bracket_basis(a, b).is_zero() for b in basis) for a in basis)
+        self.j_central = A.bracket_central
         self.ik_central = tuple(
             c and all(A.mul_basis(a, b) == A.mul_basis(b, a) for b in basis)
             for a, c in zip(basis, self.j_central))

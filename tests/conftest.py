@@ -8,6 +8,11 @@ from poissonenv.linalg import SparseVector, mat_from_rows
 from poissonenv.ncpa import AlgebraPresentation, NCPA, standard_ncpa, validate_ncpa
 
 
+# the algebra fixtures below, save xy_bracket, which tests name apart
+ALGEBRAS = ["kxk", "m2", "trunc2", "m2_rebased", "ut2", "trunc2_skew", "trunc2_skew7",
+            "field_k", "ut2_zero", "kxk_skew"]
+
+
 def vec(n, entries) -> SparseVector:
     return SparseVector(n, {i: Fraction(c) for i, c in entries.items()})
 
@@ -154,6 +159,19 @@ def m2_rebased() -> NCPA:
         {ab: vec(4, v) for ab, v in mul.items()}, {}
     )
     return standard_ncpa(pres)
+
+
+@pytest.fixture(scope="session")
+def xy_bracket():
+    """k[x, y]/(x^2, y^2) on (1, x, y, xy) with {x, y} = xy: commutative,
+    so its center is all of it, but only 1 and xy are Poisson-central."""
+    one, x, y, xy = (vec(4, {a: 1}) for a in range(4))
+    mul = {(0, b): v for b, v in enumerate((one, x, y, xy))}
+    mul |= {(b, 0): v for b, v in enumerate((one, x, y, xy))}
+    mul |= {(1, 2): xy, (2, 1): xy}
+    bracket = {(1, 2): xy, (2, 1): xy.scale(-1)}
+    return validate_ncpa(AlgebraPresentation("xy-bracket", 4, ["1", "x", "y", "xy"],
+                                             one, mul, bracket))
 
 
 # A change of basis kept apart from the package and from perfbench: the

@@ -23,11 +23,9 @@ from poissonenv.ncpa import (
     validate_ncpa,
 )
 
-from conftest import vec
+from conftest import ALGEBRAS, vec
 
 FIXTURES = ["kxk", "m2", "trunc2", "m2_rebased", "ut2", "trunc2_skew", "trunc2_skew7"]
-# every algebra of conftest
-ALGEBRAS = FIXTURES + ["field_k", "ut2_zero", "kxk_skew"]
 
 
 def matrix_units(k: int, upper: bool) -> AlgebraPresentation:
@@ -51,19 +49,6 @@ def m3():
 @pytest.fixture(scope="module")
 def t3():
     return standard_ncpa(matrix_units(3, upper=True))
-
-
-@pytest.fixture(scope="module")
-def xy_bracket():
-    """k[x, y]/(x^2, y^2) on (1, x, y, xy) with {x, y} = xy: commutative,
-    so its center is all of it, but only 1 and xy are Poisson-central."""
-    one, x, y, xy = (vec(4, {a: 1}) for a in range(4))
-    mul = {(0, b): v for b, v in enumerate((one, x, y, xy))}
-    mul |= {(b, 0): v for b, v in enumerate((one, x, y, xy))}
-    mul |= {(1, 2): xy, (2, 1): xy}
-    bracket = {(1, 2): xy, (2, 1): xy.scale(-1)}
-    return validate_ncpa(AlgebraPresentation("xy-bracket", 4, ["1", "x", "y", "xy"],
-                                             one, mul, bracket))
 
 
 def test_bundled_algebras_validate(kxk, m2, trunc2):
@@ -191,6 +176,14 @@ def test_poisson_center_ranks(kxk, m2, trunc2, m3, t3, xy_bracket):
     ranks = {A.name: poisson_center(A).rank for A in (kxk, m2, trunc2, m3, t3, xy_bracket)}
     assert ranks == {"kxk": 2, "m2std": 1, "trunc2-n2": 3, "M_3": 1, "T_3": 1, "xy-bracket": 2}
     assert center(xy_bracket).rank == 4
+
+
+def test_central_flags_are_the_letters_whose_brackets_vanish(xy_bracket, m2_rebased, m2, trunc2):
+    # 1 and xy bracket to zero with everything, x and y do not
+    assert xy_bracket.bracket_central == (True, False, False, True)
+    assert m2_rebased.bracket_central == (True, False, False, False)
+    assert m2.bracket_central == (False,) * 4
+    assert trunc2.bracket_central == (True,) * 3
 
 
 def _centralizer_reference(A):

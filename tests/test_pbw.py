@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from poissonenv.limits import DegreeCapExceeded
+from poissonenv.linalg import accumulate
+from poissonenv.ncpa import unit_first
 from poissonenv.pbw import (
     act_on_tensor,
     lie_word_act,
@@ -14,7 +16,7 @@ from poissonenv.pbw import (
     u_mult,
 )
 
-from conftest import vec
+from conftest import ALGEBRAS, vec
 
 ONE = Fraction(1)
 
@@ -48,6 +50,38 @@ def test_m2_single_swap(m2):
 def test_straighten_idempotent(m2):
     for word, coeff in straighten(m2, (3, 2, 1)).items():
         assert straighten(m2, word) == {word: ONE}
+
+
+def _rewrite(A, word, memo):
+    # the leftmost-descent rewriting with no shortcut: the reference for
+    # straighten, memoized in memo
+    hit = memo.get(word)
+    if hit is None:
+        pos = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
+        if pos is None:
+            hit = {word: ONE}
+        else:
+            b, a = word[pos], word[pos + 1]
+            hit = dict(_rewrite(A, word[:pos] + (a, b) + word[pos + 2:], memo))
+            for k, c in A.bracket(A.basis(b), A.basis(a)).data.items():
+                for mono, d in _rewrite(A, word[:pos] + (k,) + word[pos + 2:], memo).items():
+                    accumulate(hit, mono, c * d)
+        memo[word] = hit
+    return hit
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
+def test_straighten_matches_the_rewriting_to_degree_4(name, request):
+    # every word of degree <= 4, on the algebra and on its unit-first copy:
+    # equal terms in equal order, so the sorted rule for words with at most
+    # one distinct non-central letter changes nothing
+    A = request.getfixturevalue(name)
+    for B in dict.fromkeys((A, unit_first(A))):
+        memo = {}
+        for d in range(5):
+            for word in itertools.product(range(B.n), repeat=d):
+                got = straighten(B, word)
+                assert list(got.items()) == list(_rewrite(B, word, memo).items()), word
 
 
 def test_straighten_degree_cap(kxk):

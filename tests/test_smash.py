@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -10,10 +11,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from poissonenv.fileformat import load_bundled_algebra
 from poissonenv.limits import DegreeCapExceeded
 from poissonenv.linalg import _integral, add_terms, sub_terms
-from poissonenv.ncpa import validate_ncpa
+from poissonenv.ncpa import unit_first, validate_ncpa
 from poissonenv.pbw import straighten, u_monomials
 from poissonenv.poisson_modules import roundtrip_report, tensor_square_module
 from poissonenv.smash import (
+    _plan,
     embed,
     format_q_element,
     generator_relation_failures,
@@ -24,7 +26,7 @@ from poissonenv.smash import (
 )
 from poissonenv.truncation import ideal_j_gens, truncated_ideal_span
 
-from conftest import mono_product, reference_embed, reference_identity, vec
+from conftest import ALGEBRAS, mono_product, reference_embed, reference_identity, vec
 
 ONE = Fraction(1)
 
@@ -345,28 +347,81 @@ def test_plans_keep_parts_that_act():
         )
 
 
-def _plan_terms(A, alpha, beta):
-    # The plan written out afresh, flattened to (w1, w2, rest) in the
-    # product's term order (see _direct_q_mono_mult), keeping the terms
-    # whose two Lie words each act on some basis vector.
-    def acts(word):
-        for b in range(A.n):
-            v = A.basis(b)
-            for letter in reversed(word):
-                v = A.bracket(A.basis(letter), v)
-            if v.data:
-                return True
-        return False
+@functools.cache
+def _acts(A, word):
+    # whether the Lie word acts on some basis vector, by nested brackets
+    for b in range(A.n):
+        v = A.basis(b)
+        for letter in reversed(word):
+            v = A.bracket(A.basis(letter), v)
+        if v.data:
+            return True
+    return False
 
+
+@functools.cache
+def _tripartitions(A, alpha):
+    # (w1, w2, rest) in the product's term order (see _direct_q_mono_mult),
+    # keeping those whose two Lie words each act on some basis vector
     def order(blocks):
         return [b != 0 for b in blocks], [b == 2 for b in blocks if b]
 
     out = []
     for blocks in sorted(itertools.product(range(3), repeat=len(alpha)), key=order):
         w1, w2, rest = (tuple(a for a, b in zip(alpha, blocks) if b == k) for k in range(3))
-        if acts(w1) and acts(w2):
-            out.append((w1, w2, rest + beta))
-    return out
+        if _acts(A, w1) and _acts(A, w2):
+            out.append((w1, w2, rest))
+    return tuple(out)
+
+
+def _plan_terms(A, alpha, beta):
+    # The plan written out afresh, flattened to (w1, w2, rest) in the
+    # product's term order.
+    return [(w1, w2, rest + beta) for w1, w2, rest in _tripartitions(A, alpha)]
+
+
+def _flat(plan):
+    return [(w1, w2, tail) for w1, rights in plan for w2, tail in rights]
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
+def test_plans_match_the_tripartitions_to_degree_4(name, request):
+    # every pair of words of total degree <= 4, on the algebra and on its
+    # unit-first copy: the plan's parts, their order and their tails are the
+    # tripartitions', and no central letter brackets into either slot
+    A = request.getfixturevalue(name)
+    for B in dict.fromkeys((A, unit_first(A))):
+        n = B.n
+        central = {a for a in range(n) if all(not B.bracket_basis(a, b).data for b in range(n))}
+        words = [w for d in range(5) for w in itertools.product(range(n), repeat=d)]
+        for alpha in words:
+            for beta in words:
+                if len(alpha) + len(beta) > 4:
+                    continue
+                got = _flat(_plan(B, alpha, beta))
+                assert got == [(w1, w2, _integral(straighten(B, rest)))
+                               for w1, w2, rest in _plan_terms(B, alpha, beta)], (alpha, beta)
+                assert not central & {a for w1, w2, _ in got for a in w1 + w2}, (alpha, beta)
+
+
+def test_each_word_is_split_once_per_algebra(monkeypatch):
+    # the plans share one enumeration of each word's bipartitions: the 225
+    # word pairs to degree 2 of M_2 split 15 left words and their leftovers
+    from poissonenv import smash
+
+    A = validate_ncpa(load_bundled_algebra("m2std.alg"))
+    original, calls = smash.ordered_partitions, []
+
+    def counted(r, p):
+        calls.append(r)
+        return original(r, p)
+
+    monkeypatch.setattr(smash, "ordered_partitions", counted)
+    words = u_monomials(A.n, 2)
+    for alpha in words:
+        for beta in words:
+            _plan(A, alpha, beta)
+    assert len(calls) == len(A.caches["q_split"]) == len(words)
 
 
 def test_plan_and_tail_entries_are_tuples_never_mutated():

@@ -42,7 +42,7 @@ from poissonenv.truncation import (
     truncated_ideal_span,
 )
 
-from conftest import rebase, reference_embed
+from conftest import ALGEBRAS, rebase, reference_embed
 
 ONE = Fraction(1)
 
@@ -449,6 +449,16 @@ def test_leveled_closure_is_closed_under_i_and_k(name, label, request):
                 for image in (q_mult(A, x, v), q_mult(A, v, x)):
                     data = qelem_to_vector(image, closure.coord, 0).data
                     assert not remainder(data, reduced), (D, x)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
+def test_closure_central_rule_reads_the_algebras_flags(name, request):
+    # the closure runs in the unit-first copy, whose unit is a central letter
+    B = unit_first(request.getfixturevalue(name))
+    closure = _LeveledClosure(B, ideal_j_gens(B))
+    flags = tuple(all(B.bracket_basis(a, b).is_zero() for b in range(B.n)) for a in range(B.n))
+    assert closure.j_central == B.bracket_central == flags
+    assert flags[B.unit.support()[0]]
 
 
 # -- reference: the closure that forms every j product --------------------------
