@@ -6,6 +6,10 @@ ceiling is 10 because the work grows exponentially in the degree r: a word
 has 2^r bipartitions and a smash product enumerates up to 3^r tripartitions
 (3^10 is about 59,000 per monomial pair).  So every degree the cap admits
 can also be enumerated.
+
+An algebra reads the variable once, at its first check (NCPA.degree_cap),
+and every check that has an algebra at hand passes that value on, so the
+plan and straighten misses of a command do not read the environment again.
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ def degree_cap() -> int:
     return value
 
 
-def check_degree(degree: int, what: str = "degree") -> None:
-    cap = degree_cap()
+def check_degree(degree: int, what: str = "degree", cap: int | None = None) -> None:
+    """Raise DegreeCapExceeded if degree exceeds cap, by default the
+    configured one, read now."""
+    if cap is None:
+        cap = degree_cap()
     if degree > cap:
         raise DegreeCapExceeded(f"{what} {degree} exceeds cap {cap}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .limits import degree_cap
 from .linalg import (
     Echelon,
     Matrix,
@@ -136,13 +137,14 @@ class NCPA:
     checked algebra whose basis holds the unit (env-dim runs its ideal
     closure there; the copy has caches of its own).  Instances carry memo
     caches for the PBW layer ("straighten", "lie_word"), the smash product
-    ("q_mono", its slot factors "q_factor", the word-pair plans "q_plan",
-    which hold the integer straightened tails, and each word's live
-    bipartitions "q_split", from which the plans are built), the ideal
-    slices ("ideal_slice") and the operator matrices ("ops"), and the
-    bracket-central basis letters (bracket_central).  Cached values are
-    immutable, except the leveled ideal closures under "ideal_slice", which
-    later calls extend to wider windows.
+    ("q_mono", its slot factors "q_factor", each word's straightened form
+    as integers "q_tail", the word-pair plans "q_plan", which read those
+    tails, and each word's live bipartitions "q_split", from which the
+    plans and the generator products are built), the ideal slices
+    ("ideal_slice") and the operator matrices ("ops"), the bracket-central
+    basis letters (bracket_central) and the degree cap (degree_cap).
+    Cached values are immutable, except the leveled ideal closures under
+    "ideal_slice", which later calls extend to wider windows.
     """
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -161,6 +163,7 @@ class NCPA:
             "lie_word": {},
             "q_mono": {},
             "q_factor": {},
+            "q_tail": {},
             "q_plan": {},
             "q_split": {},
             "ideal_slice": {},
@@ -218,6 +221,13 @@ class NCPA:
         straighten's sorted rule and of the ideal closure's central rule."""
         acting = {a for ab, v in self._bracket.items() if v.data for a in ab}
         return tuple(a not in acting for a in range(self.n))
+
+    @functools.cached_property
+    def degree_cap(self) -> int:
+        """POISSON_ENV_MAX_DEGREE (limits.degree_cap), read at the algebra's
+        first degree check and kept; a bad value raises there, and again at
+        every later check, since nothing is kept then."""
+        return degree_cap()
 
     def format_element(self, x: SparseVector) -> str:
         return format_terms((x.get(i), self.labels[i]) for i in x.support())

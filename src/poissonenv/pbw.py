@@ -47,7 +47,7 @@ def straighten(A: NCPA, word: Word) -> UElement:
     hit = cache.get(word)
     if hit is not None:
         return hit
-    check_degree(len(word), "word degree")  # on a miss only, as smash plans do
+    check_degree(len(word), "word degree", A.degree_cap)  # on a miss only, as smash plans do
     central = A.bracket_central
     stack = [word]
     while stack:
@@ -90,7 +90,7 @@ def u_mult(A: NCPA, x: UElement, y: UElement) -> UElement:
     """Concatenate monomials and straighten; identity is the empty word.
     Kept for perfbench.tracing, which wraps it (TRACED)."""
     if x and y:
-        check_degree(max(map(len, x)) + max(map(len, y)), "product degree")
+        check_degree(max(map(len, x)) + max(map(len, y)), "product degree", A.degree_cap)
     out: UElement = {}
     for wx, cx in x.items():
         for wy, cy in y.items():
@@ -171,7 +171,7 @@ def module_algebra_failures(A: NCPA, degree_bound: int) -> list[dict]:
     maps on A, on A^op, and on A (x) A^op, for all PBW monomials up to the
     bound and all basis pairs.  Returns one record per failed instance: for
     each word and pair, A then A^op; then every A^e instance."""
-    check_degree(degree_bound)  # before any work: the words stop at the cap
+    check_degree(degree_bound, cap=A.degree_cap)  # before any work: the words stop at the cap
     n = A.n
     mul = {(a, b): A.mul_basis(a, b).data for a in range(n) for b in range(n)}
     op = {(a, b): mul[b, a] for a, b in mul}

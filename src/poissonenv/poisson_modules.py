@@ -522,7 +522,7 @@ def roundtrip_report(
     """Check both passages are mutually inverse on M, and that the induced
     action is associative on monomial pairs up to the bound."""
     top = max(2, degree_bound)  # reading G(F(M)) checks degree 2
-    check_degree(top, "product degree")  # before any work
+    check_degree(top, "product degree", A.degree_cap)  # before any work
     action = module_to_action(M)
     # one check; a sweep to degree d fails at its pairs of degree <= d
     failures = _failures(action, top)

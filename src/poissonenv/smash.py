@@ -14,10 +14,19 @@ does).  Each memoized monomial product is kept as (numerators,
 denominator): integer numerators over one positive denominator, in lowest
 terms.  q_mult_scaled multiplies elements with integer coefficients over
 the lcm of the denominators it meets, and returns that lcm beside the
-integer result; the ideal closure uses only spans, so it never divides.
-q_mono_mult returns the memo entry itself, and q_mult is the one exit
-that forms Fractions: it returns a new dict of Fraction coefficients, with
-one division per coefficient.
+integer result.  q_mono_mult returns the memo entry itself, and q_mult is
+the one exit that forms Fractions: it returns a new dict of Fraction
+coefficients, with one division per coefficient.
+
+The ideal closure (truncation) multiplies only by one generator i(a),
+k(a) or j(a) at a time, on either side, so it calls q_gen_mult, which
+forms the product of a basis monomial and a one-term generator from the
+generator's empty or one-letter word alone, with no plan and no memo
+entry of its own (the closure keeps the columns it needs); its docstring
+proves that it equals q_mono_mult.  The word slots of both, the integer
+straightened form of each word, are memoized once per word per algebra
+("q_tail", see _tail), so a tail word shared by many plan parts is
+converted once.
 
 The word work of a monomial product depends on the two words alone, and
 most word pairs recur with many slot pairs (the 648 pairs of a monomial
@@ -26,9 +35,9 @@ word pairs, whose plans it reads; it forms only 54 of the products, see
 EnvAction.generators_multiply).  So it is done once per word pair and
 memoized per algebra: the plan ("q_plan") lists the ordered tripartitions
 of the left word, each with its straightened word slot as integers, and
-the degree cap is read when a plan is built.  A plan leaves out every part
-whose Lie word acts as zero on the whole basis, which gives a zero factor
-for any slot (see q_mono_mult).  Plans are assembled from a second memo
+the degree cap (NCPA.degree_cap) is checked when a plan is built.  A plan
+leaves out every part whose Lie word acts as zero on the whole basis,
+which gives a zero factor for any slot (see q_mono_mult).  Plans are assembled from a second memo
 per algebra, each word's live bipartitions ("q_split", see _splits), so a
 word is enumerated and its subwords tested once, not once per plan.  A
 central letter (one whose bracket with every basis vector is zero,
@@ -54,7 +63,16 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .limits import check_degree
-from .linalg import ONE, SparseVector, _integral, _over, accumulate, add_terms, sub_terms
+from .linalg import (
+    ONE,
+    SparseVector,
+    _integral,
+    _lincomb,
+    _over,
+    accumulate,
+    add_terms,
+    sub_terms,
+)
 from .ncpa import NCPA, format_terms
 from .pbw import lie_word_on_basis, straighten
 from .words import ordered_partitions, subword
@@ -163,20 +181,30 @@ def _splits(A: NCPA, word) -> tuple:
     return hit
 
 
+def _tail(A: NCPA, word) -> tuple[dict, int]:
+    """straighten(word) as (numerators, denominator), in lowest terms;
+    memoized per algebra under "q_tail", so each word is converted once,
+    whatever the plan parts and generator products that end in it."""
+    cache = A.caches["q_tail"]
+    hit = cache.get(word)
+    if hit is None:
+        hit = cache[word] = _integral(straighten(A, word))
+    return hit
+
+
 def _plan(A: NCPA, alpha, beta) -> tuple:
     """The plan of the word pair (alpha, beta): the ordered tripartitions
     of alpha as ((w1, ((w2, tail), ...)), ...), where w1 brackets into the
     left slot, w2 into the opposite slot, and tail is the straightened
     word of the leftover letters followed by beta, as (numerators,
-    denominator), in the order of the terms of q_mono_mult.  Parts whose
-    Lie word kills every basis vector are left out (see q_mono_mult): the
-    plan is read off the live bipartitions of alpha and of each w1's
-    leftover word (_splits).  Stored under "q_plan"; the degree cap is
-    read here, once per word pair."""
-    check_degree(len(alpha) + len(beta), "product degree")
+    denominator) from the tail memo (_tail), in the order of the terms of
+    q_mono_mult.  Parts whose Lie word kills every basis vector are left
+    out (see q_mono_mult): the plan is read off the live bipartitions of
+    alpha and of each w1's leftover word (_splits).  Stored under
+    "q_plan"; the degree cap is checked here, once per word pair."""
+    check_degree(len(alpha) + len(beta), "product degree", A.degree_cap)
     plan = A.caches["q_plan"][(alpha, beta)] = tuple(
-        (w1, tuple((w2, _integral(straighten(A, rest + beta)))
-                   for w2, rest in _splits(A, remainder)))
+        (w1, tuple((w2, _tail(A, rest + beta)) for w2, rest in _splits(A, remainder)))
         for w1, remainder in _splits(A, alpha)
     )
     return plan
@@ -226,8 +254,16 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> tuple[dict, int]:
             right = _factor(A, j1, w2, j2, False)
             if right[0]:
                 terms.append((left, right, tail))
+    entry = cache[(m1, m2)] = _combine(terms)
+    return entry
+
+
+def _combine(terms: list) -> tuple[dict, int]:
+    """The sum of the terms left (x) right # tail, each factor (numerators,
+    denominator) over slot indices (left, right) or words (tail), with
+    nonzero slot factors, as (numerators, denominator) over monomials, in
+    lowest terms."""
     if not terms:  # most products of basis monomials are zero
-        cache[(m1, m2)] = _ZERO_TERMS
         return _ZERO_TERMS
     # every term is brought over the common denominator den
     den = lcm(*[ld * rd * td for (_, ld), (_, rd), (_, td) in terms])
@@ -248,8 +284,69 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> tuple[dict, int]:
     if g != 1:
         den //= g
         nums = {mono: v // g for mono, v in nums.items()}
-    entry = cache[(m1, m2)] = (nums, den) if nums else _ZERO_TERMS
-    return entry
+    return (nums, den) if nums else _ZERO_TERMS
+
+
+def q_gen_mult(A: NCPA, m: QMonomial, g: QMonomial, left: bool) -> tuple[dict, int]:
+    """g * m if left, else m * g, for a basis monomial m = (i, j, word) and
+    a one-term generator g (GENERATOR_TERM: (a, None, ()), (None, a, ()) or
+    (None, None, (a,))), as (numerators, denominator) in lowest terms: a
+    new entry, equal to q_mono_mult's for the same pair, built from g's
+    empty or one-letter word alone, with no plan and no q_mono entry.  The
+    degree cap is checked first, so a product above it fills no memo.
+
+    Proof of the equality.  q_mono_mult(m1, m2) sums, over the live
+    ordered tripartitions (w1, w2, rest) of m1's word alpha (_plan),
+    (v_i1 . ad_w1(v_i2)) (x) (ad_w2(v_j2) . v_j1) # straighten(rest beta),
+    with 1 . x = x . 1 = x in a None slot and ad_w(1) = 0 for nonempty w,
+    so a None slot of m2 kills every part with a nonempty Lie word there.
+    Left out parts (Lie words that act as zero on the whole basis) give
+    zero factors, so summing over all tripartitions, or over any set that
+    holds the live ones, gives the same sum.  Here:
+
+      m * j(a): m2 = (None, None, (a,)) kills every nonempty w1 and w2,
+        leaving one part: (v_i (x) v_j) # straighten(word a), which is
+        the tail over m's slots, in lowest terms as the tail is.
+      m * i(a): m2 = (a, None, ()) kills every nonempty w2, leaving the
+        bipartitions (w1, rest) of word: v_i . ad_w1(v_a) (x) v_j #
+        straighten(rest), summed over _splits(word), the live ones.
+      m * k(a): likewise with w1 empty: v_i (x) ad_w2(v_a) . v_j #
+        straighten(rest), over _splits(word).
+      i(a) * m and k(a) * m: alpha is empty, one part: (v_a . v_i) (x) v_j
+        or v_i (x) (v_j . v_a), # straighten(word), the slot product.
+      j(a) * m: alpha = (a,) has three tripartitions, in plan order:
+        ad_a(v_i) (x) v_j # straighten(word) and v_i (x) ad_a(v_j) #
+        straighten(word), the two bracket terms, and v_i (x) v_j #
+        straighten(a word).
+
+    Every factor is read from the memos q_mono_mult reads (_factor, _tail),
+    and _combine brings the same terms with nonzero factors to lowest
+    terms, which are unique, so the (numerators, denominator) pairs are
+    equal."""
+    i, j, word = m
+    gi, gj, gw = g
+    check_degree(len(word) + len(gw), "product degree", A.degree_cap)
+    if gw and not left:
+        nums, den = _tail(A, word + gw)
+        return {(i, j, w): c for w, c in nums.items()}, den
+    one_i, one_j = ({i: 1}, 1), ({j: 1}, 1)
+    if not left:
+        if gi is not None:
+            terms = [(_factor(A, i, w, gi, True), one_j, _tail(A, rest))
+                     for w, rest in _splits(A, word)]
+        else:
+            terms = [(one_i, _factor(A, j, w, gj, False), _tail(A, rest))
+                     for w, rest in _splits(A, word)]
+    elif gw:
+        tail = _tail(A, word)
+        terms = [(_factor(A, None, gw, i, True), one_j, tail),
+                 (one_i, _factor(A, None, gw, j, False), tail),
+                 (one_i, one_j, _tail(A, gw + word))]
+    elif gi is not None:
+        terms = [(_factor(A, gi, (), i, True), one_j, _tail(A, word))]
+    else:
+        terms = [(one_i, _factor(A, gj, (), j, False), _tail(A, word))]
+    return _combine([t for t in terms if t[0][0] and t[1][0]])
 
 
 def q_mult_scaled(A: NCPA, x: dict, y: dict) -> tuple[dict, int]:
@@ -265,18 +362,7 @@ def q_mult_scaled(A: NCPA, x: dict, y: dict) -> tuple[dict, int]:
                 entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
             if entry[0]:
                 pairs.append((c1 * c2, entry))
-    s = lcm(*[den for _, (_, den) in pairs])
-    out: dict = {}
-    for c, (nums, den) in pairs:
-        if den != s:
-            c *= s // den
-        for mono, d in nums.items():
-            v = out.get(mono, 0) + c * d
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-    return out, s
+    return _lincomb(pairs)
 
 
 def q_mult(A: NCPA, x: QElement, y: QElement) -> QElement:

@@ -87,6 +87,16 @@ triangular and never rewrites one, so the closure does no back-substitution:
 the pivots alone give dimensions and stable flags, and a slice's rows are
 reduced only when read.  TruncatedQuotient is the one reader of the closure;
 dimension_table and truncated_ideal_span call it.
+
+Every product the closure forms multiplies a kept vector by one generator
+i(a), k(a) or j(a) on one side, so it works in its own integer
+coordinates: a vector is a primitive {coordinate: int} dict, and its
+product with g is the integer combination of g's columns, the products of
+the monomials at its coordinates with g (smash.q_gen_mult), each built
+once per closure and kept under (coordinate, g, side).  The products
+formed, their order and the echelon inserts are those of multiplying the
+vectors' monomial forms in the smash product, so the rows and pivot levels
+are the same (_LeveledClosure).
 """
 
 from __future__ import annotations
@@ -101,6 +111,7 @@ from .linalg import (
     SparseVector,
     Subspace,
     _integral,
+    _lincomb,
     _primitive,
     close_under,
     join_and_reduce,
@@ -109,7 +120,7 @@ from .linalg import (
 )
 from .ncpa import NCPA
 from .pbw import u_monomials
-from .smash import GENERATOR_TERM, QElement, QMonomial, expand_unit, q_mult_scaled
+from .smash import GENERATOR_TERM, QElement, QMonomial, expand_unit, q_gen_mult
 
 
 @dataclass(frozen=True)
@@ -179,33 +190,22 @@ def env_monomials(A: NCPA, max_degree: int) -> list[QMonomial]:
             for i in range(n) for j in range(n)]
 
 
-def qelem_to_vector(x: QElement, index: dict, n_coords: int) -> SparseVector:
+def _coordinates(x: dict, index: dict) -> dict:
+    """x with each monomial replaced by its index; ValueError for a
+    monomial that has none."""
     data = {}
     for mono, c in x.items():
         idx = index.get(mono)
         if idx is None:
             raise ValueError(f"monomial {mono} outside coordinate window")
         data[idx] = c
+    return data
+
+
+def qelem_to_vector(x: QElement, index: dict, n_coords: int) -> SparseVector:
     v = SparseVector(n_coords)
-    v.data = data
+    v.data = _coordinates(x, index)
     return v
-
-
-def _product(A: NCPA, x: QElement, y: QElement) -> QElement:
-    """x * y for integer x, y, up to a nonzero scalar: a primitive integer
-    vector."""
-    return _primitive(q_mult_scaled(A, x, y)[0])
-
-
-def _sides(A: NCPA, factors: list) -> list:
-    """Multiplication by each integer factor (_product) of the (factor,
-    central) pairs: on the left unless it is central, and on the right."""
-    ops = []
-    for x, central in factors:
-        if not central:
-            ops.append(lambda y, x=x: _product(A, x, y))
-        ops.append(lambda y, x=x: _product(A, y, x))
-    return ops
 
 
 class _LeveledClosure:
@@ -214,8 +214,19 @@ class _LeveledClosure:
     Coordinates are negated positions in the ascending term order, so a
     row's pivot, its least coordinate, is its largest monomial, and a wider
     window adds coordinates without renumbering; Echelon(0) takes pivots at
-    every negative coordinate.  Holds no reference to the algebra, whose
-    memo holds it: a cycle would outlive each call until collected.
+    every negative coordinate.  Every vector the closure keeps is a
+    primitive integer {coordinate: int} dict, since only spans are used.
+
+    The closure multiplies only by one generator g at a time, so it keeps
+    g's columns: the product of the monomial at coordinate c with g on
+    one side, as integer numerators over coordinates and a denominator,
+    memoized under (c, g, left) and built once from smash.q_gen_mult.  A
+    product y * g or g * y is the integer combination of the columns of
+    y's coordinates, over the lcm of their denominators, made primitive:
+    a positive multiple of the product q_mult_scaled forms from the
+    monomials at those coordinates, hence the same primitive vector.  Holds no reference to the
+    algebra, whose memo holds it: a cycle would outlive each call until
+    collected.
     """
 
     def __init__(self, A: NCPA, gens: IdealGens):
@@ -229,17 +240,20 @@ class _LeveledClosure:
         self.ik_central = tuple(
             c and all(A.mul_basis(a, b) == A.mul_basis(b, a) for b in basis)
             for a, c in zip(basis, self.j_central))
-        self.ik = [({g(a): 1}, self.ik_central[a]) for g in (i, k) for a in ik]
-        self.j = [{j(a): 1} for a in basis]
-        # seeds level 0, then the last level's gain, each as (vector, l, r):
-        # the next level forms j(a) * vector for a <= l, save central j(a),
-        # and vector * j(a) for a <= r (see the module docstring).  Only
-        # spans are used, so the vectors are primitive integer vectors.
-        top = A.n - 1
-        self.frontier = [(_primitive(_integral(g)[0]), top, top) for g in gens.gens]
+        self.ik = [(g(a), self.ik_central[a]) for g in (i, k) for a in ik]
+        self.j = [j(a) for a in basis]
+        # the generators, as primitive integer vectors over monomials until
+        # level 0 gives them coordinates
+        self.seeds = [_primitive(_integral(g)[0]) for g in gens.gens]
+        # the last level's gain, each as (vector, l, r): the next level
+        # forms j(a) * vector for a <= l, save central j(a), and
+        # vector * j(a) for a <= r (see the module docstring)
+        self.frontier: list[tuple[dict[int, int], int, int]] = []
         self.level = -1
         self.ech = Echelon(0)
+        self.monomials: list[QMonomial] = []  # by position, -1 - coordinate
         self.coord: dict[QMonomial, int] = {}
+        self.columns: dict[tuple, tuple[dict[int, int], int]] = {}
         self.pivot_level: dict[int, int] = {}  # level that took each pivot
         # per level, the j products formed and skipped (none at level 0)
         self.j_formed: list[int] = []
@@ -249,18 +263,21 @@ class _LeveledClosure:
         """Grow the span to T_{D-1}, window D."""
         if self.level >= D - 1:
             return
-        for t, mono in enumerate(env_monomials(A, D)):
-            self.coord.setdefault(mono, -1 - t)
+        self.monomials = env_monomials(A, D)  # extends the last list
+        for t in range(len(self.coord), len(self.monomials)):
+            self.coord[self.monomials[t]] = -1 - t
         top = A.n - 1
-
-        def add(x: QElement):
-            return self.ech.add_data(qelem_to_vector(x, self.coord, 0).data)
+        add = self.ech.add_data
 
         while self.level < D - 1:
             self.level += 1
             if self.level == 0:
-                seeds = (y for y, _, _ in self.frontier)
-                gained = close_under(add, seeds, _sides(A, self.ik))
+                seeds = [_coordinates(y, self.coord) for y in self.seeds]
+                # on the left unless central, and on the right
+                ops = [lambda y, g=g, left=left: self._times(A, y, g, left)
+                       for g, central in self.ik
+                       for left in ((False,) if central else (True, False))]
+                gained = close_under(add, seeds, ops)
                 self.frontier = [(y, top, top) for y in gained]
                 formed = skipped = 0
             else:
@@ -270,14 +287,14 @@ class _LeveledClosure:
                 # docstring)
                 gained, formed = [], 0
                 for y, left, right in self.frontier:
-                    for a, x in enumerate(self.j):
+                    for a, g in enumerate(self.j):
                         if a <= left and not self.j_central[a]:
-                            v = _product(A, x, y)
+                            v = self._times(A, y, g, True)
                             formed += 1
                             if add(v) is not None:
                                 gained.append((v, a, top))
                         if a <= right:
-                            v = _product(A, y, x)
+                            v = self._times(A, y, g, False)
                             formed += 1
                             if add(v) is not None:
                                 gained.append((v, -1, a))
@@ -287,6 +304,20 @@ class _LeveledClosure:
             self.j_skipped.append(skipped)
             for p in self.ech.pivot_row:
                 self.pivot_level.setdefault(p, self.level)
+
+    def _times(self, A: NCPA, y: dict[int, int], g: QMonomial, left: bool) -> dict[int, int]:
+        """g * y if left, else y * g, up to a nonzero scalar: the primitive
+        integer combination of g's columns (see the class docstring)."""
+        columns = self.columns
+        pairs = []
+        for c, v in y.items():
+            key = (c, g, left)
+            col = columns.get(key)
+            if col is None:
+                nums, den = q_gen_mult(A, self.monomials[-1 - c], g, left)
+                col = columns[key] = (_coordinates(nums, self.coord), den)
+            pairs.append((v, col))
+        return _primitive(_lincomb(pairs)[0])
 
     def low_rows(self, n_low: int) -> dict[int, dict[int, int]]:
         """The rows that span the current span met with the first n_low
@@ -340,7 +371,7 @@ class TruncatedQuotient:
             saturation = degree + 2
         if saturation < degree:
             raise ValueError("saturation bound must be >= truncation degree")
-        check_degree(saturation, "saturation degree")
+        check_degree(saturation, "saturation degree", A.degree_cap)
         self.algebra = A
         self.gens = gens
         self.degree = degree
@@ -409,7 +440,8 @@ def dimension_table(
     Windows never shrink as the degree grows, so one leveled pass serves
     every degree, and the widest is checked against the cap before any
     closure work."""
-    check_degree(max_degree + 2 if saturation is None else saturation, "saturation degree")
+    check_degree(max_degree + 2 if saturation is None else saturation, "saturation degree",
+                 A.degree_cap)
     quotients = (TruncatedQuotient(A, gens, d, saturation) for d in range(max_degree + 1))
     return [{"degree": q.degree, "saturation": q.saturation, "dimension": q.dimension,
              "stable": q.stable} for q in quotients]

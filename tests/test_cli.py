@@ -365,7 +365,8 @@ def test_env_dim_widest_window_above_cap_fails_before_any_work(capsys, monkeypat
     def forbidden(*args):
         raise AssertionError("env-dim grew the closure before checking its widest window")
 
-    monkeypatch.setattr("poissonenv.truncation.q_mult_scaled", forbidden)
+    # the closure forms every product through its binding of q_gen_mult
+    monkeypatch.setattr("poissonenv.truncation.q_gen_mult", forbidden)
     argv = ["env-dim", path("m2std.alg"), "--degree", "7"]
     code, out = run(capsys, *(["--json"] if as_json else []), *argv)
     assert code == 2
@@ -633,7 +634,8 @@ def test_run_command_report_shape():
 def test_q_mono_memo_is_filled_only_by_q_mono_mult_misses(tmp_path, monkeypatch, capsys):
     # A per-layer trace counts q_mono memo entries as the calls of
     # smash.q_mono_mult that missed the memo, through every binding of it;
-    # a memo entry made any other way would break that count.
+    # a memo entry made any other way would break that count.  env-dim
+    # multiplies through q_gen_mult, which fills no q_mono entry.
     import importlib
     import pkgutil
 
@@ -651,6 +653,12 @@ def test_q_mono_memo_is_filled_only_by_q_mono_mult_misses(tmp_path, monkeypatch,
         seen[1] += (m1, m2) not in A.caches["q_mono"]
         return original(A, m1, m2)
 
+    closure_algebras = {}  # id(algebra) -> algebra, for env-dim
+
+    def generator_product(A, *args):
+        closure_algebras[id(A)] = A
+        return smash.q_gen_mult(A, *args)
+
     modules = [poissonenv] + [
         importlib.import_module(f"poissonenv.{m.name}") for m in pkgutil.iter_modules(poissonenv.__path__)
     ]
@@ -658,19 +666,23 @@ def test_q_mono_memo_is_filled_only_by_q_mono_mult_misses(tmp_path, monkeypatch,
     assert len(bindings) > 1
     for m, key in bindings:
         monkeypatch.setattr(m, key, counted)
+    monkeypatch.setattr("poissonenv.truncation.q_gen_mult", generator_product)
 
     square = tmp_path / "trunc2-n2-square.mod"
     trunc2 = validate_ncpa(load_bundled_algebra("trunc2-n2.alg"))
     square.write_text(serialize_module(tensor_square_module(trunc2)), encoding="utf-8")
-    for argv in (
-        ["roundtrip", path("trunc2-n2.alg"), str(square), "--degree", "2"],
-        ["env-dim", path("trunc2-n2.alg"), "--ideal", "J", "--degree", "2"],
-    ):
-        misses.clear()
-        assert main(["--json", *argv]) == 0
-        capsys.readouterr()
-        [(A, missed)] = misses.values()  # one algebra per job
-        assert missed == len(A.caches["q_mono"]) > 0, argv
+    argv = ["roundtrip", path("trunc2-n2.alg"), str(square), "--degree", "2"]
+    assert main(["--json", *argv]) == 0
+    capsys.readouterr()
+    [(A, missed)] = misses.values()  # one algebra per job
+    assert missed == len(A.caches["q_mono"]) > 0, argv
+    misses.clear()
+    argv = ["env-dim", path("trunc2-n2.alg"), "--ideal", "J", "--degree", "2"]
+    assert main(["--json", *argv]) == 0
+    capsys.readouterr()
+    assert not misses
+    [A] = closure_algebras.values()
+    assert not A.caches["q_mono"] and A.caches["q_tail"]
 
 
 BAD_LABELS = ["a+b", "a-b", "a*b", "a,b", "a:b", "a.b", "", " a", "a "]

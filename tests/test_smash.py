@@ -15,10 +15,12 @@ from poissonenv.ncpa import unit_first, validate_ncpa
 from poissonenv.pbw import straighten, u_monomials
 from poissonenv.poisson_modules import roundtrip_report, tensor_square_module
 from poissonenv.smash import (
+    GENERATOR_TERM,
     _plan,
     embed,
     format_q_element,
     generator_relation_failures,
+    q_gen_mult,
     q_identity,
     q_mono_mult,
     q_mult,
@@ -404,6 +406,33 @@ def test_plans_match_the_tripartitions_to_degree_4(name, request):
                 assert not central & {a for w1, w2, _ in got for a in w1 + w2}, (alpha, beta)
 
 
+@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
+def test_generator_products_match_q_mono_mult_to_degree_3(name, request):
+    # every basis monomial of degree <= 3 times every one-term generator, on
+    # either side, on the algebra and on its unit-first copy: q_gen_mult's
+    # entry is q_mono_mult's, the reference
+    A = request.getfixturevalue(name)
+    for B in dict.fromkeys((A, unit_first(A))):
+        monos = [(i, j, w) for w in u_monomials(B.n, 3) for i in range(B.n) for j in range(B.n)]
+        gens = [term(a) for term in GENERATOR_TERM.values() for a in range(B.n)]
+        for m in monos:
+            for g in gens:
+                assert q_gen_mult(B, m, g, True) == q_mono_mult(B, g, m), (g, m)
+                assert q_gen_mult(B, m, g, False) == q_mono_mult(B, m, g), (m, g)
+
+
+@pytest.mark.parametrize("kind", ["i", "k", "j"])
+@pytest.mark.parametrize("left", [True, False])
+def test_generator_product_checks_the_product_degree(kind, left, monkeypatch):
+    A = validate_ncpa(load_bundled_algebra("m2std.alg"))  # no memo yet
+    monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "2")
+    g = GENERATOR_TERM[kind](1)
+    m = (0, 3, (1,) * (3 - len(g[2])))  # product degree 3
+    with pytest.raises(DegreeCapExceeded, match="^product degree 3 exceeds cap 2$"):
+        q_gen_mult(A, m, g, left)
+    assert not any(A.caches.values())
+
+
 def test_each_word_is_split_once_per_algebra(monkeypatch):
     # the plans share one enumeration of each word's bipartitions: the 225
     # word pairs to degree 2 of M_2 split 15 left words and their leftovers
@@ -488,6 +517,22 @@ def test_degree_cap_is_read_once_per_plan_or_straighten_miss(monkeypatch):
     # the roundtrip's own check and the ordered_partitions misses, which are
     # memoized per process, are the constant
     assert 0 < len(reads) <= len(A.caches["q_plan"]) + len(A.caches["straighten"]) + 4
+
+
+def test_degree_cap_is_read_once_per_algebra_in_an_env_dim_job(monkeypatch, capsys):
+    from poissonenv.cli import main
+    from poissonenv.fileformat import bundled_path
+
+    # m2std's unit is not a basis vector, so env-dim runs on a second
+    # algebra, the unit-first copy, and only that copy checks degrees; the
+    # first job fills the per-process memo of ordered_partitions, which
+    # reads the cap on its misses
+    argv = ["--json", "env-dim", str(bundled_path("m2std.alg")), "--ideal", "J", "--degree", "2"]
+    assert main(argv) == 0
+    reads = _count_cap_reads(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("product", ["q_mono_mult", "q_mult", "q_mult_scaled"])
