@@ -18,7 +18,11 @@ basis (a unit that is not a basis vector, and non-integral constants), the
 tensor square of that algebra, the regular module of m2std and the
 2-dimensional quotient module of trunc2-n2 by the Poisson ideal generated
 by x1 are written by that checkout into a temporary directory, which the
-recorded commands and reports name `<tmp>`, and so is m2std in the basis
+recorded commands and reports name `<tmp>`, and so are bad-jacobi and
+bad-leibniz in the seed-1 skew basis (`validate` lists violation records
+with non-integral sides), m2std in that basis with its regular module
+moved at two entries by fractions (a broken module over a nonzero
+bracket, for `module-check`), and m2std in the basis
 (1, E12, E21, E11), whose unit is a basis vector and whose j(f0) is
 central.  The square of m2std (16 dimensions, a nonzero bracket) is the
 one square whose Lie action adds both legs into one entry; it fails the
@@ -61,6 +65,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 DATA = "src/poissonenv/data"
@@ -81,6 +86,13 @@ KXK_UNIT = f"{TMP}/kxk-unit.alg"
 # k[x, y]/(x^2, y^2) on (1, x, y, xy) with {x, y} = xy: 1 and xy are
 # central letters, x and y are not
 XY = f"{TMP}/xy-bracket.alg"
+# bad-jacobi and bad-leibniz in the seed-1 skew basis: their violation
+# records have non-integral sides
+BAD_SKEW = tuple(f"{TMP}/{name}-skew.alg" for name in ("bad-jacobi", "bad-leibniz"))
+# m2std in the seed-1 skew basis, and its regular module with two entries
+# moved by fractions: a broken module over a nonzero bracket
+M2_SKEW = f"{TMP}/m2std-skew.alg"
+M2_SKEW_BROKEN = f"{TMP}/m2std-skew-broken.mod"
 # --degree per fixture for each ideal; m2std J also runs to degrees 2 and 3 (jobs()).
 ENV_DIM_DEGREE = {"kxk": 3, "trunc2-n2": 2, "m2std": 1}
 
@@ -91,6 +103,7 @@ def alg(name: str) -> str:
 
 def jobs() -> list[list[str]]:
     out = [["validate", alg(name)] for name in FIXTURES + BAD]
+    out += [["validate", path] for path in BAD_SKEW]
     for cmd in ("simple", "derivations", "relations"):
         out += [[cmd, alg(name)] for name in FIXTURES]
     for name in FIXTURES:
@@ -163,6 +176,8 @@ def jobs() -> list[list[str]]:
     # checks: the heaviest case for it
     out.append(["roundtrip", alg("m2std"), f"{TMP}/m2std-regular.mod", "--degree", "3"])
     out.append(["module-check", alg("trunc2-n2"), f"{TMP}/trunc2-n2-quotient.mod", "--poisson"])
+    out.append(["module-check", M2_SKEW, M2_SKEW_BROKEN, "--poisson"])
+    out.append(["module-check", M2_SKEW, M2_SKEW_BROKEN])
     out.append(["roundtrip", alg("trunc2-n2"), f"{TMP}/trunc2-n2-quotient.mod", "--degree", "2"])
     # a module smaller than the algebra on which every nonempty word acts as
     # zero: the multiplicativity check forms no product of two such words
@@ -212,16 +227,26 @@ def jobs() -> list[list[str]]:
 
 
 def write_inputs(tmp: str) -> None:
-    from perfbench.workloads import rebase, write_skew_algebra
+    import random
+
+    from perfbench.workloads import random_basis_change, rebase, write_skew_algebra
     from poissonenv.fileformat import (
         load_bundled_algebra,
         parse_algebra_file,
         serialize_algebra,
         serialize_module,
     )
-    from poissonenv.linalg import SparseVector
+    from poissonenv.linalg import SparseVector, mat_from_rows, mat_lincomb
     from poissonenv.ncpa import AlgebraPresentation, poisson_ideal_closure, validate_ncpa
-    from poissonenv.poisson_modules import quotient_module, regular_module, tensor_square_module
+    from poissonenv.poisson_modules import (
+        QuasiPoissonModule,
+        quotient_module,
+        regular_module,
+        tensor_square_module,
+    )
+
+    def skew_copy(pres: AlgebraPresentation) -> AlgebraPresentation:
+        return rebase(pres, random_basis_change(random.Random(1), pres.dim))
 
     skew = Path(tmp, "trunc2-skew.alg")
     write_skew_algebra(skew, 1)
@@ -260,6 +285,22 @@ def write_inputs(tmp: str) -> None:
     Path(tmp, "xy-bracket-regular.mod").write_text(
         serialize_module(regular_module(validate_ncpa(xy_bracket))), encoding="utf-8"
     )
+    for name in ("bad-jacobi", "bad-leibniz"):
+        Path(tmp, f"{name}-skew.alg").write_text(
+            serialize_algebra(skew_copy(load_bundled_algebra(f"{name}.alg"))), encoding="utf-8"
+        )
+    m2_skew = skew_copy(algebras["m2std"])
+    Path(tmp, "m2std-skew.alg").write_text(serialize_algebra(m2_skew), encoding="utf-8")
+    reg = regular_module(validate_ncpa(m2_skew))
+
+    def moved(m, r: int, c: int, x: Fraction):  # m with x added at entry (r, c)
+        bump = mat_from_rows([{c: x} if row == r else {} for row in range(4)])
+        return mat_lincomb(((1, m), (1, bump)), 4)
+
+    left = (moved(reg.left[0], 0, 1, Fraction(1, 3)),) + reg.left[1:]
+    lie = reg.lie[:1] + (moved(reg.lie[1], 1, 0, Fraction(-2, 5)),) + reg.lie[2:]
+    broken = QuasiPoissonModule(reg.algebra, 4, left, reg.right, lie)
+    Path(tmp, "m2std-skew-broken.mod").write_text(serialize_module(broken), encoding="utf-8")
 
 
 def run_jobs(repo: Path) -> list[dict]:

@@ -4,7 +4,10 @@ constants: validation, structural analysis, ideals, derivations.
 An algebra presentation lists rational structure constants for a unital
 associative product and a Lie bracket on a fixed ordered basis; the
 axioms (associativity, unit, antisymmetry, Jacobi, Leibniz) are checked
-on basis triples, which suffices by bilinearity.  The basis input order
+on basis triples, which suffices by bilinearity.  The check runs on
+integer tables: the unit and both tables are taken once to numerators over
+one common denominator, and Fractions are formed only for the two sides of
+a failing instance, in its Violation record.  The basis input order
 doubles as the total order used by all later PBW constructions.
 """
 
@@ -14,6 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .limits import degree_cap
@@ -266,66 +270,128 @@ def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
 
 # -- validation ---------------------------------------------------------------
 
-def axiom_violations(p: AlgebraPresentation) -> list[Violation]:
-    """Every violated axiom instance over basis pairs/triples."""
-    problems = p.problems()
-    if problems:
-        raise PresentationError("; ".join(problems))
-    A = NCPA(p)
-    n = A.n
-    out: list[Violation] = []
-    basis = [A.basis(i) for i in range(n)]
+def _numerators(vec: SparseVector, den: int) -> dict[int, int]:
+    """The integer vector den * vec, for a den that clears its denominators."""
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.data.items()}
 
-    for i in range(n):
-        lhs = A.mul(A.unit, basis[i])
-        if lhs != basis[i]:
-            out.append(Violation("unit", (i,), lhs, basis[i]))
-        lhs = A.mul(basis[i], A.unit)
-        if lhs != basis[i]:
-            out.append(Violation("unit", (i,), lhs, basis[i]))
 
-    for i in range(n):
-        for j in range(n):
-            lhs = A.bracket_basis(i, j) + A.bracket_basis(j, i)
-            if not lhs.is_zero():
-                out.append(Violation("antisymmetry", (i, j), lhs, A.zero()))
+def _slices(table: Mapping[tuple, dict], n: int) -> tuple[list[dict], list[dict]]:
+    """(left, right) with left[a][r] = table[(a, r)] and right[a][r] =
+    table[(r, a)], the products by v_a on the left and on the right."""
+    left: list[dict] = [{} for _ in range(n)]
+    right: list[dict] = [{} for _ in range(n)]
+    for (a, b), vec in table.items():
+        left[a][b] = right[b][a] = vec
+    return left, right
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = A.mul(A.mul_basis(i, j), basis[k])
-                rhs = A.mul(basis[i], A.mul_basis(j, k))
-                if lhs != rhs:
-                    out.append(Violation("associativity", (i, j, k), lhs, rhs))
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                jac = (
-                    A.bracket(A.bracket_basis(i, j), basis[k])
-                    + A.bracket(A.bracket_basis(j, k), basis[i])
-                    + A.bracket(A.bracket_basis(k, i), basis[j])
-                )
-                if not jac.is_zero():
-                    out.append(Violation("jacobi", (i, j, k), jac, A.zero()))
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = A.bracket(A.mul_basis(i, j), basis[k])
-                rhs = A.mul(basis[i], A.bracket_basis(j, k)) + A.mul(
-                    A.bracket_basis(i, k), basis[j]
-                )
-                if lhs != rhs:
-                    out.append(Violation("leibniz", (i, j, k), lhs, rhs))
+def _apply(out: dict, x: Mapping[int, int], by: Mapping[int, dict]) -> dict:
+    """out plus sum_r x[r] * by[r], on integer vectors; a by that lacks r
+    holds zero there.  Adds into out and returns it; zero sums are kept."""
+    for r, c in x.items():
+        vec = by.get(r)
+        if vec:
+            for s, v in vec.items():
+                out[s] = out.get(s, 0) + c * v
     return out
 
 
+def _sweep(p: AlgebraPresentation) -> list[Violation]:
+    """The axiom sweep of axiom_violations, for a presentation whose
+    problems() list is empty.
+
+    The unit and both tables are taken once to integer numerators over one
+    denominator D, the lcm of every denominator in them, so each side of
+    an instance is an integer vector over D^2 (over D for antisymmetry,
+    which multiplies nothing), and two sides are equal exactly when their
+    numerators are.  Fractions are formed only for the sides of a failing
+    instance."""
+    n = p.dim
+    vecs = [p.unit, *p.mul.values(), *p.bracket.values()]
+    den = lcm(*[v.denominator for vec in vecs for v in vec.data.values()])
+    unit = _numerators(p.unit, den)
+    mul = {ab: _numerators(vec, den) for ab, vec in p.mul.items()}
+    bracket = {ab: _numerators(vec, den) for ab, vec in p.bracket.items()}
+    mul_left, mul_right = _slices(mul, n)
+    _, br_right = _slices(bracket, n)
+    zero: dict = {}
+    den2 = den * den
+    out: list[Violation] = []
+
+    def nonzero(d: dict) -> dict:
+        return {s: v for s, v in d.items() if v}
+
+    def fail(axiom: str, indices: tuple, lhs: dict, rhs: dict, over: int = den2) -> None:
+        out.append(Violation(
+            axiom, indices,
+            SparseVector(n, {s: Fraction(v, over) for s, v in lhs.items()}),
+            SparseVector(n, {s: Fraction(v, over) for s, v in rhs.items()})))
+
+    for i in range(n):
+        one = {i: den2}  # v_i over D^2
+        for side in (mul_right, mul_left):  # 1 * v_i, then v_i * 1
+            lhs = nonzero(_apply({}, unit, side[i]))
+            if lhs != one:
+                fail("unit", (i,), lhs, one)
+
+    for i in range(n):
+        for j in range(n):
+            lhs = dict(bracket.get((i, j), zero))
+            for s, v in bracket.get((j, i), zero).items():
+                lhs[s] = lhs.get(s, 0) + v
+            lhs = nonzero(lhs)
+            if lhs:
+                fail("antisymmetry", (i, j), lhs, zero, den)
+
+    for i in range(n):
+        for j in range(n):
+            ij = mul.get((i, j), zero)
+            for k in range(n):
+                lhs = nonzero(_apply({}, ij, mul_right[k]))
+                rhs = nonzero(_apply({}, mul.get((j, k), zero), mul_left[i]))
+                if lhs != rhs:
+                    fail("associativity", (i, j, k), lhs, rhs)
+
+    for i in range(n):
+        for j in range(n):
+            ij = bracket.get((i, j), zero)
+            for k in range(n):
+                jac = _apply({}, ij, br_right[k])
+                _apply(jac, bracket.get((j, k), zero), br_right[i])
+                _apply(jac, bracket.get((k, i), zero), br_right[j])
+                jac = nonzero(jac)
+                if jac:
+                    fail("jacobi", (i, j, k), jac, zero)
+
+    for i in range(n):
+        for j in range(n):
+            ij = mul.get((i, j), zero)
+            for k in range(n):
+                lhs = nonzero(_apply({}, ij, br_right[k]))
+                rhs = _apply({}, bracket.get((j, k), zero), mul_left[i])
+                rhs = nonzero(_apply(rhs, bracket.get((i, k), zero), mul_right[j]))
+                if lhs != rhs:
+                    fail("leibniz", (i, j, k), lhs, rhs)
+    return out
+
+
+def axiom_violations(p: AlgebraPresentation) -> list[Violation]:
+    """Every violated axiom instance over basis pairs/triples, in sweep
+    order: unit (left, then right), antisymmetry, associativity, Jacobi,
+    Leibniz.  The sweep runs on integer tables (_sweep); each record's
+    lhs and rhs are the Fraction sides of the failing instance."""
+    problems = p.problems()
+    if problems:
+        raise PresentationError("; ".join(problems))
+    return _sweep(p)
+
+
 def validate_ncpa(p: AlgebraPresentation) -> NCPA:
-    violations = axiom_violations(p)
+    A = NCPA(p)  # raises PresentationError on a malformed presentation
+    violations = _sweep(p)
     if violations:
         raise NcpaValidationError(violations)
-    return NCPA(p)
+    return A
 
 
 def standard_ncpa(p: AlgebraPresentation) -> NCPA:

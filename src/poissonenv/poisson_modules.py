@@ -17,7 +17,12 @@ Module families, action matrices and of_element values are linalg
 Matrices: canonical integer forms, sparse integer rows over one
 denominator.  The axiom checks, the action's monomial matrices and its
 multiplicativity check multiply and combine them as they are, and two
-matrices are equal exactly when their forms are.  A monomial pair is
+matrices are equal exactly when their forms are.  The axiom checks form
+each product of two family members once (_products), and none with a zero
+factor, whose product is the zero form; the Poisson check reads the
+quasi-Poisson sweep's products again.  Their sums (_sum) drop zero terms
+and call mat_lincomb only where more than one term, or one scaled term,
+is left.  A monomial pair is
 checked against the smash product's memo entry (numerators, denominator)
 as it stands, so no Fraction is formed per pair.
 """
@@ -172,22 +177,59 @@ def quotient_module(A: NCPA, ideal: Subspace) -> QuasiPoissonModule:
 #
 # Two matrices are equal exactly when their forms are.
 
+def _sum(pairs: list[tuple[int, Matrix]], dim: int, den: int = 1) -> Matrix:
+    """mat_lincomb(pairs, dim, den), with no call where the sum is at hand:
+    terms whose matrix is zero are dropped, no term left gives the zero
+    form, and one term c * m with c == den gives m itself, such as the
+    family member of a basis vector."""
+    pairs = [(c, m) for c, m in pairs if any(m[0])]
+    if not pairs:
+        return (({},) * dim, 1)
+    if len(pairs) == 1 and pairs[0][0] == den:
+        return pairs[0][1]
+    return mat_lincomb(pairs, dim, den)
+
+
 def _of(family: Sequence[Matrix], x: SparseVector, dim: int, *extra: Matrix) -> Matrix:
     """sum_i x_i * family[i], plus each matrix in extra."""
     nums, s = _integral(x.data)
     pairs = [(c, family[i]) for i, c in nums.items()]
     pairs += [(s, m) for m in extra]
-    return mat_lincomb(pairs, dim, s)
+    return _sum(pairs, dim, s)
 
 
-def quasi_violations(M: QuasiPoissonModule) -> list[dict]:
-    """Bimodule axioms plus the three quasi-Poisson compatibilities,
-    checked on basis pairs."""
+def _products(M: QuasiPoissonModule) -> Callable[[str, int, str, int], Matrix]:
+    """product(x, a, y, b), the product of member a of family x and member
+    b of family y ("L", "R" or "Z": left, right, lie).  Each is formed once,
+    through mat_mul, and kept; where a factor is zero the zero form is the
+    product, and no mat_mul call is made."""
+    families = {"L": M.left, "R": M.right, "Z": M.lie}
+    live = {x: [any(m[0]) for m in fam] for x, fam in families.items()}
+    zero: Matrix = (({},) * M.dim, 1)
+    memo: dict[tuple, Matrix] = {}
+
+    def product(x: str, a: int, y: str, b: int) -> Matrix:
+        key = (x, a, y, b)
+        out = memo.get(key)
+        if out is None:
+            if live[x][a] and live[y][b]:
+                out = mat_mul(families[x][a], families[y][b])
+            else:
+                out = zero
+            memo[key] = out
+        return out
+
+    return product
+
+
+def _quasi_sweep(M: QuasiPoissonModule) -> tuple[list[dict], Callable]:
+    """quasi_violations' findings and the product function (_products) that
+    formed them, whose products the Poisson check reads again."""
     L, R, Z = M.left, M.right, M.lie
     A = M.algebra
     n = A.n
     dim = M.dim
-    mul = mat_mul
+    mul = _products(M)
     out: list[dict] = []
     ident = mat_identity(dim)
 
@@ -199,35 +241,44 @@ def quasi_violations(M: QuasiPoissonModule) -> list[dict]:
     for i in range(n):
         for j in range(n):
             prod = A.mul_basis(i, j)
-            if mul(L[i], L[j]) != _of(L, prod, dim):
+            if mul("L", i, "L", j) != _of(L, prod, dim):
                 out.append({"axiom": "left-action", "indices": (i, j)})
-            if mul(R[j], R[i]) != _of(R, prod, dim):
+            if mul("R", j, "R", i) != _of(R, prod, dim):
                 out.append({"axiom": "right-action", "indices": (i, j)})
-            if mul(L[i], R[j]) != mul(R[j], L[i]):
+            if mul("L", i, "R", j) != mul("R", j, "L", i):
                 out.append({"axiom": "bimodule-commute", "indices": (i, j)})
             bra = A.bracket_basis(i, j)
             # {a, b.m}* = {a,b}.m + b.{a,m}*
-            if mul(Z[i], L[j]) != _of(L, bra, dim, mul(L[j], Z[i])):
+            if mul("Z", i, "L", j) != _of(L, bra, dim, mul("L", j, "Z", i)):
                 out.append({"axiom": "lie-left", "indices": (i, j)})
             # {a, m.b}* = m.{a,b} + {a,m}*.b
-            if mul(Z[i], R[j]) != _of(R, bra, dim, mul(R[j], Z[i])):
+            if mul("Z", i, "R", j) != _of(R, bra, dim, mul("R", j, "Z", i)):
                 out.append({"axiom": "lie-right", "indices": (i, j)})
             # {{a,b}, m}* = {a,{b,m}*}* - {b,{a,m}*}*
-            rhs = mat_lincomb(((1, mul(Z[i], Z[j])), (-1, mul(Z[j], Z[i]))), dim)
+            rhs = _sum([(1, mul("Z", i, "Z", j)), (-1, mul("Z", j, "Z", i))], dim)
             if _of(Z, bra, dim) != rhs:
                 out.append({"axiom": "lie-module", "indices": (i, j)})
-    return out
+    return out, mul
+
+
+def quasi_violations(M: QuasiPoissonModule) -> list[dict]:
+    """Bimodule axioms plus the three quasi-Poisson compatibilities,
+    checked on basis pairs.  Each family product is formed once, and none
+    with a zero factor (_products)."""
+    return _quasi_sweep(M)[0]
 
 
 def poisson_violations(M: QuasiPoissonModule) -> list[dict]:
-    """Quasi-Poisson axioms plus {ab, m}* = a.{b,m}* + {a,m}*.b."""
-    out = quasi_violations(M)
-    L, R, Z = M.left, M.right, M.lie
+    """Quasi-Poisson axioms plus {ab, m}* = a.{b,m}* + {a,m}*.b.  The
+    products L_i.Z_j and R_j.Z_i on the right were all formed by the
+    quasi-Poisson sweep, and are read from it."""
+    out, mul = _quasi_sweep(M)
+    Z = M.lie
     A = M.algebra
     dim = M.dim
     for i in range(A.n):
         for j in range(A.n):
-            rhs = mat_lincomb(((1, mat_mul(L[i], Z[j])), (1, mat_mul(R[j], Z[i]))), dim)
+            rhs = _sum([(1, mul("L", i, "Z", j)), (1, mul("R", j, "Z", i))], dim)
             if _of(Z, A.mul_basis(i, j), dim) != rhs:
                 out.append({"axiom": "product-compat", "indices": (i, j)})
     return out

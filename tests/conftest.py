@@ -198,6 +198,13 @@ def inverse(P) -> list[list[Fraction]]:
 
 def rebase(A, P) -> NCPA:
     """A in the basis f_a = sum_b P[b][a] e_b (the columns of P), validated."""
+    return validate_ncpa(rebased_presentation(A.presentation, P))
+
+
+def rebased_presentation(p, P) -> AlgebraPresentation:
+    """The presentation p in the basis f_a = sum_b P[b][a] e_b, whether or
+    not p satisfies the axioms."""
+    A = NCPA(p)
     n = A.n
     Q = inverse(P)
     cols = [SparseVector(n, {b: P[b][a] for b in range(n)}) for a in range(n)]
@@ -209,9 +216,9 @@ def rebase(A, P) -> NCPA:
     def table(op) -> dict:
         return {(a, b): to_new(op(cols[a], cols[b])) for a in range(n) for b in range(n)}
 
-    return validate_ncpa(AlgebraPresentation(
+    return AlgebraPresentation(
         f"{A.name}-rebased", n, [f"f{a}" for a in range(n)], to_new(A.unit),
-        table(A.mul), table(A.bracket)))
+        table(A.mul), table(A.bracket))
 
 
 def skew_basis(seed: int, n: int) -> list[list[int]]:

@@ -22,7 +22,7 @@ from poissonenv.poisson_modules import (
     standard_bimodule_to_poisson,
     tensor_square_module,
 )
-from conftest import dense, grid_form, is_zero, vec, zero_matrix
+from conftest import dense, grid_form, is_zero, rebase, skew_basis, vec, zero_matrix
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -466,24 +466,31 @@ def _fractional_break(M):
     return QuasiPoissonModule(M.algebra, M.dim, left, M.right, lie)
 
 
-def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2):
+def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2, m2_rebased, m2):
     from poissonenv.poisson_modules import _ModuleAction
 
     broken = _fractional_break(regular_module(kxk_skew))
+    # a nonzero bracket in a skew basis, with non-integral constants
+    broken_skew = _fractional_break(regular_module(rebase(m2, skew_basis(1, m2.n))))
     twist = projection_twist_module(kxk)
+    # a nonzero bracket whose Lie family has a zero member: ad(f0), f0 = 1
+    central = regular_module(m2_rebased)
+    assert is_zero(central.lie[0]) and not m2_rebased.has_zero_bracket
     for M, bound in (  # module, multiplicativity bound
         (tensor_square_module(kxk_skew), 3),
         (tensor_square_module(trunc2_skew), 2),
         (regular_module(ut2), 2),  # a nonzero Lie action
         (twist, 3),
         (broken, 3),
+        (central, 0),
+        (broken_skew, 0),
     ):
         quasi = quasi_violations(M)
         assert quasi == _ref_quasi_violations(M)
         poisson = poisson_violations(M)
         assert poisson == _ref_poisson_violations(M)
-        assert bool(quasi) == (M is broken)
-        assert bool(poisson) == (M is broken or M is twist)
+        assert bool(quasi) == (M is broken or M is broken_skew)
+        assert bool(poisson) == (M is broken or M is broken_skew or M is twist)
         # the dense reference is slow on the 9-dimensional square: check the
         # module's own action there, and also a matrix_fn action elsewhere
         actions = [_ModuleAction(M)]
@@ -492,7 +499,7 @@ def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2)
         for action in actions:
             got = action.multiplicativity_failures(bound)
             assert got == _ref_multiplicativity_failures(action, bound)
-            assert bool(got) == (M is broken)
+            assert bool(got) == (M is broken or M is broken_skew)
     identity = EnvAction(kxk_skew, 2, lambda mono: mat_identity(2))
     for bound in (1, 2, 3):
         got = identity.multiplicativity_failures(bound)
@@ -1019,3 +1026,32 @@ def test_modules_are_frozen(kxk):
     with pytest.raises(FrozenInstanceError):
         M.lie = M.left
     assert M.lie is lie
+
+
+@pytest.mark.parametrize("check", ["quasi", "poisson"])
+def test_module_checks_form_each_product_once_and_none_with_a_zero_factor(
+        trunc2, m2, monkeypatch, check):
+    # the checks' only matrix products are their families' products: each is
+    # formed once, through the mat_mul binding, and a zero factor forms none.
+    # trunc2's square has a zero Lie family, so only the L and R products are
+    # formed, n^2 per ordered pair of families; m2std's regular module has no
+    # zero member, so all nine pairs of families are formed.  The Poisson
+    # check reads the quasi-Poisson sweep's products and forms none of its own.
+    from poissonenv import poisson_modules
+
+    original = poisson_modules.mat_mul
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(poisson_modules, "mat_mul", counted)
+    sweep = poisson_violations if check == "poisson" else quasi_violations
+    for M, count in ((tensor_square_module(trunc2), 4 * 9), (regular_module(m2), 9 * 16)):
+        calls.clear()
+        assert sweep(M) == (_ref_poisson_violations if check == "poisson" else
+                            _ref_quasi_violations)(M)
+        assert len(calls) == count
+        assert all(not is_zero(a) and not is_zero(b) for a, b in calls)
+        assert len({(id(a), id(b)) for a, b in calls}) == count

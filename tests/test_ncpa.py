@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from poissonenv.fileformat import load_bundled_algebra
 from poissonenv.linalg import SparseVector, accumulate, mat_from_rows, solve_nullspace
 from poissonenv.ncpa import (
     AlgebraPresentation,
+    NCPA,
     NcpaValidationError,
     PresentationError,
+    Violation,
     _centralizer_basis,
     _derivation_rows,
     _operator_matrices,
@@ -23,7 +26,7 @@ from poissonenv.ncpa import (
     validate_ncpa,
 )
 
-from conftest import ALGEBRAS, vec
+from conftest import ALGEBRAS, inverse, rebased_presentation, skew_basis, vec
 
 FIXTURES = ["kxk", "m2", "trunc2", "m2_rebased", "ut2", "trunc2_skew", "trunc2_skew7"]
 
@@ -96,6 +99,167 @@ def test_unit_axiom_violation():
     pres = AlgebraPresentation("nounit", 1, ["e"], vec(1, {0: 1}), {}, {})
     violations = axiom_violations(pres)
     assert any(v.axiom == "unit" for v in violations)
+
+
+# The Fraction sweep that axiom_violations ran before it moved to integer
+# tables: the reference its records are compared with, one for one.
+
+def _ref_axiom_violations(p: AlgebraPresentation) -> list[Violation]:
+    A = NCPA(p)
+    n = A.n
+    out: list[Violation] = []
+    basis = [A.basis(i) for i in range(n)]
+
+    for i in range(n):
+        lhs = A.mul(A.unit, basis[i])
+        if lhs != basis[i]:
+            out.append(Violation("unit", (i,), lhs, basis[i]))
+        lhs = A.mul(basis[i], A.unit)
+        if lhs != basis[i]:
+            out.append(Violation("unit", (i,), lhs, basis[i]))
+
+    for i in range(n):
+        for j in range(n):
+            lhs = A.bracket_basis(i, j) + A.bracket_basis(j, i)
+            if not lhs.is_zero():
+                out.append(Violation("antisymmetry", (i, j), lhs, A.zero()))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = A.mul(A.mul_basis(i, j), basis[k])
+                rhs = A.mul(basis[i], A.mul_basis(j, k))
+                if lhs != rhs:
+                    out.append(Violation("associativity", (i, j, k), lhs, rhs))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                jac = (
+                    A.bracket(A.bracket_basis(i, j), basis[k])
+                    + A.bracket(A.bracket_basis(j, k), basis[i])
+                    + A.bracket(A.bracket_basis(k, i), basis[j])
+                )
+                if not jac.is_zero():
+                    out.append(Violation("jacobi", (i, j, k), jac, A.zero()))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = A.bracket(A.mul_basis(i, j), basis[k])
+                rhs = A.mul(basis[i], A.bracket_basis(j, k)) + A.mul(
+                    A.bracket_basis(i, k), basis[j]
+                )
+                if lhs != rhs:
+                    out.append(Violation("leibniz", (i, j, k), lhs, rhs))
+    return out
+
+
+def _assert_matches_reference(p: AlgebraPresentation) -> list[Violation]:
+    """axiom_violations(p) equals the reference record for record, and
+    validate_ncpa raises with the reference's message exactly when there is
+    a violation."""
+    got = axiom_violations(p)
+    ref = _ref_axiom_violations(p)
+    assert got == ref
+    assert [v.to_dict(p.basis_labels) for v in got] == [v.to_dict(p.basis_labels) for v in ref]
+    if ref:
+        with pytest.raises(NcpaValidationError) as err:
+            validate_ncpa(p)
+        assert str(err.value) == str(NcpaValidationError(ref))
+    else:
+        assert validate_ncpa(p).presentation is p
+    return got
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
+def test_axiom_check_matches_the_fraction_sweep_on_valid_algebras(name, request):
+    A = request.getfixturevalue(name)
+    for B in (A, unit_first(A)):
+        assert _assert_matches_reference(B.presentation) == []
+
+
+@pytest.mark.parametrize("name", ["bad-antisym", "bad-jacobi", "bad-leibniz"])
+def test_axiom_check_matches_the_fraction_sweep_on_the_bad_fixtures(name):
+    assert _assert_matches_reference(load_bundled_algebra(f"{name}.alg"))
+
+
+def test_axiom_check_matches_the_fraction_sweep_without_a_unit():
+    pres = AlgebraPresentation("nounit", 1, ["e"], vec(1, {0: 1}), {}, {})
+    assert [v.axiom for v in _assert_matches_reference(pres)] == ["unit", "unit"]
+
+
+@pytest.mark.parametrize("name", ["bad-jacobi", "bad-leibniz"])
+def test_failing_records_in_a_skew_basis_carry_fractions(name):
+    p = load_bundled_algebra(f"{name}.alg")
+    skew = rebased_presentation(p, skew_basis(1, p.dim))
+    got = _assert_matches_reference(skew)
+    assert {v.axiom for v in got} == {v.axiom for v in axiom_violations(p)}
+    assert any(x.denominator > 1 for v in got for side in (v.lhs, v.rhs)
+               for x in side.data.values())
+
+
+# Small presentations, dims 1 to 3: random tables, and valid algebras in a
+# random basis, some of them perturbed at one constant.
+
+SMALL = ["field_k", "kxk", "kxk_skew", "trunc2", "ut2", "ut2_zero"]
+RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def small_presentations(draw, request):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        index = st.integers(0, n - 1)
+        vector = st.dictionaries(index, RATIONAL, max_size=n).map(lambda d: SparseVector(n, d))
+        table = st.dictionaries(st.tuples(index, index), vector, max_size=n * n)
+        return AlgebraPresentation("random", n, [f"e{a}" for a in range(n)],
+                                   draw(vector), draw(table), draw(table))
+    A = request.getfixturevalue(draw(st.sampled_from(SMALL)))
+    n = A.n
+    P = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    try:
+        inverse(P)
+    except ZeroDivisionError:
+        assume(False)
+    p = rebased_presentation(A.presentation, P)
+    kind = draw(st.sampled_from(["none", "mul", "bracket", "antisymmetric", "unit"]))
+    if kind == "none":
+        return p
+    a, b, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = draw(RATIONAL.filter(bool))
+    mul, bracket, unit = dict(p.mul), dict(p.bracket), p.unit
+
+    def bumped(v: SparseVector, c: Fraction) -> SparseVector:
+        return v + SparseVector(n, {k: c})
+
+    if kind == "unit":
+        unit = bumped(unit, delta)
+    elif kind == "mul":
+        mul[(a, b)] = bumped(mul.get((a, b), SparseVector(n)), delta)
+    else:
+        bracket[(a, b)] = bumped(bracket.get((a, b), SparseVector(n)), delta)
+        if kind == "antisymmetric":
+            bracket[(b, a)] = bumped(bracket.get((b, a), SparseVector(n)), -delta)
+    return AlgebraPresentation(p.name, n, p.basis_labels, unit, mul, bracket)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_axiom_check_matches_the_fraction_sweep_on_small_presentations(data, request):
+    _assert_matches_reference(data.draw(small_presentations(request)))
+
+
+def test_validation_scans_the_presentation_once(kxk, monkeypatch):
+    # every NCPA scans problems() once, so one scan is one algebra built
+    scans = []
+    problems = AlgebraPresentation.problems
+    monkeypatch.setattr(AlgebraPresentation, "problems",
+                        lambda self: scans.append(self) or problems(self))
+    assert validate_ncpa(kxk.presentation).presentation is kxk.presentation
+    assert scans == [kxk.presentation]
 
 
 def test_standard_of_commutative_is_zero_bracket(kxk):
