@@ -18,13 +18,14 @@ Matrices: canonical integer forms, sparse integer rows over one
 denominator.  The axiom checks, the action's monomial matrices and its
 multiplicativity check multiply and combine them as they are, and two
 matrices are equal exactly when their forms are.  The axiom checks form
-each product of two family members once (_products), and none with a zero
-factor, whose product is the zero form; the Poisson check reads the
-quasi-Poisson sweep's products again.  Their sums (_sum) drop zero terms
-and call mat_lincomb only where more than one term, or one scaled term,
-is left.  A monomial pair is
-checked against the smash product's memo entry (numerators, denominator)
-as it stands, so no Fraction is formed per pair.
+each product of two family members once (_products), none with a zero
+factor, whose product is the zero form, and none with an identity factor,
+whose product is the other factor; the Poisson check and the module's
+action read the quasi-Poisson sweep's products again.  Their sums (_sum)
+drop zero terms and call mat_lincomb only where more than one term, or
+one scaled term, is left.  A monomial pair is checked against the smash
+product's memo entry (numerators, denominator) as it stands, so no
+Fraction is formed per pair.
 """
 
 from __future__ import annotations
@@ -202,9 +203,13 @@ def _products(M: QuasiPoissonModule) -> Callable[[str, int, str, int], Matrix]:
     """product(x, a, y, b), the product of member a of family x and member
     b of family y ("L", "R" or "Z": left, right, lie).  Each is formed once,
     through mat_mul, and kept; where a factor is zero the zero form is the
-    product, and no mat_mul call is made."""
-    families = {"L": M.left, "R": M.right, "Z": M.lie}
-    live = {x: [any(m[0]) for m in fam] for x, fam in families.items()}
+    product, and where one is the identity form the other factor is, with
+    no mat_mul call.  Each member is compared with both forms once."""
+    members = {(x, a): m for x, fam in (("L", M.left), ("R", M.right), ("Z", M.lie))
+               for a, m in enumerate(fam)}
+    ident = mat_identity(M.dim)
+    zeros = {key for key, m in members.items() if not any(m[0])}
+    ones = {key for key, m in members.items() if m == ident}
     zero: Matrix = (({},) * M.dim, 1)
     memo: dict[tuple, Matrix] = {}
 
@@ -212,10 +217,15 @@ def _products(M: QuasiPoissonModule) -> Callable[[str, int, str, int], Matrix]:
         key = (x, a, y, b)
         out = memo.get(key)
         if out is None:
-            if live[x][a] and live[y][b]:
-                out = mat_mul(families[x][a], families[y][b])
-            else:
+            f, h = (x, a), (y, b)
+            if f in zeros or h in zeros:
                 out = zero
+            elif f in ones:
+                out = members[h]
+            elif h in ones:
+                out = members[f]
+            else:
+                out = mat_mul(members[f], members[h])
             memo[key] = out
         return out
 
@@ -284,11 +294,13 @@ def poisson_violations(M: QuasiPoissonModule) -> list[dict]:
     return out
 
 
-def validate_quasi_poisson(M: QuasiPoissonModule) -> QuasiPoissonModule:
-    bad = quasi_violations(M)
+def _checked_products(M: QuasiPoissonModule) -> Callable:
+    """The quasi-Poisson sweep's product function (_products), once M
+    passes the sweep; ActionError otherwise."""
+    bad, mul = _quasi_sweep(M)
     if bad:
         raise ActionError(f"quasi-Poisson axioms violated: {bad[:3]}")
-    return M
+    return mul
 
 
 # -- enveloping-algebra actions ---------------------------------------------------
@@ -407,7 +419,8 @@ class EnvAction:
         test_associativity_random_m2 check it.
 
         Every monomial's form is built first, in env_monomials order, and
-        a pair does no matrix work with a zero factor, as in the full sweep.
+        a pair does no matrix work with a zero factor, as in the full sweep,
+        nor with a generator that acts as the identity: F(m) is the product.
         Nor is a product formed that can only act as zero: a pair is skipped
         when a factor acts as zero and every tail word of its word pair
         (smash.tail_words) is dead, for then both sides are zero.  That is
@@ -424,9 +437,10 @@ class EnvAction:
         form = self._forms.__getitem__
         skips: dict = {}  # word pair -> every tail word is dead
         by_kind = self._generator_forms()
+        ident = mat_identity(self.dim)
         for kind, make in GENERATOR_TERM.items():
             for p, fg in enumerate(by_kind[kind]):
-                g, g_zero = make(p), not any(fg[0])
+                g, g_zero, g_one = make(p), not any(fg[0]), fg == ident
                 for alpha, row in rows.items():
                     if len(alpha) + len(g[2]) > degree_bound:
                         break  # the words run by degree
@@ -442,7 +456,7 @@ class EnvAction:
                                 continue
                             composed = zero
                         else:
-                            composed = mat_mul(f, fg)
+                            composed = f if g_one else mat_mul(f, fg)
                         if composed != self._of_product(m, g, form):
                             return False
         return True
@@ -520,16 +534,19 @@ class EnvAction:
 class _ModuleAction(EnvAction):
     """The action of a module: monomial (i, j, word) acts by
     left(i) . right(j) . lie(w_1) ... lie(w_k).  Its matrix is built from
-    that of (i, j, word[:-1]) and the module's families."""
+    that of (i, j, word[:-1]) and the module's families; left(i) . right(j)
+    is read from products, a product function of M's families (_products):
+    the quasi-Poisson sweep's, which formed it for the bimodule-commute
+    check, where M was validated, and a fresh one otherwise."""
 
-    def __init__(self, M: QuasiPoissonModule):
+    def __init__(self, M: QuasiPoissonModule, products: Callable | None = None):
         super().__init__(M.algebra, M.dim, None)  # _new_form is overridden
-        self._left, self._right, self._lie = M.left, M.right, M.lie
+        self._mul, self._lie = products or _products(M), M.lie
 
     def _new_form(self, mono: QMonomial) -> Matrix:
         i, j, word = mono
         if not word:
-            return mat_mul(self._left[i], self._right[j])
+            return self._mul("L", i, "R", j)
         prefix, lie = self._form((i, j, word[:-1])), self._lie[word[-1]]
         if prefix is self._zero or not any(lie[0]):  # a zero factor: no product
             return self._zero
@@ -539,7 +556,7 @@ class _ModuleAction(EnvAction):
 def module_to_action(M: QuasiPoissonModule) -> EnvAction:
     """Monomial (i, j, word) acts by left(i) . right(j) . lie(w_1) ...
     lie(w_k); the module must satisfy the quasi-Poisson axioms."""
-    return _ModuleAction(validate_quasi_poisson(M))
+    return _ModuleAction(M, _checked_products(M))
 
 
 def _failures(action: EnvAction, degree_bound: int) -> list[tuple]:
@@ -564,7 +581,9 @@ def action_to_module(action: EnvAction) -> QuasiPoissonModule:
     action must respect monomial products up to degree 2 (the degree-2
     products encode the generating relations).  Kept for perfbench.tracing,
     which wraps it (TRACED)."""
-    return validate_quasi_poisson(_read_module(action, _failures(action, 2)))
+    back = _read_module(action, _failures(action, 2))
+    _checked_products(back)
+    return back
 
 
 def roundtrip_report(
@@ -584,13 +603,9 @@ def roundtrip_report(
     back = _read_module(action, up_to(2))
     gf_equal = M.equal_actions(back)
     # the axioms read only the families, and module_to_action validated M's,
-    # so G(F(M)) is validated only where it differs from M
-    if not gf_equal:
-        validate_quasi_poisson(back)
-
-    # F(G(F(M))) is built from back's matrices alone, so where they are M's
-    # it is F(M)
-    action2 = action if gf_equal else _ModuleAction(back)
+    # so G(F(M)) is validated only where it differs from M; F(G(F(M))) is
+    # built from back's matrices alone, so where they are M's it is F(M)
+    action2 = action if gf_equal else _ModuleAction(back, _checked_products(back))
     monos = env_monomials(A, degree_bound)
     fgf_mismatches = [m for m in monos if action._form(m) != action2._form(m)]
     assoc_failures = up_to(degree_bound)

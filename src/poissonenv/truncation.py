@@ -92,17 +92,20 @@ Every product the closure forms multiplies a kept vector by one generator
 i(a), k(a) or j(a) on one side, so it works in its own integer
 coordinates: a vector is a primitive {coordinate: int} dict, and its
 product with g is the integer combination of g's columns, the products of
-the monomials at its coordinates with g (smash.q_gen_mult), each built
-once per closure and kept under (coordinate, g, side).  The products
-formed, their order and the echelon inserts are those of multiplying the
-vectors' monomial forms in the smash product, so the rows and pivot levels
-are the same (_LeveledClosure).
+the monomials at its coordinates with g.  A product reads only the word
+and the slots g touches, and passes the others through, so the monomials
+that agree there share one column, kept as coordinate offsets and built
+once per closure from smash.q_gen_mult.  The products formed, their order
+and the echelon inserts are those of multiplying the vectors' monomial
+forms in the smash product, so the rows and pivot levels are the same
+(_LeveledClosure).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .limits import DegreeCapExceeded, check_degree
 from .linalg import (
@@ -111,7 +114,6 @@ from .linalg import (
     SparseVector,
     Subspace,
     _integral,
-    _lincomb,
     _primitive,
     close_under,
     join_and_reduce,
@@ -202,6 +204,19 @@ def _coordinates(x: dict, index: dict) -> dict:
     return data
 
 
+def _slots(n: int, g: QMonomial, left: bool) -> tuple[int, int]:
+    """(wide, narrow) for the product with g on one side: the monomial at
+    position t = w n^2 + i n + j keeps its columns under t - t % wide +
+    t % narrow, its position with the slots the product passes through set
+    to 0 (see _LeveledClosure).  y * j(a) reads the word alone, i(a) on
+    either side passes the j slot through, k(a) the i slot, and j(a) * y
+    reads both."""
+    gi, _, gw = g
+    if gw:
+        return (1, 1) if left else (n * n, 1)
+    return (n, 1) if gi is not None else (n * n, n)
+
+
 def qelem_to_vector(x: QElement, index: dict, n_coords: int) -> SparseVector:
     v = SparseVector(n_coords)
     v.data = _coordinates(x, index)
@@ -218,15 +233,31 @@ class _LeveledClosure:
     primitive integer {coordinate: int} dict, since only spans are used.
 
     The closure multiplies only by one generator g at a time, so it keeps
-    g's columns: the product of the monomial at coordinate c with g on
-    one side, as integer numerators over coordinates and a denominator,
-    memoized under (c, g, left) and built once from smash.q_gen_mult.  A
+    g's columns: the product of the monomial m = (i, j, w) at coordinate c
+    with g on one side, as integer numerators over a denominator, built
+    from smash.q_gen_mult.  The product passes some slots of m through
+    unchanged (q_gen_mult's case analysis): y * j(a) is (i, j) # the
+    straightened w a, so both; y * i(a) sums v_i . ad_w1(v_a) (x) v_j and
+    i(a) * y is (v_a . v_i) (x) v_j, so the j slot; y * k(a) and k(a) * y
+    likewise the i slot; and j(a) * y neither, since its bracket terms
+    ad_a(v_i) (x) v_j and v_i (x) ad_a(v_j) read both.  Each term
+    (i', j', w') then keeps every passed slot, and its coefficient depends
+    on the word and the slots read alone.  Coordinates are
+    c = -1 - (p n^2 + i n + j), with p the position of w among the words
+    (env_monomials runs word-major, then i, then j), so the term's
+    coordinate minus c is -(p' - p) n^2 - (i' - i) n - (j' - j), in which
+    each passed slot's difference is 0: every monomial that agrees with m
+    in w and the slots read has the same terms, moved by the same offsets.
+    The degree cap reads w alone, and a window holds all n^2 slot pairs of
+    each word it holds, so the terms of one member lie in the window when
+    those of another do.  So the column is kept once per class, as
+    {offset: numerator} over its denominator, under the class's coordinate
+    with the passed slots set to 0 (_slots), and read at c + offset.  A
     product y * g or g * y is the integer combination of the columns of
-    y's coordinates, over the lcm of their denominators, made primitive:
-    a positive multiple of the product q_mult_scaled forms from the
-    monomials at those coordinates, hence the same primitive vector.  Holds no reference to the
-    algebra, whose memo holds it: a cycle would outlive each call until
-    collected.
+    y's coordinates, over the lcm of their denominators, made primitive: a
+    positive multiple of the product q_mult_scaled forms from the monomials
+    at those coordinates, hence the same primitive vector.  Holds no reference to the algebra, whose memo
+    holds it: a cycle would outlive each call until collected.
     """
 
     def __init__(self, A: NCPA, gens: IdealGens):
@@ -253,7 +284,8 @@ class _LeveledClosure:
         self.ech = Echelon(0)
         self.monomials: list[QMonomial] = []  # by position, -1 - coordinate
         self.coord: dict[QMonomial, int] = {}
-        self.columns: dict[tuple, tuple[dict[int, int], int]] = {}
+        # per (g, left): the slot moduli of _slots and the columns by key
+        self.columns: dict[tuple, tuple[int, int, dict]] = {}
         self.pivot_level: dict[int, int] = {}  # level that took each pivot
         # per level, the j products formed and skipped (none at level 0)
         self.j_formed: list[int] = []
@@ -267,7 +299,14 @@ class _LeveledClosure:
         for t in range(len(self.coord), len(self.monomials)):
             self.coord[self.monomials[t]] = -1 - t
         top = A.n - 1
-        add = self.ech.add_data
+        add_data = self.ech.add_data
+
+        def add(v: dict[int, int]) -> dict[int, int] | None:
+            # a gained row's pivot, its least coordinate, is taken here
+            row = add_data(v)
+            if row is not None:
+                self.pivot_level[min(row)] = self.level
+            return row
 
         while self.level < D - 1:
             self.level += 1
@@ -302,22 +341,37 @@ class _LeveledClosure:
                 self.frontier = gained
             self.j_formed.append(formed)
             self.j_skipped.append(skipped)
-            for p in self.ech.pivot_row:
-                self.pivot_level.setdefault(p, self.level)
 
     def _times(self, A: NCPA, y: dict[int, int], g: QMonomial, left: bool) -> dict[int, int]:
         """g * y if left, else y * g, up to a nonzero scalar: the primitive
         integer combination of g's columns (see the class docstring)."""
-        columns = self.columns
+        memo = self.columns.get((g, left))
+        if memo is None:
+            memo = self.columns[(g, left)] = (*_slots(A.n, g, left), {})
+        wide, narrow, columns = memo
         pairs = []
         for c, v in y.items():
-            key = (c, g, left)
+            t = ~c  # the position, -1 - c
+            key = c + t % wide - t % narrow
             col = columns.get(key)
             if col is None:
-                nums, den = q_gen_mult(A, self.monomials[-1 - c], g, left)
-                col = columns[key] = (_coordinates(nums, self.coord), den)
-            pairs.append((v, col))
-        return _primitive(_lincomb(pairs)[0])
+                nums, den = q_gen_mult(A, self.monomials[t], g, left)
+                offsets = {k - c: x for k, x in _coordinates(nums, self.coord).items()}
+                col = columns[key] = (offsets, den)
+            pairs.append((c, v, col))
+        s = lcm(*[den for _, _, (_, den) in pairs])
+        out: dict[int, int] = {}
+        for c, v, (offsets, den) in pairs:
+            if den != s:
+                v *= s // den
+            for o, d in offsets.items():
+                k = c + o
+                x = out.get(k, 0) + v * d
+                if x:
+                    out[k] = x
+                else:
+                    out.pop(k, None)
+        return _primitive(out)
 
     def low_rows(self, n_low: int) -> dict[int, dict[int, int]]:
         """The rows that span the current span met with the first n_low

@@ -982,7 +982,7 @@ def test_roundtrip_validates_a_differing_module_as_action_to_module_does(m2, mon
         tuple(mat_lincomb(((2, m),), M.dim) for m in M.lie),
     )
     with pytest.raises(ActionError) as expected:
-        poisson_modules.validate_quasi_poisson(back)
+        module_to_action(back)
     monkeypatch.setattr(poisson_modules, "_read_module", lambda action, bad: back)
     with pytest.raises(ActionError) as got:
         roundtrip_report(m2, M, 2)
@@ -1032,11 +1032,14 @@ def test_modules_are_frozen(kxk):
 def test_module_checks_form_each_product_once_and_none_with_a_zero_factor(
         trunc2, m2, monkeypatch, check):
     # the checks' only matrix products are their families' products: each is
-    # formed once, through the mat_mul binding, and a zero factor forms none.
-    # trunc2's square has a zero Lie family, so only the L and R products are
-    # formed, n^2 per ordered pair of families; m2std's regular module has no
-    # zero member, so all nine pairs of families are formed.  The Poisson
-    # check reads the quasi-Poisson sweep's products and forms none of its own.
+    # formed once, through the mat_mul binding, and a zero or identity factor
+    # forms none.  trunc2's square has a zero Lie family, and its unit is
+    # basis vector 0, so L_0 and R_0 are the identity: only the L and R
+    # products of members 1 and 2 are formed, 2^2 per ordered pair of
+    # families; m2std's regular module has no zero member, and its unit is
+    # no basis vector, so all nine pairs of families are formed.  The
+    # Poisson check reads the quasi-Poisson sweep's products and forms none
+    # of its own.
     from poissonenv import poisson_modules
 
     original = poisson_modules.mat_mul
@@ -1048,10 +1051,12 @@ def test_module_checks_form_each_product_once_and_none_with_a_zero_factor(
 
     monkeypatch.setattr(poisson_modules, "mat_mul", counted)
     sweep = poisson_violations if check == "poisson" else quasi_violations
-    for M, count in ((tensor_square_module(trunc2), 4 * 9), (regular_module(m2), 9 * 16)):
+    for M, count in ((tensor_square_module(trunc2), 4 * 4), (regular_module(m2), 9 * 16)):
         calls.clear()
         assert sweep(M) == (_ref_poisson_violations if check == "poisson" else
                             _ref_quasi_violations)(M)
         assert len(calls) == count
+        ident = mat_identity(M.dim)
         assert all(not is_zero(a) and not is_zero(b) for a, b in calls)
+        assert all(a != ident and b != ident for a, b in calls)
         assert len({(id(a), id(b)) for a, b in calls}) == count

@@ -11,6 +11,7 @@ from poissonenv.linalg import (
     Subspace,
     TrackedEchelon,
     _integral,
+    _lincomb,
     _primitive,
     add_terms,
     close_under,
@@ -23,6 +24,7 @@ from poissonenv.ncpa import is_poisson_simple, unit_first
 from poissonenv.smash import (
     GENERATOR_TERM,
     embed,
+    q_gen_mult,
     q_identity,
     q_mult,
     q_mult_scaled,
@@ -30,6 +32,7 @@ from poissonenv.smash import (
 from poissonenv.truncation import (
     IdealGens,
     _LeveledClosure,
+    _coordinates,
     _leveled_closure,
     dimension_table,
     env_monomials,
@@ -722,6 +725,76 @@ def test_closure_counts_j_products(trunc2, m2):
         assert closure.j_skipped == skipped
         for level in range(1, 4):
             assert closure.j_formed[level] + closure.j_skipped[level] == 2 * A.n * sizes[level - 1]
+
+
+# -- reference: the closure that builds every column per coordinate -----------
+
+class _PerCoordinateClosure(_LeveledClosure):
+    """The closure with a column for each coordinate, generator and side,
+    each built from q_gen_mult: what the slot-keyed offset columns stand
+    for."""
+
+    def __init__(self, A, gens):
+        super().__init__(A, gens)
+        self.per_coordinate = {}
+
+    def _times(self, A, y, g, left):
+        pairs = []
+        for c, v in y.items():
+            col = self.per_coordinate.get((c, g, left))
+            if col is None:
+                nums, den = q_gen_mult(A, self.monomials[-1 - c], g, left)
+                col = self.per_coordinate[c, g, left] = (_coordinates(nums, self.coord), den)
+            pairs.append((v, col))
+        return _primitive(_lincomb(pairs)[0])
+
+
+# every fixture and its unit-first copy; the 4-dimensional ones to window 4
+COLUMN_FIXTURES = ALGEBRAS + ["xy_bracket"]
+
+
+@pytest.mark.parametrize("label", IDEALS)
+@pytest.mark.parametrize("first", [False, True], ids=["as_given", "unit_first"])
+@pytest.mark.parametrize("name", COLUMN_FIXTURES)
+def test_offset_columns_match_per_coordinate_columns(name, first, label, request):
+    # a product reads only the word and the slots the generator touches, so
+    # the offset columns give the same vectors, inserted in the same order
+    A = request.getfixturevalue(name)
+    if first:
+        A = unit_first(A)
+    gens = ideal_gens_by_label(A, label)
+    closure, reference = _LeveledClosure(A, gens), _PerCoordinateClosure(A, gens)
+    levels = {}  # each pivot's level, read off the reference after each window
+    for D in range(1, 5 if A.n == 4 else 6):
+        closure.extend_to(A, D)
+        reference.extend_to(A, D)
+        for p in reference.ech.pivot_row:
+            levels.setdefault(p, D - 1)
+        assert closure.ech.rows == reference.ech.rows, D
+        assert closure.pivot_level == levels, D
+        assert (closure.j_formed, closure.j_skipped) == (reference.j_formed,
+                                                        reference.j_skipped), D
+
+
+def test_offset_columns_are_built_once_each(trunc2_skew, monkeypatch):
+    # env-dim J to degree 2 in the envdim-skew basis (window 4, unit first):
+    # one q_gen_mult call per column kept, 79 where a column per coordinate
+    # took 427
+    from poissonenv import truncation
+
+    calls = []
+
+    def counted(A, m, g, left):
+        calls.append((m, g, left))
+        return q_gen_mult(A, m, g, left)
+
+    monkeypatch.setattr(truncation, "q_gen_mult", counted)
+    A = unit_first(trunc2_skew)
+    gens = ideal_j_gens(A)
+    assert [row["dimension"] for row in dimension_table(A, gens, 2)] == [9, 15, 22]
+    closure = _leveled_closure(A, gens, 4)
+    assert len(calls) == len(set(calls)) == 79
+    assert sum(len(columns) for _, _, columns in closure.columns.values()) == 79
 
 
 @pytest.mark.parametrize(
