@@ -54,6 +54,8 @@ def _load_json(text: str) -> dict:
         raise FileFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:  # json's decoder recurses once per nested value
+        raise FileFormatError("arrays or objects nested too deeply")
     if not isinstance(doc, dict):
         raise FileFormatError("top-level value must be an object")
     return doc

@@ -10,9 +10,8 @@ built from an Echelon's integer rows, so it clears no denominators.
 Echelon.add_data takes int data as it is: _integral copies all-int data
 after one scan of its types, with no lcm and no rescaling.  The ideal
 closure in truncation feeds it primitive integer vectors over its own
-coordinates, each an integer combination (_lincomb, which the smash
-product's q_mult_scaled shares) of cached generator columns, and linear
-systems (solve_nullspace) are plain {index: value} rows.  A matrix
+coordinates, each an integer combination of cached generator columns,
+and linear systems (solve_nullspace) are plain {index: value} rows.  A matrix
 is held in one canonical integer form, sparse integer rows over one
 denominator (see "exact matrices" below), and mat_mul is its one product.
 SparseVector, Subspace and matrices are not changed once built (by
@@ -171,25 +170,6 @@ def _integral(data: Mapping) -> tuple[dict, int]:
         return dict(data), 1
     s = lcm(*[v.denominator for v in data.values()])
     return {c: v.numerator * (s // v.denominator) for c, v in data.items()}, s
-
-
-def _lincomb(pairs: Sequence[tuple[int, tuple[Mapping, int]]]) -> tuple[dict, int]:
-    """(out, s) with out / s the sum of c * nums / den over the pairs
-    (c, (nums, den)) of integers c, integer vectors nums and dens > 0: out
-    is an integer vector, s the lcm of the dens, and zero sums are
-    dropped."""
-    s = lcm(*[den for _, (_, den) in pairs])
-    out: dict = {}
-    for c, (nums, den) in pairs:
-        if den != s:
-            c *= s // den
-        for k, d in nums.items():
-            v = out.get(k, 0) + c * d
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out, s
 
 
 def _primitive(data: dict) -> dict:

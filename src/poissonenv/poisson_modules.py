@@ -9,9 +9,9 @@ to left(i) . right(j) . lie(w_1) ... lie(w_k); the reverse passage reads
 the three families off the degree <= 1 monomials, once the action's
 products to degree 2 check out.  roundtrip_report checks the products of
 F(M) once, to its bound or 2, and reads both answers off that check: the
-products with the generators decide whether any pair fails
-(EnvAction.generators_multiply), and only an action that fails is swept
-pair by pair, for the list (EnvAction.multiplicativity_failures).
+products with the generators, which hold exactly when every monomial pair
+multiplies, and list the failing (monomial, generator) pairs otherwise
+(EnvAction.multiplicativity_failures).
 
 Module families, action matrices and of_element values are linalg
 Matrices: canonical integer forms, sparse integer rows over one
@@ -311,23 +311,19 @@ class EnvAction:
     The multiplicativity verdicts are taken on those matrices, so no
     Fraction is formed per pair, and not kept: a caller checks once.
 
-    A monomial that acts as zero is stored as the one zero form, and
-    neither check (generators_multiply, multiplicativity_failures) does
-    matrix work with it: if m1 or m2 acts as zero, then
-    F(m1)·F(m2) is zero, since a zero factor gives a zero product; and the
-    terms of m1·m2 that act as zero are dropped, since they add nothing to
-    F(m1·m2).  Each rational matrix has exactly one form, so every verdict
-    is the one the full products give.
+    A monomial that acts as zero is stored as the one zero form, and the
+    check (multiplicativity_failures) does no matrix work with it: if m or
+    g acts as zero, then F(m)·F(g) is zero, since a zero factor gives a
+    zero product; and the terms of m·g that act as zero are dropped, since
+    they add nothing to F(m·g).  Each rational matrix has exactly one form,
+    so every verdict is the one the full products give.
 
-    Nor does either form a product that can only act as zero.  Call a word
+    Nor does it form a product that can only act as zero.  Call a word
     dead when all n² monomials (p, q, word) act as zero.  Every term of
-    m1·m2 has one of the tail words of the word pair of m1 and m2 as its
-    word (smash.tail_words), whatever the slots; if all of them are dead,
-    every term acts as zero, so F(m1·m2) = 0 and the verdict is
-    F(m1)·F(m2) == 0, with no product formed and no memo entry made.  The
-    full sweep reads the dead words after its first row, which reads
-    every monomial's form, in the order a sweep without skips reads them;
-    when no word is dead, a pair costs one test of an empty skip more."""
+    m·g has one of the tail words of the word pair of m and g as its word
+    (smash.tail_words), whatever the slots; if all of them are dead, every
+    term acts as zero, so F(m·g) = 0 and the verdict is F(m)·F(g) == 0,
+    with no product formed and no memo entry made."""
 
     def __init__(self, algebra: NCPA, dim: int, matrix_fn: Callable[[QMonomial], Matrix]):
         self.algebra = algebra
@@ -378,27 +374,32 @@ class EnvAction:
             }
         return self._generators
 
-    def generators_multiply(self, degree_bound: int) -> bool:
-        """True iff multiplicativity_failures(degree_bound) is empty, decided
-        on the products with the 3n generators alone: F(m·g) == F(m)·F(g)
-        for every monomial m and every one-term generator g = i(e_p), k(e_q)
-        or j(e_a) (GENERATOR_TERM) with deg m + deg g <= degree_bound, F(g)
-        being the action of the expanded generator (_generator_forms).
+    def multiplicativity_failures(self, degree_bound: int) -> list[tuple]:
+        """The pairs (m, g) where F(m·g) != F(m)·F(g), for every monomial m
+        and every one-term generator g = i(e_p), k(e_q) or j(e_a)
+        (GENERATOR_TERM) with deg m + deg g <= degree_bound, F(g) being the
+        action of the expanded generator (_generator_forms).  They come in
+        sweep order: kind (i, k, j), then generator, then env_monomials
+        order.  perfbench.tracing wraps it (TRACED).
 
+        The list is empty iff every monomial pair (m1, m2) with
+        deg m1 + deg m2 <= degree_bound multiplies: F(m1·m2) == F(m1)·F(m2).
         Write d for the bound, G for a generator expanded over the unit
         (I_p, K_q, J_a), and read every product as the implemented one
         (q_mono_mult, extended bilinearly).  A product with a one-term
         generator equals the product with G term by term (smash's module
-        docstring), so the check is F(m·G) == F(m)·F(G), and F is linear, so
-        it gives F(x·G) = F(x)·F(G) for every combination x of monomials of
-        degree <= d - deg G.  A product of monomials has no term of degree
-        above the sum of theirs (straightening never raises the degree).
+        docstring), so each pair checks F(m·G) == F(m)·F(G), and F is
+        linear, so an empty list gives F(x·G) = F(x)·F(G) for every
+        combination x of monomials of degree <= d - deg G.  A product of
+        monomials has no term of degree above the sum of theirs
+        (straightening never raises the degree).
 
-        Only if: G is a combination of monomials of the degree of g, so
-        F(m·G) is the same combination of the F(m·m') = F(m)·F(m'), which
-        is F(m)·F(G), when every pair of total degree <= d holds.
+        If every monomial pair multiplies, the list is empty: G is a
+        combination of monomials of the degree of g, so F(m·G) is the same
+        combination of the F(m·m') = F(m)·F(m'), which is F(m)·F(G).
 
-        If: two identities of the implemented product, which
+        If the list is empty, every monomial pair multiplies, by two
+        identities of the implemented product, which
         test_monomials_are_products_of_the_generators checks.  First,
         (p, q, ()) = I_p·K_q.  Second, (p, q, w) = (p, q, w')·J_a for a
         nonempty PBW word w = w' a: the unit slots of J_a keep e_p and e_q
@@ -418,26 +419,32 @@ class EnvAction:
         one assumption; test_associativity_exhaustive_kxk and
         test_associativity_random_m2 check it.
 
-        Every monomial's form is built first, in env_monomials order, and
-        a pair does no matrix work with a zero factor, as in the full sweep,
-        nor with a generator that acts as the identity: F(m) is the product.
-        Nor is a product formed that can only act as zero: a pair is skipped
-        when a factor acts as zero and every tail word of its word pair
-        (smash.tail_words) is dead, for then both sides are zero.  That is
-        decided once per word pair, and only when some word is dead; where
-        the generator or the word acts as zero, the word's n² pairs are
-        skipped at once."""
+        Each pair's verdict reads F(m), F(g) and the terms of m·g alone, so
+        it is the same at every bound that holds the pair, and the pairs of
+        one generator come in env_monomials order, which runs by degree.
+        So for d' <= d the pairs of degree <= d' in the list at d are the
+        list at d', in order; roundtrip_report reads its lists at both of
+        its bounds off one call.
+
+        Every monomial's form is built first, in env_monomials order.  A
+        pair does no matrix work with a zero factor, nor with an identity
+        one, whose product is the other factor, and is skipped when a
+        factor acts as zero and every tail word is dead (see the class
+        docstring): decided once per word pair, and only when some word is
+        dead, with the word's n² pairs skipped at once where the generator
+        or the word acts as zero."""
         A = self.algebra
         zero = self._zero
+        ident = mat_identity(self.dim)
         monos = env_monomials(A, degree_bound)
-        rows: dict = {}  # word -> [(monomial, form)], in env_monomials order
+        rows: dict = {}  # word -> [(monomial, form, form is the identity)]
         for m in monos:
-            rows.setdefault(m[2], []).append((m, self._form(m)))
+            f = self._form(m)
+            rows.setdefault(m[2], []).append((m, f, f == ident))
         dead = self._dead_words(monos)
-        form = self._forms.__getitem__
         skips: dict = {}  # word pair -> every tail word is dead
         by_kind = self._generator_forms()
-        ident = mat_identity(self.dim)
+        out = []
         for kind, make in GENERATOR_TERM.items():
             for p, fg in enumerate(by_kind[kind]):
                 g, g_zero, g_one = make(p), not any(fg[0]), fg == ident
@@ -450,59 +457,32 @@ class EnvAction:
                         skip = skips[key] = bool(dead) and tail_words(A, *key) <= dead
                     if skip and (g_zero or alpha in dead):
                         continue  # a zero factor in every pair of the row
-                    for m, f in row:
+                    for m, f, f_one in row:
                         if f is zero or g_zero:
                             if skip:
                                 continue
                             composed = zero
+                        elif g_one:
+                            composed = f
+                        elif f_one:
+                            composed = fg
                         else:
-                            composed = f if g_one else mat_mul(f, fg)
-                        if composed != self._of_product(m, g, form):
-                            return False
-        return True
-
-    def multiplicativity_failures(self, degree_bound: int) -> list[tuple]:
-        """Monomial pairs (total degree <= bound) where composing matrices
-        differs from acting by the product, in sweep order.  The callers run
-        it only when generators_multiply fails, to list the failures, so no
-        CLI job reaches it (a validated module's action multiplies); it is
-        kept as that lister and as the reference the generator check is
-        tested against, and perfbench.tracing wraps it (TRACED)."""
-        form = self._form
-        zero = self._zero
-        out = []
-        monos = env_monomials(self.algebra, degree_bound)
-        # monomials of degree <= d form a prefix of monos, upto[d] long
-        upto = [sum(len(m[2]) <= d for m in monos) for d in range(degree_bound + 1)]
-        dead_products: dict = {}
-        for row, m1 in enumerate(monos):
-            if row == 1:  # the first row has built every form: read the store
-                form = self._forms.__getitem__
-                dead_products = self._dead_products(monos, degree_bound)
-            skip = dead_products.get(m1[2])
-            for m2 in monos[:upto[degree_bound - len(m1[2])]]:
-                # read every form, m1's, m2's, then the product terms', even
-                # where a factor is zero: a failing matrix_fn then fails at
-                # the same monomial whatever acts as zero
-                f1, f2 = form(m1), form(m2)
-                composed = zero if f1 is zero or f2 is zero else mat_mul(f1, f2)
-                if skip and m2[2] in skip:
-                    product = zero  # m1·m2 acts as zero: not formed
-                else:
-                    product = self._of_product(m1, m2, form)
-                if composed != product:
-                    out.append((m1, m2))
+                            composed = mat_mul(f, fg)
+                        if composed != self._of_product(m, g):
+                            out.append((m, g))
         return out
 
-    def _of_product(self, m1: QMonomial, m2: QMonomial, form: Callable) -> Matrix:
-        """The action of m1·m2, read off its q_mono memo entry as it stands;
-        the terms that act as zero (form reads their forms) are dropped."""
+    def _of_product(self, m: QMonomial, g: QMonomial) -> Matrix:
+        """The action of m·g, read off its q_mono memo entry as it stands;
+        the terms that act as zero are dropped.  Their forms are read from
+        the store, which the check has filled to its bound."""
         A = self.algebra
-        entry = A.caches["q_mono"].get((m1, m2))
+        entry = A.caches["q_mono"].get((m, g))
         if entry is None:
-            entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
+            entry = q_mono_mult(A, m, g)  # the one function that fills the memo
         nums, den = entry
-        live = {m: c for m, c in nums.items() if form(m) is not self._zero}
+        forms = self._forms
+        live = {t: c for t, c in nums.items() if forms[t] is not self._zero}
         return self._combination(live, den) if live else self._zero
 
     def _dead_words(self, monos: list) -> set:
@@ -510,25 +490,6 @@ class EnvAction:
         their forms, built already."""
         return {m[2] for m in monos}.difference(
             m[2] for m in monos if self._form(m) is not self._zero)
-
-    def _dead_products(self, monos: list, degree_bound: int) -> dict:
-        """For each word alpha of monos, the words beta (of degree at most
-        degree_bound - len(alpha)) whose tail words with alpha are all dead;
-        empty when no word is dead.  Reads only forms already built.  Kept
-        for the full sweep, which no CLI job reaches (see
-        multiplicativity_failures): without it the sweep of a failing action
-        would form every product that can only act as zero."""
-        dead = self._dead_words(monos)
-        if not dead:
-            return {}
-        words = list(dict.fromkeys(m[2] for m in monos))
-        out: dict = {}
-        for alpha in words:
-            for beta in words:
-                if len(alpha) + len(beta) <= degree_bound:
-                    if tail_words(self.algebra, alpha, beta) <= dead:
-                        out.setdefault(alpha, set()).add(beta)
-        return out
 
 
 class _ModuleAction(EnvAction):
@@ -559,14 +520,6 @@ def module_to_action(M: QuasiPoissonModule) -> EnvAction:
     return _ModuleAction(M, _checked_products(M))
 
 
-def _failures(action: EnvAction, degree_bound: int) -> list[tuple]:
-    """The action's failing monomial pairs to the bound, in sweep order:
-    none when its generators multiply, else the full sweep's list."""
-    if action.generators_multiply(degree_bound):
-        return []
-    return action.multiplicativity_failures(degree_bound)
-
-
 def _read_module(action: EnvAction, bad: list[tuple]) -> QuasiPoissonModule:
     """The three action families, the actions of i(e_p), k(e_p) and j(e_p),
     unvalidated; bad (the action's failures to degree 2) must be empty."""
@@ -581,7 +534,7 @@ def action_to_module(action: EnvAction) -> QuasiPoissonModule:
     action must respect monomial products up to degree 2 (the degree-2
     products encode the generating relations).  Kept for perfbench.tracing,
     which wraps it (TRACED)."""
-    back = _read_module(action, _failures(action, 2))
+    back = _read_module(action, action.multiplicativity_failures(2))
     _checked_products(back)
     return back
 
@@ -594,8 +547,8 @@ def roundtrip_report(
     top = max(2, degree_bound)  # reading G(F(M)) checks degree 2
     check_degree(top, "product degree", A.degree_cap)  # before any work
     action = module_to_action(M)
-    # one check; a sweep to degree d fails at its pairs of degree <= d
-    failures = _failures(action, top)
+    # one check: its list to degree d is this list's part of degree <= d
+    failures = action.multiplicativity_failures(top)
 
     def up_to(d: int) -> list[tuple]:
         return [p for p in failures if len(p[0][2]) + len(p[1][2]) <= d]

@@ -12,11 +12,10 @@ opposite slot, or pass through to the word slot.
 The product works on integers (fraction-free, as the echelon in linalg
 does).  Each memoized monomial product is kept as (numerators,
 denominator): integer numerators over one positive denominator, in lowest
-terms.  q_mult_scaled multiplies elements with integer coefficients over
-the lcm of the denominators it meets, and returns that lcm beside the
-integer result.  q_mono_mult returns the memo entry itself, and q_mult is
-the one exit that forms Fractions: it returns a new dict of Fraction
-coefficients, with one division per coefficient.
+terms.  q_mono_mult returns the memo entry itself, and q_mult is the one
+exit that forms Fractions: it sums the entries it meets with integer
+coefficients over the lcm of their denominators, and returns a new dict
+of Fraction coefficients, with one division per coefficient.
 
 The ideal closure (truncation) multiplies only by one generator i(a),
 k(a) or j(a) at a time, on either side, so it calls q_gen_mult, which
@@ -32,7 +31,7 @@ The word work of a monomial product depends on the two words alone, and
 most word pairs recur with many slot pairs (the 648 pairs of a monomial
 and a generator that the trunc2-n2 tensor-square roundtrip checks share 22
 word pairs, whose plans it reads; it forms only 54 of the products, see
-EnvAction.generators_multiply).  So it is done once per word pair and
+EnvAction.multiplicativity_failures).  So it is done once per word pair and
 memoized per algebra: the plan ("q_plan") lists the ordered tripartitions
 of the left word, each with its straightened word slot as integers, and
 the degree cap (NCPA.degree_cap) is checked when a plan is built.  A plan
@@ -67,7 +66,6 @@ from .linalg import (
     ONE,
     SparseVector,
     _integral,
-    _lincomb,
     _over,
     accumulate,
     add_terms,
@@ -349,26 +347,32 @@ def q_gen_mult(A: NCPA, m: QMonomial, g: QMonomial, left: bool) -> tuple[dict, i
     return _combine([t for t in terms if t[0][0] and t[1][0]])
 
 
-def q_mult_scaled(A: NCPA, x: dict, y: dict) -> tuple[dict, int]:
-    """(z, s) with z / s = x * y, for x and y with integer coefficients: z
-    has integer coefficients, and s is the lcm of the denominators of the
-    monomial products used."""
+def q_mult(A: NCPA, x: QElement, y: QElement) -> QElement:
+    """x * y: the memo entries of the monomial products, each scaled by the
+    integer coefficients of x and y (cleared of their denominators), summed
+    over the lcm of the entries' denominators, and divided out once."""
+    xs, sx = _integral(x)
+    ys, sy = _integral(y)
     cache = A.caches["q_mono"]
     pairs = []
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
+    for m1, c1 in xs.items():
+        for m2, c2 in ys.items():
             entry = cache.get((m1, m2))
             if entry is None:
                 entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
             if entry[0]:
                 pairs.append((c1 * c2, entry))
-    return _lincomb(pairs)
-
-
-def q_mult(A: NCPA, x: QElement, y: QElement) -> QElement:
-    xs, sx = _integral(x)
-    ys, sy = _integral(y)
-    out, s = q_mult_scaled(A, xs, ys)
+    s = lcm(*[den for _, (_, den) in pairs])
+    out: dict = {}
+    for c, (nums, den) in pairs:
+        if den != s:
+            c *= s // den
+        for mono, d in nums.items():
+            v = out.get(mono, 0) + c * d
+            if v:
+                out[mono] = v
+            else:
+                out.pop(mono, None)
     return _over(out, s * sx * sy)
 
 

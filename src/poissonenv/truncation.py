@@ -255,9 +255,10 @@ class _LeveledClosure:
     with the passed slots set to 0 (_slots), and read at c + offset.  A
     product y * g or g * y is the integer combination of the columns of
     y's coordinates, over the lcm of their denominators, made primitive: a
-    positive multiple of the product q_mult_scaled forms from the monomials
-    at those coordinates, hence the same primitive vector.  Holds no reference to the algebra, whose memo
-    holds it: a cycle would outlive each call until collected.
+    positive multiple of the product q_mult forms from the monomials at
+    those coordinates, hence the same primitive vector.  Holds no reference
+    to the algebra, whose memo holds it: a cycle would outlive each call
+    until collected.
     """
 
     def __init__(self, A: NCPA, gens: IdealGens):

@@ -122,6 +122,23 @@ def test_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, argv, as_json
     assert_error(out, as_json, f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a":' * 200_000], ids=["arrays", "objects"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "BAD"],
+    ["module-check", "kxk.alg", "BAD"],
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, text, argv, as_json):
+    # json's decoder recurses once per nested value: RecursionError, not a
+    # syntax error
+    bad = tmp_path / "deep.json"
+    bad.write_text(text, encoding="utf-8")
+    argv = [str(bad) if a == "BAD" else path(a) if "." in a else a for a in argv]
+    code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 2
+    assert_error(out, as_json, "arrays or objects nested too deeply")
+
+
 @pytest.mark.parametrize("target", ["missing/m2.alg", "."])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_std_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, target, as_json):

@@ -386,6 +386,33 @@ def _ref_multiplicativity_failures(action, degree_bound):
     return out
 
 
+def _ref_generator_failures(action, degree_bound):
+    """The generator check with no skip: F(m·g) against F(m)·F(G) for every
+    monomial m and one-term generator g with deg m + deg g <= the bound, G
+    being g expanded over the unit, in the check's order.  Asks for every
+    monomial's matrix first, in env_monomials order, then for those of the
+    generators' terms, as the check does."""
+    from poissonenv.smash import GENERATOR_TERM, embed, q_mult
+    from poissonenv.truncation import env_monomials
+
+    A = action.algebra
+    monos = env_monomials(A, degree_bound)
+    forms = {m: dense(action.matrix(m)) for m in monos}
+
+    def of(x):
+        return _fcomb(((c, dense(action.matrix(m))) for m, c in x.items()), action.dim)
+
+    gens = [(make(p), of(embed(A, kind, A.basis(p))))
+            for kind, make in GENERATOR_TERM.items() for p in range(A.n)]
+    out = []
+    for g, fg in gens:
+        for m in monos:
+            if len(m[2]) + len(g[2]) <= degree_bound:
+                if _fmul(forms[m], fg) != of(q_mult(A, {m: ONE}, {g: ONE})):
+                    out.append((m, g))
+    return out
+
+
 def _ref_quasi_violations(M):
     A = M.algebra
     n = A.n
@@ -498,12 +525,14 @@ def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2,
             actions.append(_product_formula_action(M))
         for action in actions:
             got = action.multiplicativity_failures(bound)
-            assert got == _ref_multiplicativity_failures(action, bound)
+            assert got == _ref_generator_failures(action, bound)
+            assert bool(got) == bool(_ref_multiplicativity_failures(action, bound))
             assert bool(got) == (M is broken or M is broken_skew)
     identity = EnvAction(kxk_skew, 2, lambda mono: mat_identity(2))
     for bound in (1, 2, 3):
         got = identity.multiplicativity_failures(bound)
-        assert got and got == _ref_multiplicativity_failures(identity, bound)
+        assert got and got == _ref_generator_failures(identity, bound)
+        assert _ref_multiplicativity_failures(identity, bound)
 
 
 # Dense-grid references: the tensor square, the quotient module and the
@@ -629,9 +658,9 @@ def test_action_matrix_of_wrong_shape_is_rejected(kxk):
         action_to_module(wrong_shape())
 
 
-# The multiplicativity sweep as it ran before monomials acting as zero were
-# skipped: one product of forms per pair and one combination per nonzero
-# memo entry, on the action's own forms.
+# The pairwise multiplicativity sweep, with no skip: one product of forms per
+# monomial pair and one combination per nonzero memo entry, on the action's
+# own forms.  The generator check lists nothing exactly when it finds nothing.
 
 def _sweep_without_skips(action, degree_bound):
     from poissonenv.smash import q_mono_mult
@@ -676,46 +705,77 @@ def _module_fixtures(kxk, m2, trunc2, trunc2_skew):
 
 
 def test_sweep_matches_the_sweep_without_skips(kxk, m2, trunc2, trunc2_skew):
+    # a quasi-Poisson module's action multiplies: the pairwise sweep finds
+    # nothing, and the generator check lists nothing
     from poissonenv.poisson_modules import _ModuleAction
 
     for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items():
         for bound in (2, 3):
             expected = _sweep_without_skips(_ModuleAction(M), bound)
-            assert _ModuleAction(M).multiplicativity_failures(bound) == expected, (name, bound)
-            if name == "kxk-nonpoisson":  # quasi-Poisson, so multiplicative all the same
-                assert expected == []
+            got = _ModuleAction(M).multiplicativity_failures(bound)
+            assert got == expected == [], (name, bound)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
 def test_roundtrip_report_sweeps_once(kxk, m2, trunc2, trunc2_skew, monkeypatch, bound):
-    sweep, check = EnvAction.multiplicativity_failures, EnvAction.generators_multiply
+    check = EnvAction.multiplicativity_failures
     calls = []
 
-    def counted(name, fn):
-        def wrapped(self, degree_bound):
-            calls.append((name, degree_bound))
-            return fn(self, degree_bound)
-        return wrapped
+    def counted(self, degree_bound):
+        calls.append(degree_bound)
+        return check(self, degree_bound)
 
-    monkeypatch.setattr(EnvAction, "multiplicativity_failures", counted("sweep", sweep))
-    monkeypatch.setattr(EnvAction, "generators_multiply", counted("generators", check))
+    monkeypatch.setattr(EnvAction, "multiplicativity_failures", counted)
     for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items():
         if name.startswith("m2") and bound == 3:
-            continue  # the reference sweep below; the sweep tests run m2std at degree 3
+            continue  # the pairwise reference below; the sweep tests run m2std at degree 3
         calls.clear()
         report = roundtrip_report(M.algebra, M, bound)
-        # one generator check, to degree 2 at least, which reading G(F(M))
-        # checks; it passes, so no full sweep
-        assert calls == [("generators", max(2, bound))], name
-        assert report["associativity_failures"] == sweep(module_to_action(M), bound) == [], name
-    # a failing action gets one generator check and then one full sweep, to
-    # list its failures
+        # one check, to degree 2 at least, which reading G(F(M)) checks
+        assert calls == [max(2, bound)], name
+        assert report["associativity_failures"] == [], name
+        assert _sweep_without_skips(module_to_action(M), bound) == [], name
+    # a failing action gets the same one check, which lists its failures
     for name, (A, M, monos, change) in _corrupted_cases(kxk, trunc2).items():
         if _fails(name, 2):
             calls.clear()
-            with pytest.raises(ActionError, match="action not multiplicative"):
+            with pytest.raises(ActionError, match="action not multiplicative at "):
                 action_to_module(_corrupted(A, M, monos, change, []))
-            assert calls == [("generators", 2), ("sweep", 2)], name
+            assert calls == [2], name
+
+
+def test_every_cli_roundtrip_job_runs_the_check_once(tmp_path, monkeypatch, capsys):
+    # the check stays on the command path: each roundtrip job of
+    # scripts/compare_reports.py enters it once, at max(2, d), save the one
+    # above the degree cap, which exits 2 before any work
+    from pathlib import Path
+
+    from poissonenv import cli
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root))
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    monkeypatch.chdir(root)
+    monkeypatch.delenv("POISSON_ENV_MAX_DEGREE", raising=False)
+    from compare_reports import TMP, jobs, write_inputs
+
+    write_inputs(str(tmp_path))
+    check = EnvAction.multiplicativity_failures
+    calls = []
+
+    def counted(self, degree_bound):
+        calls.append(degree_bound)
+        return check(self, degree_bound)
+
+    monkeypatch.setattr(EnvAction, "multiplicativity_failures", counted)
+    runs = [argv for argv in jobs() if argv[0] == "roundtrip"]
+    assert len(runs) >= 15
+    for argv in runs:
+        calls.clear()
+        code = cli.main([arg.replace(TMP, str(tmp_path)) for arg in argv])
+        d = int(argv[argv.index("--degree") + 1]) if "--degree" in argv else 2
+        assert (code, calls) == ((2, []) if d > 8 else (0, [max(2, d)])), argv
+    capsys.readouterr()
 
 
 def test_a_sweep_to_degree_3_lists_the_degree_2_failures_in_order(kxk, trunc2):
@@ -791,7 +851,7 @@ def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2)
         for bound in (2, 3):
             asked, asked_without_skips = [], []
             got = _corrupted(A, M, monos, change, asked).multiplicativity_failures(bound)
-            expected = _sweep_without_skips(
+            expected = _ref_generator_failures(
                 _corrupted(A, M, monos, change, asked_without_skips), bound
             )
             assert got == expected, (name, bound)
@@ -801,21 +861,24 @@ def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2)
             assert asked == asked_without_skips, (name, bound)
 
 
-def test_generator_check_agrees_with_the_full_sweep(kxk, m2, trunc2, trunc2_skew):
-    # the check passes exactly when the full sweep finds nothing, and the
-    # callers' list is the full sweep's, in its order
-    from poissonenv.poisson_modules import _ModuleAction, _failures
+def test_generator_check_agrees_with_the_full_sweep(kxk, trunc2):
+    # the list is empty exactly when the pairwise sweep finds nothing, and
+    # each listed (m, g) has a failing pair (m, t), t a term of g expanded
+    # over the unit: F(m·G) is the combination of the F(m·t)
+    from poissonenv.smash import expand_unit
 
-    actions = {name: lambda M=M: _ModuleAction(M)
-               for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items()}
-    corrupted = _corrupted_cases(kxk, trunc2)
-    actions |= {name: lambda case=case: _corrupted(*case, []) for name, case in corrupted.items()}
+    actions = {name: lambda case=case: _corrupted(*case, [])
+               for name, case in _corrupted_cases(kxk, trunc2).items()}
+    actions["identity"] = lambda: EnvAction(kxk, 2, lambda mono: mat_identity(2))
     for name, action in actions.items():
+        A = action().algebra
         for bound in (2, 3):
-            full = action().multiplicativity_failures(bound)
-            assert action().generators_multiply(bound) == (not full), (name, bound)
-            assert _failures(action(), bound) == full, (name, bound)
-            assert bool(full) == (name in corrupted and _fails(name, bound)), (name, bound)
+            got = action().multiplicativity_failures(bound)
+            full = _sweep_without_skips(action(), bound)
+            assert bool(got) == bool(full), (name, bound)
+            assert bool(full) == (name == "identity" or _fails(name, bound)), (name, bound)
+            for m, g in got:
+                assert any((m, t) in full for t in expand_unit(A, {g: ONE})), (name, bound, m, g)
 
 
 def test_generator_check_skips_only_products_that_act_as_zero(trunc2):
@@ -825,7 +888,7 @@ def test_generator_check_skips_only_products_that_act_as_zero(trunc2):
     from poissonenv.poisson_modules import _ModuleAction
 
     A = _fresh(trunc2)
-    assert _ModuleAction(tensor_square_module(A)).generators_multiply(2)
+    assert _ModuleAction(tensor_square_module(A)).multiplicativity_failures(2) == []
     formed = set(A.caches["q_mono"])
     assert len(formed) == 54
     assert {(m[2], g) for m, g in formed} == {((), (p, None, ())) for p in range(3)} | {
@@ -838,10 +901,11 @@ def _fresh(A):
 
 
 def _unformed_products(action, bound) -> list:
-    """Run the sweep of action, whose algebra's q_mono memo starts empty, and
-    return the pairs it did not multiply, after checking that each of their
-    products (formed now) has no term that acts as nonzero."""
-    from poissonenv.smash import q_mono_mult
+    """Run the check of action, whose algebra's q_mono memo starts empty, and
+    return the (monomial, generator) pairs it did not multiply, after
+    checking that each of their products (formed now) has no term that acts
+    as nonzero."""
+    from poissonenv.smash import GENERATOR_TERM, q_mono_mult
     from poissonenv.truncation import env_monomials
 
     A = action.algebra
@@ -849,12 +913,12 @@ def _unformed_products(action, bound) -> list:
     action.multiplicativity_failures(bound)
     monos = env_monomials(A, bound)
     unformed = [
-        (m1, m2) for m1 in monos for m2 in monos
-        if len(m1[2]) + len(m2[2]) <= bound and (m1, m2) not in A.caches["q_mono"]
+        (m, g) for make in GENERATOR_TERM.values() for g in map(make, range(A.n))
+        for m in monos if len(m[2]) + len(g[2]) <= bound and (m, g) not in A.caches["q_mono"]
     ]
-    for m1, m2 in unformed:
-        nums, _ = q_mono_mult(A, m1, m2)
-        assert all(is_zero(action.matrix(m)) for m in nums), (m1, m2)
+    for m, g in unformed:
+        nums, _ = q_mono_mult(A, m, g)
+        assert all(is_zero(action.matrix(t)) for t in nums), (m, g)
     return unformed
 
 
@@ -872,19 +936,22 @@ def test_sweep_skips_only_products_that_act_as_zero(kxk, m2, trunc2, trunc2_skew
             unformed[name, bound] = _unformed_products(action, bound)
     # the zero bracket makes every nonempty word dead: all but the first row
     # and the products of degree-0 monomials are left unformed
-    assert len(unformed["trunc2-square", 2]) == 2268 - 162
-    # m2std's modules have no dead word at bound 2, and its square none at 3
-    assert not (unformed["m2-square", 2] or unformed["m2-square", 3] or unformed["m2-regular", 2])
-    assert unformed["m2-regular", 3]
+    # the zero bracket makes every nonempty word dead and every j(e_a) act as
+    # zero: of the 6 * 90 + 3 * 36 pairs to degree 2, only the 9 degree-0
+    # monomials times the 6 generators i(e_p), k(e_q) are formed
+    assert len(unformed["trunc2-square", 2]) == 648 - 54
+    # m2std's modules have no dead word at bound 2 or 3
+    assert not any(unformed["m2-" + name, bound]
+                   for name in ("square", "regular") for bound in (2, 3))
     revived = unformed["dead degree-2 word made live", 3]
-    x1 = (0, 0, (1,))
-    assert revived and (x1, x1) not in revived
+    x1, j1 = (0, 0, (1,)), (None, None, (1,))
+    assert revived and (x1, j1) not in revived and (x1, j1) in unformed["trunc2-square", 3]
 
 
 def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
     from poissonenv import poisson_modules
     from poissonenv.poisson_modules import _ModuleAction
-    from poissonenv.smash import q_mono_mult
+    from poissonenv.smash import GENERATOR_TERM, q_mono_mult
     from poissonenv.truncation import env_monomials
 
     action = _ModuleAction(tensor_square_module(_fresh(trunc2)))
@@ -892,6 +959,11 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
     live = [m for m in monos if not is_zero(action.matrix(m))]  # builds every form
     assert (len(monos), len(live)) == (90, 9)
     assert all(not m[2] for m in live)  # the zero bracket kills every nonempty word
+    by_kind = action._generator_forms()  # built here, so the counts below omit them
+    ident = mat_identity(action.dim)
+    gens = [(make(p), by_kind[kind][p]) for kind, make in GENERATOR_TERM.items()
+            for p in range(trunc2.n)]
+    pairs = [(m, g) for g, _ in gens for m in monos if len(m[2]) + len(g[2]) <= 2]
     calls = {"mul": 0, "lincomb": 0, "q_mono_mult": 0}
 
     def counting(name, fn):
@@ -904,19 +976,18 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
                        ("q_mono_mult", "q_mono_mult")):
         monkeypatch.setattr(poisson_modules, attr, counting(name, getattr(poisson_modules, attr)))
     assert action.multiplicativity_failures(2) == []
-    # one product per pair of live monomials, one combination per pair whose
-    # product has a live term, and one smash product per pair in the first
-    # row or between degree-0 monomials: only there is the tail word () met
+    # one product per live monomial and generator, neither acting as zero
+    # or as the identity; one combination per pair whose product has a live
+    # term; and one smash product per degree-0 monomial and generator i(e_p)
+    # or k(e_q): only there is the tail word () met
     fresh = _fresh(trunc2)
-    with_live_terms = sum(
-        any(m in live for m in q_mono_mult(fresh, m1, m2)[0])
-        for m1 in monos
-        for m2 in monos
-        if len(m1[2]) + len(m2[2]) <= 2
-    )
-    expected = {"mul": 81, "lincomb": 25, "q_mono_mult": 162}
-    assert calls == {"mul": len(live) ** 2, "lincomb": with_live_terms,
-                     "q_mono_mult": 90 + 81 - 9} == expected
+    with_live_terms = sum(any(t in live for t in q_mono_mult(fresh, m, g)[0]) for m, g in pairs)
+    factors = [action.matrix(m) for m in live]
+    products = sum(f != ident and not is_zero(fg) and fg != ident
+                   for f in factors for _, fg in gens)
+    expected = {"mul": 32, "lincomb": 30, "q_mono_mult": 54}
+    assert calls == {"mul": products, "lincomb": with_live_terms,
+                     "q_mono_mult": 9 * 6} == expected
 
 
 def test_roundtrip_converts_no_matrix_and_builds_one_action(trunc2, monkeypatch):

@@ -24,7 +24,6 @@ from poissonenv.smash import (
     q_identity,
     q_mono_mult,
     q_mult,
-    q_mult_scaled,
 )
 from poissonenv.truncation import ideal_j_gens, truncated_ideal_span
 
@@ -535,7 +534,7 @@ def test_degree_cap_is_read_once_per_algebra_in_an_env_dim_job(monkeypatch, caps
     assert len(reads) == 1
 
 
-@pytest.mark.parametrize("product", ["q_mono_mult", "q_mult", "q_mult_scaled"])
+@pytest.mark.parametrize("product", ["q_mono_mult", "q_mult"])
 def test_plan_checks_the_product_degree(product, monkeypatch):
     A = validate_ncpa(load_bundled_algebra("m2std.alg"))  # no plan yet
     monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "2")
@@ -543,7 +542,6 @@ def test_plan_checks_the_product_degree(product, monkeypatch):
     run = {
         "q_mono_mult": lambda: q_mono_mult(A, m1, m2_),
         "q_mult": lambda: q_mult(A, {m1: ONE}, {m2_: ONE}),
-        "q_mult_scaled": lambda: q_mult_scaled(A, {m1: 1}, {m2_: 1}),
     }[product]
     with pytest.raises(DegreeCapExceeded, match="product degree 3 exceeds cap 2"):
         run()

@@ -11,7 +11,6 @@ from poissonenv.linalg import (
     Subspace,
     TrackedEchelon,
     _integral,
-    _lincomb,
     _primitive,
     add_terms,
     close_under,
@@ -27,7 +26,6 @@ from poissonenv.smash import (
     q_gen_mult,
     q_identity,
     q_mult,
-    q_mult_scaled,
 )
 from poissonenv.truncation import (
     IdealGens,
@@ -477,8 +475,8 @@ def _unrestricted_closure_levels(A, gens, D):
 
     def both_sides(factors):
         return [op for x in factors for op in (
-            lambda y, x=x: _primitive(q_mult_scaled(A, x, y)[0]),
-            lambda y, x=x: _primitive(q_mult_scaled(A, y, x)[0]))]
+            lambda y, x=x: _primitive(_integral(q_mult(A, x, y))[0]),
+            lambda y, x=x: _primitive(_integral(q_mult(A, y, x))[0]))]
 
     i, k, j = (GENERATOR_TERM[kind] for kind in "ikj")
     ik = [a for a in range(A.n) if A.basis(a) != A.unit]
@@ -739,14 +737,16 @@ class _PerCoordinateClosure(_LeveledClosure):
         self.per_coordinate = {}
 
     def _times(self, A, y, g, left):
-        pairs = []
+        total = {}
         for c, v in y.items():
             col = self.per_coordinate.get((c, g, left))
             if col is None:
                 nums, den = q_gen_mult(A, self.monomials[-1 - c], g, left)
                 col = self.per_coordinate[c, g, left] = (_coordinates(nums, self.coord), den)
-            pairs.append((v, col))
-        return _primitive(_lincomb(pairs)[0])
+            nums, den = col
+            for t, x in nums.items():
+                total[t] = total.get(t, 0) + Fraction(v * x, den)
+        return _primitive(_integral({t: x for t, x in total.items() if x})[0])
 
 
 # every fixture and its unit-first copy; the 4-dimensional ones to window 4
