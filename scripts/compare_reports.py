@@ -42,10 +42,10 @@ generates a proper ideal, so `simple` finds one only in its second stage
 (the radical, for the dual numbers) or in the kernel branch of its third
 (a reducible minimal polynomial, for k x k).  k[x, y]/(x^2, y^2) with
 {x, y} = xy and its regular module are written there too: 1 and xy are
-central letters beside the non-central x and y, so its `env-dim` and
-`roundtrip` jobs build smash plans that leave central letters out of the
-bracket slots, and straighten words by sorting them where only one
-distinct letter is not central.  Every command has a job;
+central letters beside the non-central x and y, so its `env-dim`,
+`roundtrip` and `q-mul` jobs form smash products that leave central
+letters out of the bracket slots, and straighten words by sorting them
+where only one distinct letter is not central.  Every command has a job;
 `std` runs with and without `--out`, and `module-alg` runs on zero
 brackets (kxk, the skew basis) and on a nonzero one (m2std in both
 bases).  Jobs run in-process, one after another; each loads a fresh
@@ -184,6 +184,10 @@ def jobs() -> list[list[str]]:
     out.append(["roundtrip", alg("trunc2-n2"), f"{TMP}/trunc2-n2-quotient.mod", "--degree", "3"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e2", "e1:e1:e1"])
     out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12", "E21:E11:E22"])
+    # a nonzero bracket with both slots and a two-letter word on the right:
+    # q_mono_mult folds several generator products in turn
+    out.append(["q-mul", alg("m2std"), "E12:E21:E11.E12 - 1/2*E22:E11:E21",
+                "E21:E11:E12.E22 + 3*E11:E22:E21.E21"])
     # above the default degree cap: a product of degree 9, a word of degree 9
     out.append(["q-mul", alg("kxk"), "e1:e1:e1.e2.e1.e2.e1", "e1:e1:e2.e1.e2.e1"])
     out.append(["q-mul", alg("kxk"), "e1:e1:e1.e2.e1.e2.e1.e2.e1.e2.e1", "e1:e1:"])
@@ -214,11 +218,12 @@ def jobs() -> list[list[str]]:
     # reducible minimal polynomial) find them
     for path in (DUAL, KXK_UNIT):
         out += [[cmd, path] for cmd in ("validate", "simple", "derivations")]
-    # central letters beside non-central ones: plans leave 1 and xy out of
-    # the bracket slots, and straighten sorts words in which only x or only
-    # y is not central
+    # central letters beside non-central ones: products leave 1 and xy out
+    # of the bracket slots, and straighten sorts words in which only x or
+    # only y is not central
     out.append(["env-dim", XY, "--ideal", "J", "--degree", "3"])
     out.append(["roundtrip", XY, f"{TMP}/xy-bracket-regular.mod", "--degree", "3"])
+    out.append(["q-mul", XY, "x:y:x.y - 2*xy:x:y.y", "y:x:x.y + 1/3*x:1:x.x"])
     # an invalid algebra loaded by a command other than validate: exit 2 with
     # the axiom summary, which bad-jacobi's violations overflow
     for name, (x, y) in zip(BAD, (("e1", "e2"), ("x", "y"), ("e1", "e2"))):

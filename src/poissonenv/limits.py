@@ -3,13 +3,13 @@
 POISSON_ENV_MAX_DEGREE (default 8) bounds every degree: words, straightened
 products, smash products, saturation windows and module round trips.  Its
 ceiling is 10 because the work grows exponentially in the degree r: a word
-has 2^r bipartitions and a smash product enumerates up to 3^r tripartitions
+has 2^r bipartitions and a smash product has up to 3^r tripartitions
 (3^10 is about 59,000 per monomial pair).  So every degree the cap admits
 can also be enumerated.
 
 An algebra reads the variable once, at its first check (NCPA.degree_cap),
 and every check that has an algebra at hand passes that value on, so the
-plan and straighten misses of a command do not read the environment again.
+product and straighten misses of a command do not read the environment again.
 """
 
 from __future__ import annotations

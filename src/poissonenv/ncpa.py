@@ -142,9 +142,8 @@ class NCPA:
     closure there; the copy has caches of its own).  Instances carry memo
     caches for the PBW layer ("straighten", "lie_word"), the smash product
     ("q_mono", its slot factors "q_factor", each word's straightened form
-    as integers "q_tail", the word-pair plans "q_plan", which read those
-    tails, and each word's live bipartitions "q_split", from which the
-    plans and the generator products are built), the ideal slices
+    as integers "q_tail" and each word's live bipartitions "q_split",
+    from which the generator products are built), the ideal slices
     ("ideal_slice") and the operator matrices ("ops"), the bracket-central
     basis letters (bracket_central) and the degree cap (degree_cap).
     Cached values are immutable, except the leveled ideal closures under
@@ -168,7 +167,6 @@ class NCPA:
             "q_mono": {},
             "q_factor": {},
             "q_tail": {},
-            "q_plan": {},
             "q_split": {},
             "ideal_slice": {},
             "ops": {},
@@ -221,7 +219,7 @@ class NCPA:
         antisymmetry; reading both keeps the rules that use the flags exact
         on an algebra that was not validated.  The unit, when it is a basis
         vector, always is.  Computed once per algebra, and the one source of
-        the central letters of the smash plans (smash._splits), of
+        the central letters of the smash products (smash._splits), of
         straighten's sorted rule and of the ideal closure's central rule."""
         acting = {a for ab, v in self._bracket.items() if v.data for a in ab}
         return tuple(a not in acting for a in range(self.n))

@@ -47,7 +47,7 @@ def straighten(A: NCPA, word: Word) -> UElement:
     hit = cache.get(word)
     if hit is not None:
         return hit
-    check_degree(len(word), "word degree", A.degree_cap)  # on a miss only, as smash plans do
+    check_degree(len(word), "word degree", A.degree_cap)  # on a miss only, as q_mono_mult does
     central = A.bracket_central
     stack = [word]
     while stack:

@@ -398,26 +398,20 @@ class EnvAction:
         combination of monomials of the degree of g, so F(m·G) is the same
         combination of the F(m·m') = F(m)·F(m'), which is F(m)·F(G).
 
-        If the list is empty, every monomial pair multiplies, by two
-        identities of the implemented product, which
-        test_monomials_are_products_of_the_generators checks.  First,
-        (p, q, ()) = I_p·K_q.  Second, (p, q, w) = (p, q, w')·J_a for a
-        nonempty PBW word w = w' a: the unit slots of J_a keep e_p and e_q
-        (1·x = x·1 = x), every part that brackets a letter into them is zero
-        (ad_u(1) = 0 for a nonempty word u), and w' followed by a straightens
-        to itself, w being non-decreasing.  Now show F(m1·m2) = F(m1)·F(m2)
-        for m2 = (p, q, w) and deg m1 + |w| <= d, by induction on r = |w|.
-          r = 0: m1·m2 = (m1·I_p)·K_q, and m1·I_p has degree <= deg m1, so
-          the check gives F(m1·m2) = F(m1·I_p)·F(K_q) = F(m1)·F(I_p)·F(K_q);
-          and F(I_p)·F(K_q) = F(I_p·K_q) = F(m2), by the check on the
+        If the list is empty, every monomial pair multiplies.  Show
+        F(m1·m2) = F(m1)·F(m2) for m2 = (p, q, w) and deg m1 + |w| <= d, by
+        induction on r = |w|.  By the definition of the implemented product
+        (q_mono_mult folds the generator products over m2),
+        m1·(p, q, ()) = (m1·I_p)·K_q and m1·(p, q, w) = (m1·(p, q, w'))·J_a
+        for w = w' a; and (p, q, ()) = I_p·K_q, (p, q, w) = (p, q, w')·J_a,
+        which test_monomials_are_products_of_the_generators checks.
+          r = 0: m1·I_p has degree <= deg m1, so the check gives
+          F(m1·m2) = F(m1·I_p)·F(K_q) = F(m1)·F(I_p)·F(K_q); and
+          F(I_p)·F(K_q) = F(I_p·K_q) = F(m2), by the check on the
           degree-0 monomials of I_p.
-          r > 0: with m' = (p, q, w'), m1·m2 = (m1·m')·J_a, and m1·m' has
-          degree <= d - 1, so F(m1·m2) = F(m1·m')·F(J_a), which is
-          F(m1)·F(m')·F(J_a) by the case r - 1 and F(m1)·F(m2) by the check
-          on m' and J_a.
-        Associativity of the implemented product, used twice above, is the
-        one assumption; test_associativity_exhaustive_kxk and
-        test_associativity_random_m2 check it.
+          r > 0: with m' = (p, q, w'), m1·m' has degree <= d - 1, so
+          F(m1·m2) = F(m1·m')·F(J_a), which is F(m1)·F(m')·F(J_a) by the
+          case r - 1 and F(m1)·F(m2) by the check on m' and J_a.
 
         Each pair's verdict reads F(m), F(g) and the terms of m·g alone, so
         it is the same at every bound that holds the pair, and the pairs of

@@ -4,46 +4,32 @@ algebra of the Lie structure.
 
 Monomials are triples (i, j, word): i indexes the left algebra factor,
 j the opposite factor, and word is a PBW monomial.  Elements are dicts
-from such triples to nonzero rational coefficients.  The product follows
-the ordered-tripartition expansion: letters of the left factor's word
-either bracket into the incoming left slot, bracket into the incoming
-opposite slot, or pass through to the word slot.
+from such triples to nonzero rational coefficients.  The product is the
+ordered-tripartition expansion: letters of the left factor's word either
+bracket into the incoming left slot, bracket into the incoming opposite
+slot, or pass through to the word slot.
 
 The product works on integers (fraction-free, as the echelon in linalg
 does).  Each memoized monomial product is kept as (numerators,
 denominator): integer numerators over one positive denominator, in lowest
 terms.  q_mono_mult returns the memo entry itself, and q_mult is the one
 exit that forms Fractions: it sums the entries it meets with integer
-coefficients over the lcm of their denominators, and returns a new dict
-of Fraction coefficients, with one division per coefficient.
+coefficients over the lcm of their denominators (_sum), and returns a new
+dict of Fraction coefficients, with one division per coefficient.
 
-The ideal closure (truncation) multiplies only by one generator i(a),
-k(a) or j(a) at a time, on either side, so it calls q_gen_mult, which
-forms the product of a basis monomial and a one-term generator from the
-generator's empty or one-letter word alone, with no plan and no memo
-entry of its own (the closure keeps the columns it needs); its docstring
-proves that it equals q_mono_mult.  The word slots of both, the integer
-straightened form of each word, are memoized once per word per algebra
-("q_tail", see _tail), so a tail word shared by many plan parts is
-converted once.
-
-The word work of a monomial product depends on the two words alone, and
-most word pairs recur with many slot pairs (the 648 pairs of a monomial
-and a generator that the trunc2-n2 tensor-square roundtrip checks share 22
-word pairs, whose plans it reads; it forms only 54 of the products, see
-EnvAction.multiplicativity_failures).  So it is done once per word pair and
-memoized per algebra: the plan ("q_plan") lists the ordered tripartitions
-of the left word, each with its straightened word slot as integers, and
-the degree cap (NCPA.degree_cap) is checked when a plan is built.  A plan
-leaves out every part whose Lie word acts as zero on the whole basis,
-which gives a zero factor for any slot (see q_mono_mult).  Plans are assembled from a second memo
-per algebra, each word's live bipartitions ("q_split", see _splits), so a
-word is enumerated and its subwords tested once, not once per plan.  A
+There is one product kernel, q_gen_mult: a basis monomial times a
+one-term generator i(a), k(a) or j(a), on either side, formed from the
+generator's empty or one-letter word alone; its docstring proves that it
+equals the tripartition formula.  The ideal closure (truncation)
+multiplies only by such generators, and q_mono_mult folds q_gen_mult over
+its right factor, which is the right product i(p) k(q) j(w_1) ... j(w_r)
+of generators.  The word slots of the products, the integer straightened
+form of each word, are memoized once per word per algebra ("q_tail", see
+_tail), and so are each word's live bipartitions ("q_split", see
+_splits), so a word is enumerated and its subwords tested once.  A
 central letter (one whose bracket with every basis vector is zero,
 NCPA.bracket_central) never brackets into a slot, since a Lie word that
-holds one acts as zero, so only the other letters are enumerated; with a
-zero bracket every letter is central, and only the part that passes every
-letter through is left.
+holds one acts as zero, so only the other letters are enumerated.
 
 An algebra slot may also hold None, which stands for the unit 1 of A
 without expanding it over the basis.  This is how the three generators
@@ -154,7 +140,7 @@ def _splits(A: NCPA, word) -> tuple:
     (words.ordered_partitions), whose Lie word w acts on some basis vector
     (the empty word is the identity).  Memoized per algebra under
     "q_split", so each word is enumerated and tested once, whatever the
-    plans that read it.
+    generator products that read it.
 
     A central letter (NCPA.bracket_central) always goes to rest: a Lie word
     that holds one acts as zero, since {v_c, x} = 0 for every x kills the
@@ -182,7 +168,7 @@ def _splits(A: NCPA, word) -> tuple:
 def _tail(A: NCPA, word) -> tuple[dict, int]:
     """straighten(word) as (numerators, denominator), in lowest terms;
     memoized per algebra under "q_tail", so each word is converted once,
-    whatever the plan parts and generator products that end in it."""
+    whatever the generator products that end in it."""
     cache = A.caches["q_tail"]
     hit = cache.get(word)
     if hit is None:
@@ -190,70 +176,43 @@ def _tail(A: NCPA, word) -> tuple[dict, int]:
     return hit
 
 
-def _plan(A: NCPA, alpha, beta) -> tuple:
-    """The plan of the word pair (alpha, beta): the ordered tripartitions
-    of alpha as ((w1, ((w2, tail), ...)), ...), where w1 brackets into the
-    left slot, w2 into the opposite slot, and tail is the straightened
-    word of the leftover letters followed by beta, as (numerators,
-    denominator) from the tail memo (_tail), in the order of the terms of
-    q_mono_mult.  Parts whose Lie word kills every basis vector are left
-    out (see q_mono_mult): the plan is read off the live bipartitions of
-    alpha and of each w1's leftover word (_splits).  Stored under
-    "q_plan"; the degree cap is checked here, once per word pair."""
-    check_degree(len(alpha) + len(beta), "product degree", A.degree_cap)
-    plan = A.caches["q_plan"][(alpha, beta)] = tuple(
-        (w1, tuple((w2, _tail(A, rest + beta)) for w2, rest in _splits(A, remainder)))
-        for w1, remainder in _splits(A, alpha)
-    )
-    return plan
+def tail_words(A: NCPA, alpha, gw) -> set:
+    """The words that the terms of m * g can have, for a monomial m of word
+    alpha and a one-term generator g of word gw, whatever the slots: read
+    off q_gen_mult's right products.  m * j(a) has the words of
+    straighten(alpha a); m * i(a) and m * k(a) those of straighten(rest)
+    over the live bipartitions (w, rest) of alpha (_splits)."""
+    if gw:
+        return set(_tail(A, alpha + gw)[0])
+    return {gamma for _, rest in _splits(A, alpha) for gamma in _tail(A, rest)[0]}
 
 
-def tail_words(A: NCPA, alpha, beta) -> set:
-    """The words of the plan's tails for the word pair (alpha, beta): every
-    term of a product of monomials with words alpha and beta has one of
-    them as its word, whatever the slots.  Builds the plan on a miss."""
-    plan = A.caches["q_plan"].get((alpha, beta))
-    if plan is None:
-        plan = _plan(A, alpha, beta)
-    return {gamma for _, rights in plan for _, (tail, _) in rights for gamma in tail}
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """nums / den, with integer nums and den > 0, in lowest terms."""
+    g = gcd(den, *nums.values())  # den itself if nums is empty
+    if g != 1:
+        den //= g
+        nums = {mono: v // g for mono, v in nums.items()}
+    return (nums, den) if nums else _ZERO_TERMS
 
 
-def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> tuple[dict, int]:
-    """Product of two basis monomials, as its memo entry (numerators,
-    denominator): integers in lowest terms, memoized per algebra.  The
-    entry is shared, so callers must not change it; q_mult of one-term
-    elements gives the product as a new dict of Fractions.
-
-    Walks the word pair's plan (_plan) and multiplies the slot factors of
-    each part by its integer tail.  Dropping a part w1 or w2 whose Lie
-    word kills every basis vector is exact: ad_w(v_b) = 0 for every b
-    makes the factor v_outer . ad_w(v_b) zero for every slot pair, and
-    ad_w(1) = 0 for nonempty w makes it zero for a None slot too.  Such
-    terms added nothing and the others keep their order, so the sum and
-    its term order are unchanged."""
-    cache = A.caches["q_mono"]
-    hit = cache.get((m1, m2))
-    if hit is not None:
-        return hit
-    i1, j1, alpha = m1
-    i2, j2, beta = m2
-    if (i1 is None and i2 is None) or (j1 is None and j2 is None):
-        raise ValueError("both factors hold the unit in one slot")
-    plan = A.caches["q_plan"].get((alpha, beta))
-    if plan is None:
-        plan = _plan(A, alpha, beta)
-    terms = []
-    for w1, rights in plan:
-        left = _factor(A, i1, w1, i2, True)
-        if not left[0]:
-            continue
-        for w2, tail in rights:
-            # opposite product: v_{j1} o w = w . v_{j1}
-            right = _factor(A, j1, w2, j2, False)
-            if right[0]:
-                terms.append((left, right, tail))
-    entry = cache[(m1, m2)] = _combine(terms)
-    return entry
+def _sum(pairs: list, scale: int = 1) -> tuple[dict, int]:
+    """The sum of c * nums / den over the pairs (c, (nums, den)) of an
+    integer c and an entry, divided by the integer scale > 0, as
+    (numerators, denominator) in lowest terms.  Every entry is brought over
+    the lcm of the entries' denominators, so the sum is one integer loop."""
+    s = lcm(*[den for _, (_, den) in pairs])
+    out: dict = {}
+    for c, (nums, den) in pairs:
+        if den != s:
+            c *= s // den
+        for mono, d in nums.items():
+            v = out.get(mono, 0) + c * d
+            if v:
+                out[mono] = v
+            else:
+                out.pop(mono, None)
+    return _lowest(out, s * scale)
 
 
 def _combine(terms: list) -> tuple[dict, int]:
@@ -278,29 +237,25 @@ def _combine(terms: list) -> tuple[dict, int]:
                         nums[key] = v
                     else:
                         nums.pop(key, None)
-    g = gcd(den, *nums.values())  # den itself if the terms cancel
-    if g != 1:
-        den //= g
-        nums = {mono: v // g for mono, v in nums.items()}
-    return (nums, den) if nums else _ZERO_TERMS
+    return _lowest(nums, den)
 
 
 def q_gen_mult(A: NCPA, m: QMonomial, g: QMonomial, left: bool) -> tuple[dict, int]:
     """g * m if left, else m * g, for a basis monomial m = (i, j, word) and
     a one-term generator g (GENERATOR_TERM: (a, None, ()), (None, a, ()) or
     (None, None, (a,))), as (numerators, denominator) in lowest terms: a
-    new entry, equal to q_mono_mult's for the same pair, built from g's
-    empty or one-letter word alone, with no plan and no q_mono entry.  The
-    degree cap is checked first, so a product above it fills no memo.
+    new entry, built from g's empty or one-letter word alone, with no
+    q_mono entry of its own.  The degree cap is checked first, so a product
+    above it fills no memo.
 
-    Proof of the equality.  q_mono_mult(m1, m2) sums, over the live
-    ordered tripartitions (w1, w2, rest) of m1's word alpha (_plan),
+    Proof that it is the tripartition formula.  The product m1 * m2 sums,
+    over the ordered tripartitions (w1, w2, rest) of m1's word alpha,
     (v_i1 . ad_w1(v_i2)) (x) (ad_w2(v_j2) . v_j1) # straighten(rest beta),
     with 1 . x = x . 1 = x in a None slot and ad_w(1) = 0 for nonempty w,
     so a None slot of m2 kills every part with a nonempty Lie word there.
-    Left out parts (Lie words that act as zero on the whole basis) give
-    zero factors, so summing over all tripartitions, or over any set that
-    holds the live ones, gives the same sum.  Here:
+    A Lie word that acts as zero on the whole basis gives a zero factor,
+    so summing over the parts whose Lie words act (_splits) gives the same
+    sum.  Here:
 
       m * j(a): m2 = (None, None, (a,)) kills every nonempty w1 and w2,
         leaving one part: (v_i (x) v_j) # straighten(word a), which is
@@ -312,15 +267,12 @@ def q_gen_mult(A: NCPA, m: QMonomial, g: QMonomial, left: bool) -> tuple[dict, i
         straighten(rest), over _splits(word).
       i(a) * m and k(a) * m: alpha is empty, one part: (v_a . v_i) (x) v_j
         or v_i (x) (v_j . v_a), # straighten(word), the slot product.
-      j(a) * m: alpha = (a,) has three tripartitions, in plan order:
-        ad_a(v_i) (x) v_j # straighten(word) and v_i (x) ad_a(v_j) #
-        straighten(word), the two bracket terms, and v_i (x) v_j #
-        straighten(a word).
+      j(a) * m: alpha = (a,) has three tripartitions: ad_a(v_i) (x) v_j #
+        straighten(word) and v_i (x) ad_a(v_j) # straighten(word), the
+        two bracket terms, and v_i (x) v_j # straighten(a word).
 
-    Every factor is read from the memos q_mono_mult reads (_factor, _tail),
-    and _combine brings the same terms with nonzero factors to lowest
-    terms, which are unique, so the (numerators, denominator) pairs are
-    equal."""
+    _combine sums these terms, less those with a zero slot factor, and
+    brings the sum to lowest terms."""
     i, j, word = m
     gi, gj, gw = g
     check_degree(len(word) + len(gw), "product degree", A.degree_cap)
@@ -347,10 +299,46 @@ def q_gen_mult(A: NCPA, m: QMonomial, g: QMonomial, left: bool) -> tuple[dict, i
     return _combine([t for t in terms if t[0][0] and t[1][0]])
 
 
+def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> tuple[dict, int]:
+    """Product of two basis monomials, as its memo entry (numerators,
+    denominator): integers in lowest terms, memoized per algebra.  The
+    entry is shared, so callers must not change it; q_mult of one-term
+    elements gives the product as a new dict of Fractions.  The degree cap
+    is checked before any memo is filled.
+
+    m2 = (p, q, w) is the right product i(p) k(q) j(w_1) ... j(w_r) of
+    one-term generators (GENERATOR_TERM), and a None slot drops its
+    generator, the unit.  So the product is folded from q_gen_mult: m1
+    times i(p), that times k(q), then times each j(w_t) in turn, each step
+    the sum of the q_gen_mult entries of the running product's monomials,
+    scaled by its numerators and divided by its denominator (_sum).  This
+    is the tripartition formula, since q_gen_mult is the formula for each
+    step and smash products are associative (Montgomery, Hopf Algebras and
+    Their Actions on Rings, CBMS 82, 1993, ch. 4);
+    test_q_mono_mult_matches_direct_formula_to_degree_4 checks it."""
+    cache = A.caches["q_mono"]
+    hit = cache.get((m1, m2))
+    if hit is not None:
+        return hit
+    i1, j1, alpha = m1
+    i2, j2, beta = m2
+    if (i1 is None and i2 is None) or (j1 is None and j2 is None):
+        raise ValueError("both factors hold the unit in one slot")
+    check_degree(len(alpha) + len(beta), "product degree", A.degree_cap)
+    gens = [GENERATOR_TERM[kind](a) for kind, a in (("i", i2), ("k", j2)) if a is not None]
+    gens += [GENERATOR_TERM["j"](a) for a in beta]
+    entry = q_gen_mult(A, m1, gens[0], False) if gens else ({m1: 1}, 1)
+    for g in gens[1:]:
+        nums, den = entry
+        entry = _sum([(c, q_gen_mult(A, m, g, False)) for m, c in nums.items()], den)
+    cache[(m1, m2)] = entry
+    return entry
+
+
 def q_mult(A: NCPA, x: QElement, y: QElement) -> QElement:
     """x * y: the memo entries of the monomial products, each scaled by the
     integer coefficients of x and y (cleared of their denominators), summed
-    over the lcm of the entries' denominators, and divided out once."""
+    (_sum) and divided out once."""
     xs, sx = _integral(x)
     ys, sy = _integral(y)
     cache = A.caches["q_mono"]
@@ -362,18 +350,7 @@ def q_mult(A: NCPA, x: QElement, y: QElement) -> QElement:
                 entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
             if entry[0]:
                 pairs.append((c1 * c2, entry))
-    s = lcm(*[den for _, (_, den) in pairs])
-    out: dict = {}
-    for c, (nums, den) in pairs:
-        if den != s:
-            c *= s // den
-        for mono, d in nums.items():
-            v = out.get(mono, 0) + c * d
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-    return _over(out, s * sx * sy)
+    return _over(*_sum(pairs, sx * sy))
 
 
 def generator_relation_failures(A: NCPA) -> list[dict]:

@@ -67,7 +67,7 @@ hold exactly; w is kept at level B-2, so its j images lie in T_{B-1}.
   combination of right j(d) images of kept vectors plus T_{B-1}.
 
 The central rule.  j(a) is central when {v_a, A} = 0 (the algebra's
-bracket_central flags, which the smash plans and straighten read too), and
+bracket_central flags, which the smash products and straighten read too), and
 i(a), k(a) are when v_a also commutes with A.  Proof: the commutators
 i({a,b}), k({a,b}) and j({a,b}) of j(a) with i(b), k(b), j(b) then vanish,
 and so do i([a,b]) and -k([a,b]) (i(a) with i(b), k(a) with k(b); i and k

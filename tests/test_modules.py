@@ -934,15 +934,17 @@ def test_sweep_skips_only_products_that_act_as_zero(kxk, m2, trunc2, trunc2_skew
         for bound in (2, 3):
             action = _corrupted(_fresh(A), M, monos, change, [])
             unformed[name, bound] = _unformed_products(action, bound)
-    # the zero bracket makes every nonempty word dead: all but the first row
-    # and the products of degree-0 monomials are left unformed
     # the zero bracket makes every nonempty word dead and every j(e_a) act as
     # zero: of the 6 * 90 + 3 * 36 pairs to degree 2, only the 9 degree-0
     # monomials times the 6 generators i(e_p), k(e_q) are formed
     assert len(unformed["trunc2-square", 2]) == 648 - 54
-    # m2std's modules have no dead word at bound 2 or 3
-    assert not any(unformed["m2-" + name, bound]
-                   for name in ("square", "regular") for bound in (2, 3))
+    # m2std's square has no dead word at bound 2 or 3.  Its regular module
+    # has four at bound 3, such as (E12, E12, E12), as ad(E12)^3 = 0 on M_2.
+    # Each is the one tail word of a degree-2 row times a j(e_a), such as
+    # (p, q, (E12, E12)) * j(E12), and 12 of the row's 16 monomials act as
+    # zero: 4 * 12 products are left unformed
+    assert [len(unformed["m2-" + name, bound]) for name in ("square", "regular")
+            for bound in (2, 3)] == [0, 0, 0, 48]
     revived = unformed["dead degree-2 word made live", 3]
     x1, j1 = (0, 0, (1,)), (None, None, (1,))
     assert revived and (x1, j1) not in revived and (x1, j1) in unformed["trunc2-square", 3]

@@ -10,13 +10,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from poissonenv.fileformat import load_bundled_algebra
 from poissonenv.limits import DegreeCapExceeded
-from poissonenv.linalg import _integral, add_terms, sub_terms
+from poissonenv.linalg import add_terms, sub_terms
 from poissonenv.ncpa import unit_first, validate_ncpa
 from poissonenv.pbw import straighten, u_monomials
 from poissonenv.poisson_modules import roundtrip_report, tensor_square_module
 from poissonenv.smash import (
     GENERATOR_TERM,
-    _plan,
     embed,
     format_q_element,
     generator_relation_failures,
@@ -162,7 +161,7 @@ def test_associativity_random_m2(m2):
 @pytest.mark.parametrize("name", ["kxk_skew", "m2", "ut2", "trunc2_skew"])
 def test_monomials_are_products_of_the_generators(name, request):
     # the two identities the generator check's proof uses
-    # (EnvAction.generators_multiply): (p, q, ()) = i(e_p) k(e_q), and
+    # (EnvAction.multiplicativity_failures): (p, q, ()) = i(e_p) k(e_q), and
     # (p, q, w) = (p, q, w') j(e_a) for a PBW word w = w' a, with the
     # generators expanded over the unit, which is not a basis vector in the
     # skew bases
@@ -239,30 +238,29 @@ def _direct_q_mono_mult(A, m1, m2):
     # The tripartition formula written out afresh: each letter of the left
     # word brackets into the left slot (block 0), into the opposite slot
     # (block 1), or passes to the word slot (block 2); nested brackets and
-    # products use A.bracket and A.mul, and a None slot holds A.unit.  The
-    # term order is the product's: the left block is chosen first (a base-2
-    # counter, position 0 most significant, in the block first), then the
-    # opposite block among the other letters, and a sum that cancels is
-    # dropped at once.
+    # products use A.bracket and A.mul, and a None slot holds A.unit.
     i1, j1, alpha = m1
     i2, j2, beta = m2
-
-    def ad(word, v):
-        for letter in reversed(word):
-            v = A.bracket(A.basis(letter), v)
-        return v
 
     def slot(i):
         return A.unit if i is None else A.basis(i)
 
-    def order(blocks):
-        return [b != 0 for b in blocks], [b == 2 for b in blocks if b]
+    @functools.cache
+    def ad(word, i):
+        v = slot(i)
+        for letter in reversed(word):
+            if not v.data:
+                break
+            v = A.bracket(A.basis(letter), v)
+        return v
 
     out = {}
-    for blocks in sorted(itertools.product(range(3), repeat=len(alpha)), key=order):
+    for blocks in itertools.product(range(3), repeat=len(alpha)):
         parts = [tuple(a for a, b in zip(alpha, blocks) if b == k) for k in range(3)]
-        left = A.mul(slot(i1), ad(parts[0], slot(i2)))
-        right = A.mul(ad(parts[1], slot(j2)), slot(j1))
+        left, right = ad(parts[0], i2), ad(parts[1], j2)
+        if not (left.data and right.data):
+            continue
+        left, right = A.mul(slot(i1), left), A.mul(right, slot(j1))
         for p, cp in left.data.items():
             for q, dq in right.data.items():
                 for gamma, eg in straighten(A, parts[2] + beta).items():
@@ -304,120 +302,36 @@ def _monomial_pairs(draw, n, degree=4):
     return (i1, j1, alpha), (i2, j2, beta)
 
 
-@pytest.mark.parametrize("name", ["kxk_skew", "trunc2_skew", "m2", "ut2"])
+@pytest.mark.parametrize("name", ["kxk_skew", "trunc2_skew", "m2", "ut2", "xy_bracket"])
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_q_mono_mult_matches_direct_formula_to_degree_4(name, request, data):
-    # equal terms in equal order, None slots included
+    # equal terms, None slots included; no output reads the term order
     A = request.getfixturevalue(name)
     m1, m2_ = data.draw(_monomial_pairs(A.n))
     got = mono_product(A, m1, m2_)
-    assert list(got.items()) == list(_direct_q_mono_mult(A, m1, m2_).items()), (m1, m2_)
+    assert got == _direct_q_mono_mult(A, m1, m2_), (m1, m2_)
     assert all(type(c) is Fraction for c in got.values())
-
-
-def test_zero_bracket_plans_keep_one_part():
-    # every Lie word of positive degree acts as zero, so only the part that
-    # passes all of alpha to the word slot is left
-    A = validate_ncpa(load_bundled_algebra("trunc2-n2.alg"))
-    monos = [(i, j, w) for w in u_monomials(A.n, 2) for i in range(A.n) for j in range(A.n)]
-    for m1 in monos:
-        for m2_ in monos:
-            q_mono_mult(A, m1, m2_)
-    plans = A.caches["q_plan"]
-    assert len(plans) == len(u_monomials(A.n, 2)) ** 2
-    for (alpha, beta), plan in plans.items():
-        tail = _integral(straighten(A, alpha + beta))
-        assert plan == (((), (((), tail),)),), (alpha, beta)
-
-
-def test_plans_keep_parts_that_act():
-    # no basis element of M_2 is central, so a letter bracketing into either
-    # slot survives, and the plan lists all three tripartitions of (a,)
-    A = validate_ncpa(load_bundled_algebra("m2std.alg"))
-
-    def tail(word):
-        return _integral(straighten(A, word))
-
-    for a in range(A.n):
-        q_mono_mult(A, (0, 1, (a,)), (2, 3, ()))
-        assert A.caches["q_plan"][((a,), ())] == (
-            ((a,), (((), tail(())),)),
-            ((), (((a,), tail(())), ((), tail((a,))))),
-        )
-
-
-@functools.cache
-def _acts(A, word):
-    # whether the Lie word acts on some basis vector, by nested brackets
-    for b in range(A.n):
-        v = A.basis(b)
-        for letter in reversed(word):
-            v = A.bracket(A.basis(letter), v)
-        if v.data:
-            return True
-    return False
-
-
-@functools.cache
-def _tripartitions(A, alpha):
-    # (w1, w2, rest) in the product's term order (see _direct_q_mono_mult),
-    # keeping those whose two Lie words each act on some basis vector
-    def order(blocks):
-        return [b != 0 for b in blocks], [b == 2 for b in blocks if b]
-
-    out = []
-    for blocks in sorted(itertools.product(range(3), repeat=len(alpha)), key=order):
-        w1, w2, rest = (tuple(a for a, b in zip(alpha, blocks) if b == k) for k in range(3))
-        if _acts(A, w1) and _acts(A, w2):
-            out.append((w1, w2, rest))
-    return tuple(out)
-
-
-def _plan_terms(A, alpha, beta):
-    # The plan written out afresh, flattened to (w1, w2, rest) in the
-    # product's term order.
-    return [(w1, w2, rest + beta) for w1, w2, rest in _tripartitions(A, alpha)]
-
-
-def _flat(plan):
-    return [(w1, w2, tail) for w1, rights in plan for w2, tail in rights]
-
-
-@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
-def test_plans_match_the_tripartitions_to_degree_4(name, request):
-    # every pair of words of total degree <= 4, on the algebra and on its
-    # unit-first copy: the plan's parts, their order and their tails are the
-    # tripartitions', and no central letter brackets into either slot
-    A = request.getfixturevalue(name)
-    for B in dict.fromkeys((A, unit_first(A))):
-        n = B.n
-        central = {a for a in range(n) if all(not B.bracket_basis(a, b).data for b in range(n))}
-        words = [w for d in range(5) for w in itertools.product(range(n), repeat=d)]
-        for alpha in words:
-            for beta in words:
-                if len(alpha) + len(beta) > 4:
-                    continue
-                got = _flat(_plan(B, alpha, beta))
-                assert got == [(w1, w2, _integral(straighten(B, rest)))
-                               for w1, w2, rest in _plan_terms(B, alpha, beta)], (alpha, beta)
-                assert not central & {a for w1, w2, _ in got for a in w1 + w2}, (alpha, beta)
 
 
 @pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
 def test_generator_products_match_q_mono_mult_to_degree_3(name, request):
     # every basis monomial of degree <= 3 times every one-term generator, on
     # either side, on the algebra and on its unit-first copy: q_gen_mult's
-    # entry is q_mono_mult's, the reference
+    # entry is the direct formula's, the reference, in lowest terms
     A = request.getfixturevalue(name)
     for B in dict.fromkeys((A, unit_first(A))):
         monos = [(i, j, w) for w in u_monomials(B.n, 3) for i in range(B.n) for j in range(B.n)]
         gens = [term(a) for term in GENERATOR_TERM.values() for a in range(B.n)]
         for m in monos:
             for g in gens:
-                assert q_gen_mult(B, m, g, True) == q_mono_mult(B, g, m), (g, m)
-                assert q_gen_mult(B, m, g, False) == q_mono_mult(B, m, g), (m, g)
+                for got, (m1, m2_) in ((q_gen_mult(B, m, g, True), (g, m)),
+                                       (q_gen_mult(B, m, g, False), (m, g))):
+                    nums, den = got
+                    assert gcd(den, *nums.values()) == 1, (m1, m2_)
+                    want = _direct_q_mono_mult(B, m1, m2_)
+                    assert {t: Fraction(v, den) for t, v in nums.items()} == want, (m1, m2_)
 
 
 @pytest.mark.parametrize("kind", ["i", "k", "j"])
@@ -433,8 +347,9 @@ def test_generator_product_checks_the_product_degree(kind, left, monkeypatch):
 
 
 def test_each_word_is_split_once_per_algebra(monkeypatch):
-    # the plans share one enumeration of each word's bipartitions: the 225
-    # word pairs to degree 2 of M_2 split 15 left words and their leftovers
+    # the generator products share one enumeration of each word's
+    # bipartitions: every product of a monomial and a one-term generator to
+    # degree 2 of M_2 splits each of the 15 words to degree 2 once
     from poissonenv import smash
 
     A = validate_ncpa(load_bundled_algebra("m2std.alg"))
@@ -446,9 +361,11 @@ def test_each_word_is_split_once_per_algebra(monkeypatch):
 
     monkeypatch.setattr(smash, "ordered_partitions", counted)
     words = u_monomials(A.n, 2)
-    for alpha in words:
-        for beta in words:
-            _plan(A, alpha, beta)
+    gens = [term(a) for term in GENERATOR_TERM.values() for a in range(A.n)]
+    for m in [(i, j, w) for w in words for i in range(A.n) for j in range(A.n)]:
+        for g in gens:
+            if len(m[2]) + len(g[2]) <= 2:
+                q_mono_mult(A, m, g)
     assert len(calls) == len(A.caches["q_split"]) == len(words)
 
 
@@ -457,26 +374,16 @@ def test_plan_and_tail_entries_are_tuples_never_mutated():
     x = {(1, 2, (3,)): ONE, (0, 3, (1, 2)): Fraction(-1, 2)}
     y = {(2, 1, (0,)): ONE, (3, 3, ()): Fraction(2, 3)}
     got = q_mult(A, x, y)
-    plans = A.caches["q_plan"]
-    assert plans
-    frozen = copy.deepcopy(plans)
-    for (alpha, beta), plan in plans.items():
-        assert type(plan) is tuple
-        terms = []
-        for w1, rights in plan:
-            assert type(w1) is tuple and type(rights) is tuple
-            for w2, tail in rights:
-                assert type(w2) is tuple and type(tail) is tuple
-                terms.append((w1, w2, tail))
-        # each tail is the straightened rest of its term, as integers
-        assert terms == [(w1, w2, _integral(straighten(A, rest)))
-                         for w1, w2, rest in _plan_terms(A, alpha, beta)], (alpha, beta)
+    memos = {name: A.caches[name] for name in ("q_tail", "q_mono")}
+    assert all(memos.values())
+    assert all(type(entry) is tuple for memo in memos.values() for entry in memo.values())
+    frozen = copy.deepcopy(memos)
     got.clear()
     for m1 in x:
         for m2_ in y:
             mono_product(A, m1, m2_)[m1] = Fraction(99)
     q_mult(A, y, x)
-    assert {k: plans[k] for k in frozen} == frozen
+    assert {name: {k: memo[k] for k in frozen[name]} for name, memo in memos.items()} == frozen
 
 
 def _count_cap_reads(monkeypatch) -> list:
@@ -515,7 +422,7 @@ def test_degree_cap_is_read_once_per_plan_or_straighten_miss(monkeypatch):
     assert len(A.caches["q_mono"]) == 54
     # the roundtrip's own check and the ordered_partitions misses, which are
     # memoized per process, are the constant
-    assert 0 < len(reads) <= len(A.caches["q_plan"]) + len(A.caches["straighten"]) + 4
+    assert 0 < len(reads) <= len(A.caches["straighten"]) + 4
 
 
 def test_degree_cap_is_read_once_per_algebra_in_an_env_dim_job(monkeypatch, capsys):
@@ -536,7 +443,7 @@ def test_degree_cap_is_read_once_per_algebra_in_an_env_dim_job(monkeypatch, caps
 
 @pytest.mark.parametrize("product", ["q_mono_mult", "q_mult"])
 def test_plan_checks_the_product_degree(product, monkeypatch):
-    A = validate_ncpa(load_bundled_algebra("m2std.alg"))  # no plan yet
+    A = validate_ncpa(load_bundled_algebra("m2std.alg"))  # no memo yet
     monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "2")
     m1, m2_ = (0, 1, (1,)), (2, 3, (0, 3))
     run = {
@@ -545,7 +452,7 @@ def test_plan_checks_the_product_degree(product, monkeypatch):
     }[product]
     with pytest.raises(DegreeCapExceeded, match="product degree 3 exceeds cap 2"):
         run()
-    assert not A.caches["q_plan"] and not A.caches["q_mono"]
+    assert not any(A.caches.values())
 
 
 @pytest.mark.parametrize("name", ["kxk_skew", "m2", "ut2", "trunc2"])
