@@ -36,11 +36,15 @@ denominators.  Q(sqrt 2), in the basis (1, s) with s s = 2 and a zero
 bracket, is written there too: it is Poisson-simple, and `simple` proves
 it only in its third stage, where the minimal polynomial x^2 - 2 of
 multiplication by s is irreducible.  The dual numbers k[x]/(x^2) in the
-basis (1, 1 + x) and k x k in the basis (1, e1 + 2 e2) are written there
-too: neither is Poisson-simple, but no basis vector or sum of two
-generates a proper ideal, so `simple` finds one only in its second stage
-(the radical, for the dual numbers) or in the kernel branch of its third
-(a reducible minimal polynomial, for k x k).  k[x, y]/(x^2, y^2) with
+basis (1, 1 + x), k x k in the basis (1, e1 + 2 e2) and the
+upper-triangular T_2 with the commutator bracket in the basis
+(1, E11 + 2 E22 + E12, E11 + 3 E22 + 5 E12) are written there too: none is
+Poisson-simple, but no basis vector or sum of two generates a proper
+ideal.  `simple` finds the ideal of the dual numbers in its second stage
+(the radical), which the kernel branch of its third would find as well;
+that of k x k in the kernel branch of its third (a reducible minimal
+polynomial); and that of T_2, span{3 E12}, only in its second, since the
+Poisson centre of T_2 is the scalars.  k[x, y]/(x^2, y^2) with
 {x, y} = xy and its regular module are written there too: 1 and xy are
 central letters beside the non-central x and y, so its `env-dim`,
 `roundtrip` and `q-mul` jobs form smash products that leave central
@@ -83,6 +87,9 @@ QSQRT2 = f"{TMP}/qsqrt2.alg"
 DUAL = f"{TMP}/dual-numbers.alg"
 # k x k in the basis (1, e1 + 2 e2)
 KXK_UNIT = f"{TMP}/kxk-unit.alg"
+# T_2 with the commutator bracket in the basis (1, E11 + 2 E22 + E12,
+# E11 + 3 E22 + 5 E12)
+T2 = f"{TMP}/t2-skew.alg"
 # k[x, y]/(x^2, y^2) on (1, x, y, xy) with {x, y} = xy: 1 and xy are
 # central letters, x and y are not
 XY = f"{TMP}/xy-bracket.alg"
@@ -215,8 +222,8 @@ def jobs() -> list[list[str]]:
     out.append(["env-dim", QSQRT2, "--ideal", "J", "--degree", "2"])
     # ideals that no probe of simple's first stage generates: its second
     # stage (a nonzero radical) and the kernel branch of its third (a
-    # reducible minimal polynomial) find them
-    for path in (DUAL, KXK_UNIT):
+    # reducible minimal polynomial) find them; on T_2 only the second does
+    for path in (DUAL, KXK_UNIT, T2):
         out += [[cmd, path] for cmd in ("validate", "simple", "derivations")]
     # central letters beside non-central ones: products leave 1 and xy out
     # of the bracket slots, and straighten sorts words in which only x or
@@ -242,7 +249,12 @@ def write_inputs(tmp: str) -> None:
         serialize_module,
     )
     from poissonenv.linalg import SparseVector, mat_from_rows, mat_lincomb
-    from poissonenv.ncpa import AlgebraPresentation, poisson_ideal_closure, validate_ncpa
+    from poissonenv.ncpa import (
+        AlgebraPresentation,
+        poisson_ideal_closure,
+        standard_ncpa,
+        validate_ncpa,
+    )
     from poissonenv.poisson_modules import (
         QuasiPoissonModule,
         quotient_module,
@@ -280,6 +292,12 @@ def write_inputs(tmp: str) -> None:
     )
     kxk_unit = rebase(algebras["kxk"], [[1, 1], [1, 2]])
     Path(tmp, "kxk-unit.alg").write_text(serialize_algebra(kxk_unit), encoding="utf-8")
+    e11, e12, e22 = (SparseVector(3, {a: 1}) for a in range(3))
+    t2 = standard_ncpa(AlgebraPresentation(
+        "T_2", 3, ["E11", "E12", "E22"], e11 + e22,
+        {(0, 0): e11, (0, 1): e12, (1, 2): e12, (2, 2): e22}, {}))
+    t2_skew = rebase(t2.presentation, [[1, 1, 1], [0, 1, 5], [1, 2, 3]])
+    Path(tmp, "t2-skew.alg").write_text(serialize_algebra(t2_skew), encoding="utf-8")
     one, x, y, xy = (SparseVector(4, {a: 1}) for a in range(4))
     mul = {(0, b): v for b, v in enumerate((one, x, y, xy))}
     mul |= {(b, 0): v for b, v in enumerate((one, x, y, xy))}

@@ -7,8 +7,8 @@ rows: a vector's denominators are cleared on entry, and Fractions are
 formed again only on the way out, by _over (Subspace rows, remainders,
 express coefficients and the smash product's results).  A Subspace is
 built from an Echelon's integer rows, so it clears no denominators.
-Echelon.add_data takes int data as it is: _integral copies all-int data
-after one scan of its types, with no lcm and no rescaling.  The ideal
+Echelon.add_data takes int data as it is: it copies all-int data after
+one scan of its types, with no lcm and no rescaling.  The ideal
 closure in truncation feeds it primitive integer vectors over its own
 coordinates, each an integer combination of cached generator columns,
 and linear systems (solve_nullspace) are plain {index: value} rows.  A matrix
@@ -152,17 +152,19 @@ def accumulate(out: dict, key, coeff: Fraction) -> None:
 # stored row; the reduced form, each row zero at every other row's pivot,
 # is built once where it is read, by reduced_rows, as Gröbner-basis
 # practice interreduces once at the end (Faugère, F4, J. Pure Appl. Algebra
-# 139, 1999).  All row reduction goes through _eliminate: _top_reduce for
-# inserts and TrackedEchelon.express, _clear_pivots for reduced rows and
-# remainders.
+# 139, 1999).  Echelon._insert does a whole insert in one body: it clears
+# the vector once and runs the leading-term reduction inline.  Every other
+# row reduction goes through _eliminate: _top_reduce for
+# TrackedEchelon.express, its one caller, and _clear_pivots for reduced
+# rows and remainders.
 
 def _integral(data: Mapping) -> tuple[dict, int]:
     """The integer vector s * data, with s the lcm of its denominators, and s.
 
-    The values may be Fractions or ints.  All-int data, such as the ideal
-    closure's rows, is returned as a copy with s = 1 after one scan of the
-    types, with no lcm and no rescaling; the copy is the caller's to
-    change, as the eliminations do."""
+    The values may be Fractions or ints.  All-int data is returned as a
+    copy with s = 1 after one scan of the types, with no lcm and no
+    rescaling; the copy is the caller's to change, as the eliminations
+    do."""
     for v in data.values():
         if type(v) is not int:
             break
@@ -285,16 +287,53 @@ class Echelon:
     def _insert(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
         # Shared by add_data and TrackedEchelon.insert, which stay separate
         # entry points so that per-layer tracing counts each insertion once.
-        red, _, p = _top_reduce(data, self.pivot_row, self.n)
+        # int data is copied once and Fraction data cleared once, over the
+        # lcm of its denominators; the copy is reduced by leading term in
+        # place, and the reduction stops as soon as the copy is empty.
+        for v in data.values():
+            if type(v) is not int:
+                s = lcm(*[v.denominator for v in data.values()])
+                out = {c: v.numerator * (s // v.denominator) for c, v in data.items()}
+                break
+        else:
+            out = dict(data)
+        if not out:
+            return None
+        pivot_row = self.pivot_row
+        p = min(out)
+        row = pivot_row.get(p)
+        while row is not None:
+            # out := (a/g) * out - (b/g) * row, as _eliminate does; each row
+            # is zero below its pivot, so the leading coordinate only grows
+            a = row[p]
+            b = out[p]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                for c in out:
+                    out[c] *= a
+            for c, v in row.items():
+                x = out.get(c, 0) - b * v
+                if x:
+                    out[c] = x
+                else:
+                    del out[c]
+            if not out:
+                return None
+            p = min(out)
+            row = pivot_row.get(p)
         if p >= self.n:
             return None
-        g = gcd(*red.values())
-        if red[p] < 0:
+        g = gcd(*out.values())
+        if out[p] < 0:
             g = -g
-        row = {c: v // g for c, v in red.items()} if g != 1 else red
-        self.rows.append(row)
-        self.pivot_row[p] = row
-        return row
+        if g != 1:
+            out = {c: v // g for c, v in out.items()}
+        self.rows.append(out)
+        pivot_row[p] = out
+        return out
 
     def add_data(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
         """Insert a vector, with Fraction or int values; returns the new

@@ -19,10 +19,11 @@ from .words import Word, shuffle_coproduct
 UElement = dict  # dict[Word, Fraction], monomial words weakly increasing
 
 
-def u_monomials(n: int, max_degree: int) -> list[Word]:
-    """All PBW monomials of degree <= max_degree, by degree then lex."""
+def u_monomials(n: int, max_degree: int, min_degree: int = 0) -> list[Word]:
+    """All PBW monomials of degree min_degree..max_degree, by degree then
+    lex."""
     out: list[Word] = []
-    for r in range(max_degree + 1):
+    for r in range(min_degree, max_degree + 1):
         out.extend(itertools.combinations_with_replacement(range(n), r))
     return out
 

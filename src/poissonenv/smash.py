@@ -273,9 +273,15 @@ def q_gen_mult(A: NCPA, m: QMonomial, g: QMonomial, left: bool) -> tuple[dict, i
 
     _combine sums these terms, less those with a zero slot factor, and
     brings the sum to lowest terms."""
+    check_degree(len(m[2]) + len(g[2]), "product degree", A.degree_cap)
+    return _gen_mult(A, m, g, left)
+
+
+def _gen_mult(A: NCPA, m: QMonomial, g: QMonomial, left: bool) -> tuple[dict, int]:
+    """q_gen_mult without its degree check, for q_mono_mult's fold: every
+    step there has at most the product's degree, checked once up front."""
     i, j, word = m
     gi, gj, gw = g
-    check_degree(len(word) + len(gw), "product degree", A.degree_cap)
     if gw and not left:
         nums, den = _tail(A, word + gw)
         return {(i, j, w): c for w, c in nums.items()}, den
@@ -304,7 +310,9 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> tuple[dict, int]:
     denominator): integers in lowest terms, memoized per algebra.  The
     entry is shared, so callers must not change it; q_mult of one-term
     elements gives the product as a new dict of Fractions.  The degree cap
-    is checked before any memo is filled.
+    is checked before any memo is filled, once: no step of the fold
+    exceeds the product's degree, so the steps run q_gen_mult's body
+    (_gen_mult) unchecked.
 
     m2 = (p, q, w) is the right product i(p) k(q) j(w_1) ... j(w_r) of
     one-term generators (GENERATOR_TERM), and a None slot drops its
@@ -327,10 +335,10 @@ def q_mono_mult(A: NCPA, m1: QMonomial, m2: QMonomial) -> tuple[dict, int]:
     check_degree(len(alpha) + len(beta), "product degree", A.degree_cap)
     gens = [GENERATOR_TERM[kind](a) for kind, a in (("i", i2), ("k", j2)) if a is not None]
     gens += [GENERATOR_TERM["j"](a) for a in beta]
-    entry = q_gen_mult(A, m1, gens[0], False) if gens else ({m1: 1}, 1)
+    entry = _gen_mult(A, m1, gens[0], False) if gens else ({m1: 1}, 1)
     for g in gens[1:]:
         nums, den = entry
-        entry = _sum([(c, q_gen_mult(A, m, g, False)) for m, c in nums.items()], den)
+        entry = _sum([(c, _gen_mult(A, m, g, False)) for m, c in nums.items()], den)
     cache[(m1, m2)] = entry
     return entry
 

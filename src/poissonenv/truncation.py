@@ -79,6 +79,36 @@ those at every a.  The vector kept is then right-made, and the proof above
 holds as it stands: where it takes j(c) x in U_B for c < a, a central c
 gives j(c) x = x j(c), a right product of a kept vector.
 
+The family rule.  Level 0 closes under four operator families in a fixed
+order: right k, right i, left k, left i, where a family's steps multiply
+by the k(a) or i(a) of one side for every a but the unit's index, and the
+left families leave out the central letters.  A seed gets every family,
+and a vector made by family f gets only the families before f.  This is
+a chain criterion of the ordered rule's kind, and it still gives T_0, so
+the same rows and pivot levels.  Three facts carry it:
+
+  (a) two steps of one family collapse to one step of it: for instance
+      w i(c) i(a) = w i(v_c v_a) = sum_e m^e_{ca} w i(e), likewise for k
+      and on the left, and i(1), k(1) are the identity;
+  (b) any two families commute: i(a) and k(b) commute, and a left
+      product commutes with a right one;
+  (c) the left step of a central letter equals its right step.
+
+Let U be the span of the vectors level 0 keeps.  Each kept v but a seed
+is T u up to a nonzero scalar, for a step T of the family f that made v
+and a kept u made before v that gets f.  Claim: T' v lies in U for every
+kept v and every step T' of every family g; a central left step is a
+right one by (c), so the steps the families leave out follow.  By
+induction on g, and for each g on the order in which vectors were made.
+If v gets g, T' v was formed, so it lies in U.  Otherwise v = T u with
+f <= g.  If f = g, then by (a) T' T u is a combination of u and of steps
+of family f applied to u, which u gets (a central left letter by (c) is
+a right step of an earlier family, which u gets too), so it lies in U.
+If f < g, then T' T u = T (T' u) by (b); T' u lies in U by induction on
+the order, a combination of kept vectors, and their T images lie in U by
+induction on the family.  So U is closed under every i(a) and k(a) on
+both sides; it holds the seeds and lies in T_0, hence U = T_0.
+
 Rows are kept in descending term order, each pivot at its row's largest
 monomial, so those with pivots in the low block lie in it and span the
 slice, and a pivot never moves once taken: the level that took it tells
@@ -95,17 +125,19 @@ product with g is the integer combination of g's columns, the products of
 the monomials at its coordinates with g.  A product reads only the word
 and the slots g touches, and passes the others through, so the monomials
 that agree there share one column, kept as coordinate offsets and built
-once per closure from smash.q_gen_mult.  The products formed, their order
-and the echelon inserts are those of multiplying the vectors' monomial
-forms in the smash product, so the rows and pivot levels are the same
-(_LeveledClosure).
+once per closure from smash.q_gen_mult; the product of a one-coordinate
+vector is its column's primitive form, shifted.  The products formed and
+their order are those of multiplying the vectors' monomial forms in the
+smash product, each up to a nonzero scalar, which the echelon divides
+out, and every nonempty one is inserted, so the rows and pivot levels are
+the same (_LeveledClosure).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import comb, lcm
 
 from .limits import DegreeCapExceeded, check_degree
 from .linalg import (
@@ -115,7 +147,6 @@ from .linalg import (
     Subspace,
     _integral,
     _primitive,
-    close_under,
     join_and_reduce,
     reduced_rows,
     remainder,
@@ -183,12 +214,12 @@ def ideal_gens_by_label(A: NCPA, label: str) -> IdealGens:
     return out
 
 
-def env_monomials(A: NCPA, max_degree: int) -> list[QMonomial]:
-    """Monomial basis of the enveloping algebra up to the given degree, in
-    the fixed term order (q_term_key: u_monomials runs by degree, then word);
-    monomials of degree <= d form a prefix."""
+def env_monomials(A: NCPA, max_degree: int, min_degree: int = 0) -> list[QMonomial]:
+    """Monomial basis of the enveloping algebra in degrees min_degree to
+    max_degree, in the fixed term order (q_term_key: u_monomials runs by
+    degree, then word); monomials of degree <= d form a prefix."""
     n = A.n
-    return [(i, j, word) for word in u_monomials(n, max_degree)
+    return [(i, j, word) for word in u_monomials(n, max_degree, min_degree)
             for i in range(n) for j in range(n)]
 
 
@@ -256,7 +287,11 @@ class _LeveledClosure:
     product y * g or g * y is the integer combination of the columns of
     y's coordinates, over the lcm of their denominators, made primitive: a
     positive multiple of the product q_mult forms from the monomials at
-    those coordinates, hence the same primitive vector.  Holds no reference
+    those coordinates, hence the same primitive vector.  A one-coordinate
+    y needs no lcm and no gcd: each column also keeps its primitive form,
+    with a positive entry at its least offset, and the product is that
+    form moved to y's coordinate, the same vector up to its sign, which
+    the echelon normalises.  Holds no reference
     to the algebra, whose memo holds it: a cycle would outlive each call
     until collected.
     """
@@ -272,7 +307,11 @@ class _LeveledClosure:
         self.ik_central = tuple(
             c and all(A.mul_basis(a, b) == A.mul_basis(b, a) for b in basis)
             for a, c in zip(basis, self.j_central))
-        self.ik = [(g(a), self.ik_central[a]) for g in (i, k) for a in ik]
+        # level 0's operator families, in the family rule's order (module
+        # docstring), each as (left, generators): right k, right i, then
+        # left k and left i without the central letters
+        self.families = [(left, [g(a) for a in ik if not (left and self.ik_central[a])])
+                         for left in (False, True) for g in (k, i)]
         self.j = [j(a) for a in basis]
         # the generators, as primitive integer vectors over monomials until
         # level 0 gives them coordinates
@@ -283,6 +322,7 @@ class _LeveledClosure:
         self.frontier: list[tuple[dict[int, int], int, int]] = []
         self.level = -1
         self.ech = Echelon(0)
+        self.window = -1  # the degree the monomials reach
         self.monomials: list[QMonomial] = []  # by position, -1 - coordinate
         self.coord: dict[QMonomial, int] = {}
         # per (g, left): the slot moduli of _slots and the columns by key
@@ -296,28 +336,44 @@ class _LeveledClosure:
         """Grow the span to T_{D-1}, window D."""
         if self.level >= D - 1:
             return
-        self.monomials = env_monomials(A, D)  # extends the last list
-        for t in range(len(self.coord), len(self.monomials)):
-            self.coord[self.monomials[t]] = -1 - t
+        if D > self.window:
+            # the new window's monomials come after the old ones
+            self.monomials += env_monomials(A, D, self.window + 1)
+            self.window = D
+            for t in range(len(self.coord), len(self.monomials)):
+                self.coord[self.monomials[t]] = -1 - t
         top = A.n - 1
         add_data = self.ech.add_data
+        times = self._times
 
-        def add(v: dict[int, int]) -> dict[int, int] | None:
-            # a gained row's pivot, its least coordinate, is taken here
-            row = add_data(v)
-            if row is not None:
-                self.pivot_level[min(row)] = self.level
-            return row
+        def add(v: dict[int, int]) -> bool:
+            # a gained row's pivot, its least coordinate, is taken here;
+            # an empty product is not inserted
+            row = add_data(v) if v else None
+            if row is None:
+                return False
+            self.pivot_level[min(row)] = self.level
+            return True
 
         while self.level < D - 1:
             self.level += 1
             if self.level == 0:
-                seeds = [_coordinates(y, self.coord) for y in self.seeds]
-                # on the left unless central, and on the right
-                ops = [lambda y, g=g, left=left: self._times(A, y, g, left)
-                       for g, central in self.ik
-                       for left in ((False,) if central else (True, False))]
-                gained = close_under(add, seeds, ops)
+                # each kept vector with the number of families it gets: a
+                # seed every one, a vector made by family f those before f
+                # (the family rule, module docstring)
+                families = self.families
+                gained = [y for y in (_coordinates(y, self.coord) for y in self.seeds)
+                          if add(y)]
+                queue = [(y, len(families)) for y in gained]
+                while queue:
+                    y, f = queue.pop()
+                    for e in range(f):
+                        left, gens = families[e]
+                        for g in gens:
+                            v = times(A, y, g, left)
+                            if add(v):
+                                gained.append(v)
+                                queue.append((v, e))
                 self.frontier = [(y, top, top) for y in gained]
                 formed = skipped = 0
             else:
@@ -329,14 +385,14 @@ class _LeveledClosure:
                 for y, left, right in self.frontier:
                     for a, g in enumerate(self.j):
                         if a <= left and not self.j_central[a]:
-                            v = self._times(A, y, g, True)
+                            v = times(A, y, g, True)
                             formed += 1
-                            if add(v) is not None:
+                            if add(v):
                                 gained.append((v, a, top))
                         if a <= right:
-                            v = self._times(A, y, g, False)
+                            v = times(A, y, g, False)
                             formed += 1
-                            if add(v) is not None:
+                            if add(v):
                                 gained.append((v, -1, a))
                 skipped = 2 * A.n * len(self.frontier) - formed
                 self.frontier = gained
@@ -345,24 +401,26 @@ class _LeveledClosure:
 
     def _times(self, A: NCPA, y: dict[int, int], g: QMonomial, left: bool) -> dict[int, int]:
         """g * y if left, else y * g, up to a nonzero scalar: the primitive
-        integer combination of g's columns (see the class docstring)."""
+        integer combination of g's columns, and for a one-coordinate y its
+        column's primitive form, shifted (see the class docstring)."""
         memo = self.columns.get((g, left))
         if memo is None:
             memo = self.columns[(g, left)] = (*_slots(A.n, g, left), {})
         wide, narrow, columns = memo
-        pairs = []
-        for c, v in y.items():
+        cols = []
+        for c in y:
             t = ~c  # the position, -1 - c
             key = c + t % wide - t % narrow
             col = columns.get(key)
             if col is None:
-                nums, den = q_gen_mult(A, self.monomials[t], g, left)
-                offsets = {k - c: x for k, x in _coordinates(nums, self.coord).items()}
-                col = columns[key] = (offsets, den)
-            pairs.append((c, v, col))
-        s = lcm(*[den for _, _, (_, den) in pairs])
+                col = columns[key] = self._column(A, t, g, left)
+            cols.append(col)
+        if len(cols) == 1:
+            c = next(iter(y))
+            return {c + o: x for o, x in cols[0][2].items()}
+        s = lcm(*[den for _, den, _ in cols])
         out: dict[int, int] = {}
-        for c, v, (offsets, den) in pairs:
+        for (c, v), (offsets, den, _) in zip(y.items(), cols):
             if den != s:
                 v *= s // den
             for o, d in offsets.items():
@@ -373,6 +431,18 @@ class _LeveledClosure:
                 else:
                     out.pop(k, None)
         return _primitive(out)
+
+    def _column(self, A: NCPA, t: int, g: QMonomial, left: bool) -> tuple[dict, int, dict]:
+        """The column of the monomial at position t: (offsets, den, prim),
+        its numerators over den by offset from its coordinate, and their
+        primitive form with a positive entry at the least offset."""
+        nums, den = q_gen_mult(A, self.monomials[t], g, left)
+        c = -1 - t
+        offsets = {k - c: x for k, x in _coordinates(nums, self.coord).items()}
+        prim = _primitive(offsets)
+        if prim and prim[min(prim)] < 0:
+            prim = {o: -x for o, x in prim.items()}
+        return offsets, den, prim
 
     def low_rows(self, n_low: int) -> dict[int, dict[int, int]]:
         """The rows that span the current span met with the first n_low
@@ -431,13 +501,15 @@ class TruncatedQuotient:
         self.gens = gens
         self.degree = degree
         self.saturation = saturation
-        self.monomials = env_monomials(A, degree)
-        self.index = {m: t for t, m in enumerate(self.monomials)}
-        n_low = len(self.monomials)
         if saturation == 0:  # window 0 holds no products
+            self.monomials = env_monomials(A, 0)
             self._low_rows, self.stable = {}, True
         else:
             closure = _leveled_closure(A, gens, saturation)
+            # the monomials of degree <= d, a prefix of the closure's: n^2
+            # slot pairs for each of the comb(n + d, d) words
+            self.monomials = closure.monomials[:A.n ** 2 * comb(A.n + degree, degree)]
+            n_low = len(self.monomials)
             # kept, not copied: a later, wider window adds rows to the
             # closure but rewrites none
             self._low_rows = closure.low_rows(n_low)
@@ -446,9 +518,14 @@ class TruncatedQuotient:
             self.stable = degree < saturation and all(
                 B < saturation - 1 for p, B in closure.pivot_level.items() if p >= -n_low
             )
-        coset = [t for t in range(n_low) if -1 - t not in self._low_rows]
+        coset = [t for t in range(len(self.monomials)) if -1 - t not in self._low_rows]
         self._coset_position = {t: k for k, t in enumerate(coset)}
         self.coset_basis: list[QMonomial] = [self.monomials[t] for t in coset]
+
+    @cached_property
+    def index(self) -> dict[QMonomial, int]:
+        """Each monomial's position; reduce() reads it."""
+        return {m: t for t, m in enumerate(self.monomials)}
 
     @cached_property
     def _slice_rows(self) -> dict[int, dict[int, int]]:

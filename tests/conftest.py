@@ -41,6 +41,19 @@ def mono_product(A, m1, m2) -> dict:
     return q_mult(A, {m1: Fraction(1)}, {m2: Fraction(1)})
 
 
+def matrix_units(k: int, upper: bool) -> AlgebraPresentation:
+    """M_k, or T_k (the upper-triangular k x k matrices) when upper, on the
+    matrix units E_rc in row-major order."""
+    pairs = [(r, c) for r in range(k) for c in range(k) if r <= c or not upper]
+    index = {rc: t for t, rc in enumerate(pairs)}
+    n = len(pairs)
+    mul = {(index[r, c], index[c, d]): vec(n, {index[r, d]: 1})
+           for r, c in pairs for d in range(k) if (c, d) in index}
+    return AlgebraPresentation(f"{'T' if upper else 'M'}_{k}", n,
+                               [f"E{r + 1}{c + 1}" for r, c in pairs],
+                               vec(n, {index[r, r]: 1 for r in range(k)}), mul, {})
+
+
 def zero_matrix(dim: int):
     return mat_from_rows([{}] * dim)
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -673,3 +673,41 @@ def test_matrix_kernels_reject_shape_mismatch():
         mat_mul(mat_identity(2), mat_from_rows([{0: 1}]))
     with pytest.raises(ValueError, match="matrix shape mismatch"):
         mat_lincomb([(1, mat_identity(2))], 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_int_and_fraction_inserts_give_identical_rows(data):
+    # one insert body for both: the int copy and the cleared Fraction copy
+    # of a vector, at any nonzero scale, reduce to the same row; coordinates
+    # run below 0, as the ideal closure's do, and up to n + 1, where no
+    # pivot is taken
+    dim = data.draw(st.integers(min_value=1, max_value=5), label="dim")
+    coords = st.integers(min_value=-2, max_value=dim + 1)
+    nonzero = integers.filter(bool)
+    vectors = data.draw(st.lists(st.dictionaries(coords, nonzero, max_size=dim + 2),
+                                 max_size=7), label="vectors")
+    ints, fracs = Echelon(dim), Echelon(dim)
+    for k, v in enumerate(vectors):
+        scale = data.draw(rationals.filter(bool), label=f"scale {k}")
+        row = ints.add_data(v)
+        assert row == fracs.add_data({c: x * scale for c, x in v.items()}), k
+        assert row is None or _all_types(row.values(), int)
+        assert ints.rows == fracs.rows
+        assert list(ints.pivot_row.items()) == list(fracs.pivot_row.items())
+    stored = list(ints.rows)
+    before = [dict(row) for row in stored]
+    coeffs = data.draw(st.lists(rationals, min_size=len(stored), max_size=len(stored)),
+                       label="coefficients")
+    total: dict = {}
+    for c, row in zip(coeffs, stored):
+        for t, x in row.items():
+            total[t] = total.get(t, 0) + c * x
+    in_span = {t: x for t, x in total.items() if x}
+    s = lcm(*[x.denominator for x in in_span.values()])
+    for ech in (ints, fracs):
+        kept = list(ech.rows)
+        for zero in ({}, in_span, {t: int(x * s) for t, x in in_span.items()}):
+            assert ech.add_data(zero) is None
+        assert ech.rows == before and all(a is b for a, b in zip(ech.rows, kept))
+        assert list(ech.pivot_row.values()) == before

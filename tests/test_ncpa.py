@@ -26,22 +26,9 @@ from poissonenv.ncpa import (
     validate_ncpa,
 )
 
-from conftest import ALGEBRAS, inverse, rebased_presentation, skew_basis, vec
+from conftest import ALGEBRAS, inverse, matrix_units, rebase, rebased_presentation, skew_basis, vec
 
 FIXTURES = ["kxk", "m2", "trunc2", "m2_rebased", "ut2", "trunc2_skew", "trunc2_skew7"]
-
-
-def matrix_units(k: int, upper: bool) -> AlgebraPresentation:
-    """M_k, or T_k (the upper-triangular k x k matrices) when upper, on the
-    matrix units E_rc in row-major order."""
-    pairs = [(r, c) for r in range(k) for c in range(k) if r <= c or not upper]
-    index = {rc: t for t, rc in enumerate(pairs)}
-    n = len(pairs)
-    mul = {(index[r, c], index[c, d]): vec(n, {index[r, d]: 1})
-           for r, c in pairs for d in range(k) if (c, d) in index}
-    return AlgebraPresentation(f"{'T' if upper else 'M'}_{k}", n,
-                               [f"E{r + 1}{c + 1}" for r, c in pairs],
-                               vec(n, {index[r, r]: 1 for r in range(k)}), mul, {})
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +473,23 @@ def test_simplicity_rotated_radical():
     assert report.witness.rank == 2
     assert report.witness.contains(vec(3, {1: 1, 2: -1}))
     assert report.witness.contains(vec(3, {0: 1, 2: -1}))
+
+
+def test_simplicity_needs_the_radical_stage_on_t2(ut2, monkeypatch):
+    # T_2 in the basis f0 = 1, f1 = E11 + E12 + 2 E22, f2 = E11 + 5 E12 + 3 E22:
+    # no basis vector or pair sum generates a proper ideal, and the Poisson
+    # centre is the scalars, so only the radical stage finds span{3 E12}
+    A = rebase(ut2, [[1, 1, 1], [0, 1, 5], [1, 2, 3]])
+    probes = [A.basis(i) for i in range(3)]
+    probes += [A.basis(i) + A.basis(j) for i in range(3) for j in range(i + 1, 3)]
+    for v in probes:
+        assert poisson_ideal_closure(A, [v]).rank == 3
+    assert poisson_center(A).rank == 1
+    report = is_poisson_simple(A)
+    assert not report.simple
+    assert list(report.witness.rows) == [vec(3, {0: 1, 1: -2, 2: 1})]  # f0 - 2 f1 + f2
+    monkeypatch.setattr("poissonenv.ncpa._trace_radical", lambda basis: [])
+    assert is_poisson_simple(A).simple
 
 
 def test_derivations_kxk_zero(kxk):

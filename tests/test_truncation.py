@@ -19,7 +19,7 @@ from poissonenv.linalg import (
     remainder,
     sub_terms,
 )
-from poissonenv.ncpa import is_poisson_simple, unit_first
+from poissonenv.ncpa import is_poisson_simple, standard_ncpa, unit_first
 from poissonenv.smash import (
     GENERATOR_TERM,
     embed,
@@ -43,7 +43,7 @@ from poissonenv.truncation import (
     truncated_ideal_span,
 )
 
-from conftest import ALGEBRAS, rebase, reference_embed
+from conftest import ALGEBRAS, matrix_units, rebase, reference_embed
 
 ONE = Fraction(1)
 
@@ -537,6 +537,78 @@ def test_central_rule_keeps_every_row_of_one_generator(name, label, t, request):
     A = request.getfixturevalue(name)
     gens = ideal_gens_by_label(A, label)
     _assert_unrestricted_rows(A, IdealGens(label, gens.gens[t:t + 1]), 4)
+
+
+# every fixture and its unit-first copy, under every ideal: level 0 closes
+# each vector only under the families before the one that made it
+@pytest.mark.parametrize("label", ["J", "I", "OH", "J+I"])
+@pytest.mark.parametrize("first", [False, True], ids=["as_given", "unit_first"])
+@pytest.mark.parametrize("name", ALGEBRAS + ["xy_bracket"])
+def test_family_rule_keeps_every_row(name, first, label, request):
+    A = request.getfixturevalue(name)
+    if first:
+        A = unit_first(A)
+    _assert_unrestricted_rows(A, ideal_gens_by_label(A, label), 3)
+
+
+def test_family_rule_keeps_every_row_of_t3():
+    # env-dim J to degree 2 on T_3 (window 4, unit first): its level 0
+    # formed 4,196 products when every vector got every family
+    A = unit_first(standard_ncpa(matrix_units(3, upper=True)))
+    _assert_unrestricted_rows(A, ideal_j_gens(A), 4)
+
+
+def test_envdim_skew_level_0_takes_51_vectors(trunc2_skew):
+    # env-dim J to degree 2 in the envdim-skew basis (window 4, unit first):
+    # level 0 takes 9 seeds and forms 42 products, 51 vectors where every
+    # vector getting every family made 93, for the same rank 21; only the
+    # nonempty ones are inserted, and the j levels are as they were
+    A = unit_first(trunc2_skew)
+    closure = _LeveledClosure(A, ideal_j_gens(A))
+    products, inserted = [], []
+    times, add_data = closure._times, closure.ech.add_data
+
+    def counted_times(*args):
+        products.append(times(*args))
+        return products[-1]
+
+    def counted_add(data):
+        inserted.append(data)
+        return add_data(data)
+
+    closure._times, closure.ech.add_data = counted_times, counted_add
+    closure.extend_to(A, 1)
+    assert (len(closure.seeds), len(products)) == (9, 42)
+    assert closure.ech.rank == 21
+    assert all(inserted) and len(inserted) == 9 + sum(1 for v in products if v) == 37
+    closure.extend_to(A, 4)
+    assert closure.j_formed == [0, 63, 90, 136]
+    assert closure.ech.rank == 273
+
+
+def test_closure_builds_each_monomial_once(trunc2_skew, monkeypatch):
+    # each window appends only its own monomials, the quotients read their
+    # prefix from the closure, and a quotient's index waits for reduce()
+    from poissonenv import truncation
+
+    built = []
+
+    def counted(A, max_degree, min_degree=0):
+        out = env_monomials(A, max_degree, min_degree)
+        built.extend(out)
+        return out
+
+    monkeypatch.setattr(truncation, "env_monomials", counted)
+    A = unit_first(trunc2_skew)
+    gens = ideal_j_gens(A)
+    assert [row["dimension"] for row in dimension_table(A, gens, 2)] == [9, 15, 22]
+    closure = _leveled_closure(A, gens, 4)
+    assert built == closure.monomials == env_monomials(A, 4)
+    q = TruncatedQuotient(A, gens, 2, 4)
+    assert q.monomials == env_monomials(A, 2) and len(built) == 315
+    assert "index" not in vars(q)
+    q.reduce(q_identity(A))
+    assert q.index == {m: t for t, m in enumerate(q.monomials)}
 
 
 # -- reference: the slice rows reduced by Fraction Gauss-Jordan ---------------
