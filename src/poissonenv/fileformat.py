@@ -72,26 +72,32 @@ def _check_label(label: str) -> None:
     raise FileFormatError(f"basis label {label!r} {problem}")
 
 
+def _entry_key(entry, arity: int, dim: int, tag: str, seen: set) -> tuple:
+    """The indices of entry [index, ..., coeff], a list of arity items:
+    ints, not bools, below dim, and a key not yet in seen, which gets it."""
+    if not (isinstance(entry, list) and len(entry) == arity):
+        shape = "quadruple" if arity == 4 else "triple"
+        raise FileFormatError(f"{tag} entry {entry!r} is not a {shape}")
+    key = tuple(entry[:-1])
+    for idx in key:
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise FileFormatError(f"{tag} entry {entry!r} has a non-integer index")
+        if not 0 <= idx < dim:
+            raise FileFormatError(f"{tag} index {idx} out of range for dimension {dim}")
+    if key in seen:
+        raise FileFormatError(f"duplicate {tag} key {key}")
+    seen.add(key)
+    return key
+
+
 def _parse_constants(entries, dim: int, tag: str) -> dict:
     if not isinstance(entries, list):
         raise FileFormatError(f"{tag} must be an array of [i, j, k, coeff] quadruples")
     table: dict[tuple, dict] = {}
     seen = set()
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise FileFormatError(f"{tag} entry {entry!r} is not a quadruple")
-        i, j, k, coeff = entry
-        for idx in (i, j, k):
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise FileFormatError(f"{tag} entry {entry!r} has a non-integer index")
-            if not 0 <= idx < dim:
-                raise FileFormatError(
-                    f"{tag} index {idx} out of range for dimension {dim}"
-                )
-        if (i, j, k) in seen:
-            raise FileFormatError(f"duplicate {tag} key ({i}, {j}, {k})")
-        seen.add((i, j, k))
-        c = parse_rational(coeff)
+        i, j, k = _entry_key(entry, 4, dim, tag, seen)
+        c = parse_rational(entry[3])
         if c:
             table.setdefault((i, j), {})[k] = c
     return {
@@ -157,22 +163,8 @@ def _parse_matrix_list(entries, count: int, dim: int, tag: str) -> tuple:
         rows: list[dict] = [{} for _ in range(dim)]
         seen = set()
         for entry in triples:
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise FileFormatError(f"{tag}[{idx}] entry {entry!r} is not a triple")
-            r, c, coeff = entry
-            for x in (r, c):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise FileFormatError(
-                        f"{tag}[{idx}] entry {entry!r} has a non-integer index"
-                    )
-                if not 0 <= x < dim:
-                    raise FileFormatError(
-                        f"{tag}[{idx}] index {x} out of range for dimension {dim}"
-                    )
-            if (r, c) in seen:
-                raise FileFormatError(f"duplicate {tag}[{idx}] key ({r}, {c})")
-            seen.add((r, c))
-            rows[r][c] = parse_rational(coeff)
+            r, c = _entry_key(entry, 3, dim, f"{tag}[{idx}]", seen)
+            rows[r][c] = parse_rational(entry[2])
         out.append(mat_from_rows(rows))
     return tuple(out)
 

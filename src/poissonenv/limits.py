@@ -3,9 +3,10 @@
 POISSON_ENV_MAX_DEGREE (default 8) bounds every degree: words, straightened
 products, smash products, saturation windows and module round trips.  Its
 ceiling is 10 because the work grows exponentially in the degree r: a word
-has 2^r bipartitions and a smash product has up to 3^r tripartitions
-(3^10 is about 59,000 per monomial pair).  So every degree the cap admits
-can also be enumerated.
+of r letters has 2^r bipartitions, which smash._splits enumerates once per
+word (1,024 at r = 10), and q_mono_mult takes one q_gen_mult step per
+letter of its right factor.  So every degree the cap admits can also be
+enumerated.
 
 An algebra reads the variable once, at its first check (NCPA.degree_cap),
 and every check that has an algebra at hand passes that value on, so the

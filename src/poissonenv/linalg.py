@@ -280,10 +280,6 @@ class Echelon:
         self.rows: list[dict[int, int]] = []
         self.pivot_row: dict[int, dict[int, int]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def _insert(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
         # Shared by add_data and TrackedEchelon.insert, which stay separate
         # entry points so that per-layer tracing counts each insertion once.
@@ -498,8 +494,9 @@ def solve_nullspace(rows: Iterable[Mapping[int, Fraction]], dim: int) -> Subspac
 # (the gcd of den and every entry is 1, and the zero matrix has den 1).  Each
 # rational matrix has exactly one form, so two matrices of one shape are
 # equal exactly when their forms are.  Products and combinations stay
-# integral and walk only nonzero entries; the column count is not stored,
-# since every caller knows it.
+# integral and walk only nonzero entries, and mat_lincomb skips zero terms
+# and returns a lone unscaled term as it is; the column count is not
+# stored, since every caller knows it.
 
 Matrix = tuple  # (rows: tuple[dict[int, int], ...], den: int)
 
@@ -583,13 +580,23 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_lincomb(pairs: Iterable[tuple[int, Matrix]], r: int, den: int = 1) -> Matrix:
     """(sum of c * m over pairs) / den, for integer coefficients c, r-row
-    matrices m and den > 0."""
-    pairs = [(c, m) for c, m in pairs if c]
-    s = lcm(*[d for _, (_, d) in pairs])
-    acc: list[dict[int, int]] = [{} for _ in range(r)]
-    for c, (rows, d) in pairs:
-        if len(rows) != r:
+    forms m and den > 0.  No arithmetic where the sum is at hand: a term
+    with c or m zero is dropped, no term left gives the zero form, and one
+    term c * m with c == den gives m itself.  Every term's row count is
+    checked, dropped or not."""
+    live = []
+    for c, m in pairs:
+        if len(m[0]) != r:
             raise ValueError("matrix shape mismatch")
+        if c and any(m[0]):
+            live.append((c, m))
+    if not live:
+        return (({},) * r, 1)
+    if len(live) == 1 and live[0][0] == den:
+        return live[0][1]
+    s = lcm(*[d for _, (_, d) in live])
+    acc: list[dict[int, int]] = [{} for _ in range(r)]
+    for c, (rows, d) in live:
         if d != s:
             c *= s // d
         for out, row in zip(acc, rows):

@@ -21,11 +21,11 @@ matrices are equal exactly when their forms are.  The axiom checks form
 each product of two family members once (_products), none with a zero
 factor, whose product is the zero form, and none with an identity factor,
 whose product is the other factor; the Poisson check and the module's
-action read the quasi-Poisson sweep's products again.  Their sums (_sum)
-drop zero terms and call mat_lincomb only where more than one term, or
-one scaled term, is left.  A monomial pair is checked against the smash
-product's memo entry (numerators, denominator) as it stands, so no
-Fraction is formed per pair.
+action read the quasi-Poisson sweep's products again.  Their sums go
+through mat_lincomb, which drops zero terms and does arithmetic only where
+more than one term, or one scaled term, is left.  A monomial pair is
+checked against the smash product's memo entry (numerators, denominator)
+as it stands, so no Fraction is formed per pair.
 """
 
 from __future__ import annotations
@@ -178,25 +178,12 @@ def quotient_module(A: NCPA, ideal: Subspace) -> QuasiPoissonModule:
 #
 # Two matrices are equal exactly when their forms are.
 
-def _sum(pairs: list[tuple[int, Matrix]], dim: int, den: int = 1) -> Matrix:
-    """mat_lincomb(pairs, dim, den), with no call where the sum is at hand:
-    terms whose matrix is zero are dropped, no term left gives the zero
-    form, and one term c * m with c == den gives m itself, such as the
-    family member of a basis vector."""
-    pairs = [(c, m) for c, m in pairs if any(m[0])]
-    if not pairs:
-        return (({},) * dim, 1)
-    if len(pairs) == 1 and pairs[0][0] == den:
-        return pairs[0][1]
-    return mat_lincomb(pairs, dim, den)
-
-
 def _of(family: Sequence[Matrix], x: SparseVector, dim: int, *extra: Matrix) -> Matrix:
     """sum_i x_i * family[i], plus each matrix in extra."""
     nums, s = _integral(x.data)
     pairs = [(c, family[i]) for i, c in nums.items()]
     pairs += [(s, m) for m in extra]
-    return _sum(pairs, dim, s)
+    return mat_lincomb(pairs, dim, s)
 
 
 def _products(M: QuasiPoissonModule) -> Callable[[str, int, str, int], Matrix]:
@@ -265,7 +252,7 @@ def _quasi_sweep(M: QuasiPoissonModule) -> tuple[list[dict], Callable]:
             if mul("Z", i, "R", j) != _of(R, bra, dim, mul("R", j, "Z", i)):
                 out.append({"axiom": "lie-right", "indices": (i, j)})
             # {{a,b}, m}* = {a,{b,m}*}* - {b,{a,m}*}*
-            rhs = _sum([(1, mul("Z", i, "Z", j)), (-1, mul("Z", j, "Z", i))], dim)
+            rhs = mat_lincomb(((1, mul("Z", i, "Z", j)), (-1, mul("Z", j, "Z", i))), dim)
             if _of(Z, bra, dim) != rhs:
                 out.append({"axiom": "lie-module", "indices": (i, j)})
     return out, mul
@@ -288,7 +275,7 @@ def poisson_violations(M: QuasiPoissonModule) -> list[dict]:
     dim = M.dim
     for i in range(A.n):
         for j in range(A.n):
-            rhs = _sum([(1, mul("L", i, "Z", j)), (1, mul("R", j, "Z", i))], dim)
+            rhs = mat_lincomb(((1, mul("L", i, "Z", j)), (1, mul("R", j, "Z", i))), dim)
             if _of(Z, A.mul_basis(i, j), dim) != rhs:
                 out.append({"axiom": "product-compat", "indices": (i, j)})
     return out
@@ -306,8 +293,13 @@ def _checked_products(M: QuasiPoissonModule) -> Callable:
 # -- enveloping-algebra actions ---------------------------------------------------
 
 class EnvAction:
-    """A representation of the quasi-Poisson enveloping algebra, given by
-    a matrix for each monomial, built lazily and stored once per monomial.
+    """The action F(M) of the quasi-Poisson enveloping algebra on a module
+    M: monomial (i, j, word) acts by left(i) . right(j) . lie(w_1) ...
+    lie(w_k).  Each monomial's matrix is built lazily and stored once: that
+    of (i, j, word) from that of (i, j, word[:-1]) and the module's lie
+    family, and left(i) . right(j) is read from products, a product
+    function of M's families (_products): the quasi-Poisson sweep's
+    (_checked_products), which formed it for the bimodule-commute check.
     The multiplicativity verdicts are taken on those matrices, so no
     Fraction is formed per pair, and not kept: a caller checks once.
 
@@ -325,11 +317,11 @@ class EnvAction:
     term acts as zero, so F(m·g) = 0 and the verdict is F(m)·F(g) == 0,
     with no product formed and no memo entry made."""
 
-    def __init__(self, algebra: NCPA, dim: int, matrix_fn: Callable[[QMonomial], Matrix]):
-        self.algebra = algebra
-        self.dim = dim
-        self._fn = matrix_fn
-        self._zero: Matrix = (({},) * dim, 1)  # the zero matrix
+    def __init__(self, M: QuasiPoissonModule, products: Callable):
+        self.algebra = M.algebra
+        self.dim = M.dim
+        self._mul, self._lie = products, M.lie
+        self._zero: Matrix = (({},) * M.dim, 1)  # the zero matrix
         self._forms: dict[QMonomial, Matrix] = {}
         self._generators: dict[str, tuple] | None = None
 
@@ -348,11 +340,13 @@ class EnvAction:
         return hit
 
     def _new_form(self, mono: QMonomial) -> Matrix:
-        """Kept for actions given by a matrix_fn, as the tests build them."""
-        out = self._fn(mono)
-        if not is_form(out, self.dim, self.dim):
-            raise ModuleShapeError("action matrix has wrong shape")
-        return out
+        i, j, word = mono
+        if not word:
+            return self._mul("L", i, "R", j)
+        prefix, lie = self._form((i, j, word[:-1])), self._lie[word[-1]]
+        if prefix is self._zero or not any(lie[0]):  # a zero factor: no product
+            return self._zero
+        return mat_mul(prefix, lie)
 
     def _combination(self, nums: dict, den: int) -> Matrix:
         """The action of sum nums[m] * m / den."""
@@ -468,16 +462,13 @@ class EnvAction:
 
     def _of_product(self, m: QMonomial, g: QMonomial) -> Matrix:
         """The action of m·g, read off its q_mono memo entry as it stands;
-        the terms that act as zero are dropped.  Their forms are read from
-        the store, which the check has filled to its bound."""
+        mat_lincomb drops the terms that act as zero.  Their forms are read
+        from the store, which the check has filled to its bound."""
         A = self.algebra
         entry = A.caches["q_mono"].get((m, g))
         if entry is None:
             entry = q_mono_mult(A, m, g)  # the one function that fills the memo
-        nums, den = entry
-        forms = self._forms
-        live = {t: c for t, c in nums.items() if forms[t] is not self._zero}
-        return self._combination(live, den) if live else self._zero
+        return self._combination(*entry)
 
     def _dead_words(self, monos: list) -> set:
         """The words of monos whose n² monomials all act as zero; reads
@@ -486,32 +477,10 @@ class EnvAction:
             m[2] for m in monos if self._form(m) is not self._zero)
 
 
-class _ModuleAction(EnvAction):
-    """The action of a module: monomial (i, j, word) acts by
-    left(i) . right(j) . lie(w_1) ... lie(w_k).  Its matrix is built from
-    that of (i, j, word[:-1]) and the module's families; left(i) . right(j)
-    is read from products, a product function of M's families (_products):
-    the quasi-Poisson sweep's, which formed it for the bimodule-commute
-    check, where M was validated, and a fresh one otherwise."""
-
-    def __init__(self, M: QuasiPoissonModule, products: Callable | None = None):
-        super().__init__(M.algebra, M.dim, None)  # _new_form is overridden
-        self._mul, self._lie = products or _products(M), M.lie
-
-    def _new_form(self, mono: QMonomial) -> Matrix:
-        i, j, word = mono
-        if not word:
-            return self._mul("L", i, "R", j)
-        prefix, lie = self._form((i, j, word[:-1])), self._lie[word[-1]]
-        if prefix is self._zero or not any(lie[0]):  # a zero factor: no product
-            return self._zero
-        return mat_mul(prefix, lie)
-
-
 def module_to_action(M: QuasiPoissonModule) -> EnvAction:
     """Monomial (i, j, word) acts by left(i) . right(j) . lie(w_1) ...
     lie(w_k); the module must satisfy the quasi-Poisson axioms."""
-    return _ModuleAction(M, _checked_products(M))
+    return EnvAction(M, _checked_products(M))
 
 
 def _read_module(action: EnvAction, bad: list[tuple]) -> QuasiPoissonModule:
@@ -552,7 +521,7 @@ def roundtrip_report(
     # the axioms read only the families, and module_to_action validated M's,
     # so G(F(M)) is validated only where it differs from M; F(G(F(M))) is
     # built from back's matrices alone, so where they are M's it is F(M)
-    action2 = action if gf_equal else _ModuleAction(back, _checked_products(back))
+    action2 = action if gf_equal else EnvAction(back, _checked_products(back))
     monos = env_monomials(A, degree_bound)
     fgf_mismatches = [m for m in monos if action._form(m) != action2._form(m)]
     assoc_failures = up_to(degree_bound)

@@ -136,7 +136,7 @@ def _factor(A: NCPA, outer, word, inner, left: bool) -> tuple[dict, int]:
 
 def _splits(A: NCPA, word) -> tuple:
     """The live bipartitions of word: the pairs (w, rest) of the ordered
-    partitions of its positions into two blocks, in their order
+    bipartitions of its positions, in their order
     (words.ordered_partitions), whose Lie word w acts on some basis vector
     (the empty word is the identity).  Memoized per algebra under
     "q_split", so each word is enumerated and tested once, whatever the
@@ -156,7 +156,7 @@ def _splits(A: NCPA, word) -> tuple:
         central = A.bracket_central
         free = [t for t, a in enumerate(word) if not central[a]]
         hit = []
-        for part, _ in ordered_partitions(len(free), 2):
+        for part, _ in ordered_partitions(len(free)):
             taken = [free[t] for t in part]  # increasing, as part is
             w = subword(word, taken)
             if not w or any(lie_word_on_basis(A, w, b).data for b in range(A.n)):

@@ -20,26 +20,22 @@ Word = tuple  # tuple[int, ...]
 
 
 @functools.cache
-def ordered_partitions(r: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All p^r ordered partitions of positions 0..r-1 into p blocks.
+def ordered_partitions(r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """All 2^r ordered bipartitions (left, right) of positions 0..r-1.
 
     Blocks may be empty and their order matters.  Enumeration order is the
-    base-p counter over positions (block assignment of position 0 is the
-    most significant digit), which keeps downstream term order stable.
-    Memoized; the result is a tuple, so callers cannot change the cache.
-    The degree cap is read on a miss only: a hit does no work.
+    base-2 counter over positions (the block of position 0 is the most
+    significant digit, 0 for left), which keeps downstream term order
+    stable.  Memoized; the result is a tuple, so callers cannot change the
+    cache.  The degree cap is read on a miss only: a hit does no work.
     """
-    if p < 1:
-        raise ValueError("number of blocks must be >= 1")
     if r < 0:
         raise ValueError("negative word degree")
     check_degree(r)
     out = []
-    for assignment in itertools.product(range(p), repeat=r):
-        blocks: tuple[list[int], ...] = tuple([] for _ in range(p))
-        for pos, block in enumerate(assignment):
-            blocks[block].append(pos)
-        out.append(tuple(tuple(b) for b in blocks))
+    for bits in itertools.product((0, 1), repeat=r):  # bit 1 sends a position right
+        out.append((tuple(t for t, b in enumerate(bits) if not b),
+                    tuple(t for t, b in enumerate(bits) if b)))
     return tuple(out)
 
 
@@ -54,7 +50,7 @@ def shuffle_coproduct(word: Word) -> dict[tuple[Word, Word], Fraction]:
     bipartitions of a square word (i, i) give coefficient 2.
     """
     out: dict[tuple[Word, Word], Fraction] = {}
-    for left_pos, right_pos in ordered_partitions(len(word), 2):
+    for left_pos, right_pos in ordered_partitions(len(word)):
         key = (subword(word, left_pos), subword(word, right_pos))
         out[key] = out.get(key, ZERO) + ONE
     return out

@@ -663,6 +663,31 @@ def test_mat_lincomb_empty_is_zero_matrix():
     # terms that cancel leave the zero matrix over den 1, not over 3
     half = mat_from_rows([{0: Fraction(1, 2)}, {1: 1}])
     assert mat_lincomb([(1, half), (-1, half)], 2, 3) == zero
+    # a zero member is dropped: alone it leaves the zero form, beside
+    # another member that member's sum
+    assert mat_lincomb([(4, zero)], 2, 3) == zero
+    assert mat_lincomb([(4, zero), (2, half)], 2, 5) == mat_lincomb([(2, half)], 2, 5)
+
+
+def test_mat_lincomb_returns_a_lone_unscaled_member_itself():
+    zero = (({}, {}), 1)
+    half = mat_from_rows([{0: Fraction(1, 2)}, {1: 1}])
+    assert mat_lincomb([(3, half)], 2, 3) is half
+    assert mat_lincomb([(0, mat_identity(2)), (3, half), (1, zero)], 2, 3) is half
+    # scaled, the member gives a new form
+    assert mat_lincomb([(2, half)], 2, 3) == mat_from_rows([{0: Fraction(1, 3)},
+                                                            {1: Fraction(2, 3)}])
+
+
+def test_mat_lincomb_checks_the_shape_of_every_member():
+    # a member returned as it is, or dropped as zero, is checked all the same
+    zero2 = (({}, {}), 1)
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        mat_lincomb([(3, mat_identity(2))], 3, 3)  # a lone member with c == den
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        mat_lincomb([(1, mat_identity(3)), (1, zero2)], 3)  # a zero member
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        mat_lincomb([(0, mat_identity(2)), (1, mat_identity(3))], 3)  # a zero coefficient
 
 
 def test_matrix_kernels_reject_shape_mismatch():

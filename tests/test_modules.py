@@ -10,6 +10,7 @@ from poissonenv.poisson_modules import (
     EnvAction,
     ModuleShapeError,
     QuasiPoissonModule,
+    _products,
     action_to_module,
     annihilator,
     j_annihilation_check,
@@ -26,6 +27,19 @@ from conftest import dense, grid_form, is_zero, rebase, skew_basis, vec, zero_ma
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+
+class _FnAction(EnvAction):
+    """An action of M's algebra on M.dim-space in which each monomial acts
+    by fn(monomial), a canonical form: a reference built apart from the
+    module's own forms."""
+
+    def __init__(self, M, fn):
+        super().__init__(M, None)  # _new_form is overridden: no product is read
+        self._fn = fn
+
+    def _new_form(self, mono):
+        return self._fn(mono)
 
 
 def projection_twist_module(A):
@@ -188,7 +202,7 @@ def test_action_module_action_is_identity_to_degree_two(m2):
 
 def test_action_to_module_rejects_bad_action(kxk):
     # an action that is not multiplicative: identity on everything
-    bad = EnvAction(kxk, 2, lambda mono: mat_identity(2))
+    bad = _FnAction(regular_module(kxk), lambda mono: mat_identity(2))
     with pytest.raises(ActionError):
         action_to_module(bad)
 
@@ -197,7 +211,7 @@ def test_multiplicativity_verdicts_reused_across_bounds(kxk):
     # one action asked for several bounds answers as a fresh one would, so
     # a wider bound checks the pairs a narrower one never saw
     def identity_action():
-        return EnvAction(kxk, 2, lambda mono: mat_identity(2))
+        return _FnAction(regular_module(kxk), lambda mono: mat_identity(2))
 
     action = identity_action()
     found = {}
@@ -477,7 +491,7 @@ def _product_formula_action(M):
             acc = _fmul(acc, Z[letter])
         return grid_form(acc)
 
-    return EnvAction(M.algebra, M.dim, fn)
+    return _FnAction(M, fn)
 
 
 def _fractional_break(M):
@@ -494,8 +508,6 @@ def _fractional_break(M):
 
 
 def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2, m2_rebased, m2):
-    from poissonenv.poisson_modules import _ModuleAction
-
     broken = _fractional_break(regular_module(kxk_skew))
     # a nonzero bracket in a skew basis, with non-integral constants
     broken_skew = _fractional_break(regular_module(rebase(m2, skew_basis(1, m2.n))))
@@ -519,8 +531,8 @@ def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2,
         assert bool(quasi) == (M is broken or M is broken_skew)
         assert bool(poisson) == (M is broken or M is broken_skew or M is twist)
         # the dense reference is slow on the 9-dimensional square: check the
-        # module's own action there, and also a matrix_fn action elsewhere
-        actions = [_ModuleAction(M)]
+        # module's own action there, and also the dense reference elsewhere
+        actions = [EnvAction(M, _products(M))]
         if M.dim < 9:
             actions.append(_product_formula_action(M))
         for action in actions:
@@ -528,7 +540,7 @@ def test_verdicts_match_the_fraction_references(kxk, kxk_skew, trunc2_skew, ut2,
             assert got == _ref_generator_failures(action, bound)
             assert bool(got) == bool(_ref_multiplicativity_failures(action, bound))
             assert bool(got) == (M is broken or M is broken_skew)
-    identity = EnvAction(kxk_skew, 2, lambda mono: mat_identity(2))
+    identity = _FnAction(regular_module(kxk_skew), lambda mono: mat_identity(2))
     for bound in (1, 2, 3):
         got = identity.multiplicativity_failures(bound)
         assert got and got == _ref_generator_failures(identity, bound)
@@ -648,16 +660,6 @@ def test_tensor_square_lie_adds_both_legs_into_one_entry(m2):
         assert dense(lie[i])[src][src] == both
 
 
-def test_action_matrix_of_wrong_shape_is_rejected(kxk):
-    def wrong_shape():
-        return EnvAction(kxk, 2, lambda mono: mat_identity(3))
-
-    with pytest.raises(ModuleShapeError, match="action matrix has wrong shape"):
-        wrong_shape().matrix((0, 0, ()))
-    with pytest.raises(ModuleShapeError, match="action matrix has wrong shape"):
-        action_to_module(wrong_shape())
-
-
 # The pairwise multiplicativity sweep, with no skip: one product of forms per
 # monomial pair and one combination per nonzero memo entry, on the action's
 # own forms.  The generator check lists nothing exactly when it finds nothing.
@@ -707,12 +709,10 @@ def _module_fixtures(kxk, m2, trunc2, trunc2_skew):
 def test_sweep_matches_the_sweep_without_skips(kxk, m2, trunc2, trunc2_skew):
     # a quasi-Poisson module's action multiplies: the pairwise sweep finds
     # nothing, and the generator check lists nothing
-    from poissonenv.poisson_modules import _ModuleAction
-
     for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items():
         for bound in (2, 3):
-            expected = _sweep_without_skips(_ModuleAction(M), bound)
-            got = _ModuleAction(M).multiplicativity_failures(bound)
+            expected = _sweep_without_skips(EnvAction(M, _products(M)), bound)
+            got = EnvAction(M, _products(M)).multiplicativity_failures(bound)
             assert got == expected == [], (name, bound)
 
 
@@ -798,7 +798,7 @@ def _corrupted(A, M, monos, change, asked):
         out = good.matrix(m)
         return change(out) if m in monos else out
 
-    return EnvAction(A, M.dim, fn)
+    return _FnAction(QuasiPoissonModule(A, M.dim, M.left, M.right, M.lie), fn)
 
 
 def _corrupted_cases(kxk, trunc2) -> dict:
@@ -856,7 +856,7 @@ def test_sweep_matches_the_sweep_without_skips_on_corrupted_actions(kxk, trunc2)
             )
             assert got == expected, (name, bound)
             assert bool(got) == _fails(name, bound), (name, bound)
-            # matrices are asked for in the same order, so a matrix_fn that
+            # matrices are asked for in the same order, so a function that
             # raises does so at the same monomial
             assert asked == asked_without_skips, (name, bound)
 
@@ -869,7 +869,7 @@ def test_generator_check_agrees_with_the_full_sweep(kxk, trunc2):
 
     actions = {name: lambda case=case: _corrupted(*case, [])
                for name, case in _corrupted_cases(kxk, trunc2).items()}
-    actions["identity"] = lambda: EnvAction(kxk, 2, lambda mono: mat_identity(2))
+    actions["identity"] = lambda: _FnAction(regular_module(kxk), lambda mono: mat_identity(2))
     for name, action in actions.items():
         A = action().algebra
         for bound in (2, 3):
@@ -885,10 +885,9 @@ def test_generator_check_skips_only_products_that_act_as_zero(trunc2):
     # trunc2-n2's square: only the 9 degree-0 monomials act as nonzero, and
     # every j(e_a) acts as zero, so the check forms the products of those 9
     # with the 6 generators i(e_p), k(e_q), and no other
-    from poissonenv.poisson_modules import _ModuleAction
-
     A = _fresh(trunc2)
-    assert _ModuleAction(tensor_square_module(A)).multiplicativity_failures(2) == []
+    M = tensor_square_module(A)
+    assert EnvAction(M, _products(M)).multiplicativity_failures(2) == []
     formed = set(A.caches["q_mono"])
     assert len(formed) == 54
     assert {(m[2], g) for m, g in formed} == {((), (p, None, ())) for p in range(3)} | {
@@ -923,13 +922,11 @@ def _unformed_products(action, bound) -> list:
 
 
 def test_sweep_skips_only_products_that_act_as_zero(kxk, m2, trunc2, trunc2_skew):
-    from poissonenv.poisson_modules import _ModuleAction
-
     unformed = {}
     for name, M in _module_fixtures(kxk, m2, trunc2, trunc2_skew).items():
         for bound in (2, 3):
             fresh = QuasiPoissonModule(_fresh(M.algebra), M.dim, M.left, M.right, M.lie)
-            unformed[name, bound] = _unformed_products(_ModuleAction(fresh), bound)
+            unformed[name, bound] = _unformed_products(EnvAction(fresh, _products(fresh)), bound)
     for name, (A, M, monos, change) in _corrupted_cases(kxk, trunc2).items():
         for bound in (2, 3):
             action = _corrupted(_fresh(A), M, monos, change, [])
@@ -952,20 +949,17 @@ def test_sweep_skips_only_products_that_act_as_zero(kxk, m2, trunc2, trunc2_skew
 
 def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
     from poissonenv import poisson_modules
-    from poissonenv.poisson_modules import _ModuleAction
-    from poissonenv.smash import GENERATOR_TERM, q_mono_mult
     from poissonenv.truncation import env_monomials
 
-    action = _ModuleAction(tensor_square_module(_fresh(trunc2)))
+    M = tensor_square_module(_fresh(trunc2))
+    action = EnvAction(M, _products(M))
     monos = env_monomials(trunc2, 2)
     live = [m for m in monos if not is_zero(action.matrix(m))]  # builds every form
     assert (len(monos), len(live)) == (90, 9)
     assert all(not m[2] for m in live)  # the zero bracket kills every nonempty word
     by_kind = action._generator_forms()  # built here, so the counts below omit them
     ident = mat_identity(action.dim)
-    gens = [(make(p), by_kind[kind][p]) for kind, make in GENERATOR_TERM.items()
-            for p in range(trunc2.n)]
-    pairs = [(m, g) for g, _ in gens for m in monos if len(m[2]) + len(g[2]) <= 2]
+    gens = [fg for forms in by_kind.values() for fg in forms]
     calls = {"mul": 0, "lincomb": 0, "q_mono_mult": 0}
 
     def counting(name, fn):
@@ -979,26 +973,23 @@ def test_trunc2_square_sweep_forms_only_the_live_products(trunc2, monkeypatch):
         monkeypatch.setattr(poisson_modules, attr, counting(name, getattr(poisson_modules, attr)))
     assert action.multiplicativity_failures(2) == []
     # one product per live monomial and generator, neither acting as zero
-    # or as the identity; one combination per pair whose product has a live
-    # term; and one smash product per degree-0 monomial and generator i(e_p)
-    # or k(e_q): only there is the tail word () met
-    fresh = _fresh(trunc2)
-    with_live_terms = sum(any(t in live for t in q_mono_mult(fresh, m, g)[0]) for m, g in pairs)
+    # or as the identity; one smash product per degree-0 monomial and
+    # generator i(e_p) or k(e_q): only there is the tail word () met; and one
+    # combination per smash product, in which mat_lincomb drops the terms
+    # that act as zero
     factors = [action.matrix(m) for m in live]
     products = sum(f != ident and not is_zero(fg) and fg != ident
-                   for f in factors for _, fg in gens)
-    expected = {"mul": 32, "lincomb": 30, "q_mono_mult": 54}
-    assert calls == {"mul": products, "lincomb": with_live_terms,
-                     "q_mono_mult": 9 * 6} == expected
+                   for f in factors for fg in gens)
+    expected = {"mul": 32, "lincomb": 54, "q_mono_mult": 54}
+    assert calls == {"mul": products, "lincomb": 9 * 6, "q_mono_mult": 9 * 6} == expected
 
 
 def test_roundtrip_converts_no_matrix_and_builds_one_action(trunc2, monkeypatch):
     from poissonenv import linalg
-    from poissonenv.poisson_modules import _ModuleAction
 
     M = tensor_square_module(trunc2)
     calls = {"mat_from_rows": 0, "_new_form": 0}
-    from_rows, new_form = linalg.mat_from_rows, _ModuleAction._new_form
+    from_rows, new_form = linalg.mat_from_rows, EnvAction._new_form
 
     def counted_from_rows(*args):
         calls["mat_from_rows"] += 1
@@ -1011,7 +1002,7 @@ def test_roundtrip_converts_no_matrix_and_builds_one_action(trunc2, monkeypatch)
     # every matrix built from rational entries goes through mat_from_rows,
     # mat_from_columns included
     monkeypatch.setattr(linalg, "mat_from_rows", counted_from_rows)
-    monkeypatch.setattr(_ModuleAction, "_new_form", counted_new_form)
+    monkeypatch.setattr(EnvAction, "_new_form", counted_new_form)
     report = roundtrip_report(trunc2, M, 2)
     assert report["ok"] and report["monomials_checked"] == 90
     # the families are multiplied as they are, and G(F(M)) = M, so F(G(F(M)))
@@ -1021,7 +1012,6 @@ def test_roundtrip_converts_no_matrix_and_builds_one_action(trunc2, monkeypatch)
 
 def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatch):
     from poissonenv import poisson_modules
-    from poissonenv.poisson_modules import _ModuleAction
     from poissonenv.truncation import env_monomials
 
     M = regular_module(m2)
@@ -1038,7 +1028,7 @@ def test_roundtrip_builds_a_second_action_when_the_module_differs(m2, monkeypatc
     assert quasi_violations(back) == []
     monkeypatch.setattr(poisson_modules, "_read_module", lambda action, bad: back)
     report = roundtrip_report(m2, M, 2)
-    first, second = _ModuleAction(M), _ModuleAction(back)
+    first, second = EnvAction(M, _products(M)), EnvAction(back, _products(back))
     differ = [m for m in env_monomials(m2, 2) if first.matrix(m) != second.matrix(m)]
     assert differ and len(differ) < report["monomials_checked"]
     assert report["module_roundtrip_equal"] is False

@@ -355,9 +355,9 @@ def test_each_word_is_split_once_per_algebra(monkeypatch):
     A = validate_ncpa(load_bundled_algebra("m2std.alg"))
     original, calls = smash.ordered_partitions, []
 
-    def counted(r, p):
+    def counted(r):
         calls.append(r)
-        return original(r, p)
+        return original(r)
 
     monkeypatch.setattr(smash, "ordered_partitions", counted)
     words = u_monomials(A.n, 2)

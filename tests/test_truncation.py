@@ -579,11 +579,11 @@ def test_envdim_skew_level_0_takes_51_vectors(trunc2_skew):
     closure._times, closure.ech.add_data = counted_times, counted_add
     closure.extend_to(A, 1)
     assert (len(closure.seeds), len(products)) == (9, 42)
-    assert closure.ech.rank == 21
+    assert len(closure.ech.rows) == 21
     assert all(inserted) and len(inserted) == 9 + sum(1 for v in products if v) == 37
     closure.extend_to(A, 4)
     assert closure.j_formed == [0, 63, 90, 136]
-    assert closure.ech.rank == 273
+    assert len(closure.ech.rows) == 273
 
 
 def test_closure_builds_each_monomial_once(trunc2_skew, monkeypatch):
@@ -1041,7 +1041,7 @@ def _trunc2_oracle_dims(max_degree):
         for r in rows:
             if set(r.data) <= low_keys:
                 sub.add_data(r.data)
-        dims.append(total - sub.rank)
+        dims.append(total - len(sub.rows))
     return dims
 
 

@@ -14,51 +14,47 @@ ONE = Fraction(1)
 
 
 def test_square_word_has_four_bipartitions():
-    assert len(ordered_partitions(2, 2)) == 4
+    assert len(ordered_partitions(2)) == 4
 
 
 def test_zero_degree_single_partition():
-    parts = ordered_partitions(0, 3)
-    assert parts == (((), (), ()),)
-
-
-def test_three_blocks_count():
-    assert len(ordered_partitions(2, 3)) == 9
+    parts = ordered_partitions(0)
+    assert parts == (((), ()),)
 
 
 def test_partition_counts_power():
     for r in range(0, 6):
-        for p in (1, 2, 3):
-            assert len(ordered_partitions(r, p)) == p**r
+        assert len(ordered_partitions(r)) == 2**r
 
 
 def test_partitions_cover_and_disjoint():
-    for blocks in ordered_partitions(3, 3):
+    for blocks in ordered_partitions(3):
         seen = [i for b in blocks for i in b]
         assert sorted(seen) == [0, 1, 2]
         for b in blocks:
             assert list(b) == sorted(b)
 
 
-def test_zero_blocks_rejected():
-    with pytest.raises(ValueError):
-        ordered_partitions(2, 0)
+def test_bipartitions_run_in_base_2_order():
+    # position 0 is the most significant digit, and digit 0 is the left block
+    assert ordered_partitions(2) == (((0, 1), ()), ((0,), (1,)), ((1,), (0,)), ((), (0, 1)))
 
 
 def test_degree_guard():
     with pytest.raises(DegreeCapExceeded):
-        ordered_partitions(11, 2)
+        ordered_partitions(11)
     with pytest.raises(DegreeCapExceeded):
         shuffle_coproduct(tuple(range(11)))
 
 
 def test_degree_guard_configurable(monkeypatch):
-    # the guard runs on memo misses only, and no other test enumerates (3, 7)
+    # the guard runs on memo misses only, so the memo starts empty
+    ordered_partitions.cache_clear()
     monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "2")
     with pytest.raises(DegreeCapExceeded, match="^degree 3 exceeds cap 2$"):
-        ordered_partitions(3, 7)
+        ordered_partitions(3)
     monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "3")
-    assert len(ordered_partitions(3, 7)) == 7**3
+    assert len(ordered_partitions(3)) == 2**3
 
 
 def test_coproduct_of_identity():
@@ -137,7 +133,7 @@ def test_counit_law_up_to_degree_four():
 )
 def test_blocks_of_sorted_words_are_sorted(word):
     word = tuple(sorted(word))
-    for blocks in ordered_partitions(len(word), 2):
+    for blocks in ordered_partitions(len(word)):
         for b in blocks:
             piece = subword(word, b)
             assert piece == tuple(sorted(piece))
