@@ -51,9 +51,11 @@ central letters beside the non-central x and y, so its `env-dim`,
 letters out of the bracket slots, and straighten words by sorting them
 where only one distinct letter is not central.  Every command has a job;
 `std` runs with and without `--out`, and `module-alg` runs on zero
-brackets (kxk, the skew basis) and on a nonzero one (m2std in both
-bases).  Jobs run in-process, one after another; each loads a fresh
-algebra, so no memo cache is shared between jobs.  The
+brackets (kxk, the skew basis) and on nonzero ones (m2std in both bases,
+to degree 5 in the bundled one, and k[x, y]/(x^2, y^2) to degree 4,
+where central letters sit beside the bracket).  Jobs run in-process, one
+after another; each loads a fresh algebra, so no memo cache is shared
+between jobs.  The
 heaviest jobs are `env-dim` on m2std with J to degree 3 and OH to degree 3
 (window 5, a nonzero bracket) and on the skew basis with J to degree 4
 (window 6), each under a second; most of their work lies above level 0 of
@@ -156,6 +158,8 @@ def jobs() -> list[list[str]]:
     # basis, whose unit is not a basis vector); m2std's does not
     out.append(["module-alg", alg("kxk")])
     out.append(["module-alg", alg("m2std"), "--degree", "3"])
+    out.append(["module-alg", alg("m2std"), "--degree", "5"])
+    out.append(["module-alg", XY, "--degree", "4"])
     out += [["module-alg", path, "--degree", "2"] for path in (M2_UNIT, SKEW)]
     for mod in MODULES:
         path = f"{DATA}/{mod}.mod"

@@ -102,7 +102,7 @@ def parse_element(A: NCPA, text: str) -> SparseVector:
         return SparseVector(
             A.n, {i: parse_rational(p) for i, p in enumerate(parts)}
         )
-    total = SparseVector(A.n)
+    total = A.zero()
     for coeff, body in _signed_terms(text):
         total = total + _parse_label_term(A, body).scale(coeff)
     return total
@@ -153,7 +153,7 @@ def _label_index(A: NCPA, label: str) -> int:
 
 def parse_q_element(A: NCPA, text: str) -> QElement:
     """Terms like "c*i:j:w1.w2" joined with + and -; the third field is a
-    dot-separated word of basis labels and may be empty."""
+    dot-separated word of nonblank basis labels, or blank for the empty word."""
     from .pbw import straighten
 
     total: QElement = {}
@@ -169,7 +169,10 @@ def parse_q_element(A: NCPA, text: str) -> QElement:
         if len(fields) != 3:
             raise UsageError(f"monomial {mono!r} must have form i:j:word")
         i, j = _label_index(A, fields[0]), _label_index(A, fields[1])
-        word = tuple(_label_index(A, t) for t in fields[2].split(".") if t.strip())
+        labels = fields[2].split(".") if fields[2].strip() else []
+        if not all(t.strip() for t in labels):
+            raise UsageError(f"empty basis label in the word of monomial {mono!r}")
+        word = tuple(_label_index(A, t) for t in labels)
         for gamma, c in straighten(A, word).items():
             accumulate(total, (i, j, gamma), coeff * c)
     return total
@@ -243,7 +246,7 @@ def cmd_module_alg(args):
     failures = module_algebra_failures(A, args.degree)
     findings = [
         {"kind": "violation", "algebra": f["algebra"], "word": list(f["word"]),
-         "pair": list(map(list, f["pair"])) if f["algebra"] == "A^e" else list(f["pair"])}
+         "pair": list(f["pair"])}
         for f in failures
     ]
     out = (

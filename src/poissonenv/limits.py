@@ -6,7 +6,8 @@ ceiling is 10 because the work grows exponentially in the degree r: a word
 of r letters has 2^r bipartitions, which smash._splits enumerates once per
 word (1,024 at r = 10), and q_mono_mult takes one q_gen_mult step per
 letter of its right factor.  So every degree the cap admits can also be
-enumerated.
+enumerated.  module-alg checks its bound against the cap too, though it
+reads the letters only and costs the same at every degree.
 
 An algebra reads the variable once, at its first check (NCPA.degree_cap),
 and every check that has an algebra at hand passes that value on, so the

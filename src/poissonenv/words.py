@@ -47,7 +47,8 @@ def shuffle_coproduct(word: Word) -> dict[tuple[Word, Word], Fraction]:
     """Sum over ordered bipartitions of the positions, one term each.
 
     Terms over equal (left, right) pairs merge, e.g. the two middle
-    bipartitions of a square word (i, i) give coefficient 2.
+    bipartitions of a square word (i, i) give coefficient 2.  Kept for
+    perfbench.tracing (TRACED) and the tests' reference sweep.
     """
     out: dict[tuple[Word, Word], Fraction] = {}
     for left_pos, right_pos in ordered_partitions(len(word)):

@@ -242,6 +242,20 @@ def test_dangling_or_doubled_sign_is_a_usage_error(capsys, argv):
     assert "error: sign with no term after it" in out
 
 
+@pytest.mark.parametrize("word", ["E12..E21", ".E12", "E12.", ".", "E12. .E21"])
+def test_empty_label_in_a_word_is_a_usage_error(capsys, word):
+    term = f"E11:E11:{word}"
+    code, out = run(capsys, "q-mul", path("m2std.alg"), term, "E11:E11:")
+    assert code == 2
+    assert out.splitlines()[0] == f"error: empty basis label in the word of monomial {term!r}"
+
+
+def test_blank_word_is_the_identity(capsys):
+    code, out = run(capsys, "q-mul", path("m2std.alg"), "E11:E11: ", "E11:E11:E12.E21")
+    assert code == 0
+    assert out.splitlines()[0] == "E11:E11:E12.E21"
+
+
 def test_single_leading_sign_is_accepted(capsys):
     # a leading space keeps the argument parser from reading an option
     code, out = run(capsys, "q-mul", path("kxk.alg"), " -e1:e1:e2", "+e1:e1:e1")
@@ -302,10 +316,9 @@ def test_module_alg_degree_above_cap_fails_before_any_work(capsys, monkeypatch, 
     def forbidden(*args):
         raise AssertionError("module-alg acted by a word before checking its degree")
 
-    # the sweep acts through lie_word_on_basis on A and A^op, and through
-    # lie_word_act on A^e
-    for name in ("lie_word_on_basis", "lie_word_act"):
-        monkeypatch.setattr(f"poissonenv.pbw.{name}", forbidden)
+    # the check reads each letter's brackets and products through these
+    for name in ("bracket_basis", "mul_basis"):
+        monkeypatch.setattr(f"poissonenv.ncpa.NCPA.{name}", forbidden)
     argv = ["module-alg", path("m2std.alg"), "--degree", "11"]
     code, out = run(capsys, *(["--json"] if as_json else []), *argv)
     assert code == 2
@@ -333,7 +346,7 @@ MATRIX_KERNEL = "poissonenv.linalg.mat_mul"
 @pytest.mark.parametrize("argv, target", [
     (["roundtrip", "kxk.alg", "kxk-regular.mod", "--degree", "11"],
      "poissonenv.poisson_modules.mat_mul"),
-    (["module-alg", "kxk.alg", "--degree", "11"], "poissonenv.pbw.lie_word_act"),
+    (["module-alg", "kxk.alg", "--degree", "11"], "poissonenv.ncpa.NCPA.bracket_basis"),
 ])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_cap_variable_above_ceiling_fails_before_any_work(
@@ -342,8 +355,7 @@ def test_cap_variable_above_ceiling_fails_before_any_work(
     def forbidden(*args):
         raise AssertionError("worked before reading the degree cap")
 
-    # module-alg acts through lie_word_on_basis on A and A^op, before A^e
-    for name in (target, MATRIX_KERNEL, "poissonenv.pbw.lie_word_on_basis"):
+    for name in (target, MATRIX_KERNEL):
         monkeypatch.setattr(name, forbidden)
     monkeypatch.setenv("POISSON_ENV_MAX_DEGREE", "12")
     argv = [path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
