@@ -213,18 +213,16 @@ def cmd_mul(args):
     A = load_algebra(args.algebra)
     x = parse_element(A, args.x)
     y = parse_element(A, args.y)
-    result = A.mul(x, y) if args.op == "mul" else A.bracket(x, y)
-    out = [A.format_element(result)]
-    return [{"kind": "info", "result": A.format_element(result)}], out
+    result = A.format_element(A.mul(x, y) if args.op == "mul" else A.bracket(x, y))
+    return [{"kind": "info", "result": result}], [result]
 
 
 def cmd_q_mul(args):
     A = load_algebra(args.algebra)
     x = parse_q_element(A, args.x)
     y = parse_q_element(A, args.y)
-    result = q_mult(A, x, y)
-    out = [format_q_element(A, result)]
-    return [{"kind": "info", "result": format_q_element(A, result)}], out
+    result = format_q_element(A, q_mult(A, x, y))
+    return [{"kind": "info", "result": result}], [result]
 
 
 def cmd_relations(args):

@@ -1,7 +1,8 @@
 """JSON interchange formats for algebras and modules.
 
-Rationals travel as strings "p" or "p/q" so nothing is ever rounded;
-unreduced or negative-denominator inputs are accepted and canonicalized.
+Rationals travel as strings "p" or "p/q", with p and q ASCII decimal
+integers, so nothing is ever rounded; unreduced or negative-denominator
+inputs are accepted and canonicalized.
 Structure constants are sparse quadruple lists [i, j, k, coeff] meaning
 the coefficient of basis k in the product (or bracket) of basis i and j;
 omitted triples are zero and duplicate (i, j, k) keys are rejected.
@@ -13,6 +14,7 @@ no leading or trailing whitespace, so that every label can be named.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping
@@ -26,18 +28,28 @@ class FileFormatError(Exception):
     """Bad syntax or bad content in an interchange file."""
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # not \d, which takes any Unicode digit
+
+
+def _ascii_int(text: str) -> int:
+    """The ASCII decimal integer text, with an optional sign and
+    surrounding whitespace; int() alone would also take "1_000" and
+    non-ASCII digits."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise FileFormatError(f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
+        num, slash, den = value.partition("/")
         try:
-            if "/" in text:
-                num, _, den = text.partition("/")
-                return Fraction(int(num.strip()), int(den.strip()))
-            return Fraction(int(text))
+            return Fraction(_ascii_int(num), _ascii_int(den) if slash else 1)
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(f"malformed rational {value!r}: {exc}")
     raise FileFormatError(f"expected a rational string, got {value!r}")

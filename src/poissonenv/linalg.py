@@ -7,11 +7,13 @@ rows: a vector's denominators are cleared on entry, and Fractions are
 formed again only on the way out, by _over (Subspace rows, remainders,
 express coefficients and the smash product's results).  A Subspace is
 built from an Echelon's integer rows, so it clears no denominators.
-Echelon.add_data takes int data as it is: it copies all-int data after
-one scan of its types, with no lcm and no rescaling.  The ideal
-closure in truncation feeds it primitive integer vectors over its own
-coordinates, each an integer combination of cached generator columns,
-and linear systems (solve_nullspace) are plain {index: value} rows.  A matrix
+Echelon.add_data copies all-int data after one scan of its types, with
+no lcm and no rescaling; inserts and TrackedEchelon.express run one
+leading-term reduction, Echelon._reduce, on such a copy, never on the
+vector they are given.  The ideal closure in truncation feeds add_data
+primitive integer vectors over its own coordinates, each an integer
+combination of cached generator columns, and linear systems
+(solve_nullspace) are plain {index: value} rows.  A matrix
 is held in one canonical integer form, sparse integer rows over one
 denominator (see "exact matrices" below), and mat_mul is its one product.
 SparseVector, Subspace and matrices are not changed once built (by
@@ -152,11 +154,9 @@ def accumulate(out: dict, key, coeff: Fraction) -> None:
 # stored row; the reduced form, each row zero at every other row's pivot,
 # is built once where it is read, by reduced_rows, as Gröbner-basis
 # practice interreduces once at the end (Faugère, F4, J. Pure Appl. Algebra
-# 139, 1999).  Echelon._insert does a whole insert in one body: it clears
-# the vector once and runs the leading-term reduction inline.  Every other
-# row reduction goes through _eliminate: _top_reduce for
-# TrackedEchelon.express, its one caller, and _clear_pivots for reduced
-# rows and remainders.
+# 139, 1999).  Every row reduction goes through _eliminate: Echelon._reduce,
+# the one leading-term reduction, for inserts and TrackedEchelon.express,
+# and _clear_pivots for reduced rows and remainders.
 
 def _integral(data: Mapping) -> tuple[dict, int]:
     """The integer vector s * data, with s the lcm of its denominators, and s.
@@ -201,21 +201,6 @@ def _eliminate(out: dict, p: int, row: Mapping[int, int]) -> int:
 
 
 IntRows = Mapping[int, Mapping[int, int]]  # pivot column -> integer row
-
-
-def _top_reduce(data: Mapping, pivot_row: IntRows, n: int) -> tuple[dict[int, int], int, int]:
-    """(r, s, p) with r the integer vector s * (data - w), w in the span of
-    triangular rows, s > 0, and p the least coordinate of r, or n if r has
-    none; p is no pivot.
-
-    Eliminates the leading coordinate while it is a pivot: each row is zero
-    below its pivot, so the leading coordinate only grows."""
-    out, s = _integral(data)
-    p = min(out, default=n)
-    while p in pivot_row:
-        s *= _eliminate(out, p, pivot_row[p])
-        p = min(out, default=n)
-    return out, s, p
 
 
 def _clear_pivots(data: Mapping, pivot_row: IntRows) -> tuple[dict[int, int], int]:
@@ -280,47 +265,24 @@ class Echelon:
         self.rows: list[dict[int, int]] = []
         self.pivot_row: dict[int, dict[int, int]] = {}
 
-    def _insert(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
-        # Shared by add_data and TrackedEchelon.insert, which stay separate
-        # entry points so that per-layer tracing counts each insertion once.
-        # int data is copied once and Fraction data cleared once, over the
-        # lcm of its denominators; the copy is reduced by leading term in
-        # place, and the reduction stops as soon as the copy is empty.
-        for v in data.values():
-            if type(v) is not int:
-                s = lcm(*[v.denominator for v in data.values()])
-                out = {c: v.numerator * (s // v.denominator) for c, v in data.items()}
-                break
-        else:
-            out = dict(data)
-        if not out:
-            return None
+    def _reduce(self, out: dict[int, int]) -> int | None:
+        """Eliminate the least coordinate of the integer vector out, in
+        place, while it is a pivot (it only grows: each row is zero below its
+        pivot); returns the least coordinate left, or None if out empties."""
         pivot_row = self.pivot_row
-        p = min(out)
-        row = pivot_row.get(p)
-        while row is not None:
-            # out := (a/g) * out - (b/g) * row, as _eliminate does; each row
-            # is zero below its pivot, so the leading coordinate only grows
-            a = row[p]
-            b = out[p]
-            g = gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            if a != 1:
-                for c in out:
-                    out[c] *= a
-            for c, v in row.items():
-                x = out.get(c, 0) - b * v
-                if x:
-                    out[c] = x
-                else:
-                    del out[c]
-            if not out:
-                return None
+        while out:
             p = min(out)
             row = pivot_row.get(p)
-        if p >= self.n:
+            if row is None:
+                return p
+            _eliminate(out, p, row)
+        return None
+
+    def _insert(self, out: dict[int, int]) -> dict[int, int] | None:
+        # Shared by add_data and TrackedEchelon.insert, kept apart for per-layer
+        # tracing; out is an integer vector the echelon may change and keep.
+        p = self._reduce(out)
+        if p is None or p >= self.n:
             return None
         g = gcd(*out.values())
         if out[p] < 0:
@@ -328,7 +290,7 @@ class Echelon:
         if g != 1:
             out = {c: v // g for c, v in out.items()}
         self.rows.append(out)
-        pivot_row[p] = out
+        self.pivot_row[p] = out
         return out
 
     def add_data(self, data: Mapping[int, Fraction]) -> dict[int, int] | None:
@@ -336,7 +298,7 @@ class Echelon:
         primitive integer row, or None if the vector is in the span.  The
         row is reduced by leading term only: it may have entries at larger
         pivots."""
-        return self._insert(data)
+        return self._insert(_integral(data)[0])
 
     def to_subspace(self) -> "Subspace":
         return Subspace(self.n, self.pivot_row)
@@ -353,15 +315,16 @@ class TrackedEchelon(Echelon):
     """Echelon that remembers how each row combines the inserted vectors.
 
     Rows live in augmented coordinates: the t-th inserted vector carries a
-    tag 1 at coordinate n + t.  Every row is a combination of tagged
-    vectors, so its entries at n + t are the coefficients of that
-    combination.  Pivots are only taken below n, so a vector whose data part
-    reduces to zero adds no row (but still uses up its tag).  Reducing an
-    untagged target v by leading term leaves s * (v - sum(lam_k * row_k));
-    when its data part is zero, v = sum_t c_t * (t-th vector) with c_t the
-    negated entry at n + t divided by s.  Only the vectors that raised the
-    rank carry tags in the rows, and they are independent, so the
-    coefficients are unique.
+    tag 1 at coordinate n + t (and enters times the scale that clears it).
+    Every row is a combination of tagged vectors, so its entries at n + t
+    are the coefficients of that combination.  Pivots are only taken below
+    n, so a vector whose data part reduces to zero adds no row (but still
+    uses up its tag).  express tags its target v at n + count, which no row
+    holds; reducing it by leading term leaves s * (v - sum(lam_k * row_k)),
+    s > 0 at that tag, and when its data part is zero, v = sum_t c_t *
+    (t-th vector) with c_t the negated entry at n + t divided by s.  Only
+    the vectors that raised the rank carry tags in the rows, and they are
+    independent, so the coefficients are unique.
     """
 
     def __init__(self, n: int):
@@ -370,19 +333,23 @@ class TrackedEchelon(Echelon):
 
     def insert(self, data: Mapping[int, Fraction]) -> bool:
         """Insert the next tagged vector; True if the rank grew."""
-        tagged = {**data, self.n + self.count: 1}
+        out, s = _integral(data)
+        out[self.n + self.count] = s
         self.count += 1
-        return self._insert(tagged) is not None
+        return self._insert(out) is not None
 
     def express(self, v: SparseVector) -> dict[int, Fraction] | None:
         """Coefficients over the inserted vectors, or None if not in span."""
         n = self.n
         if v.n != n:
             raise ValueError("dimension mismatch")
-        red, s, p = _top_reduce(v.data, self.pivot_row, n)
-        if p < n:
+        out, s = _integral(v.data)
+        tag = n + self.count
+        out[tag] = s
+        if self._reduce(out) < n:  # never None: no row clears the tag
             return None
-        return _over({c - n: -x for c, x in red.items()}, s)
+        s = out.pop(tag)
+        return _over({c - n: -x for c, x in out.items()}, s)
 
 
 class Subspace:
@@ -603,6 +570,14 @@ def mat_lincomb(pairs: Iterable[tuple[int, Matrix]], r: int, den: int = 1) -> Ma
             for j, v in row.items():
                 out[j] = out.get(j, 0) + c * v
     return _lowest([{j: v for j, v in row.items() if v} if row else row for row in acc], s * den)
+
+
+def mat_combination(coeffs: Mapping, mats: Sequence[Matrix], r: int, *extra: Matrix) -> Matrix:
+    """sum of coeffs[k] * mats[k], for rational coefficients, plus each
+    matrix in extra; all are r-row forms."""
+    nums, s = _integral(coeffs)
+    pairs = [(c, mats[k]) for k, c in nums.items()] + [(s, m) for m in extra]
+    return mat_lincomb(pairs, r, s)
 
 
 def mat_numerators(a: Matrix, cols: int) -> dict[int, int]:

@@ -27,13 +27,12 @@ from .linalg import (
     SparseVector,
     Subspace,
     ZERO,
-    _integral,
     accumulate,
     close_under,
+    mat_combination,
     mat_from_columns,
     mat_from_rows,
     mat_identity,
-    mat_lincomb,
     mat_mul,
     mat_numerators,
     minimal_polynomial,
@@ -392,13 +391,18 @@ def validate_ncpa(p: AlgebraPresentation) -> NCPA:
     return A
 
 
+def _commutator(A: NCPA):
+    return lambda i, j: A.mul_basis(i, j) - A.mul_basis(j, i)
+
+
 def standard_ncpa(p: AlgebraPresentation) -> NCPA:
     """Equip an associative presentation with the commutator bracket."""
     A = NCPA(p)  # structural checks only; product used to build the bracket
+    commutator = _commutator(A)
     bracket = {}
     for i in range(A.n):
         for j in range(A.n):
-            c = A.mul_basis(i, j) - A.mul_basis(j, i)
+            c = commutator(i, j)
             if not c.is_zero():
                 bracket[(i, j)] = c
     std = AlgebraPresentation(
@@ -460,11 +464,8 @@ def unit_first(A: NCPA) -> NCPA:
 def is_standard(A: NCPA) -> bool:
     """True iff the bracket is exactly the commutator of the product.  Kept
     for standard_bimodule_to_poisson."""
-    for i in range(A.n):
-        for j in range(A.n):
-            if A.bracket_basis(i, j) != A.mul_basis(i, j) - A.mul_basis(j, i):
-                return False
-    return True
+    commutator = _commutator(A)
+    return all(A.bracket_basis(i, j) == commutator(i, j) for i in range(A.n) for j in range(A.n))
 
 
 # -- structural analysis -------------------------------------------------------
@@ -484,10 +485,6 @@ def _central_rows(A: NCPA, tables: Sequence) -> list[dict[int, Fraction]]:
                     block[k][i] = c
             rows += [row for row in block if row]
     return rows
-
-
-def _commutator(A: NCPA):
-    return lambda i, j: A.mul_basis(i, j) - A.mul_basis(j, i)
 
 
 def center(A: NCPA) -> Subspace:
@@ -543,12 +540,6 @@ def _operator_algebra_basis(A: NCPA) -> list[Matrix]:
     )
 
 
-def _combination(coeffs: Mapping[int, Fraction], mats: Sequence[Matrix]) -> Matrix:
-    """sum of coeffs[k] * mats[k], for rational coefficients."""
-    nums, s = _integral(coeffs)
-    return mat_lincomb(((c, mats[k]) for k, c in nums.items()), len(mats[0][0]), s)
-
-
 def _trace_radical(basis: list[Matrix]) -> list[Matrix]:
     """Radical of the matrix algebra via the trace form (char 0)."""
     e = len(basis)
@@ -564,7 +555,7 @@ def _trace_radical(basis: list[Matrix]) -> list[Matrix]:
                 data[s] = tr
         rows.append(data)
     sol = solve_nullspace(rows, e)
-    return [_combination(coeffs.data, basis) for coeffs in sol.rows]
+    return [mat_combination(coeffs.data, basis, len(basis[0][0])) for coeffs in sol.rows]
 
 
 def _centralizer_basis(A: NCPA) -> list[Matrix]:
@@ -604,7 +595,7 @@ def _poly_eval_matrix(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
     powers = [mat_identity(len(m[0]))]
     for _ in coeffs[1:]:
         powers.append(mat_mul(powers[-1], m))
-    return _combination(dict(enumerate(coeffs)), powers)
+    return mat_combination(dict(enumerate(coeffs)), powers, len(m[0]))
 
 
 def _rational_factors(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:

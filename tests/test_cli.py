@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poissonenv
 from poissonenv.cli import main, run_command
 from poissonenv.fileformat import bundled_path
 
@@ -210,6 +215,18 @@ def test_malformed_coordinates_exit_2(capsys, tmp_path, algebra, x, start, as_js
     assert code == 2
     assert_error(out, as_json, start)
     assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("coeff", ["1_0", "\uff11\uff12", "\u0663/\u0664"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_coefficient_digits_must_be_ascii_decimal(capsys, coeff, as_json):
+    # int() would read these as 10, 12 and 3/4
+    m2 = path("m2std.alg")
+    for argv in (["mul", m2, f"{coeff}*E11", "E11"], ["mul", m2, f"{coeff},0,0,0", "E11"],
+                 ["q-mul", m2, f"{coeff}*E11:E11:", "E11:E11:"]):
+        code, out = run(capsys, *(["--json"] if as_json else []), *argv)
+        assert code == 2
+        assert_error(out, as_json, f"malformed rational {coeff!r}")
 
 
 def test_mul_bad_label(capsys):
@@ -594,6 +611,27 @@ def test_simple_true(capsys):
     code, out = run(capsys, "simple", path("m2std.alg"))
     assert code == 0
     assert "Poisson-simple: true" in out
+
+
+def test_simple_through_its_third_stage_does_not_import_sympy():
+    # sympy takes 0.3-0.46 s to import; m2std's Poisson centre is the
+    # scalars, so simple reaches its third stage and factors no minimal
+    # polynomial.  A fresh interpreter, since this one may hold sympy.
+    script = (
+        "import sys\n"
+        "from poissonenv import cli\n"
+        f"print(cli.main(['simple', {path('m2std.alg')!r}]))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(poissonenv.__file__).parents[1])
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "Poisson-simple: true" in lines
+    assert lines[-2:] == ["0", "False"]
 
 
 def test_simple_false_with_witness(capsys):

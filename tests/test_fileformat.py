@@ -45,6 +45,16 @@ def test_rational_parsing():
         parse_rational("a/b")
     with pytest.raises(FileFormatError):
         parse_rational(1.5)
+    # an optional sign and surrounding whitespace on either side of the /
+    assert parse_rational(" +3 / -4 ") == Fraction(-3, 4)
+    assert parse_rational("-007") == Fraction(-7)
+
+
+@pytest.mark.parametrize("text", ["1_000", "\uff11\uff12", "\u0663/\u0664", "1/2_0"])
+def test_rational_digits_must_be_ascii_decimal(text):
+    # int() reads each of these (1000, fullwidth 12, Arabic-Indic 3/4, 20)
+    with pytest.raises(FileFormatError, match="malformed rational"):
+        parse_rational(text)
 
 
 def test_zero_denominator_in_file():

@@ -548,6 +548,21 @@ def test_triangular_echelon_matches_reduced_reference(case):
     assert tracked.express(target) == _ref_express(vecs, target)
 
 
+@settings(max_examples=200, deadline=None)
+@given(mixed_sequences())
+def test_tracked_rows_are_the_rows_of_the_tagged_vectors(case):
+    # a plain Echelon fed each vector with a tag 1 at n + t; TrackedEchelon
+    # clears the vector first and tags it with the clearing scale, which is
+    # the same integer vector
+    dim, vectors, _ = case
+    tracked, plain = TrackedEchelon(dim), Echelon(dim)
+    for t, data in enumerate(vectors):
+        row = plain.add_data({**data, dim + t: 1})
+        assert tracked.insert(data) == (row is not None), t
+        assert tracked.rows == plain.rows, t
+        assert list(tracked.pivot_row.items()) == list(plain.pivot_row.items()), t
+
+
 def test_reduced_rows_leaves_the_triangular_rows_as_they_are():
     ech = Echelon(4)
     for data in ({0: 2, 1: 3, 2: 1}, {1: 1, 2: 1, 3: 1}, {2: 3, 3: 6}):
@@ -736,3 +751,27 @@ def test_int_and_fraction_inserts_give_identical_rows(data):
             assert ech.add_data(zero) is None
         assert ech.rows == before and all(a is b for a, b in zip(ech.rows, kept))
         assert list(ech.pivot_row.values()) == before
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(2, 3)], ids=["int", "fraction"])
+def test_no_entry_point_changes_its_argument(scale):
+    # the ideal closure in truncation multiplies the vectors it inserts
+    # again, so every reduction runs on a copy
+    def vec(*values):
+        return {c: x * scale for c, x in enumerate(values) if x}
+
+    vectors = [vec(2, 4, 6, 0), vec(1, 3, 0, 0), vec(3, 7, 6, 0), vec(0, 5, 0, 1)]
+    targets = [vec(4, 10, 6, 0), vec(0, 0, 0, 1), vec(0, 0, 1, 0), {}]
+    ech, tracked = Echelon(4), TrackedEchelon(4)
+    for v in vectors:
+        before = dict(v)
+        assert ech.add_data(v) is not v
+        tracked.insert(v)
+        assert v == before and all(type(x) is type(scale) for x in v.values())
+    assert len(ech.rows) == len(tracked.rows) == 3
+    for data in targets:
+        target = SparseVector(4)
+        target.data = dict(data)  # as minimal_polynomial passes int numerators
+        tracked.express(target)
+        assert target.data == data
+    assert tracked.express(SparseVector(4, targets[0])) == {0: 1, 1: 2}
