@@ -22,7 +22,7 @@ from .fileformat import (
     parse_rational,
     serialize_algebra,
 )
-from .limits import DegreeCapExceeded
+from .limits import DegreeCapExceeded, _ascii_int
 from .linalg import SparseVector, accumulate
 from .ncpa import (
     NCPA,
@@ -341,9 +341,9 @@ def cmd_roundtrip(args):
 # -- driver ---------------------------------------------------------------------
 
 def _degree(text: str) -> int:
-    """argparse type for degree bounds: a nonnegative integer."""
+    """argparse type for degree bounds: a nonnegative ASCII decimal integer."""
     try:
-        value = int(text)
+        value = _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
     if value < 0:

@@ -14,11 +14,11 @@ no leading or trailing whitespace, so that every label can be named.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping
 
+from .limits import _ascii_int
 from .linalg import SparseVector, mat_from_rows
 from .ncpa import NCPA, AlgebraPresentation
 from .poisson_modules import QuasiPoissonModule
@@ -26,19 +26,6 @@ from .poisson_modules import QuasiPoissonModule
 
 class FileFormatError(Exception):
     """Bad syntax or bad content in an interchange file."""
-
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")  # not \d, which takes any Unicode digit
-
-
-def _ascii_int(text: str) -> int:
-    """The ASCII decimal integer text, with an optional sign and
-    surrounding whitespace; int() alone would also take "1_000" and
-    non-ASCII digits."""
-    text = text.strip()
-    if not _INTEGER.fullmatch(text):
-        raise ValueError(f"not an ASCII decimal integer: {text!r}")
-    return int(text)
 
 
 def parse_rational(value) -> Fraction:

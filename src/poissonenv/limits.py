@@ -12,11 +12,13 @@ reads the letters only and costs the same at every degree.
 An algebra reads the variable once, at its first check (NCPA.degree_cap),
 and every check that has an algebra at hand passes that value on, so the
 product and straighten misses of a command do not read the environment again.
+It, the CLI's degrees and the files' rationals are read by _ascii_int.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 DEFAULT_DEGREE_CAP = 8
 MAX_DEGREE_CAP = 10
@@ -27,12 +29,25 @@ class DegreeCapExceeded(Exception):
     """An operation was asked for a degree above the configured cap."""
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # not \d, which takes any Unicode digit
+
+
+def _ascii_int(text: str) -> int:
+    """The ASCII decimal integer text, with an optional sign and
+    surrounding whitespace; int() alone would also take "1_000" and
+    non-ASCII digits."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def degree_cap() -> int:
     raw = os.environ.get(DEGREE_CAP_ENV)
     if raw is None:
         return DEFAULT_DEGREE_CAP
     try:
-        value = int(raw)
+        value = _ascii_int(raw)
     except ValueError:
         raise DegreeCapExceeded(f"{DEGREE_CAP_ENV} must be an integer, got {raw!r}")
     if value < 0:

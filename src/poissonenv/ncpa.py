@@ -139,14 +139,13 @@ class NCPA:
     actually been checked, or through unit_first, the isomorphic copy of a
     checked algebra whose basis holds the unit (env-dim runs its ideal
     closure there; the copy has caches of its own).  Instances carry memo
-    caches for the PBW layer ("straighten", "lie_word"), the smash product
-    ("q_mono", its slot factors "q_factor", each word's straightened form
-    as integers "q_tail" and each word's live bipartitions "q_split",
-    from which the generator products are built), the ideal slices
-    ("ideal_slice") and the operator matrices ("ops"), the bracket-central
-    basis letters (bracket_central) and the degree cap (degree_cap).
-    Cached values are immutable, except the leveled ideal closures under
-    "ideal_slice", which later calls extend to wider windows.
+    caches for the PBW layer ("straighten", "lie_word") and the smash
+    product ("q_mono", its slot factors "q_factor", each word's
+    straightened form as integers "q_tail" and each word's live
+    bipartitions "q_split", from which the generator products are built),
+    the bracket-central basis letters (bracket_central) and the degree cap
+    (degree_cap).  Cached values are immutable; an ideal closure belongs to
+    the truncated quotient that built it.
     """
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -167,8 +166,6 @@ class NCPA:
             "q_factor": {},
             "q_tail": {},
             "q_split": {},
-            "ideal_slice": {},
-            "ops": {},
         }
 
     # -- basic evaluation ---------------------------------------------------
@@ -235,21 +232,14 @@ class NCPA:
 
     # -- multiplication operators as matrices --------------------------------
 
-    def _matrix(self, key, column) -> Matrix:
-        """Matrix whose j-th column is column(j); cached under key."""
-        cache = self.caches["ops"]
-        if key not in cache:
-            cache[key] = mat_from_columns([column(j).data for j in range(self.n)], self.n)
-        return cache[key]
-
     def left_mult_matrix(self, i: int) -> Matrix:
-        return self._matrix(("Lmat", i), lambda j: self.mul_basis(i, j))
+        return mat_from_columns([self.mul_basis(i, j).data for j in range(self.n)], self.n)
 
     def right_mult_matrix(self, i: int) -> Matrix:
-        return self._matrix(("Rmat", i), lambda j: self.mul_basis(j, i))
+        return mat_from_columns([self.mul_basis(j, i).data for j in range(self.n)], self.n)
 
     def ad_matrix(self, i: int) -> Matrix:
-        return self._matrix(("admat", i), lambda j: self.bracket_basis(i, j))
+        return mat_from_columns([self.bracket_basis(i, j).data for j in range(self.n)], self.n)
 
     def __repr__(self) -> str:
         return f"NCPA({self.name!r}, dim={self.n})"

@@ -457,11 +457,7 @@ class EnvAction:
         """The action of m·g, read off its q_mono memo entry as it stands;
         mat_lincomb drops the terms that act as zero.  Their forms are read
         from the store, which the check has filled to its bound."""
-        A = self.algebra
-        entry = A.caches["q_mono"].get((m, g))
-        if entry is None:
-            entry = q_mono_mult(A, m, g)  # the one function that fills the memo
-        return self._combination(*entry)
+        return self._combination(*q_mono_mult(self.algebra, m, g))
 
     def _dead_words(self, monos: list) -> set:
         """The words of monos whose n² monomials all act as zero; reads

@@ -349,13 +349,10 @@ def q_mult(A: NCPA, x: QElement, y: QElement) -> QElement:
     (_sum) and divided out once."""
     xs, sx = _integral(x)
     ys, sy = _integral(y)
-    cache = A.caches["q_mono"]
     pairs = []
     for m1, c1 in xs.items():
         for m2, c2 in ys.items():
-            entry = cache.get((m1, m2))
-            if entry is None:
-                entry = q_mono_mult(A, m1, m2)  # the one function that fills the memo
+            entry = q_mono_mult(A, m1, m2)
             if entry[0]:
                 pairs.append((c1 * c2, entry))
     return _over(*_sum(pairs, sx * sy))

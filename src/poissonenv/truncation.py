@@ -115,8 +115,11 @@ slice, and a pivot never moves once taken: the level that took it tells
 every narrower window's rank and stable flag.  The echelon keeps its rows
 triangular and never rewrites one, so the closure does no back-substitution:
 the pivots alone give dimensions and stable flags, and a slice's rows are
-reduced only when read.  TruncatedQuotient is the one reader of the closure;
-dimension_table and truncated_ideal_span call it.
+reduced only when read.  One reader, _LeveledClosure.block, gives the
+degree <= d block at any window D the closure has reached: its rows taken
+below level D are exactly those the closure held at window D.  Each
+TruncatedQuotient builds its own closure, and dimension_table reads every
+degree off the closure of one quotient at its top degree and widest window.
 
 Every product the closure forms multiplies a kept vector by one generator
 i(a), k(a) or j(a) on one side, so it works in its own integer
@@ -291,12 +294,11 @@ class _LeveledClosure:
     y needs no lcm and no gcd: each column also keeps its primitive form,
     with a positive entry at its least offset, and the product is that
     form moved to y's coordinate, the same vector up to its sign, which
-    the echelon normalises.  Holds no reference
-    to the algebra, whose memo holds it: a cycle would outlive each call
-    until collected.
+    the echelon normalises.
     """
 
     def __init__(self, A: NCPA, gens: IdealGens):
+        self.algebra = A
         # one-term generators, the unit kept as a None slot (see smash);
         # i(1), k(1) act as the identity
         ik = [a for a in range(A.n) if A.basis(a) != A.unit]
@@ -332,10 +334,9 @@ class _LeveledClosure:
         self.j_formed: list[int] = []
         self.j_skipped: list[int] = []
 
-    def extend_to(self, A: NCPA, D: int) -> None:
+    def extend_to(self, D: int) -> None:
         """Grow the span to T_{D-1}, window D."""
-        if self.level >= D - 1:
-            return
+        A = self.algebra
         if D > self.window:
             # the new window's monomials come after the old ones
             self.monomials += env_monomials(A, D, self.window + 1)
@@ -370,7 +371,7 @@ class _LeveledClosure:
                     for e in range(f):
                         left, gens = families[e]
                         for g in gens:
-                            v = times(A, y, g, left)
+                            v = times(y, g, left)
                             if add(v):
                                 gained.append(v)
                                 queue.append((v, e))
@@ -385,12 +386,12 @@ class _LeveledClosure:
                 for y, left, right in self.frontier:
                     for a, g in enumerate(self.j):
                         if a <= left and not self.j_central[a]:
-                            v = times(A, y, g, True)
+                            v = times(y, g, True)
                             formed += 1
                             if add(v):
                                 gained.append((v, a, top))
                         if a <= right:
-                            v = times(A, y, g, False)
+                            v = times(y, g, False)
                             formed += 1
                             if add(v):
                                 gained.append((v, -1, a))
@@ -399,13 +400,13 @@ class _LeveledClosure:
             self.j_formed.append(formed)
             self.j_skipped.append(skipped)
 
-    def _times(self, A: NCPA, y: dict[int, int], g: QMonomial, left: bool) -> dict[int, int]:
+    def _times(self, y: dict[int, int], g: QMonomial, left: bool) -> dict[int, int]:
         """g * y if left, else y * g, up to a nonzero scalar: the primitive
         integer combination of g's columns, and for a one-coordinate y its
         column's primitive form, shifted (see the class docstring)."""
         memo = self.columns.get((g, left))
         if memo is None:
-            memo = self.columns[(g, left)] = (*_slots(A.n, g, left), {})
+            memo = self.columns[(g, left)] = (*_slots(self.algebra.n, g, left), {})
         wide, narrow, columns = memo
         cols = []
         for c in y:
@@ -413,7 +414,7 @@ class _LeveledClosure:
             key = c + t % wide - t % narrow
             col = columns.get(key)
             if col is None:
-                col = columns[key] = self._column(A, t, g, left)
+                col = columns[key] = self._column(t, g, left)
             cols.append(col)
         if len(cols) == 1:
             c = next(iter(y))
@@ -432,11 +433,11 @@ class _LeveledClosure:
                     out.pop(k, None)
         return _primitive(out)
 
-    def _column(self, A: NCPA, t: int, g: QMonomial, left: bool) -> tuple[dict, int, dict]:
+    def _column(self, t: int, g: QMonomial, left: bool) -> tuple[dict, int, dict]:
         """The column of the monomial at position t: (offsets, den, prim),
         its numerators over den by offset from its coordinate, and their
         primitive form with a positive entry at the least offset."""
-        nums, den = q_gen_mult(A, self.monomials[t], g, left)
+        nums, den = q_gen_mult(self.algebra, self.monomials[t], g, left)
         c = -1 - t
         offsets = {k - c: x for k, x in _coordinates(nums, self.coord).items()}
         prim = _primitive(offsets)
@@ -444,26 +445,20 @@ class _LeveledClosure:
             prim = {o: -x for o, x in prim.items()}
         return offsets, den, prim
 
-    def low_rows(self, n_low: int) -> dict[int, dict[int, int]]:
-        """The rows that span the current span met with the first n_low
-        monomials, keyed by their pivots, each row's largest monomial: the
-        echelon's own triangular rows, which it never rewrites."""
-        return {p: row for p, row in self.ech.pivot_row.items() if p >= -n_low}
-
-
-def _leveled_closure(A: NCPA, gens: IdealGens, D: int) -> _LeveledClosure:
-    """The generators' closure grown to window D, memoized per algebra so
-    that calls with non-decreasing windows share one leveled pass."""
-    memo = A.caches["ideal_slice"]
-    key = tuple(tuple(g.items()) for g in gens.gens)
-    # stored back only once extended, so an error leaves no torn entry
-    closure = memo.pop(key, None)
-    if closure is None or closure.level >= D:
-        # past window D, T_{D-1} is no longer at hand: start over
-        closure = _LeveledClosure(A, gens)
-    closure.extend_to(A, D)
-    memo[key] = closure
-    return closure
+    def block(self, d: int, D: int) -> tuple[int, dict[int, dict[int, int]], bool]:
+        """(n_low, rows, stable) of the degree <= d block at a window D grown:
+        n_low monomials, n^2 slot pairs for each of the comb(n + d, d) words;
+        the echelon's own rows taken below level D with pivots, their largest
+        monomials, in the block, by pivot, which span T_{D-1} met with it;
+        stable if no pivot in it is new at window D.  Window 0 holds no
+        products, and window D - 1 has no degree-D block, so d = D is unstable."""
+        n = self.algebra.n
+        n_low = n * n * comb(n + d, d)
+        level = self.pivot_level
+        rows = {p: row for p, row in self.ech.pivot_row.items()
+                if p >= -n_low and level[p] < D}
+        stable = D == 0 or (d < D and all(level[p] < D - 1 for p in rows))
+        return n_low, rows, stable
 
 
 def truncated_ideal_span(
@@ -479,16 +474,16 @@ def truncated_ideal_span(
 class TruncatedQuotient:
     """Finite slice of an enveloping-algebra quotient.
 
-    The one reader of the leveled closure.  The ideal slice is spanned by
-    the closure's rows whose pivots, each row's largest monomial, lie at
-    degree <= d.  The coset representatives are the other monomials of
-    degree <= d, so the degree <= d block is the slice plus their span, and
-    each element has one decomposition: reduce() clears the pivots and reads
-    off the rest.  The dimension, coset basis and stable flag need only the
-    pivots; reduce() and ideal_slice need the rows in reduced form, and
-    ideal_slice a second elimination (a Subspace pivots at each row's least
-    monomial), so each is built on first read.  The window defaults to
-    degree + 2.
+    Builds the leveled closure to its window and reads its block.  The
+    ideal slice is spanned by the closure's rows whose pivots, each row's
+    largest monomial, lie at degree <= d.  The coset representatives are
+    the other monomials of degree <= d, so that block is the slice plus
+    their span, and each element has one decomposition: reduce() clears the
+    pivots and reads off the rest.  The dimension, coset basis and stable
+    flag need only the pivots; reduce() and ideal_slice need the rows in
+    reduced form, and ideal_slice a second elimination (a Subspace pivots at
+    each row's least monomial), so each is built on first read.  The window
+    defaults to degree + 2.
     """
 
     def __init__(self, A: NCPA, gens: IdealGens, degree: int, saturation: int | None = None):
@@ -501,23 +496,11 @@ class TruncatedQuotient:
         self.gens = gens
         self.degree = degree
         self.saturation = saturation
-        if saturation == 0:  # window 0 holds no products
-            self.monomials = env_monomials(A, 0)
-            self._low_rows, self.stable = {}, True
-        else:
-            closure = _leveled_closure(A, gens, saturation)
-            # the monomials of degree <= d, a prefix of the closure's: n^2
-            # slot pairs for each of the comb(n + d, d) words
-            self.monomials = closure.monomials[:A.n ** 2 * comb(A.n + degree, degree)]
-            n_low = len(self.monomials)
-            # kept, not copied: a later, wider window adds rows to the
-            # closure but rewrites none
-            self._low_rows = closure.low_rows(n_low)
-            # stable: no pivot in the block is new at window D; window D - 1
-            # has no degree-D block, so d = D counts as unstable
-            self.stable = degree < saturation and all(
-                B < saturation - 1 for p, B in closure.pivot_level.items() if p >= -n_low
-            )
+        self.closure = _LeveledClosure(A, gens)
+        self.closure.extend_to(saturation)
+        n_low, self._low_rows, self.stable = self.closure.block(degree, saturation)
+        # the monomials of degree <= d, a prefix of the closure's
+        self.monomials = self.closure.monomials[:n_low]
         coset = [t for t in range(len(self.monomials)) if -1 - t not in self._low_rows]
         self._coset_position = {t: k for k, t in enumerate(coset)}
         self.coset_basis: list[QMonomial] = [self.monomials[t] for t in coset]
@@ -569,11 +552,19 @@ def dimension_table(
 ) -> list[dict]:
     """Quotient dimension and stability flag for each degree 0..max_degree.
 
-    Windows never shrink as the degree grows, so one leveled pass serves
-    every degree, and the widest is checked against the cap before any
-    closure work."""
-    check_degree(max_degree + 2 if saturation is None else saturation, "saturation degree",
-                 A.degree_cap)
-    quotients = (TruncatedQuotient(A, gens, d, saturation) for d in range(max_degree + 1))
-    return [{"degree": q.degree, "saturation": q.saturation, "dimension": q.dimension,
-             "stable": q.stable} for q in quotients]
+    Windows never shrink as the degree grows, so the closure of the quotient
+    at the top degree and the widest window serves every degree through its
+    blocks; the widest window is checked against the cap before any closure
+    work."""
+    top = max_degree + 2 if saturation is None else saturation
+    check_degree(top, "saturation degree", A.degree_cap)
+    if max_degree < 0:
+        return []
+    closure = TruncatedQuotient(A, gens, max_degree, top).closure
+    table = []
+    for d in range(max_degree + 1):
+        D = d + 2 if saturation is None else saturation
+        n_low, rows, stable = closure.block(d, D)
+        table.append({"degree": d, "saturation": D, "dimension": n_low - len(rows),
+                      "stable": stable})
+    return table

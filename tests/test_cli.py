@@ -297,6 +297,8 @@ def test_leading_sign_after_double_dash(capsys):
     ("abc", "POISSON_ENV_MAX_DEGREE must be an integer, got 'abc'"),
     ("-1", "POISSON_ENV_MAX_DEGREE must be nonnegative, got -1"),
     ("11", "POISSON_ENV_MAX_DEGREE must be at most 10, got 11"),
+    ("٣", "POISSON_ENV_MAX_DEGREE must be an integer, got '٣'"),
+    ("1_0", "POISSON_ENV_MAX_DEGREE must be an integer, got '1_0'"),
 ])
 @pytest.mark.parametrize("argv", [
     ["env-dim", "kxk.alg", "--ideal", "J", "--degree", "1"],
@@ -473,7 +475,7 @@ def test_env_dim_closure_runs_in_the_unit_first_copy(capsys, monkeypatch):
     [(unit_first, A)] = loaded
     # kxk's unit e1 + e2 is not a basis vector; in the copy it is e1's place
     assert unit_first and A.unit == A.basis(0)
-    assert A.caches["ideal_slice"]
+    assert A.caches["q_tail"]  # filled by the closure's generator products
 
 
 def test_validation_errors_name_the_file_basis(tmp_path, capsys):
@@ -510,6 +512,17 @@ def test_bad_degree_rejected(capsys, argv, message):
     argv = [path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+# int() would read a fullwidth 1, 0_1 and an Arabic-Indic 3 as 1, 1 and 3
+@pytest.mark.parametrize("value", ["１", "0_1", "٣"])
+@pytest.mark.parametrize("option", ["--degree", "--saturate"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_degree_options_take_ascii_decimal_integers_only(capsys, value, option, as_json):
+    argv = ["env-dim", path("kxk.alg"), option, value]
+    assert main((["--json"] if as_json else []) + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {option}: invalid integer {value!r}" in err
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -31,7 +31,6 @@ from poissonenv.truncation import (
     IdealGens,
     _LeveledClosure,
     _coordinates,
-    _leveled_closure,
     dimension_table,
     env_monomials,
     ideal_gens_by_label,
@@ -441,7 +440,7 @@ def test_leveled_closure_is_closed_under_i_and_k(name, label, request):
     closure = _LeveledClosure(A, ideal_gens_by_label(A, label))
     ik = [embed(A, kind, A.basis(a)) for kind in "ik" for a in range(A.n)]
     for D in range(1, 4):
-        closure.extend_to(A, D)
+        closure.extend_to(D)
         monomial = {c: m for m, c in closure.coord.items()}
         reduced = reduced_rows(closure.ech.pivot_row)
         for row in closure.ech.pivot_row.values():
@@ -501,7 +500,7 @@ def _assert_unrestricted_rows(A, gens, top):
     reference = _unrestricted_closure_levels(A, gens, top)
     closure = _LeveledClosure(A, gens)
     for D in range(1, top + 1):
-        closure.extend_to(A, D)
+        closure.extend_to(D)
         got = (reduced_rows(closure.ech.pivot_row), closure.pivot_level)
         assert got == reference[D - 1], D
 
@@ -577,11 +576,11 @@ def test_envdim_skew_level_0_takes_51_vectors(trunc2_skew):
         return add_data(data)
 
     closure._times, closure.ech.add_data = counted_times, counted_add
-    closure.extend_to(A, 1)
+    closure.extend_to(1)
     assert (len(closure.seeds), len(products)) == (9, 42)
     assert len(closure.ech.rows) == 21
     assert all(inserted) and len(inserted) == 9 + sum(1 for v in products if v) == 37
-    closure.extend_to(A, 4)
+    closure.extend_to(4)
     assert closure.j_formed == [0, 63, 90, 136]
     assert len(closure.ech.rows) == 273
 
@@ -602,10 +601,13 @@ def test_closure_builds_each_monomial_once(trunc2_skew, monkeypatch):
     A = unit_first(trunc2_skew)
     gens = ideal_j_gens(A)
     assert [row["dimension"] for row in dimension_table(A, gens, 2)] == [9, 15, 22]
-    closure = _leveled_closure(A, gens, 4)
-    assert built == closure.monomials == env_monomials(A, 4)
+    assert built == env_monomials(A, 4) and len(built) == 315
+    closure = _LeveledClosure(A, gens)
+    for D in range(5):
+        closure.extend_to(D)
+    assert built[315:] == closure.monomials == env_monomials(A, 4)
     q = TruncatedQuotient(A, gens, 2, 4)
-    assert q.monomials == env_monomials(A, 2) and len(built) == 315
+    assert q.monomials == env_monomials(A, 2) and len(built) == 3 * 315
     assert "index" not in vars(q)
     q.reduce(q_identity(A))
     assert q.index == {m: t for t, m in enumerate(q.monomials)}
@@ -657,7 +659,7 @@ def test_quotient_reads_match_a_reduced_reference(name, label, request):
     gens = ideal_gens_by_label(A, label)
     for D in range(1, 5):
         closure = _LeveledClosure(A, gens)
-        closure.extend_to(A, D)
+        closure.extend_to(D)
         for d in range(D + 1):
             q = TruncatedQuotient(A, gens, d, D)
             n_low = len(q.monomials)
@@ -698,7 +700,7 @@ def test_closure_never_rewrites_a_stored_row(name, request):
 
     closure.ech.add_data = recording
     for D in range(1, 5):
-        closure.extend_to(A, D)
+        closure.extend_to(D)
         stored = list(closure.ech.pivot_row.values())
         assert len(inserted) == len(closure.ech.rows) == len(stored)
         assert all(a is b is c for (a, _), b, c in zip(inserted, closure.ech.rows, stored))
@@ -708,7 +710,7 @@ def test_closure_never_rewrites_a_stored_row(name, request):
     rows = dict(q._low_rows)
     snapshot = {p: dict(row) for p, row in rows.items()}
     q.reduce(q_identity(A))
-    _leveled_closure(A, gens, 4)  # widens the memoized closure
+    q.closure.extend_to(4)  # widens the quotient's own closure
     assert q.ideal_slice.rank == len(rows)
     assert q._low_rows == snapshot
     assert all(q._low_rows[p] is row for p, row in rows.items())
@@ -789,7 +791,7 @@ def test_closure_counts_j_products(trunc2, m2):
         closure = _LeveledClosure(A, ideal_j_gens(A))
         sizes = []
         for D in range(1, 5):
-            closure.extend_to(A, D)
+            closure.extend_to(D)
             sizes.append(len(closure.frontier))
         assert closure.j_formed == formed
         assert closure.j_skipped == skipped
@@ -808,12 +810,12 @@ class _PerCoordinateClosure(_LeveledClosure):
         super().__init__(A, gens)
         self.per_coordinate = {}
 
-    def _times(self, A, y, g, left):
+    def _times(self, y, g, left):
         total = {}
         for c, v in y.items():
             col = self.per_coordinate.get((c, g, left))
             if col is None:
-                nums, den = q_gen_mult(A, self.monomials[-1 - c], g, left)
+                nums, den = q_gen_mult(self.algebra, self.monomials[-1 - c], g, left)
                 col = self.per_coordinate[c, g, left] = (_coordinates(nums, self.coord), den)
             nums, den = col
             for t, x in nums.items():
@@ -838,8 +840,8 @@ def test_offset_columns_match_per_coordinate_columns(name, first, label, request
     closure, reference = _LeveledClosure(A, gens), _PerCoordinateClosure(A, gens)
     levels = {}  # each pivot's level, read off the reference after each window
     for D in range(1, 5 if A.n == 4 else 6):
-        closure.extend_to(A, D)
-        reference.extend_to(A, D)
+        closure.extend_to(D)
+        reference.extend_to(D)
         for p in reference.ech.pivot_row:
             levels.setdefault(p, D - 1)
         assert closure.ech.rows == reference.ech.rows, D
@@ -864,8 +866,10 @@ def test_offset_columns_are_built_once_each(trunc2_skew, monkeypatch):
     A = unit_first(trunc2_skew)
     gens = ideal_j_gens(A)
     assert [row["dimension"] for row in dimension_table(A, gens, 2)] == [9, 15, 22]
-    closure = _leveled_closure(A, gens, 4)
     assert len(calls) == len(set(calls)) == 79
+    closure = _LeveledClosure(A, gens)
+    closure.extend_to(4)
+    assert calls[79:] == calls[:79]
     assert sum(len(columns) for _, _, columns in closure.columns.values()) == 79
 
 
@@ -884,6 +888,51 @@ def test_explicit_saturation_tables(name, degree, saturate, dims, stable, reques
     assert [row["dimension"] for row in table] == dims
     assert [row["stable"] for row in table] == stable
     assert all(row["saturation"] == saturate for row in table)
+
+
+def test_dimension_table_checks_its_bounds(kxk):
+    gens = ideal_j_gens(kxk)
+    with pytest.raises(ValueError, match="^saturation bound must be >= truncation degree$"):
+        dimension_table(kxk, gens, 2, saturation=1)
+    assert dimension_table(kxk, gens, -1) == []
+
+
+@pytest.mark.parametrize("saturation", [None, 0, 3])
+def test_dimension_table_builds_one_closure(trunc2, saturation, monkeypatch):
+    from poissonenv import truncation
+
+    built = []
+
+    class Counted(_LeveledClosure):
+        def __init__(self, A, gens):
+            super().__init__(A, gens)
+            built.append(self)
+
+    monkeypatch.setattr(truncation, "_LeveledClosure", Counted)
+    max_degree = 0 if saturation == 0 else 2
+    table = dimension_table(trunc2, ideal_j_gens(trunc2), max_degree, saturation)
+    assert len(table) == max_degree + 1 and len(built) == 1
+    assert built[0].window == table[-1]["saturation"]
+
+
+# every fixture and its unit-first copy, under every ideal: a closure grown
+# past window D reads at D the block it held at D, so one closure serves
+# every narrower window
+@pytest.mark.parametrize("label", IDEALS)
+@pytest.mark.parametrize("first", [False, True], ids=["as_given", "unit_first"])
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_block_of_a_wider_closure_is_the_block_at_its_window(name, first, label, request):
+    A = request.getfixturevalue(name)
+    if first:
+        A = unit_first(A)
+    gens = ideal_gens_by_label(A, label)
+    top = 3 if A.n == 4 else 4
+    wide, exact = _LeveledClosure(A, gens), _LeveledClosure(A, gens)
+    wide.extend_to(top)
+    for D in range(top + 1):
+        exact.extend_to(D)
+        for d in range(D + 1):
+            assert wide.block(d, D) == exact.block(d, D), (d, D)
 
 
 def test_window_without_degree_block_is_unstable(kxk):
@@ -936,8 +985,8 @@ def test_dimension_table_matches_slice_rank(name, label, descending, request):
 
 
 def test_slice_independent_of_call_order():
-    # the leveled closure is memoized per algebra; a narrower window after
-    # a wider one starts a fresh pass and must give the same answer
+    # each call builds its own closure, sharing only the algebra's product
+    # memos, so calls in any order must answer as on a fresh algebra
     from poissonenv.fileformat import load_bundled_algebra
     from poissonenv.ncpa import validate_ncpa
 
